@@ -1,8 +1,8 @@
 from .behavior import BehaviorPool, InsufficientDataError, sl_train
 from .bidder import BACKOFF, SUBMIT, EtaSchedule, LearnerHyper, LearningFleet, PassiveFleet
-from .features import FeatureCodec, RlStep, WindowBuffer, build_rl_state
+from .features import FeatureCodec, RlStep, WindowBuffer
 from .nets import AdamState, NumericalInstabilityError, StackedMlp
-from .policy import ActorCriticPool, LearningRates, PolicyParams, squash_action, td_error
+from .policy import ActorCriticPool, LearningRates, squash_action, td_error
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
 
 __all__ = [
@@ -19,12 +19,10 @@ __all__ = [
     "LearningRates",
     "NumericalInstabilityError",
     "PassiveFleet",
-    "PolicyParams",
     "RlStep",
     "SUBMIT",
     "StackedMlp",
     "WindowBuffer",
-    "build_rl_state",
     "sl_train",
     "squash_action",
     "td_error",

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..auction import FeedbackSignal
-from ..engine import RngStream, derive_stream
+from ..engine import derive_stream
 from .behavior import BehaviorPool
 from .features import FeatureCodec, RlStep, WindowBuffer
 from .policy import ActorCriticPool, LearningRates, squash_action, td_error, unsquash_action
@@ -168,7 +168,7 @@ class LearningFleet:
 
         prev_flat = self._prev_flat
         self.window.push(self._step_buf)
-        flat = self.window.flat_copy()
+        flat = self.window.flat().copy()
 
         if not self.frozen and prev_flat is not None:
             v_prev, critic_cache = self.pool.critic_eval(prev_flat)
@@ -273,12 +273,6 @@ class PassiveFleet:
     def __init__(self, configs: Sequence[AgentConfig]):
         self.configs = list(configs)
         self.B = len(configs)
-        self.t = 1
-        self.frozen = False
-        self.last_diag: dict[str, float] = {}
-
-    def freeze(self):
-        self.frozen = True
 
     def act(self, feedbacks, pending, n_present, beta, phase) -> list[dict[str, tuple]]:
         directives = []
@@ -289,5 +283,4 @@ class PassiveFleet:
                     for service_type, (work, _deadline) in pending[b].items()
                 }
             )
-        self.t += 1
         return directives

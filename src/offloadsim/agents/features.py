@@ -16,7 +16,7 @@ The behavioral-model state reuses the request and env blocks only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -110,14 +110,3 @@ class WindowBuffer:
     def flat(self) -> np.ndarray:
         """(B, window*step_dim) view suitable as learner input."""
         return self.data.reshape(self.data.shape[0], -1)
-
-    def flat_copy(self) -> np.ndarray:
-        return self.flat().copy()
-
-
-def build_rl_state(codec: FeatureCodec, history: Sequence[RlStep]) -> np.ndarray:
-    """Encode the nu most recent steps of one agent into a flat window."""
-    buf = WindowBuffer(1, codec.window, codec.step_dim)
-    for step in history[-codec.window :]:
-        buf.push(codec.encode_step(step)[None, :])
-    return buf.flat()[0]

@@ -8,7 +8,7 @@ activations keep the mapping smooth enough for finite-difference checks.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class StackedMlp:
         input_dim: int,
         hidden: tuple[int, ...],
         heads: Mapping[str, tuple],
-        weight_scale: float = 1.0,
     ):
         self.B = len(streams)
         self.input_dim = input_dim
@@ -46,7 +45,7 @@ class StackedMlp:
         self.params: dict[str, np.ndarray] = {}
         dims = (input_dim, *hidden)
         for layer in range(len(hidden)):
-            w = np.stack([_init_weight(s, dims[layer], dims[layer + 1], weight_scale) for s in streams])
+            w = np.stack([_init_weight(s, dims[layer], dims[layer + 1], 1.0) for s in streams])
             self.params[f"W{layer}"] = w
             self.params[f"b{layer}"] = np.zeros((self.B, dims[layer + 1]))
         for name, spec in heads.items():
@@ -106,20 +105,17 @@ class StackedMlp:
 
     # -- updates ----------------------------------------------------------------
 
-    def apply_gradients(self, grads: Mapping[str, np.ndarray], step_size, clip_norm: Optional[float] = None):
+    def apply_gradients(self, grads: Mapping[str, np.ndarray], step_size, clip_norm: float):
         """In-place ascent step: params += step_size * grads (per-agent step
-        sizes accepted as a (B,) vector), with optional per-agent norm clip."""
-        if clip_norm is not None:
-            sq = np.zeros(self.B)
-            for g in grads.values():
-                sq += (g * g).reshape(self.B, -1).sum(axis=1)
-            norms = np.sqrt(sq)
-            if not np.all(np.isfinite(norms)):
-                raise NumericalInstabilityError(f"non-finite gradient norm: {norms}")
-            self.last_grad_norms = norms
-            scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-12))
-        else:
-            scale = np.ones(self.B)
+        sizes accepted as a (B,) vector), with a per-agent norm clip."""
+        sq = np.zeros(self.B)
+        for g in grads.values():
+            sq += (g * g).reshape(self.B, -1).sum(axis=1)
+        norms = np.sqrt(sq)
+        if not np.all(np.isfinite(norms)):
+            raise NumericalInstabilityError(f"non-finite gradient norm: {norms}")
+        self.last_grad_norms = norms
+        scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-12))
         step = np.asarray(step_size) * scale
         for name, g in grads.items():
             p = self.params[name]

@@ -17,8 +17,8 @@ of past rewards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -40,16 +40,6 @@ class LearningRates:
     critic: float = 1e-3
     reward_smoothing: float = 0.99  # EMA retention for the average reward
     grad_clip: float = 100.0
-
-
-@dataclass
-class PolicyParams:
-    """One agent's learner state (flattened copies, for tests and model files)."""
-
-    actor: np.ndarray
-    critic: np.ndarray
-    avg_reward: float
-    rates: LearningRates
 
 
 def td_error(u: float, avg_reward: float, v_next: float, v_now: float) -> float:
@@ -166,14 +156,6 @@ class ActorCriticPool:
         self.avg_reward += (1.0 - lam) * u
 
     # -- persistence ----------------------------------------------------------------
-
-    def params_for(self, agent: int) -> PolicyParams:
-        return PolicyParams(
-            actor=self.actor.flat_view(agent),
-            critic=self.critic.flat_view(agent),
-            avg_reward=float(self.avg_reward[agent]),
-            rates=self.rates,
-        )
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {f"actor_{k}": v for k, v in self.actor.state_arrays().items()}

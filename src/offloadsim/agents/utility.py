@@ -5,6 +5,10 @@ by the budget. Round utility per service type combines the win/lose payoff
 with the lost-bid cost, zeroes the gain of a free (uncontended) win, and
 pays the backoff reward when the bid was deferred; the round total adds the
 weighted idle-capacity term.
+
+`utility_per_type` is the one payoff rule: the learners are rewarded with
+it, and the static-game oracles in `offloadsim.gametheory` (expected round
+utilities and welfare) evaluate the same function.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ class AgentConfig:
     utilization_weight: float = 1.0
     backoff_threshold: float = 0.5
     max_backoff_ms: int = 100
-    active: bool = True
 
     def __post_init__(self):
         if self.budget <= 0:

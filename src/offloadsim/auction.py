@@ -6,7 +6,7 @@ per-type price: that is the mechanism's information-sharing boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .engine import RngStream, SimTime
@@ -41,7 +41,6 @@ class Bid:
 
 @dataclass
 class AuctionOutcome:
-    round_time: SimTime
     winners: dict[str, set[str]]
     payment_vector: dict[str, float]
     slots_offered: dict[str, int]
@@ -120,7 +119,6 @@ def clear_auction(
     else:
         roster_set = frozenset(roster) | frozenset(participants)
     return AuctionOutcome(
-        round_time=0,
         winners=winners,
         payment_vector=payments,
         slots_offered=slots_offered,

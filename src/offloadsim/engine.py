@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import heapq
+import json
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,14 +21,10 @@ SimTime = int  # non-negative milliseconds
 
 class EventKind(Enum):
     SERVICE_ARRIVAL = "ServiceArrival"
-    BID_SUBMISSION = "BidSubmission"
     AUCTION_CLEAR = "AuctionClear"
-    ASSIGNMENT_DISPATCH = "AssignmentDispatch"
     EXECUTION_COMPLETE = "ExecutionComplete"
     DEADLINE_EXPIRY = "DeadlineExpiry"
     UTILIZATION_REPORT_ARRIVAL = "UtilizationReportArrival"
-    FEEDBACK_DELIVERY = "FeedbackDelivery"
-    BACKOFF_EXPIRY = "BackoffExpiry"
 
 
 class PastEventError(ValueError):
@@ -101,11 +98,6 @@ class RngStream:
         self.draw_counter += 1
         return self._gen.permutation(n)
 
-    def choice_index(self, probabilities: np.ndarray) -> int:
-        """Categorical draw; returns the chosen index."""
-        u = self.uniform()
-        return int(np.searchsorted(np.cumsum(probabilities), u, side="right").clip(0, len(probabilities) - 1))
-
 
 def derive_stream(root_seed: int, entity_label: str) -> RngStream:
     """Derive the deterministic stream for (root_seed, entity_label)."""
@@ -116,8 +108,9 @@ class TraceRecorder:
     """Append-only event trace.
 
     One row per processed event or observable effect. Attribute values are
-    stored as strings (floats via repr) so that a serialize/parse round trip
-    is lossless and metrics recomputed from the CSV match exactly.
+    stored as strings (floats via repr), and the CSV's attrs column holds
+    them as one JSON object, so a serialize/parse round trip is lossless for
+    any keys and values and metrics recomputed from the CSV match exactly.
     """
 
     COLUMNS = ("time_ms", "kind", "entity", "attrs")
@@ -131,7 +124,7 @@ class TraceRecorder:
     def active(self) -> bool:
         return self.enabled or self._sink is not None
 
-    def record(self, time: SimTime, kind: str, entity: str, **attrs):
+    def record(self, time: SimTime, kind: str, entity: str, /, **attrs):
         if not self.enabled and self._sink is None:
             return
         row = (time, kind, entity, {k: _fmt(v) for k, v in attrs.items()})
@@ -145,7 +138,7 @@ class TraceRecorder:
             writer = csv.writer(fh)
             writer.writerow(self.COLUMNS)
             for time, kind, entity, attrs in self.rows:
-                writer.writerow([time, kind, entity, pack_attrs(attrs)])
+                writer.writerow([time, kind, entity, json.dumps(attrs)])
 
     @staticmethod
     def read_csv(path) -> list[tuple[int, str, str, dict[str, str]]]:
@@ -156,8 +149,8 @@ class TraceRecorder:
             if header is not None and tuple(header) != TraceRecorder.COLUMNS:
                 raise ValueError(f"unexpected trace header: {header}")
             for rec in reader:
-                time, kind, entity, packed = rec
-                rows.append((int(time), kind, entity, unpack_attrs(packed)))
+                time, kind, entity, attrs = rec
+                rows.append((int(time), kind, entity, json.loads(attrs)))
         return rows
 
 
@@ -165,20 +158,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def pack_attrs(attrs: dict[str, str]) -> str:
-    return " ".join(f"{k}={v}" for k, v in attrs.items())
-
-
-def unpack_attrs(packed: str) -> dict[str, str]:
-    if not packed:
-        return {}
-    out = {}
-    for item in packed.split(" "):
-        key, _, value = item.partition("=")
-        out[key] = value
-    return out
 
 
 class Simulator:
@@ -189,13 +168,12 @@ class Simulator:
     effect rows themselves via sim.trace.record.
     """
 
-    def __init__(self, trace: Optional[TraceRecorder] = None, check_order: bool = True):
+    def __init__(self, trace: Optional[TraceRecorder] = None):
         self.clock: SimTime = 0
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._handlers: dict[EventKind, Callable[["Simulator", Event], None]] = {}
-        self._check_order = check_order
         self._last_key = (-1, -1)
 
     def on(self, kind: EventKind, handler: Callable[["Simulator", Event], None]):
@@ -216,10 +194,9 @@ class Simulator:
         heap, handlers = self._heap, self._handlers
         while heap and heap[0][0] <= t_end:
             time, seq, event = heapq.heappop(heap)
-            if self._check_order:
-                key = (time, seq)
-                assert key > self._last_key, f"event order violated: {key} after {self._last_key}"
-                self._last_key = key
+            key = (time, seq)
+            assert key > self._last_key, f"event order violated: {key} after {self._last_key}"
+            self._last_key = key
             self.clock = time
             if self.trace.active:
                 self.trace.record(time, event.kind.value, str(event.payload.get("entity", "")))

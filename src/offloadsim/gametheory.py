@@ -16,10 +16,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
+
+from .agents.utility import utility_per_type
 
 IDENTITY_TOL = 1e-9
 
@@ -116,13 +118,18 @@ def uncontended_utility(game: StaticGame, profile, player: int) -> float:
     return own_q - chosen_q + game.utilization_weight * (1.0 - load / game.capacity)
 
 
-def check_potential_identity(game: StaticGame, profile, player: int, new_alpha) -> bool:
-    """Does the deviating player's utility change equal the potential change?"""
+def _potential_residual(game: StaticGame, profile, player: int, new_alpha) -> float:
+    """|utility change - potential change| for one unilateral deviation."""
     deviated = list(profile)
     deviated[player] = new_alpha
     du = uncontended_utility(game, deviated, player) - uncontended_utility(game, profile, player)
     dphi = potential_value(game, deviated) - potential_value(game, profile)
-    return abs(du - dphi) <= IDENTITY_TOL
+    return abs(du - dphi)
+
+
+def check_potential_identity(game: StaticGame, profile, player: int, new_alpha) -> bool:
+    """Does the deviating player's utility change equal the potential change?"""
+    return _potential_residual(game, profile, player, new_alpha) <= IDENTITY_TOL
 
 
 # -- pure-equilibrium enumeration ------------------------------------------------
@@ -133,7 +140,8 @@ def _expected_round_utilities(game: StaticGame, actions) -> list[float]:
 
     actions[i] = (alpha_vec, price_vec) over game.type_ids. Tie breaks at the
     slot boundary are integrated exactly (each tied bidder wins the leftover
-    slots with equal probability).
+    slots with equal probability). The per-type payoff is the learners' own,
+    utility_per_type, taken in expectation over the win probability.
     """
     types = game.type_ids
     n_players = len(game.players)
@@ -178,16 +186,13 @@ def _expected_round_utilities(game: StaticGame, actions) -> list[float]:
         for j, t in enumerate(types):
             if t not in player.work:
                 continue
-            alpha = actions[i][0][j]
-            if alpha >= 0.5:
-                pr_win = win_prob[i, j]
-                p = payment[j]
-                gain = pr_win * (player.values[t] - p) - (1.0 - pr_win) * player.lost_bid_cost
-                if p == 0.0:
-                    gain -= player.values[t]
-                total += gain
-            else:
-                total += player.backoff_rewards.get(t, 0.0)
+            v, p, c = player.values[t], float(payment[j]), player.lost_bid_cost
+            q = player.backoff_rewards.get(t, 0.0)
+            submitted = actions[i][0][j] >= 0.5
+            pr_win = win_prob[i, j]  # 0 for a deferred bid, whose payoff is q either way
+            won = utility_per_type(1, v, p, c, q, submitted)
+            lost = utility_per_type(0, v, p, c, q, submitted)
+            total += pr_win * won + (1.0 - pr_win) * lost
         total += game.utilization_weight * (1.0 - beta)
         utilities.append(total)
     return utilities
@@ -317,7 +322,7 @@ def welfare(
     lost_bid_costs: dict[str, float],
     backoff_rewards: Optional[dict[str, float]] = None,
 ) -> float:
-    """Sum of realized bidder utilities for one cleared round.
+    """Sum of realized bidder utilities (utility_per_type) for one cleared round.
 
     outcome is an auction clearing result; backoff_rewards maps bidders that
     deferred everything to their collected backoff reward.
@@ -325,16 +330,9 @@ def welfare(
     total = 0.0
     for bidder, types in outcome.participants.items():
         for t in types:
+            x = 1 if bidder in outcome.winners.get(t, ()) else 0
             p = outcome.payment_vector.get(t, 0.0)
-            if bidder in outcome.winners.get(t, ()):
-                gain = valuations[bidder][t] - p
-                if p == 0.0:
-                    gain -= valuations[bidder][t]
-                total += gain
-            else:
-                total -= lost_bid_costs[bidder]
-                if p == 0.0:
-                    total -= valuations[bidder][t]
+            total += utility_per_type(x, valuations[bidder][t], p, lost_bid_costs[bidder], 0.0, True)
     for bidder, reward in (backoff_rewards or {}).items():
         total += reward
     return total
@@ -522,11 +520,6 @@ class OracleRecord:
     inputs_digest: str
     passed: bool
     residual: float
-    detail: str = ""
-
-    def render(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"{self.name} digest={self.inputs_digest} {status} residual={self.residual:.3e} {self.detail}"
 
 
 def _digest(*parts) -> str:
@@ -567,11 +560,7 @@ def potential_identity_sweep(n_games: int, rng) -> list[OracleRecord]:
         )
         player = rng.integers(0, len(game.players))
         new_alpha = tuple(float(rng.uniform() < 0.5) for _ in types)
-        deviated = list(profile)
-        deviated[player] = new_alpha
-        du = uncontended_utility(game, deviated, player) - uncontended_utility(game, profile, player)
-        dphi = potential_value(game, deviated) - potential_value(game, profile)
-        residual = abs(du - dphi)
+        residual = _potential_residual(game, profile, player, new_alpha)
         records.append(
             OracleRecord(
                 name=f"potential-identity[{g}]",

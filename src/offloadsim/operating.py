@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .auction import AuctionOutcome, Bid, clear_auction
 from .engine import RngStream, SimTime
-from .workload import ServiceTypeSpec
 
 
 class NoFeasibleSiteError(RuntimeError):
@@ -100,7 +99,6 @@ class ComputingSite:
         self._queue_head = 0
         self.running: dict[object, ExecutionJob] = {}
         self.estimates: dict[str, float] = {}
-        self.price: float = 0.0
 
     # -- execution ----------------------------------------------------------
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .engine import RngStream, SimTime
 

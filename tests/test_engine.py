@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from offloadsim.engine import (
     Event,
@@ -112,10 +114,21 @@ def test_trace_csv_round_trip(tmp_path):
     sim = Simulator(trace=TraceRecorder())
     sim.schedule(1, EventKind.AUCTION_CLEAR, entity="aca")
     sim.run_until(1)
-    sim.trace.record(1, "AuctionClear", "aca", type="F1", price=2.5, winners="a,b")
+    sim.trace.record(1, "AuctionClear", "aca", type="F1", price=2.5, winners="a b", note="x=y", empty="")
     path = tmp_path / "trace.csv"
     sim.trace.write_csv(path)
     assert TraceRecorder.read_csv(path) == sim.trace.rows
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(attrs=st.dictionaries(st.text(), st.text(), max_size=6))
+@example(attrs={"time": "1", "kind": "k", "entity": "e", "self": "s", "": "\r\n,\""})
+def test_trace_csv_round_trip_any_text(tmp_path, attrs):
+    trace = TraceRecorder()
+    trace.record(3, "effect", "veh0", **attrs)
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    assert TraceRecorder.read_csv(path) == [(3, "effect", "veh0", attrs)]
 
 
 def test_same_label_reproduces_draws():

@@ -1,6 +1,6 @@
 import numpy as np
 
-from offloadsim.agents import FeatureCodec, RlStep, WindowBuffer, build_rl_state
+from offloadsim.agents import FeatureCodec, RlStep, WindowBuffer
 
 
 def codec(window=8):
@@ -79,12 +79,3 @@ class TestWindow:
             marks.append(vec[-1])
             buf.push(vec[None, :])
         assert list(buf.data[0, :, -1]) == marks[-3:]
-
-    def test_build_rl_state_matches_incremental(self):
-        c = codec(window=4)
-        steps = [step(utility_prev=float(k)) for k in range(6)]
-        flat = build_rl_state(c, steps)
-        buf = WindowBuffer(1, 4, c.step_dim)
-        for s in steps:
-            buf.push(c.encode_step(s)[None, :])
-        assert np.array_equal(flat, buf.flat()[0])

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offloadsim.auction import Bid
 from offloadsim.engine import derive_stream
@@ -98,6 +100,86 @@ class TestExecution:
         site = make_site(capacity=1)
         (j,) = site.accept(job("r1", (2.4,)), now=0)
         assert j.completes_at == 3
+
+
+LIFECYCLE_OPS = st.tuples(st.sampled_from(["accept", "advance", "finish", "drop"]), st.integers(0, 15), st.integers(0, 10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    sigma_work=st.sampled_from([0.0, 0.3]),
+    ops=st.lists(LIFECYCLE_OPS, max_size=50),
+)
+def test_site_job_lifecycle(capacity, sigma_work, ops):
+    """Random accept/finish/drop sequences, driven in event order.
+
+    "advance" completes the running job that is due first, as the event
+    loop would; "finish" and "drop" target any job ever accepted, done or
+    not. A job is ended by exactly one successful finish or drop.
+    """
+    site = make_site(capacity=capacity, sigma_work=sigma_work)
+    jobs: list[ExecutionJob] = []
+    ends: dict[str, int] = {}
+    now = 0
+
+    def next_due():
+        return min(site.running.values(), key=lambda j: (j.completes_at, j.request_key), default=None)
+
+    def check_started(started):
+        for j in started:
+            assert j.started_at == now and not j.done and site.running[j.request_key] is j
+
+    def advance():
+        nonlocal now
+        due = next_due()
+        now = due.completes_at
+        done, started = site.finish(due.request_key, now)
+        assert done is due and done.done
+        ends[due.request_key] = ends.get(due.request_key, 0) + 1
+        check_started(started)
+
+    for op, pick, dt in ops:
+        due = next_due()
+        now = min(now + dt, due.completes_at) if due is not None else now + dt
+        if op == "accept" or not jobs:
+            new = job(f"r{len(jobs)}", units=(1.0 + pick % 7,))
+            jobs.append(new)
+            check_started(site.accept(new, now))
+        elif op == "advance":
+            if site.running:
+                advance()
+        else:
+            target = jobs[pick % len(jobs)]
+            key = target.request_key
+            was_done = target.done
+            busy = site.busy_units
+            if op == "finish":
+                due_now = key in site.running and target.completes_at == now
+                done, started = site.finish(key, now)
+                if due_now:
+                    assert done is target and target.done
+                    ends[key] = ends.get(key, 0) + 1
+                    check_started(started)
+                else:  # done already, queued, or not due yet
+                    assert (done, started) == (None, [])
+            else:
+                dropped, started = site.drop(key, now)
+                if was_done:
+                    assert (dropped, started) == (False, [])
+                else:
+                    assert dropped and target.done
+                    ends[key] = ends.get(key, 0) + 1
+                    check_started(started)
+            if was_done:
+                assert site.busy_units == busy
+        assert site.busy_units <= site.servers
+        assert all(ends.get(j.request_key, 0) == int(j.done) for j in jobs)
+
+    while site.running:
+        advance()
+        assert site.busy_units <= site.servers
+    assert all(j.done and ends[j.request_key] == 1 for j in jobs)
 
 
 class TestEstimates:
