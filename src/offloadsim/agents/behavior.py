@@ -65,8 +65,8 @@ class BehaviorPool:
         target = self.actions[rows, idx]
         outputs, cache = self.net.forward(x)
         err = outputs["a"] - target
-        grads = self.net.backward(cache, {"a": (2.0 / (self.batch_size * self.action_dim)) * err})
-        self.opt.step(grads)
+        factors = self.net.backward(cache, {"a": (2.0 / (self.batch_size * self.action_dim)) * err})
+        self.opt.step(factors)
         return float((err * err).mean())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -111,6 +111,6 @@ def sl_train(
         outputs, cache = pool.net.forward(x)
         err = outputs["a"] - target
         losses.append(float((err * err).mean()))
-        grads = pool.net.backward(cache, {"a": (2.0 / (n * pool.action_dim)) * err})
-        pool.opt.step(grads)
+        factors = pool.net.backward(cache, {"a": (2.0 / (n * pool.action_dim)) * err})
+        pool.opt.step(factors)
     return pool, losses

@@ -4,6 +4,16 @@ All arrays carry a leading agent axis B: one call advances every agent's
 independent network at once. Row b only ever sees row b's data, so the
 batched math is equivalent to B separate single-agent networks; tanh
 activations keep the mapping smooth enough for finite-difference checks.
+
+Gradients are kept factored. For n samples per agent, a linear layer with
+input activation x (B, n, in) and pre-activation gradient dz (B, n, out)
+has dW = x^T dz and db = sum_n dz; `backward` returns the pair (x, dz) per
+layer and never the dense (B, in, out) gradient. The actor-critic step
+learns from one sample per agent (n = 1), so each dW is the outer product
+x dz^T, and `apply_gradients` uses the per-example identity
+||x dz^T||_F^2 = ||x||^2 ||dz||^2 (Goodfellow, arXiv:1510.01799) for the
+clip norm and adds the clipped step as a rank-1 update. The minibatch
+optimizer (`AdamState`) builds dense gradients with `dense_gradients`.
 """
 from __future__ import annotations
 
@@ -77,11 +87,18 @@ class StackedMlp:
             outputs[name] = y[:, 0, :] if squeeze else y
         return outputs, {"acts": acts, "squeeze": squeeze}
 
-    def backward(self, cache: dict, head_grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Gradients of sum over agents and samples of <head_grad, head_out>."""
+    def backward(
+        self, cache: dict, head_grads: Mapping[str, np.ndarray]
+    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Gradient factors of sum over agents and samples of <head_grad, head_out>.
+
+        Maps each layer's weight name to (x, dz): the layer's input
+        activation (B, n, in) and its pre-activation gradient (B, n, out).
+        The bias of weight "W<s>" is "b<s>".
+        """
         acts = cache["acts"]
         squeeze = cache["squeeze"]
-        grads: dict[str, np.ndarray] = {}
+        factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         top = acts[-1]
         dh = None
         for name in self.head_names:
@@ -90,36 +107,56 @@ class StackedMlp:
                 continue
             if squeeze:
                 dy = dy[:, None, :]
-            grads[f"W_{name}"] = np.matmul(top.transpose(0, 2, 1), dy)
-            grads[f"b_{name}"] = dy.sum(axis=1)
+            factors[f"W_{name}"] = (top, dy)
             contrib = np.matmul(dy, self.params[f"W_{name}"].transpose(0, 2, 1))
             dh = contrib if dh is None else dh + contrib
         for layer in reversed(range(len(self.hidden))):
             h = acts[layer + 1]
             dz = dh * (1.0 - h * h)
-            grads[f"W{layer}"] = np.matmul(acts[layer].transpose(0, 2, 1), dz)
-            grads[f"b{layer}"] = dz.sum(axis=1)
+            factors[f"W{layer}"] = (acts[layer], dz)
             if layer > 0:
                 dh = np.matmul(dz, self.params[f"W{layer}"].transpose(0, 2, 1))
-        return grads
+        return factors
 
     # -- updates ----------------------------------------------------------------
 
-    def apply_gradients(self, grads: Mapping[str, np.ndarray], step_size, clip_norm: float):
+    def apply_gradients(self, factors: Mapping[str, tuple[np.ndarray, np.ndarray]], step_size, clip_norm: float):
         """In-place ascent step: params += step_size * grads (per-agent step
-        sizes accepted as a (B,) vector), with a per-agent norm clip."""
-        sq = np.zeros(self.B)
-        for g in grads.values():
-            sq += (g * g).reshape(self.B, -1).sum(axis=1)
-        norms = np.sqrt(sq)
+        sizes accepted as a (B,) vector), with a per-agent norm clip.
+
+        factors come from `backward` on a one-sample-per-agent cache, so each
+        weight gradient is the outer product x dz^T: its squared norm is
+        ||x||^2 ||dz||^2 and the step is added as a rank-1 update.
+        """
+        vectors = {}
+        sq_by_param = {}
+        for w_name, (x, dz) in factors.items():
+            if x.shape[1] != 1:
+                raise ValueError(
+                    f"apply_gradients takes one sample per agent; the cache of {w_name} holds {x.shape[1]}"
+                )
+            x = x[:, 0, :]
+            dz = dz[:, 0, :]
+            dz_sq = np.einsum("bj,bj->b", dz, dz)
+            vectors[w_name] = (x, dz)
+            sq_by_param[w_name] = np.einsum("bi,bi->b", x, x) * dz_sq
+            sq_by_param["b" + w_name[1:]] = dz_sq
+        norms = np.sqrt(sum(sq_by_param.values()))
         if not np.all(np.isfinite(norms)):
-            raise NumericalInstabilityError(f"non-finite gradient norm: {norms}")
+            culprits = "; ".join(
+                f"{name} of agents {np.flatnonzero(~np.isfinite(sq)).tolist()}"
+                for name, sq in sq_by_param.items()
+                if not np.all(np.isfinite(sq))
+            )
+            raise NumericalInstabilityError(
+                f"non-finite gradient norm for agents {np.flatnonzero(~np.isfinite(norms)).tolist()}: {culprits}"
+            )
         self.last_grad_norms = norms
         scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-12))
-        step = np.asarray(step_size) * scale
-        for name, g in grads.items():
-            p = self.params[name]
-            p += step.reshape((self.B,) + (1,) * (p.ndim - 1)) * g
+        step = (np.asarray(step_size) * scale)[:, None]
+        for w_name, (x, dz) in vectors.items():
+            self.params[w_name] += np.einsum("bi,bj->bij", step * x, dz)
+            self.params["b" + w_name[1:]] += step * dz
 
     # -- persistence / introspection ---------------------------------------------
 
@@ -149,6 +186,15 @@ class StackedMlp:
             self.params[k][...] = v
 
 
+def dense_gradients(factors: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Dense per-agent gradients dW = x^T dz, db = sum_n dz from `backward` factors."""
+    grads = {}
+    for w_name, (x, dz) in factors.items():
+        grads[w_name] = np.matmul(x.transpose(0, 2, 1), dz)
+        grads["b" + w_name[1:]] = dz.sum(axis=1)
+    return grads
+
+
 class AdamState:
     """Adam moments for one StackedMlp (used by the behavioral model)."""
 
@@ -162,12 +208,12 @@ class AdamState:
         self.m = {k: np.zeros_like(v) for k, v in net.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in net.params.items()}
 
-    def step(self, grads: Mapping[str, np.ndarray]):
-        """Descent step on the given gradients."""
+    def step(self, factors: Mapping[str, tuple[np.ndarray, np.ndarray]]):
+        """Descent step on the gradients given as `StackedMlp.backward` factors."""
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        for k, g in grads.items():
+        for k, g in dense_gradients(factors).items():
             m = self.m[k]
             v = self.v[k]
             m *= self.beta1

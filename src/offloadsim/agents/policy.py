@@ -144,11 +144,11 @@ class ActorCriticPool:
         """
         if not np.all(np.isfinite(delta)):
             raise NumericalInstabilityError(f"non-finite TD error: {delta}")
-        critic_grads = self.critic.backward(critic_cache, {"v": np.ones((self.B, 1))})
-        self.critic.apply_gradients(critic_grads, self.rates.critic * delta, clip_norm=self.rates.grad_clip)
+        critic_factors = self.critic.backward(critic_cache, {"v": np.ones((self.B, 1))})
+        self.critic.apply_gradients(critic_factors, self.rates.critic * delta, clip_norm=self.rates.grad_clip)
         d_mu, d_l = self._density_grads(zeta_raw, mu, L, actor_cache["lraw"])
-        actor_grads = self.actor.backward(actor_cache, {"mu": d_mu, "lraw": d_l})
-        self.actor.apply_gradients(actor_grads, self.rates.actor * delta, clip_norm=self.rates.grad_clip)
+        actor_factors = self.actor.backward(actor_cache, {"mu": d_mu, "lraw": d_l})
+        self.actor.apply_gradients(actor_factors, self.rates.actor * delta, clip_norm=self.rates.grad_clip)
 
     def update_avg_reward(self, u: np.ndarray):
         lam = self.rates.reward_smoothing

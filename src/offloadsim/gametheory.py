@@ -275,10 +275,12 @@ def best_response_curve(
 ) -> list[tuple[float, float]]:
     """Grid argmax bid for each own valuation against the linear opponent.
 
-    Expected utility of bid b: win against all opponent draws below b and
-    pay the opponent's bid (the second price); pay the lost-bid cost
-    otherwise. Expectation by midpoint quadrature over the opponent's
-    uniform valuation draw; argmax ties resolve to the lowest price.
+    Each (bid b, opponent draw) cell is scored with `utility_per_type`'s
+    rule x(v - p) - (1 - x)c - v[p = 0]: win against opponent bids below b
+    and pay the opponent's bid (the second price); otherwise lose, pay the
+    lost-bid cost, and the final price p is your own bid. Expectation by
+    midpoint quadrature over the opponent's uniform valuation draw; argmax
+    ties resolve to the lowest price.
     """
     opp_bids = opponent.bids(quad_points)
     prices = np.array([p for p in price_grid if p <= budget])
@@ -287,9 +289,11 @@ def best_response_curve(
     win = prices[:, None] > opp_bids[None, :]  # (P, Q)
     mean_win = win.mean(axis=1)
     mean_paid = (win * opp_bids[None, :]).mean(axis=1)
+    final_price = np.where(win, opp_bids[None, :], prices[:, None])
+    mean_free = (final_price == 0.0).mean(axis=1)
     curve = []
     for v in valuation_grid:
-        expected = v * mean_win - mean_paid - lost_bid_cost * (1.0 - mean_win)
+        expected = v * mean_win - mean_paid - lost_bid_cost * (1.0 - mean_win) - v * mean_free
         best = int(np.argmax(expected))
         curve.append((float(v), float(prices[best])))
     return curve

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from offloadsim.agents import utility_per_type
 from offloadsim.auction import Bid, clear_auction
 from offloadsim.engine import derive_stream
 from offloadsim.gametheory import (
@@ -177,6 +178,15 @@ class TestBestResponse:
             opponent, [9.0], np.linspace(0, 12, 121), lost_bid_cost=2.0, budget=5.0
         )
         assert curve[0][1] <= 5.0
+
+    def test_free_final_price_scores_as_utility_per_type(self):
+        # a losing bid of 0 leaves a final price of 0, which utility_per_type
+        # charges v for; the cheapest bid that avoids it is 1
+        opponent = LinearOpponent(0.0, 1.0, 5.0, 5.0)
+        curve = best_response_curve(opponent, [1.0], [0.0, 1.0, 2.0, 6.0], lost_bid_cost=0.0)
+        assert curve == [(1.0, 1.0)]
+        scores = [utility_per_type(int(b > 5.0), 1.0, 5.0 if b > 5.0 else b, 0.0, 0.0, True) for b in (0, 1, 2, 6)]
+        assert scores == [-1.0, 0.0, 0.0, -4.0]
 
 
 class TestWelfare:

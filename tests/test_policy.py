@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from offloadsim.agents import ActorCriticPool, LearningRates, NumericalInstabilityError, td_error
+from offloadsim.agents.nets import dense_gradients
 from offloadsim.agents.policy import softplus_inv, squash_action, unsquash_action
 from offloadsim.engine import derive_stream
 
@@ -18,7 +19,8 @@ def small_pool(seed=0, input_dim=12, action_dim=4, hidden=(6, 5), **kw):
     )
 
 
-def flat_grads(net, grads):
+def flat_grads(net, factors):
+    grads = dense_gradients(factors)
     return np.concatenate([grads[k][0].ravel() for k in sorted(net.params)])
 
 
@@ -64,8 +66,8 @@ class TestCritic:
             fd = central_difference(f, flat0)
             pool.critic.load_flat(0, flat0)
             _, cache = pool.critic_eval(x)
-            grads = pool.critic.backward(cache, {"v": np.ones((1, 1))})
-            analytic = flat_grads(pool.critic, grads)
+            factors = pool.critic.backward(cache, {"v": np.ones((1, 1))})
+            analytic = flat_grads(pool.critic, factors)
             assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
 
 
@@ -158,8 +160,8 @@ class TestScoreGradients:
             pool.actor.load_flat(0, flat0)
             mu, L, cache = pool.actor_forward(x)
             d_mu, d_l = pool._density_grads(zeta, mu, L, cache["lraw"])
-            grads = pool.actor.backward(cache, {"mu": d_mu, "lraw": d_l})
-            analytic = flat_grads(pool.actor, grads)
+            factors = pool.actor.backward(cache, {"mu": d_mu, "lraw": d_l})
+            analytic = flat_grads(pool.actor, factors)
             assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
 
 
