@@ -1,6 +1,6 @@
-from .behavior import BehaviorPool, InsufficientDataError, sl_train
+from .behavior import BehaviorPool, InsufficientDataError
 from .bidder import BACKOFF, SUBMIT, EtaSchedule, LearnerHyper, LearningFleet, PassiveFleet
-from .features import FeatureCodec, RlStep, WindowBuffer
+from .features import FeatureCodec, WindowBuffer
 from .nets import AdamState, NumericalInstabilityError, StackedMlp
 from .policy import ActorCriticPool, LearningRates, squash_action, td_error
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
@@ -19,11 +19,9 @@ __all__ = [
     "LearningRates",
     "NumericalInstabilityError",
     "PassiveFleet",
-    "RlStep",
     "SUBMIT",
     "StackedMlp",
     "WindowBuffer",
-    "sl_train",
     "squash_action",
     "td_error",
     "utility_per_type",

@@ -68,49 +68,3 @@ class BehaviorPool:
         factors = self.net.backward(cache, {"a": (2.0 / (self.batch_size * self.action_dim)) * err})
         self.opt.step(factors)
         return float((err * err).mean())
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {f"sl_{k}": v for k, v in self.net.state_arrays().items()}
-
-    def load_state(self, arrays):
-        self.net.load_state({k[3:]: v for k, v in arrays.items() if k.startswith("sl_")})
-
-
-def sl_train(
-    states: np.ndarray,
-    actions: np.ndarray,
-    stream: RngStream,
-    hidden: tuple[int, ...] = (32,),
-    batch_size: int = 32,
-    epochs: int = 200,
-    lr: float = 1e-3,
-) -> tuple[BehaviorPool, list[float]]:
-    """Fit a fresh behavioral model to a fixed memory; returns per-epoch MSE.
-
-    states (n, state_dim), actions (n, action_dim) normalized to [0,1].
-    """
-    n = len(states)
-    if n < batch_size:
-        raise InsufficientDataError(f"{n} samples, need at least {batch_size}")
-    pool = BehaviorPool(
-        [stream],
-        state_dim=states.shape[1],
-        action_dim=actions.shape[1],
-        hidden=hidden,
-        capacity=n,
-        batch_size=batch_size,
-        lr=lr,
-    )
-    pool.states[0, :n] = states
-    pool.actions[0, :n] = actions
-    pool.count = n
-    losses = []
-    x = states[None, :, :]
-    target = actions[None, :, :]
-    for _ in range(epochs):
-        outputs, cache = pool.net.forward(x)
-        err = outputs["a"] - target
-        losses.append(float((err * err).mean()))
-        factors = pool.net.backward(cache, {"a": (2.0 / (n * pool.action_dim)) * err})
-        pool.opt.step(factors)
-    return pool, losses

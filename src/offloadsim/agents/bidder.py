@@ -22,7 +22,7 @@ import numpy as np
 from ..auction import FeedbackSignal
 from ..engine import derive_stream
 from .behavior import BehaviorPool
-from .features import FeatureCodec, RlStep, WindowBuffer
+from .features import FeatureCodec, WindowBuffer
 from .policy import ActorCriticPool, LearningRates, squash_action, td_error, unsquash_action
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
 
@@ -115,7 +115,6 @@ class LearningFleet:
         self._last_submitted: list[dict[str, float]] = [{} for _ in range(self.B)]
         self._last_backed: list[int] = [0] * self.B
         self._step_buf = np.zeros((self.B, codec.step_dim))
-        self._sl_buf = np.zeros((self.B, codec.sl_dim))
         self.last_diag: dict[str, float] = {}
 
     # -- mode switches ---------------------------------------------------------
@@ -157,14 +156,9 @@ class LearningFleet:
         env = (float(n_present), beta, phase)
         for b in range(self.B):
             fb = feedbacks[b]
-            step = RlStep(
-                requests=pending[b],
-                env=env,
-                prices_prev=fb.prices if fb else {},
-                utility_prev=float(utilities[b]),
-            )
-            self.codec.encode_step(step, out=self._step_buf[b])
-            self.codec.encode_sl_state(pending[b], env, out=self._sl_buf[b])
+            prices_prev = fb.prices if fb else {}
+            self.codec.encode_step(pending[b], env, prices_prev, float(utilities[b]), out=self._step_buf[b])
+        sl_states = np.take(self._step_buf, self.codec.sl_columns, axis=1)
 
         prev_flat = self._prev_flat
         self.window.push(self._step_buf)
@@ -188,7 +182,7 @@ class LearningFleet:
         noise = np.stack([s.standard_normal(self.action_dim) for s in self.act_streams])
         zeta_raw = self.pool.sample_raw(mu, L, noise)
         zeta = squash_action(zeta_raw, self.action_dim, self.budgets)
-        psi_norm = self.behavior.predict(self._sl_buf)
+        psi_norm = self.behavior.predict(sl_states)
 
         eta = self.frozen_eta if self.frozen else self.hyper.eta.eta(self.t)
         use_rl = np.array([s.uniform() < eta for s in self.act_streams])
@@ -200,7 +194,7 @@ class LearningFleet:
         taken_raw = np.where(use_rl[:, None], zeta_raw, unsquash_action(actions_abs, self.action_dim))
 
         if not self.frozen:
-            self.behavior.store(self._sl_buf, executed)
+            self.behavior.store(sl_states, executed)
             if (
                 self.t % self.hyper.sl_train_interval == 0
                 and self.behavior.count >= self.behavior.batch_size
@@ -251,19 +245,6 @@ class LearningFleet:
             self._last_backed[b] = backed
             directives.append(agent_directives)
         return directives
-
-    # -- persistence ----------------------------------------------------------------
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = self.pool.state_arrays()
-        out.update(self.behavior.state_arrays())
-        out["fsp_t"] = np.array([self.t])
-        return out
-
-    def load_state(self, arrays):
-        self.pool.load_state({k: v for k, v in arrays.items() if k.startswith(("actor_", "critic_", "avg_reward"))})
-        self.behavior.load_state({k: v for k, v in arrays.items() if k.startswith("sl_")})
-        self.t = int(arrays["fsp_t"][0])
 
 
 class PassiveFleet:

@@ -12,24 +12,17 @@ Per-step layout (K catalog types in sorted id order):
                     round phase in a 1 s cycle]
   reward:          [previous round utility / budget_max]
 
-The behavioral-model state reuses the request and env blocks only.
+The behavioral-model state is the request and env blocks of the step
+vector, the fixed column index `sl_columns` = [0, 3K) + [5K, 5K+3). Take it
+with `np.take(steps, sl_columns, axis=1)`: that returns a C-contiguous
+array, while `steps[:, sl_columns]` does not, and matmul rounds the two
+layouts differently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-
-
-@dataclass
-class RlStep:
-    """Raw ingredients of one decision step, before scaling."""
-
-    requests: dict[str, tuple[float, float]]  # type -> (work estimate, ms to deadline)
-    env: tuple[float, float, float]  # (bidder count, beta, phase in [0,1))
-    prices_prev: dict[str, float]  # only the types bid on last round
-    utility_prev: float
 
 
 class FeatureCodec:
@@ -53,34 +46,23 @@ class FeatureCodec:
         self.window = int(window)
         self.k = len(self.type_ids)
         self.step_dim = 5 * self.k + 4
-        self.sl_dim = 3 * self.k + 3
+        self.sl_columns = np.r_[0 : 3 * self.k, 5 * self.k : 5 * self.k + 3]
+        self.sl_dim = len(self.sl_columns)
         self.rl_input_dim = self.window * self.step_dim
 
-    def encode_step(self, step: RlStep, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def encode_step(
+        self,
+        requests: Mapping[str, tuple[float, float]],
+        env: tuple[float, float, float],
+        prices_prev: Mapping[str, float],
+        utility_prev: float,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """requests: type -> (work estimate, ms to deadline); env: (bidder
+        count, beta, phase in [0,1)); prices_prev: only the types bid on last
+        round."""
         if out is None:
             out = np.zeros(self.step_dim)
-        else:
-            out[:] = 0.0
-        k = self.k
-        for type_id, (work, deadline) in step.requests.items():
-            i = self.index[type_id]
-            out[i] = 1.0
-            out[k + i] = work / self.work_max
-            out[2 * k + i] = deadline / self.deadline_max
-        for type_id, price in step.prices_prev.items():
-            i = self.index[type_id]
-            out[3 * k + i] = price / self.price_max
-            out[4 * k + i] = 1.0
-        count, beta, phase = step.env
-        out[5 * k] = count / self.fleet_size
-        out[5 * k + 1] = beta
-        out[5 * k + 2] = phase
-        out[5 * k + 3] = step.utility_prev / self.price_max
-        return out
-
-    def encode_sl_state(self, requests: Mapping[str, tuple[float, float]], env, out=None) -> np.ndarray:
-        if out is None:
-            out = np.zeros(self.sl_dim)
         else:
             out[:] = 0.0
         k = self.k
@@ -89,10 +71,15 @@ class FeatureCodec:
             out[i] = 1.0
             out[k + i] = work / self.work_max
             out[2 * k + i] = deadline / self.deadline_max
+        for type_id, price in prices_prev.items():
+            i = self.index[type_id]
+            out[3 * k + i] = price / self.price_max
+            out[4 * k + i] = 1.0
         count, beta, phase = env
-        out[3 * k] = count / self.fleet_size
-        out[3 * k + 1] = beta
-        out[3 * k + 2] = phase
+        out[5 * k] = count / self.fleet_size
+        out[5 * k + 1] = beta
+        out[5 * k + 2] = phase
+        out[5 * k + 3] = utility_prev / self.price_max
         return out
 
 

@@ -174,17 +174,6 @@ class StackedMlp:
         if offset != flat.size:
             raise ValueError(f"parameter vector has {flat.size} entries, expected {offset}")
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return dict(self.params)
-
-    def load_state(self, arrays: Mapping[str, np.ndarray]):
-        for k, v in arrays.items():
-            if k not in self.params:
-                raise KeyError(f"unknown parameter {k}")
-            if self.params[k].shape != v.shape:
-                raise ValueError(f"shape mismatch for {k}: {self.params[k].shape} vs {v.shape}")
-            self.params[k][...] = v
-
 
 def dense_gradients(factors: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:
     """Dense per-agent gradients dW = x^T dz, db = sum_n dz from `backward` factors."""

@@ -155,19 +155,6 @@ class ActorCriticPool:
         self.avg_reward *= lam
         self.avg_reward += (1.0 - lam) * u
 
-    # -- persistence ----------------------------------------------------------------
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {f"actor_{k}": v for k, v in self.actor.state_arrays().items()}
-        out.update({f"critic_{k}": v for k, v in self.critic.state_arrays().items()})
-        out["avg_reward"] = self.avg_reward
-        return out
-
-    def load_state(self, arrays):
-        self.actor.load_state({k[6:]: v for k, v in arrays.items() if k.startswith("actor_")})
-        self.critic.load_state({k[7:]: v for k, v in arrays.items() if k.startswith("critic_")})
-        self.avg_reward[...] = arrays["avg_reward"]
-
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))

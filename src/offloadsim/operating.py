@@ -95,8 +95,7 @@ class ComputingSite:
         self.sigma_utilization = float(sigma_utilization)
         self.sigma_work = float(sigma_work)
         self.estimate_smoothing = float(estimate_smoothing)
-        self.queue: list[ExecutionJob] = []
-        self._queue_head = 0
+        self.queue: dict[object, ExecutionJob] = {}  # insertion order is FIFO order
         self.running: dict[object, ExecutionJob] = {}
         self.estimates: dict[str, float] = {}
 
@@ -111,26 +110,20 @@ class ComputingSite:
         return self.busy_units / self.capacity
 
     def queued_count(self) -> int:
-        return len(self.queue) - self._queue_head
+        return len(self.queue)
 
     def accept(self, job: ExecutionJob, now: SimTime) -> list[ExecutionJob]:
         """Take on an admitted request; returns jobs that started right away."""
         job.accepted_at = now
-        self.queue.append(job)
+        self.queue[job.request_key] = job
         return self._fill_servers(now)
 
     def _fill_servers(self, now: SimTime) -> list[ExecutionJob]:
         started = []
-        while self.busy_units < self.servers and self._queue_head < len(self.queue):
-            job = self.queue[self._queue_head]
-            self._queue_head += 1
-            if job.done:  # dropped while queued
-                continue
+        while self.busy_units < self.servers and self.queue:
+            job = self.queue.pop(next(iter(self.queue)))
             self._start(job, now)
             started.append(job)
-        if self._queue_head > 64 and self._queue_head * 2 > len(self.queue):
-            del self.queue[: self._queue_head]
-            self._queue_head = 0
         return started
 
     def _start(self, job: ExecutionJob, now: SimTime):
@@ -167,10 +160,10 @@ class ComputingSite:
         if job is not None:
             job.done = True
             return True, self._fill_servers(now)
-        for queued in self.queue[self._queue_head :]:
-            if queued.request_key == request_key and not queued.done:
-                queued.done = True
-                return True, []
+        job = self.queue.pop(request_key, None)
+        if job is not None:
+            job.done = True
+            return True, []
         return False, []
 
     # -- learned estimates and reports --------------------------------------
@@ -263,6 +256,13 @@ class AdmissionController:
         return num / den if den > 0 else fallback
 
     def compute_slots(self, demand_estimates: Mapping[str, float]) -> dict[str, int]:
+        """Slots per type: how many requests of that type the believed free
+        capacity of all sites could hold.
+
+        Every type is sized against the same free total, so the slots summed
+        over K types can reach K times the free capacity; `rial_assign` then
+        rejects the winners that no longer fit (most winners on a busy round).
+        """
         free_total = sum(self.believed_free(sid) for sid in self.sites)
         slots = {}
         for service_type, estimate in demand_estimates.items():

@@ -1,57 +1,8 @@
 import numpy as np
 import pytest
 
-from offloadsim.agents import BehaviorPool, InsufficientDataError, sl_train
+from offloadsim.agents import BehaviorPool, InsufficientDataError
 from offloadsim.engine import derive_stream
-
-
-class TestSlTrain:
-    def test_constant_pairs_are_memorized(self):
-        rng = derive_stream(1, "sl")
-        states = np.tile(np.array([0.2, 0.8, 0.5]), (64, 1))
-        actions = np.tile(np.array([0.7, 0.3]), (64, 1))
-        pool, losses = sl_train(states, actions, rng, epochs=400, lr=3e-3)
-        pred = pool.predict(states[:1])
-        assert np.max(np.abs(pred - actions[0])) < 1e-3
-        assert losses[-1] < 1e-6
-
-    def test_two_clusters_match_least_squares_oracle(self):
-        rng = derive_stream(2, "sl")
-        gen = derive_stream(3, "data")
-        n = 200
-        states = []
-        actions = []
-        for i in range(n):
-            cluster = i % 2
-            base = np.array([1.0, 0.0]) if cluster == 0 else np.array([0.0, 1.0])
-            states.append(base + 0.01 * gen.standard_normal(2))
-            actions.append(np.array([0.8, 0.2]) if cluster == 0 else np.array([0.3, 0.9]))
-        states = np.array(states)
-        actions = np.array(actions)
-        pool, _ = sl_train(states, actions, rng, epochs=600, lr=3e-3)
-
-        # independent oracle: linear least squares on the same features
-        design = np.hstack([states, np.ones((n, 1))])
-        coef, *_ = np.linalg.lstsq(design, actions, rcond=None)
-        for cluster, base in ((0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0]))):
-            oracle = np.hstack([base, 1.0]) @ coef
-            pred = pool.predict(base[None, :])[0]
-            assert np.max(np.abs(pred - oracle)) < 0.05
-
-    def test_empty_memory_rejected(self):
-        rng = derive_stream(1, "sl")
-        with pytest.raises(InsufficientDataError):
-            sl_train(np.zeros((0, 3)), np.zeros((0, 2)), rng)
-
-    def test_loss_non_increasing_on_fixed_data(self):
-        rng = derive_stream(4, "sl")
-        gen = derive_stream(5, "data")
-        states = gen.standard_normal((128, 4)) * 0.3 + 0.5
-        actions = np.clip(states[:, :2] * 0.5 + 0.2, 0, 1)
-        _, losses = sl_train(states, actions, rng, epochs=300)
-        tol = 0.02 * losses[0]
-        assert all(b <= a + tol for a, b in zip(losses, losses[1:]))
-        assert losses[-1] < losses[0]
 
 
 class TestBehaviorPool:
@@ -68,6 +19,35 @@ class TestBehaviorPool:
             pool.train_step(train_streams)
         pred = pool.predict(state)
         assert np.max(np.abs(pred - target)) < 0.02
+
+    def test_two_clusters_match_least_squares_oracle(self):
+        gen = derive_stream(3, "data")
+        n = 200
+        states = []
+        actions = []
+        for i in range(n):
+            cluster = i % 2
+            base = np.array([1.0, 0.0]) if cluster == 0 else np.array([0.0, 1.0])
+            states.append(base + 0.01 * gen.standard_normal(2))
+            actions.append(np.array([0.8, 0.2]) if cluster == 0 else np.array([0.3, 0.9]))
+        states = np.array(states)
+        actions = np.array(actions)
+        pool = BehaviorPool(
+            [derive_stream(2, "sl/init")], state_dim=2, action_dim=2, capacity=n, batch_size=32, lr=3e-3
+        )
+        for s, a in zip(states, actions):
+            pool.store(s[None, :], a[None, :])
+        train_streams = [derive_stream(2, "sl")]
+        for _ in range(600):
+            pool.train_step(train_streams)
+
+        # independent oracle: linear least squares on the same features
+        design = np.hstack([states, np.ones((n, 1))])
+        coef, *_ = np.linalg.lstsq(design, actions, rcond=None)
+        for base in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
+            oracle = np.hstack([base, 1.0]) @ coef
+            pred = pool.predict(base[None, :])[0]
+            assert np.max(np.abs(pred - oracle)) < 0.05
 
     def test_train_requires_enough_samples(self):
         streams = [derive_stream(7, "agent/m0/init")]

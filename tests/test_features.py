@@ -1,6 +1,6 @@
 import numpy as np
 
-from offloadsim.agents import FeatureCodec, RlStep, WindowBuffer
+from offloadsim.agents import FeatureCodec, WindowBuffer
 
 
 def codec(window=8):
@@ -15,6 +15,7 @@ def codec(window=8):
 
 
 def step(**kw):
+    """Keyword arguments of `encode_step` for one decision step."""
     defaults = dict(
         requests={"F1-300": (3.0, 150.0)},
         env=(4.0, 0.5, 0.25),
@@ -22,7 +23,7 @@ def step(**kw):
         utility_prev=1.0,
     )
     defaults.update(kw)
-    return RlStep(**defaults)
+    return defaults
 
 
 class TestEncoding:
@@ -34,7 +35,7 @@ class TestEncoding:
 
     def test_request_block(self):
         c = codec()
-        vec = c.encode_step(step())
+        vec = c.encode_step(**step())
         i = c.index["F1-300"]
         assert vec[i] == 1.0
         assert vec[c.k + i] == 3.0 / 30.0
@@ -42,30 +43,54 @@ class TestEncoding:
 
     def test_unrequested_type_is_zero_with_absent_flag(self):
         c = codec()
-        vec = c.encode_step(step(prices_prev={}))
+        vec = c.encode_step(**step(prices_prev={}))
         i = c.index["F1-50"]
         assert vec[3 * c.k + i] == 0.0  # price
         assert vec[4 * c.k + i] == 0.0  # presence flag
         # and the type bid on keeps its flag
-        vec2 = c.encode_step(step())
+        vec2 = c.encode_step(**step())
         j = c.index["F1-300"]
         assert vec2[4 * c.k + j] == 1.0
 
     def test_env_and_reward_block(self):
         c = codec()
-        vec = c.encode_step(step())
+        vec = c.encode_step(**step())
         base = 5 * c.k
         assert vec[base] == 0.4
         assert vec[base + 1] == 0.5
         assert vec[base + 2] == 0.25
         assert vec[base + 3] == 1.0 / 100.0
 
+    def test_behavior_state_is_request_and_env_columns(self):
+        c = codec()
+        requests = {"F1-300": (3.0, 150.0), "F1-50": (7.5, 40.0)}
+        env = (4.0, 0.5, 0.25)
+        # the behavioral layout, written out: flags, work, deadlines, env
+        expected = np.zeros(c.sl_dim)
+        for type_id, (work, deadline) in requests.items():
+            i = c.index[type_id]
+            expected[i] = 1.0
+            expected[c.k + i] = work / 30.0
+            expected[2 * c.k + i] = deadline / 300.0
+        expected[3 * c.k :] = [4.0 / 10, 0.5, 0.25]
+        steps = np.stack(
+            [
+                c.encode_step(**step(requests=requests, env=env)),
+                c.encode_step(**step(requests={}, env=env, prices_prev={}, utility_prev=-3.0)),
+            ]
+        )
+        sl = np.take(steps, c.sl_columns, axis=1)
+        assert sl.flags.c_contiguous
+        assert np.array_equal(sl[0], expected)
+        expected[: 3 * c.k] = 0.0
+        assert np.array_equal(sl[1], expected)
+
 
 class TestWindow:
     def test_fresh_window_is_zero_padded(self):
         c = codec()
         buf = WindowBuffer(1, c.window, c.step_dim)
-        buf.push(c.encode_step(step())[None, :])
+        buf.push(c.encode_step(**step())[None, :])
         data = buf.data[0]
         assert np.all(data[:-1] == 0.0)
         assert data[-1].any()
@@ -75,7 +100,7 @@ class TestWindow:
         buf = WindowBuffer(1, 3, c.step_dim)
         marks = []
         for k in range(5):
-            vec = c.encode_step(step(utility_prev=float(k)))
+            vec = c.encode_step(**step(utility_prev=float(k)))
             marks.append(vec[-1])
             buf.push(vec[None, :])
         assert list(buf.data[0, :, -1]) == marks[-3:]

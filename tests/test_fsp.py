@@ -126,17 +126,6 @@ class TestLearningFleet:
             f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
         assert np.array_equal(f.pool.actor.flat_view(0), before)
 
-    def test_state_round_trip(self):
-        f = fleet(seed=31)
-        f.act([None, None], pending_one(), 2, 0.0, 0.0)
-        for _ in range(4):
-            f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
-        arrays = {k: v.copy() for k, v in f.state_arrays().items()}
-        g = fleet(seed=99)  # different init
-        g.load_state(arrays)
-        assert np.array_equal(g.pool.actor.flat_view(0), f.pool.actor.flat_view(0))
-        assert g.t == f.t
-
 
 class TestBackoffSemantics:
     def test_backoff_duration_linear_in_component(self):
