@@ -11,6 +11,7 @@ import csv
 import hashlib
 import heapq
 import json
+import math
 from enum import Enum
 from typing import Callable, Optional
 
@@ -70,17 +71,26 @@ class RngStream:
         words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([root_seed & 0xFFFFFFFFFFFFFFFF, *words])))
 
+    # uniform and normal spell out the affine maps that Generator.uniform and
+    # Generator.normal compute in C, so the draws are bit-identical to theirs
+    # without numpy's per-call argument broadcasting; they keep its argument
+    # checks, raised as ValueError.
+
     def uniform(self, low=0.0, high=1.0):
+        if not 0.0 <= high - low < math.inf:
+            raise ValueError(f"uniform needs finite high >= low, got [{low}, {high})")
         self.draw_counter += 1
-        return float(self._gen.uniform(low, high))
+        return low + (high - low) * self._gen.random()
 
     def exponential(self, scale):
         self.draw_counter += 1
         return float(self._gen.exponential(scale))
 
     def normal(self, loc=0.0, scale=1.0):
+        if not scale >= 0.0:
+            raise ValueError(f"normal needs scale >= 0, got {scale}")
         self.draw_counter += 1
-        return float(self._gen.normal(loc, scale))
+        return loc + scale * self._gen.standard_normal()
 
     def standard_normal(self, size):
         self.draw_counter += 1
@@ -182,7 +192,7 @@ class Simulator:
     def schedule(self, time: SimTime, kind: EventKind, **payload) -> Event:
         if time < self.clock:
             raise PastEventError(f"cannot schedule {kind.value} at t={time} before clock t={self.clock}")
-        event = Event(int(time), kind, payload, self._seq)
+        event = Event(time, kind, payload, self._seq)
         self._seq += 1
         heapq.heappush(self._heap, (event.time, event.seq, event))
         return event

@@ -201,6 +201,7 @@ class _SiteBelief:
     utilization: float = 0.0
     measured_at: SimTime = -1
     pending: list[tuple[SimTime, float]] = field(default_factory=list)  # (assigned_at, est units)
+    pending_sum: float = 0.0  # the pending units added left to right, in list order
 
 
 class AdmissionController:
@@ -225,16 +226,20 @@ class AdmissionController:
         belief.utilization = report.utilization
         belief.measured_at = report.measured_at
         belief.pending = [(t, u) for t, u in belief.pending if t > report.measured_at]
+        # a left-to-right fold, like note_assignment's running additions
+        # (sum() compensates its rounding from Python 3.12 on)
+        belief.pending_sum = 0.0
+        for _, units in belief.pending:
+            belief.pending_sum += units
 
     def note_assignment(self, site_id: str, now: SimTime, estimate: float):
-        self.beliefs[site_id].pending.append((now, estimate))
+        belief = self.beliefs[site_id]
+        belief.pending.append((now, estimate))
+        belief.pending_sum += estimate
 
     def believed_free(self, site_id: str) -> float:
-        site = self.sites[site_id]
         belief = self.beliefs[site_id]
-        free = site.capacity * (1.0 - belief.utilization)
-        free -= sum(u for _, u in belief.pending)
-        return max(0.0, free)
+        return max(0.0, self.sites[site_id].capacity * (1.0 - belief.utilization) - belief.pending_sum)
 
     def believed_beta(self) -> float:
         """Capacity-weighted mean utilization over the latest arrived reports."""
@@ -303,17 +308,29 @@ class AdmissionController:
         Winners are walked in priority order and placed on the cheapest
         believed-feasible site, each placement shrinking the believed free
         capacity; winners that no longer fit anywhere are Rejected.
+
+        Within the call no report arrives, and every placement adds a positive
+        estimate to a site's pending units, so each site's believed free
+        capacity only shrinks. An estimate that fits on no site therefore
+        rules out every later estimate at least as large: those winners are
+        Rejected without scanning the sites, with the same result as a scan.
         """
         decisions = admit(ordered_bids, slots, rng, outcome)
+        unfit = math.inf  # smallest estimate that fitted on no site this round
         for decision in decisions:
             if not decision.admitted:
                 continue
             estimate = demand_estimates.get(decision.bid.service_type, decision.bid.resource_estimate)
-            try:
-                decision.assigned_site = self.rial_assign(estimate, now)
-            except NoFeasibleSiteError:
-                decision.admitted = False
-                decision.reason = "Rejected"
+            if estimate <= 0:
+                raise ValueError(f"estimate for {decision.bid.service_type} must be positive")
+            if estimate < unfit:
+                try:
+                    decision.assigned_site = self.rial_assign(estimate, now)
+                    continue
+                except NoFeasibleSiteError:
+                    unfit = estimate
+            decision.admitted = False
+            decision.reason = "Rejected"
         return decisions
 
 

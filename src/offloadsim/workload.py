@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 from .engine import RngStream, SimTime
@@ -65,7 +66,7 @@ class ServiceTypeSpec:
         if self.uplink_bits < 0 or self.downlink_bits < 0:
             raise ValueError(f"service type {self.type_id}: data sizes must be non-negative")
 
-    @property
+    @cached_property
     def total_units(self) -> float:
         return sum(t.resource_units for t in self.task_chain)
 
@@ -138,22 +139,23 @@ class MmppState:
 
 
 def mmpp_step_epoch(state: MmppState, rng: RngStream) -> MmppState:
-    """Advance one regime epoch: switch with the current regime's probability."""
+    """Advance one regime epoch in place: switch with the current regime's
+    probability. Returns `state` itself."""
     p_switch = state.p_high if state.regime == "High" else state.p_low
     if rng.uniform() < p_switch:
-        new_regime = "Low" if state.regime == "High" else "High"
-        return replace(state, regime=new_regime)
+        state.regime = "Low" if state.regime == "High" else "High"
     return state
 
 
 def mmpp_next_arrival(
     state: MmppState, rng: RngStream, horizon_ms: float = 1e9
 ) -> tuple[float, MmppState]:
-    """Sample the next interarrival gap and the regime state after it.
+    """Sample the next interarrival gap and advance `state` past it in place.
 
-    The gap is exponential with the rate of the regime at the start of the
-    gap; regime switches are then evaluated at each whole-epoch boundary the
-    gap crosses (arrivals within an epoch use the rate current at its start).
+    Returns the gap and `state` itself. The gap is exponential with the rate
+    of the regime at the start of the gap; regime switches are then evaluated
+    at each whole-epoch boundary the gap crosses (arrivals within an epoch
+    use the rate current at its start).
     A vanishing rate yields a gap capped at horizon_ms instead of a division
     by zero.
     """
@@ -162,13 +164,12 @@ def mmpp_next_arrival(
         gap = float(horizon_ms)
     else:
         gap = min(rng.exponential(1.0 / rate), float(horizon_ms))
-    new_state = state
     elapsed = state.ms_into_epoch + gap
     crossings = int(elapsed // MMPP_EPOCH_MS)
     for _ in range(crossings):
-        new_state = mmpp_step_epoch(new_state, rng)
-    new_state = replace(new_state, ms_into_epoch=elapsed - crossings * MMPP_EPOCH_MS)
-    return gap, new_state
+        mmpp_step_epoch(state, rng)
+    state.ms_into_epoch = elapsed - crossings * MMPP_EPOCH_MS
+    return gap, state
 
 
 def throughput_at(distance_m: float, n_sharing: int) -> float:

@@ -1,3 +1,6 @@
+import copy
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -45,6 +48,13 @@ def test_schedule_in_past_rejected():
     assert sim.clock == 4
     with pytest.raises(PastEventError):
         sim.schedule(2, EventKind.SERVICE_ARRIVAL)
+
+
+def test_schedule_rejects_non_integer_time():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.schedule(2.5, EventKind.SERVICE_ARRIVAL)
+    assert sim.pending() == 0
 
 
 def test_run_until_empty_queue_advances_clock():
@@ -154,3 +164,40 @@ def test_uniform_sample_mean():
 def test_empty_label_rejected():
     with pytest.raises(ValueError):
         derive_stream(42, "")
+
+
+def twin_generator(stream):
+    """A numpy Generator in the same state as `stream`'s, drawn from apart."""
+    return copy.deepcopy(stream._gen)
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.5, 2.0), (0, 10), (-3.0, 7.25), (1e-3, 1e6), (4.0, 4.0)])
+def test_uniform_is_generator_uniform_bit_for_bit(low, high):
+    s = derive_stream(5, "draws")
+    ref = twin_generator(s)
+    got = [s.uniform(low, high) for _ in range(10_000)]
+    want = [ref.uniform(low, high) for _ in range(10_000)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert s.draw_counter == 10_000
+
+
+@pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (100, 5), (0.0, 0.3), (-2.5, 1e-3), (7.0, 0.0)])
+def test_normal_is_generator_normal_bit_for_bit(loc, scale):
+    s = derive_stream(5, "draws")
+    ref = twin_generator(s)
+    got = [s.normal(loc, scale) for _ in range(10_000)]
+    want = [ref.normal(loc, scale) for _ in range(10_000)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert s.draw_counter == 10_000
+
+
+def test_draw_arguments_checked_before_drawing():
+    s = derive_stream(5, "draws")
+    for bad in [(1.0, 0.0), (0.0, float("inf")), (0.0, float("nan"))]:
+        with pytest.raises(ValueError):
+            s.uniform(*bad)
+    for bad in [-1.0, float("nan")]:
+        with pytest.raises(ValueError):
+            s.normal(0.0, bad)
+    assert s.draw_counter == 0
+    assert s.uniform() == twin_generator(derive_stream(5, "draws")).uniform()

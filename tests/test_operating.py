@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offloadsim.auction import Bid
+from offloadsim.auction import Bid, clear_auction
 from offloadsim.engine import derive_stream
 from offloadsim.operating import (
     AdmissionController,
@@ -336,3 +336,102 @@ class TestAssignment:
         assert decisions[0].assigned_site == "edge"
         assert decisions[1].assigned_site == "remote"
         assert all(d.admitted == (d.assigned_site is not None) for d in decisions)
+
+    def test_decide_round_rejects_non_positive_estimate(self):
+        aca = self.controller_with_prices(0.0, 0.0)
+        bids = [Bid("m0", "F1", 5.0, 3.0, 300)]
+        with pytest.raises(ValueError):
+            aca.decide_round(bids, {"F1": 1}, derive_stream(1, "auction"), {"F1": 0.0}, now=0)
+
+
+def fold_sum(values):
+    """Left to right, as `sum()` adds floats before Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def reference_assign(winners, estimates, capacity, utilization, pending, prices):
+    """Naive assignment: for every winner, scan every site in id order with
+    the full pending sum; cheapest feasible site, lowest id on equal price."""
+    pending = {sid: list(units) for sid, units in pending.items()}
+    placed = []
+    for bid in winners:
+        estimate = estimates.get(bid.service_type, bid.resource_estimate)
+        best = None
+        for sid in sorted(capacity):
+            free = max(0.0, capacity[sid] * (1.0 - utilization[sid]) - fold_sum(pending[sid]))
+            if free >= estimate and (best is None or prices[sid] < prices[best]):
+                best = sid
+        if best is not None:
+            pending[best].append(estimate)
+        placed.append(best)
+    return placed, pending
+
+
+# estimates a few tenths apart, some not exact in binary, so fits are decided
+# at the boundary and the order of additions shows in the sums
+UNITS = st.sampled_from([0.1, 0.7, 1.0, 2.9, 3.0, 3.3, 7.0, 10.0, 33.0])
+UTILIZATION = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 0.7, 0.9, 1.0]), st.floats(0.0, 1.0))
+BELIEF_OPS = st.lists(
+    st.tuples(st.sampled_from(["assign"] * 3 + ["report"]), st.integers(0, 3), st.integers(0, 8), UNITS, UTILIZATION),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacities=st.lists(st.sampled_from([3.0, 6.0, 10.0, 12.5, 30.0, 0.7]), min_size=1, max_size=4),
+    ops=BELIEF_OPS,
+    prices=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=4, max_size=4),
+    estimates=st.dictionaries(st.sampled_from("ABC"), UNITS),
+    bids=st.lists(st.tuples(st.sampled_from("ABCD"), st.sampled_from([1.0, 2.0, 5.0]), UNITS), max_size=25),
+    slots=st.fixed_dictionaries({t: st.integers(0, 12) for t in "ABCD"}),
+)
+def test_belief_and_decide_round_match_naive_reference(capacities, ops, prices, estimates, bids, slots):
+    """Random reports and prior assignments, then one round: the running
+    pending sum equals the fold of the pending list, believed free capacity is
+    never negative, and decide_round places and rejects exactly as a full
+    scan per winner would."""
+    aca = AdmissionController([make_site(f"s{j}", cap) for j, cap in enumerate(capacities)])
+    sids = aca.site_order
+
+    def check_beliefs():
+        for sid in sids:
+            belief = aca.beliefs[sid]
+            assert belief.pending_sum == fold_sum(u for _, u in belief.pending)
+            assert aca.believed_free(sid) >= 0.0
+
+    # op i happens at t = i; a report arrives `lag` ms after it was measured
+    for now, (kind, j, lag, units, util) in enumerate(ops):
+        sid = sids[j % len(sids)]
+        if kind == "assign":
+            aca.note_assignment(sid, now, units)
+        else:
+            aca.on_report(report(sid, max(0, now - lag), util, arrives=now))
+        check_beliefs()
+
+    for sid, price in zip(sids, prices):
+        aca.prices[sid] = price
+    ordered = [Bid(f"m{i}", t, price, units, 300) for i, (t, price, units) in enumerate(bids)]
+    rng = derive_stream(1, "auction")
+    outcome = clear_auction(ordered, slots, rng)
+    winners = [d.bid for d in admit(ordered, slots, rng, outcome) if d.admitted]
+    want_sites, want_pending = reference_assign(
+        winners,
+        estimates,
+        capacity={sid: aca.sites[sid].capacity for sid in sids},
+        utilization={sid: aca.beliefs[sid].utilization for sid in sids},
+        pending={sid: [u for _, u in aca.beliefs[sid].pending] for sid in sids},
+        prices=aca.prices,
+    )
+
+    decisions = aca.decide_round(ordered, slots, rng, estimates, now=len(ops), outcome=outcome)
+    got = [d for d in decisions if d.reason != "NoSlot"]
+    assert [d.bid for d in got] == winners
+    assert [d.assigned_site for d in got] == want_sites
+    assert [d.reason for d in got] == ["Won" if sid else "Rejected" for sid in want_sites]
+    assert all(d.admitted == (d.assigned_site is not None) for d in decisions)
+    assert {sid: [u for _, u in aca.beliefs[sid].pending] for sid in sids} == want_pending
+    check_beliefs()

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 from scipy import stats
 
 from offloadsim.engine import derive_stream
 from offloadsim.workload import (
+    MMPP_EPOCH_MS,
     MmppState,
     MobilitySample,
     EmptyCatalogError,
@@ -71,6 +73,32 @@ class TestMmpp:
             gaps.append(gap)
         d = stats.kstest(gaps, "expon", args=(0, 1 / 0.54e-3))
         assert d.pvalue > 0.001
+
+    def test_in_place_step_matches_copying_reference(self):
+        def reference_next_arrival(state, rng):
+            """The MMPP step with a fresh state per change, via `replace`."""
+            gap = min(rng.exponential(1.0 / state.rate), 1e9)
+            elapsed = state.ms_into_epoch + gap
+            crossings = int(elapsed // MMPP_EPOCH_MS)
+            for _ in range(crossings):
+                p_switch = state.p_high if state.regime == "High" else state.p_low
+                if rng.uniform() < p_switch:
+                    state = replace(state, regime="Low" if state.regime == "High" else "High")
+            return gap, replace(state, ms_into_epoch=elapsed - crossings * MMPP_EPOCH_MS)
+
+        ref_rng, rng = derive_stream(23, "mmpp"), derive_stream(23, "mmpp")
+        ref, state = high_regime_state(), high_regime_state()
+        switches = 0
+        for _ in range(10_000):
+            before = ref.regime
+            ref_gap, ref = reference_next_arrival(ref, ref_rng)
+            gap, advanced = mmpp_next_arrival(state, rng)
+            assert advanced is state
+            assert (gap, state.regime, state.ms_into_epoch) == (ref_gap, ref.regime, ref.ms_into_epoch)
+            switches += state.regime != before
+        assert switches > 1000
+        assert rng.draw_counter == ref_rng.draw_counter
+        assert mmpp_step_epoch(state, rng) is state
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
