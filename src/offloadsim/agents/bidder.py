@@ -4,9 +4,11 @@ supervised behavioral model.
 Each decision round an agent samples a candidate best-response action from
 its Gaussian policy and queries the behavioral model for its average
 strategy; with probability eta (1/t, optionally floored late in training)
-it executes the best response, otherwise the behavioral action. Per service
-type, a backoff component above the threshold submits the bid at the action
-price; below it the bid is deferred for a duration linear in the component.
+it executes the best response, otherwise the behavioral action. The actor
+learns only from rounds where it executed its own sample, the critic from
+every round. Per service type, a backoff component above the threshold
+submits the bid at the action price; below it the bid is deferred for a
+duration linear in the component.
 
 Active agents of a fleet advance in lock step through batched learners but
 draw all randomness from their own per-agent streams, so fleet composition
@@ -23,7 +25,7 @@ from ..auction import FeedbackSignal
 from ..engine import derive_stream
 from .behavior import BehaviorPool
 from .features import FeatureCodec, WindowBuffer
-from .policy import ActorCriticPool, LearningRates, squash_action, td_error, unsquash_action
+from .policy import ActorCriticPool, LearningRates, squash_action, td_error
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
 
 
@@ -109,6 +111,7 @@ class LearningFleet:
         self.frozen_eta: Optional[float] = None
         self._prev_flat: Optional[np.ndarray] = None
         self._prev_zeta_raw: Optional[np.ndarray] = None
+        self._prev_use_rl: Optional[np.ndarray] = None
         self._prev_mu = None
         self._prev_L = None
         self._prev_actor_cache = None
@@ -169,7 +172,13 @@ class LearningFleet:
             v_now, _ = self.pool.critic_eval(flat)
             delta = td_error(utilities, self.pool.avg_reward, v_now, v_prev)
             self.pool.update(
-                delta, self._prev_zeta_raw, self._prev_mu, self._prev_L, self._prev_actor_cache, critic_cache
+                delta,
+                self._prev_zeta_raw,
+                self._prev_mu,
+                self._prev_L,
+                self._prev_actor_cache,
+                critic_cache,
+                self._prev_use_rl,
             )
             self.pool.update_avg_reward(utilities)
             self.last_diag = {
@@ -189,9 +198,6 @@ class LearningFleet:
 
         executed = np.where(use_rl[:, None], self._normalize(zeta), psi_norm)
         actions_abs = self._denormalize(executed)
-        # raw form of the taken action: exact for the best-response branch,
-        # squash preimage for the behavioral branch
-        taken_raw = np.where(use_rl[:, None], zeta_raw, unsquash_action(actions_abs, self.action_dim))
 
         if not self.frozen:
             self.behavior.store(sl_states, executed)
@@ -204,7 +210,8 @@ class LearningFleet:
         directives = self._directives(actions_abs, pending)
 
         self._prev_flat = flat
-        self._prev_zeta_raw = taken_raw
+        self._prev_zeta_raw = zeta_raw
+        self._prev_use_rl = use_rl
         self._prev_mu = mu
         self._prev_L = L
         self._prev_actor_cache = actor_cache

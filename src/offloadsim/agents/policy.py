@@ -12,7 +12,9 @@ keeps the exact Gaussian form:
 (the mu-gradient uses the inverse covariance; finite-difference tests pin
 this down). Updates are plain gradient steps weighted by the TD error
 delta = u - u_bar + V(S') - V(S), with u_bar an exponential moving average
-of past rewards.
+of past rewards. The critic steps for every agent; the actor steps only for
+agents whose executed action was the sample drawn from this policy, since
+the score of any other action is not a policy gradient.
 """
 from __future__ import annotations
 
@@ -136,11 +138,15 @@ class ActorCriticPool:
         L: np.ndarray,
         actor_cache: dict,
         critic_cache: dict,
+        sampled: np.ndarray,
     ):
-        """One actor and critic gradient step.
+        """One critic gradient step for every agent and one actor step for
+        the agents flagged in `sampled`.
 
         critic_cache must be a fresh V(S) forward pass and actor_cache the
-        pass that produced (mu, L) at S; delta is the per-agent TD error.
+        pass that produced (mu, L) at S; delta is the per-agent TD error and
+        zeta_raw the raw sample drawn at S. `sampled` (B,) marks the agents
+        that executed that sample; the others keep their actor parameters.
         """
         if not np.all(np.isfinite(delta)):
             raise NumericalInstabilityError(f"non-finite TD error: {delta}")
@@ -148,7 +154,8 @@ class ActorCriticPool:
         self.critic.apply_gradients(critic_factors, self.rates.critic * delta, clip_norm=self.rates.grad_clip)
         d_mu, d_l = self._density_grads(zeta_raw, mu, L, actor_cache["lraw"])
         actor_factors = self.actor.backward(actor_cache, {"mu": d_mu, "lraw": d_l})
-        self.actor.apply_gradients(actor_factors, self.rates.actor * delta, clip_norm=self.rates.grad_clip)
+        actor_step = np.where(sampled, self.rates.actor * delta, 0.0)
+        self.actor.apply_gradients(actor_factors, actor_step, clip_norm=self.rates.grad_clip)
 
     def update_avg_reward(self, u: np.ndarray):
         lam = self.rates.reward_smoothing
@@ -172,18 +179,4 @@ def squash_action(zeta_raw: np.ndarray, action_dim: int, budgets: np.ndarray) ->
     budgets = np.asarray(budgets)
     cap = budgets[..., None] if budgets.ndim == 1 else budgets
     out[..., half:] = np.clip(zeta_raw[..., half:], 0.0, cap)
-    return out
-
-
-def unsquash_action(action: np.ndarray, action_dim: int, logit_cap: float = 4.0) -> np.ndarray:
-    """Raw-space preimage of a boxed action (backoff via logit, price as is).
-
-    Needed when the executed action came from the behavioral model, which
-    emits boxed values directly; the logit is capped so boundary actions do
-    not blow up the policy score.
-    """
-    half = action_dim // 2
-    out = np.array(action, dtype=float, copy=True)
-    alpha = np.clip(out[..., :half], 1e-9, 1.0 - 1e-9)
-    out[..., :half] = np.clip(np.log(alpha / (1.0 - alpha)), -logit_cap, logit_cap)
     return out

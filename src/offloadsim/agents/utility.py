@@ -12,6 +12,7 @@ utilities and welfare) evaluate the same function.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -28,8 +29,8 @@ class AgentConfig:
     max_backoff_ms: int = 100
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        if not 0.0 < self.budget < math.inf:
+            raise ValueError(f"budget must be finite and positive, got {self.budget}")
         if self.lost_bid_cost < 0:
             raise ValueError("lost_bid_cost must be >= 0")
         if self.utilization_weight < 0:
@@ -53,9 +54,13 @@ def valuation(resource_estimate: float, config: AgentConfig) -> float:
 def utility_per_type(x: int, v: float, p: float, c: float, q: float, submitted: bool) -> float:
     """One service type's round utility.
 
-    Submitted: the win/lose payoff x*(v-p) - (1-x)*c, minus v again when the
-    final price was zero (a free win carries no competitive gain). Deferred:
-    the backoff reward q.
+    Submitted: the win/lose payoff x*(v-p) - (1-x)*c, minus v again whenever
+    the final price was zero. For a free win that removes the gain, since an
+    uncontended win carries no competitive gain (payoff 0). The same -v also
+    falls on a loser at price 0, whose payoff is then -c-v. Charging the loser
+    too is an open modelling assumption: the source abstract settles neither
+    case, and the learners' reward design (ROADMAP, direction 1) decides it.
+    Deferred: the backoff reward q.
     """
     if x not in (0, 1):
         raise ValueError("bidding outcome x must be 0 or 1")

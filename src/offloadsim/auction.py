@@ -6,6 +6,7 @@ per-type price: that is the mechanism's information-sharing boundary.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -31,10 +32,10 @@ class Bid:
     request_key: object = None  # opaque handle threaded through to decisions
 
     def __post_init__(self):
-        if self.price < 0:
-            raise ValueError(f"bid price must be >= 0, got {self.price}")
-        if self.resource_estimate <= 0:
-            raise ValueError("resource_estimate must be positive")
+        if not 0.0 <= self.price < math.inf:
+            raise ValueError(f"bid price must be finite and >= 0, got {self.price}")
+        if not 0.0 < self.resource_estimate < math.inf:
+            raise ValueError(f"resource_estimate must be finite and positive, got {self.resource_estimate}")
         if self.rebid_count < 0:
             raise ValueError("rebid_count must be >= 0")
 
@@ -43,7 +44,6 @@ class Bid:
 class AuctionOutcome:
     winners: dict[str, set[str]]
     payment_vector: dict[str, float]
-    slots_offered: dict[str, int]
     participants: dict[str, tuple[str, ...]]  # bidder -> types bid on this round
     roster: frozenset[str]
 
@@ -85,12 +85,10 @@ def clear_auction(
 
     winners: dict[str, set[str]] = {}
     payments: dict[str, float] = {}
-    slots_offered: dict[str, int] = {}
     for service_type, type_bids in by_type.items():
         n = int(slots.get(service_type, 0))
         if n < 0:
             raise ValueError(f"negative slot count for {service_type}")
-        slots_offered[service_type] = n
         prices = sorted((b.price for b in type_bids), reverse=True)
         if len(type_bids) <= n:
             winners[service_type] = {b.bidder_id for b in type_bids}
@@ -121,7 +119,6 @@ def clear_auction(
     return AuctionOutcome(
         winners=winners,
         payment_vector=payments,
-        slots_offered=slots_offered,
         participants={b: tuple(ts) for b, ts in participants.items()},
         roster=roster_set,
     )

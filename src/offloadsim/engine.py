@@ -125,23 +125,13 @@ class TraceRecorder:
 
     COLUMNS = ("time_ms", "kind", "entity", "attrs")
 
-    def __init__(self, enabled: bool = True, sink: Optional[Callable[[tuple], None]] = None):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.rows: list[tuple[int, str, str, dict[str, str]]] = []
-        self._sink = sink  # extra consumer fed every row (streaming accumulators)
-
-    @property
-    def active(self) -> bool:
-        return self.enabled or self._sink is not None
 
     def record(self, time: SimTime, kind: str, entity: str, /, **attrs):
-        if not self.enabled and self._sink is None:
-            return
-        row = (time, kind, entity, {k: _fmt(v) for k, v in attrs.items()})
-        if self._sink is not None:
-            self._sink(row)
         if self.enabled:
-            self.rows.append(row)
+            self.rows.append((time, kind, entity, {k: _fmt(v) for k, v in attrs.items()}))
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -208,7 +198,7 @@ class Simulator:
             assert key > self._last_key, f"event order violated: {key} after {self._last_key}"
             self._last_key = key
             self.clock = time
-            if self.trace.active:
+            if self.trace.enabled:
                 self.trace.record(time, event.kind.value, str(event.payload.get("entity", "")))
             handler = handlers.get(event.kind)
             if handler is not None:

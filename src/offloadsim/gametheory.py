@@ -13,7 +13,6 @@ Carlo, so oracle results are seed independent.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -515,22 +514,7 @@ def pareto_fairness_check(
     )
 
 
-# -- randomized sweeps with structured reports ---------------------------------------
-
-
-@dataclass
-class OracleRecord:
-    name: str
-    inputs_digest: str
-    passed: bool
-    residual: float
-
-
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(repr(part).encode())
-    return h.hexdigest()[:12]
+# -- randomized sweeps ----------------------------------------------------------------
 
 
 def random_uncontended_game(rng) -> StaticGame:
@@ -554,9 +538,11 @@ def random_uncontended_game(rng) -> StaticGame:
     return StaticGame(players=players, capacity=capacity, utilization_weight=w)
 
 
-def potential_identity_sweep(n_games: int, rng) -> list[OracleRecord]:
-    records = []
-    for g in range(n_games):
+def potential_identity_sweep(n_games: int, rng) -> list[float]:
+    """Potential-identity residuals of one random unilateral deviation in
+    each of n_games random uncontended games."""
+    residuals = []
+    for _ in range(n_games):
         game = random_uncontended_game(rng)
         types = game.type_ids
         profile = tuple(
@@ -564,13 +550,5 @@ def potential_identity_sweep(n_games: int, rng) -> list[OracleRecord]:
         )
         player = rng.integers(0, len(game.players))
         new_alpha = tuple(float(rng.uniform() < 0.5) for _ in types)
-        residual = _potential_residual(game, profile, player, new_alpha)
-        records.append(
-            OracleRecord(
-                name=f"potential-identity[{g}]",
-                inputs_digest=_digest(game.capacity, game.utilization_weight, profile, player, new_alpha),
-                passed=residual <= IDENTITY_TOL,
-                residual=residual,
-            )
-        )
-    return records
+        residuals.append(_potential_residual(game, profile, player, new_alpha))
+    return residuals

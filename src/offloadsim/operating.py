@@ -29,7 +29,6 @@ class UtilizationReport:
     arrives_at: SimTime
     utilization: float  # reported (noisy, clamped) value
     true_utilization: float
-    noise_applied: float
 
     def __post_init__(self):
         if self.arrives_at < self.measured_at:
@@ -53,10 +52,8 @@ class ExecutionJob:
     service_type: str
     task_units: tuple[float, ...]  # nominal per-task work
     deadline_abs: SimTime
-    accepted_at: SimTime = 0
     started_at: Optional[SimTime] = None
     completes_at: Optional[SimTime] = None
-    task_starts: tuple[SimTime, ...] = ()  # per-task start times within the chain
     observed_units: float = 0.0
     done: bool = False
 
@@ -65,21 +62,21 @@ class ComputingSite:
     """One computing site: unit-rate execution of admitted task chains.
 
     Tasks of a chain run back to back on a single resource unit; the actual
-    work of each task execution is the nominal amount scaled by the site's
-    per-service profile and a per-execution noise factor.
+    work of each task execution is the nominal amount times a per-execution
+    noise factor.
     """
+
+    ESTIMATE_SMOOTHING = 0.1  # weight of the newest observation in a per-type work estimate
 
     def __init__(
         self,
         site_id: str,
         capacity: float,
         rng: RngStream,
-        resource_profile: Optional[Mapping[str, float]] = None,
         report_delay_ms: int = 0,
         sigma_delay_ms: float = 0.0,
         sigma_utilization: float = 0.0,
         sigma_work: float = 0.0,
-        estimate_smoothing: float = 0.1,
     ):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -89,12 +86,10 @@ class ComputingSite:
         self.capacity = float(capacity)
         self.servers = int(math.floor(capacity))
         self.rng = rng
-        self.resource_profile = dict(resource_profile or {})
         self.report_delay_ms = int(report_delay_ms)
         self.sigma_delay_ms = float(sigma_delay_ms)
         self.sigma_utilization = float(sigma_utilization)
         self.sigma_work = float(sigma_work)
-        self.estimate_smoothing = float(estimate_smoothing)
         self.queue: dict[object, ExecutionJob] = {}  # insertion order is FIFO order
         self.running: dict[object, ExecutionJob] = {}
         self.estimates: dict[str, float] = {}
@@ -114,7 +109,6 @@ class ComputingSite:
 
     def accept(self, job: ExecutionJob, now: SimTime) -> list[ExecutionJob]:
         """Take on an admitted request; returns jobs that started right away."""
-        job.accepted_at = now
         self.queue[job.request_key] = job
         return self._fill_servers(now)
 
@@ -127,20 +121,16 @@ class ComputingSite:
         return started
 
     def _start(self, job: ExecutionJob, now: SimTime):
-        profile = self.resource_profile.get(job.service_type, 1.0)
         total = 0
         observed = 0.0
-        starts = []
         for units in job.task_units:
-            starts.append(now + total)
-            actual = units * profile
+            actual = units
             if self.sigma_work > 0:
                 actual *= max(0.05, 1.0 + self.rng.normal(0.0, self.sigma_work))
             observed += actual
             total += max(1, math.ceil(actual))
         job.started_at = now
         job.completes_at = now + total
-        job.task_starts = tuple(starts)
         job.observed_units = observed
         self.running[job.request_key] = job
 
@@ -175,7 +165,7 @@ class ComputingSite:
         if current is None:
             self.estimates[service_type] = observed_units
         else:
-            rate = self.estimate_smoothing
+            rate = self.ESTIMATE_SMOOTHING
             self.estimates[service_type] = (1.0 - rate) * current + rate * observed_units
 
     def report_utilization(self, now: SimTime) -> UtilizationReport:
@@ -192,7 +182,6 @@ class ComputingSite:
             arrives_at=arrives,
             utilization=reported,
             true_utilization=true_util,
-            noise_applied=noise,
         )
 
 
@@ -208,12 +197,13 @@ class AdmissionController:
     """Orders and admits bids, prices sites by believed load, assigns
     admitted requests to the cheapest feasible site."""
 
-    def __init__(self, sites: Sequence[ComputingSite], gamma_price: float = 2.0):
+    GAMMA_PRICE = 2.0  # a site's price is its believed utilization to this power
+
+    def __init__(self, sites: Sequence[ComputingSite]):
         if not sites:
             raise ValueError("need at least one computing site")
         self.sites = {s.site_id: s for s in sites}
         self.site_order = sorted(self.sites)
-        self.gamma_price = float(gamma_price)
         self.beliefs = {sid: _SiteBelief() for sid in self.sites}
         self.prices = {sid: 0.0 for sid in self.sites}
 
@@ -280,7 +270,7 @@ class AdmissionController:
 
     def rial_update_prices(self):
         for sid, belief in self.beliefs.items():
-            self.prices[sid] = belief.utilization ** self.gamma_price
+            self.prices[sid] = belief.utilization ** self.GAMMA_PRICE
 
     def rial_assign(self, estimate: float, now: SimTime) -> str:
         """Cheapest believed-feasible site; ties to the lowest site id."""

@@ -1,41 +1,18 @@
-"""Service-request workload: type catalog, two-state modulated Poisson
-arrivals, distance-based uplink/downlink delay, and mobility-trace input.
+"""Service-request workload: the service-type catalog and two-state
+modulated Poisson arrivals.
 """
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
-from .engine import RngStream, SimTime
+from .engine import RngStream
 
-COVERAGE_RADIUS_M = 65.0
-THROUGHPUT_SLOPE = -26.0  # Mbps per metre
-THROUGHPUT_INTERCEPT = 1690.0  # Mbps at distance 0
 MMPP_EPOCH_MS = 1000  # regime switching is evaluated once per simulated second
 
 
 class EmptyCatalogError(ValueError):
-    pass
-
-
-class OutOfRangeError(ValueError):
-    pass
-
-
-class ZeroRateError(ValueError):
-    pass
-
-
-class TraceParseError(ValueError):
-    def __init__(self, message, line_number):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
-class TraceSchemaError(ValueError):
     pass
 
 
@@ -55,16 +32,12 @@ class ServiceTypeSpec:
     task_chain: tuple[TaskSpec, ...]
     deadline_ms: int
     probability: float
-    uplink_bits: float = 0.0
-    downlink_bits: float = 0.0
 
     def __post_init__(self):
         if not self.task_chain:
             raise ValueError(f"service type {self.type_id}: task_chain must be non-empty")
         if self.deadline_ms <= 0:
             raise ValueError(f"service type {self.type_id}: deadline_ms must be positive")
-        if self.uplink_bits < 0 or self.downlink_bits < 0:
-            raise ValueError(f"service type {self.type_id}: data sizes must be non-negative")
 
     @cached_property
     def total_units(self) -> float:
@@ -170,118 +143,6 @@ def mmpp_next_arrival(
         mmpp_step_epoch(state, rng)
     state.ms_into_epoch = elapsed - crossings * MMPP_EPOCH_MS
     return gap, state
-
-
-def throughput_at(distance_m: float, n_sharing: int) -> float:
-    """Link throughput in Mbps at a given distance, split over n_sharing users."""
-    if distance_m < 0 or distance_m > COVERAGE_RADIUS_M:
-        raise OutOfRangeError(f"distance {distance_m} m outside [0, {COVERAGE_RADIUS_M}]")
-    if n_sharing < 1:
-        raise ValueError("n_sharing must be >= 1")
-    return max(0.0, THROUGHPUT_SLOPE * distance_m + THROUGHPUT_INTERCEPT) / n_sharing
-
-
-def transmission_delay(bits: float, rate_mbps: float) -> int:
-    """Whole-ms transfer time of `bits` at `rate_mbps` (1 Mbps = 1000 bits/ms).
-
-    Fractional results round up: conservative against deadlines.
-    """
-    if bits < 0:
-        raise ValueError("bits must be non-negative")
-    if bits == 0:
-        return 0
-    if rate_mbps == math.inf:
-        return 0
-    if rate_mbps <= 0:
-        raise ZeroRateError("zero throughput: transmitter is out of coverage")
-    return math.ceil(bits / (rate_mbps * 1000.0))
-
-
-@dataclass(frozen=True)
-class MobilitySample:
-    time_ms: SimTime
-    vehicle_id: str
-    distance_m: float
-    present: bool
-
-    def __post_init__(self):
-        if self.present and not (0 <= self.distance_m <= COVERAGE_RADIUS_M):
-            raise ValueError(f"distance {self.distance_m} outside coverage radius")
-
-
-MOBILITY_COLUMNS = ("time_ms", "vehicle_id", "distance_m", "present")
-
-
-def load_mobility_trace(path) -> list[MobilitySample]:
-    """Read and validate a mobility trace CSV; samples sorted per vehicle by time."""
-    samples = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return []
-        missing = [c for c in MOBILITY_COLUMNS if c not in header]
-        if missing:
-            raise TraceSchemaError(f"missing columns: {', '.join(missing)}")
-        idx = {c: header.index(c) for c in MOBILITY_COLUMNS}
-        for line_number, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            try:
-                time_ms = int(rec[idx["time_ms"]])
-                vehicle_id = rec[idx["vehicle_id"]]
-                distance_m = float(rec[idx["distance_m"]])
-                present = rec[idx["present"]].strip().lower() in ("1", "true", "yes")
-            except (ValueError, IndexError) as exc:
-                raise TraceParseError(str(exc), line_number) from exc
-            try:
-                samples.append(MobilitySample(time_ms, vehicle_id, distance_m, present))
-            except ValueError as exc:
-                raise TraceSchemaError(f"line {line_number}: {exc}") from exc
-    samples.sort(key=lambda s: (s.vehicle_id, s.time_ms))
-    return samples
-
-
-def generate_junction_trace(
-    path,
-    n_vehicles: int = 12,
-    arrival_period_ms: int = 2200,
-    speed_kmh: float = 10.0,
-    stop_phase_ms: int = 20000,
-    sample_period_ms: int = 1000,
-    duration_ms: int = 120000,
-):
-    """Write a synthetic crossing-like mobility trace.
-
-    Each vehicle enters at the coverage edge, approaches the centre at
-    constant speed, idles through a stop phase, then departs the way it
-    came. Good enough to exercise distance-dependent throughput in tests.
-    """
-    speed_m_per_ms = speed_kmh / 3600.0
-    rows = []
-    for v in range(n_vehicles):
-        vid = f"veh{v}"
-        enter = v * arrival_period_ms
-        approach_ms = COVERAGE_RADIUS_M / speed_m_per_ms
-        for t in range(0, duration_ms + 1, sample_period_ms):
-            dt = t - enter
-            if dt < 0:
-                continue
-            if dt <= approach_ms:
-                dist = COVERAGE_RADIUS_M - speed_m_per_ms * dt
-            elif dt <= approach_ms + stop_phase_ms:
-                dist = 0.0
-            else:
-                dist = speed_m_per_ms * (dt - approach_ms - stop_phase_ms)
-            present = dist <= COVERAGE_RADIUS_M
-            rows.append((t, vid, round(min(dist, COVERAGE_RADIUS_M), 3), 1 if present else 0))
-            if not present:
-                break
-    rows.sort()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MOBILITY_COLUMNS)
-        writer.writerows(rows)
 
 
 def synthetic_catalog() -> list[ServiceTypeSpec]:

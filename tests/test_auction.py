@@ -59,6 +59,16 @@ class TestClearing:
         with pytest.raises(DuplicateBidError):
             clear_auction([bid("A", 5.0), bid("A", 4.0)], {"F1": 1}, rng)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_price_rejected(self, bad):
+        with pytest.raises(ValueError, match="price"):
+            bid("B", bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_bad_resource_estimate_rejected(self, bad):
+        with pytest.raises(ValueError, match="resource_estimate"):
+            bid("B", 1.0, estimate=bad)
+
     def test_types_clear_independently(self):
         rng = derive_stream(1, "auction")
         out = clear_auction(

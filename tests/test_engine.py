@@ -64,6 +64,16 @@ def test_run_until_empty_queue_advances_clock():
     assert sim.trace.rows == []
 
 
+def test_disabled_trace_records_nothing():
+    trace = TraceRecorder(enabled=False)
+    trace.record(1, "effect", "veh0", price=2.5)
+    assert trace.rows == []
+    sim = Simulator()  # the default trace is disabled
+    sim.schedule(10, EventKind.SERVICE_ARRIVAL, entity="veh0")
+    sim.run_until(10)
+    assert sim.clock == 10 and sim.trace.rows == []
+
+
 def test_single_event_trace():
     sim = Simulator(trace=TraceRecorder())
     sim.schedule(10, EventKind.SERVICE_ARRIVAL, entity="veh0")

@@ -115,6 +115,24 @@ class TestLearningFleet:
         d3 = big.act([None, None, None], pending_one(3), 3, 0.0, 0.0)
         assert d2[0] == d3[0]
 
+    def test_actor_learns_only_from_its_own_samples(self):
+        # each round's update scores the previous round's action: an agent that
+        # executed the behavioural action keeps its actor, the critics all step
+        f = fleet(seed=3)
+        f.act([None, None], pending_one(), 2, 0.0, 0.0)
+        while f._prev_use_rl.all() or not f._prev_use_rl.any():
+            assert f.t < 50, "no round mixed the two branches"
+            f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
+        br = int(np.flatnonzero(f._prev_use_rl)[0])
+        behavioural = 1 - br
+        actor_before = [f.pool.actor.flat_view(b) for b in range(2)]
+        critic_before = [f.pool.critic.flat_view(b) for b in range(2)]
+        f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
+        assert np.array_equal(f.pool.actor.flat_view(behavioural), actor_before[behavioural])
+        assert not np.array_equal(f.pool.actor.flat_view(br), actor_before[br])
+        for b in range(2):
+            assert not np.array_equal(f.pool.critic.flat_view(b), critic_before[b])
+
     def test_frozen_fleet_stops_learning(self):
         f = fleet()
         f.act([None, None], pending_one(), 2, 0.0, 0.0)

@@ -60,9 +60,9 @@ class TestPotential:
 
     def test_randomized_sweep(self):
         rng = derive_stream(42, "games")
-        records = potential_identity_sweep(200, rng)
-        assert all(r.passed for r in records)
-        assert max(r.residual for r in records) <= 1e-9
+        residuals = potential_identity_sweep(200, rng)
+        assert len(residuals) == 200
+        assert max(residuals) <= 1e-9
 
 
 class TestEquilibriumEnumeration:

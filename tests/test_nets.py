@@ -97,7 +97,7 @@ class TestApplyGradients:
         with np.errstate(invalid="ignore"), pytest.raises(
             NumericalInstabilityError, match=r"agents \[1\]: W0 of agents \[1\]"
         ):
-            pool.update(np.full(3, 0.5), zeta, mu, L, actor_cache, critic_cache)
+            pool.update(np.full(3, 0.5), zeta, mu, L, actor_cache, critic_cache, np.ones(3, dtype=bool))
         assert np.array_equal(pool.critic.flat_view(1), before)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from offloadsim.agents import ActorCriticPool, LearningRates, NumericalInstabilityError, td_error
 from offloadsim.agents.nets import dense_gradients
-from offloadsim.agents.policy import softplus_inv, squash_action, unsquash_action
+from offloadsim.agents.policy import softplus_inv, squash_action
 from offloadsim.engine import derive_stream
 
 
@@ -174,9 +174,25 @@ class TestUpdates:
         zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
         before_actor = pool.actor.flat_view(0)
         before_critic = pool.critic.flat_view(0)
-        pool.update(np.zeros(1), zeta, mu, L, actor_cache, critic_cache)
+        pool.update(np.zeros(1), zeta, mu, L, actor_cache, critic_cache, np.ones(1, dtype=bool))
         assert np.array_equal(pool.actor.flat_view(0), before_actor)
         assert np.array_equal(pool.critic.flat_view(0), before_critic)
+
+    def test_actor_steps_only_for_sampled_agents(self):
+        pool = ActorCriticPool(
+            [derive_stream(0, f"agent/m{b}/init") for b in range(2)], input_dim=12, action_dim=4, hidden=(6, 5)
+        )
+        x = derive_stream(3, "x").standard_normal((2, 12))
+        _, critic_cache = pool.critic_eval(x)
+        mu, L, actor_cache = pool.actor_forward(x)
+        zeta = pool.sample_raw(mu, L, np.ones((2, 4)))
+        actor_before = [pool.actor.flat_view(b) for b in range(2)]
+        critic_before = [pool.critic.flat_view(b) for b in range(2)]
+        pool.update(np.full(2, 0.5), zeta, mu, L, actor_cache, critic_cache, np.array([False, True]))
+        assert np.array_equal(pool.actor.flat_view(0), actor_before[0])
+        assert not np.array_equal(pool.actor.flat_view(1), actor_before[1])
+        for b in range(2):
+            assert not np.array_equal(pool.critic.flat_view(b), critic_before[b])
 
     def test_nonfinite_delta_raises(self):
         pool = small_pool()
@@ -185,7 +201,7 @@ class TestUpdates:
         mu, L, actor_cache = pool.actor_forward(x)
         zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
         with pytest.raises(NumericalInstabilityError):
-            pool.update(np.array([np.inf]), zeta, mu, L, actor_cache, critic_cache)
+            pool.update(np.array([np.inf]), zeta, mu, L, actor_cache, critic_cache, np.ones(1, dtype=bool))
 
 
 class TestTdError:
@@ -211,9 +227,3 @@ class TestSquashing:
         assert 1.0 - 1e-9 < out[0, 1] <= 1.0
         assert out[0, 2] == 0.0
         assert out[0, 3] == 100.0
-
-    def test_unsquash_inverts_interior_points(self):
-        raw = np.array([[-2.0, 1.5, 7.0, 42.0]])
-        boxed = squash_action(raw, 4, np.array([100.0]))
-        back = unsquash_action(boxed, 4)
-        assert np.allclose(back, raw, atol=1e-9)

@@ -17,7 +17,7 @@ RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 PINNED_DIGESTS = {
     "crowd": "949487df88d0ebb2",
-    "fsp-train": "229cd4fb0680b77d",
+    "fsp-train": "e98b7dd83db3af2b",
     "fsp-eval": "e5b682c69ca71125",
 }
 

@@ -9,6 +9,12 @@ def config(**kw):
     return AgentConfig(**defaults)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_budget_rejected(bad):
+    with pytest.raises(ValueError, match="budget"):
+        config(budget=bad)
+
+
 class TestValuation:
     def test_linear_map(self):
         assert valuation(3.0, config()) == 3.0

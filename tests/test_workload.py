@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import pytest
@@ -8,23 +7,14 @@ from offloadsim.engine import derive_stream
 from offloadsim.workload import (
     MMPP_EPOCH_MS,
     MmppState,
-    MobilitySample,
     EmptyCatalogError,
-    OutOfRangeError,
     ServiceTypeSpec,
     TaskSpec,
-    TraceParseError,
-    TraceSchemaError,
-    ZeroRateError,
-    generate_junction_trace,
-    load_mobility_trace,
     mmpp_next_arrival,
     mmpp_step_epoch,
     normalize_catalog,
     sample_service_request,
     synthetic_catalog,
-    throughput_at,
-    transmission_delay,
     validate_catalog,
 )
 
@@ -155,87 +145,3 @@ class TestCatalog:
             sample_service_request([], rng)
         with pytest.raises(EmptyCatalogError):
             normalize_catalog([])
-
-
-class TestLatencyModel:
-    def test_throughput_endpoints(self):
-        assert throughput_at(0, 1) == 1690.0
-        assert throughput_at(65, 1) == 0.0
-        assert throughput_at(25, 4) == 260.0
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            throughput_at(66, 1)
-        with pytest.raises(OutOfRangeError):
-            throughput_at(-1, 1)
-
-    def test_monotone_in_distance_and_sharing(self):
-        values = [throughput_at(d, 1) for d in range(0, 66)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        shared = [throughput_at(10, n) for n in range(1, 12)]
-        assert all(a >= b for a, b in zip(shared, shared[1:]))
-
-    def test_transmission_delay(self):
-        assert transmission_delay(4e6, 400.0) == 10
-        assert transmission_delay(0, 87.0) == 0
-        assert transmission_delay(4e6, 1690.0) == 3  # ceil(2.366...)
-        assert transmission_delay(1000, math.inf) == 0
-
-    def test_zero_rate(self):
-        with pytest.raises(ZeroRateError):
-            transmission_delay(100, 0.0)
-
-
-class TestMobilityTrace:
-    def write(self, tmp_path, body):
-        path = tmp_path / "trace.csv"
-        path.write_text(body)
-        return path
-
-    def test_well_formed(self, tmp_path):
-        path = self.write(
-            tmp_path,
-            "time_ms,vehicle_id,distance_m,present\n"
-            "0,veh0,65,1\n"
-            "1000,veh0,50.5,1\n"
-            "0,veh1,10,1\n",
-        )
-        samples = load_mobility_trace(path)
-        assert len(samples) == 3
-        assert samples[0].vehicle_id == "veh0" and samples[0].time_ms == 0
-        assert samples[2].vehicle_id == "veh1"
-
-    def test_distance_outside_radius(self, tmp_path):
-        path = self.write(tmp_path, "time_ms,vehicle_id,distance_m,present\n0,veh0,80,1\n")
-        with pytest.raises(TraceSchemaError):
-            load_mobility_trace(path)
-
-    def test_empty_file(self, tmp_path):
-        path = self.write(tmp_path, "")
-        assert load_mobility_trace(path) == []
-
-    def test_missing_column(self, tmp_path):
-        path = self.write(tmp_path, "time_ms,vehicle_id,distance_m\n0,veh0,10\n")
-        with pytest.raises(TraceSchemaError, match="present"):
-            load_mobility_trace(path)
-
-    def test_parse_error_carries_line_number(self, tmp_path):
-        path = self.write(
-            tmp_path,
-            "time_ms,vehicle_id,distance_m,present\n0,veh0,10,1\nnope,veh0,10,1\n",
-        )
-        with pytest.raises(TraceParseError, match="line 3"):
-            load_mobility_trace(path)
-
-    def test_generated_trace_loads(self, tmp_path):
-        path = tmp_path / "junction.csv"
-        generate_junction_trace(path, n_vehicles=4, duration_ms=60_000)
-        samples = load_mobility_trace(path)
-        assert samples
-        assert {s.vehicle_id for s in samples} == {"veh0", "veh1", "veh2", "veh3"}
-        # per-vehicle time sorted
-        by_vehicle = {}
-        for s in samples:
-            by_vehicle.setdefault(s.vehicle_id, []).append(s.time_ms)
-        for times in by_vehicle.values():
-            assert times == sorted(times)
