@@ -14,6 +14,14 @@ x dz^T, and `apply_gradients` uses the per-example identity
 ||x dz^T||_F^2 = ||x||^2 ||dz||^2 (Goodfellow, arXiv:1510.01799) for the
 clip norm and adds the clipped step as a rank-1 update. The minibatch
 optimizer (`AdamState`) builds dense gradients with `dense_gradients`.
+
+Most actor steps are zero: an agent that executed its behavioural action
+gets step 0.0 (see `ActorCriticPool.update`). `apply_gradients` still takes
+every agent's norm, but adds the update only to blocks of `AGENT_BLOCK`
+agents that hold a nonzero step. Skipping is bit-identical: once the norms
+are finite, a zero step adds +-0 to a finite parameter, which changes it
+only if it is -0.0. None is: biases start at +0.0, weights are normal
+draws, and a sum x + (-x) rounds to +0.0, so no update makes a -0.0.
 """
 from __future__ import annotations
 
@@ -23,6 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..engine import RngStream
+
+AGENT_BLOCK = 4  # agents per contiguous slice in `StackedMlp.apply_gradients`
 
 
 class NumericalInstabilityError(FloatingPointError):
@@ -127,6 +137,11 @@ class StackedMlp:
         factors come from `backward` on a one-sample-per-agent cache, so each
         weight gradient is the outer product x dz^T: its squared norm is
         ||x||^2 ||dz||^2 and the step is added as a rank-1 update.
+
+        Every agent's norm is checked and stored in `last_grad_norms`, but
+        the update is added only to the blocks of `AGENT_BLOCK` agents that
+        hold a nonzero step; an all-zero block would add +-0 to each of its
+        finite parameters, which leaves them bit-identical (module docstring).
         """
         vectors = {}
         sq_by_param = {}
@@ -154,9 +169,14 @@ class StackedMlp:
         self.last_grad_norms = norms
         scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-12))
         step = (np.asarray(step_size) * scale)[:, None]
-        for w_name, (x, dz) in vectors.items():
-            self.params[w_name] += np.einsum("bi,bj->bij", step * x, dz)
-            self.params["b" + w_name[1:]] += step * dz
+        for lo in range(0, self.B, AGENT_BLOCK):
+            block = slice(lo, lo + AGENT_BLOCK)
+            s = step[block]
+            if not s.any():
+                continue
+            for w_name, (x, dz) in vectors.items():
+                self.params[w_name][block] += np.einsum("bi,bj->bij", s * x[block], dz[block])
+                self.params["b" + w_name[1:]][block] += s * dz[block]
 
     # -- persistence / introspection ---------------------------------------------
 

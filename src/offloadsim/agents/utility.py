@@ -31,6 +31,9 @@ class AgentConfig:
     def __post_init__(self):
         if not 0.0 < self.budget < math.inf:
             raise ValueError(f"budget must be finite and positive, got {self.budget}")
+        for name in ("valuation_slope", "valuation_intercept", "lost_bid_cost", "backoff_cost", "utilization_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lost_bid_cost < 0:
             raise ValueError("lost_bid_cost must be >= 0")
         if self.utilization_weight < 0:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from offloadsim.agents import ActorCriticPool, NumericalInstabilityError, StackedMlp
+from offloadsim.agents.nets import AGENT_BLOCK
 from offloadsim.engine import derive_stream
 
 INPUT_DIM = 6
@@ -49,6 +50,19 @@ def reference_step(params, x, head_grads, step_size, clip_norm):
     return after, norms
 
 
+def unblocked_step(params, factors, step_size, norms, clip_norm):
+    """Parameters after the rank-1 step added to every agent at once, zero steps
+    included, with the clip scale taken from the given norms."""
+    step = (step_size * np.minimum(1.0, clip_norm / np.maximum(norms, 1e-12)))[:, None]
+    after = {k: v.copy() for k, v in params.items()}
+    for w_name, (x, dz) in factors.items():
+        x = x[:, 0, :]
+        dz = dz[:, 0, :]
+        after[w_name] += np.einsum("bi,bj->bij", step * x, dz)
+        after["b" + w_name[1:]] += step * dz
+    return after
+
+
 def head_grads_for(rng, n_agents, n=None):
     shape = (n_agents,) if n is None else (n_agents, n)
     return {h: rng.standard_normal((*shape, spec[0])) for h, spec in HEADS.items()}
@@ -81,6 +95,45 @@ class TestApplyGradients:
         before = {k: v.copy() for k, v in net.params.items()}
         with pytest.raises(ValueError, match="one sample per agent"):
             net.apply_gradients(factors, np.ones(3), clip_norm=1.0)
+        for k, p in net.params.items():
+            assert np.array_equal(p, before[k])
+
+    def test_zero_step_agent_is_untouched_but_normed(self):
+        n_agents = AGENT_BLOCK + 2  # one mixed block, then a partial all-zero block
+        net = make_net(n_agents, seed=8)
+        rng = derive_stream(9, "x")
+        x = rng.standard_normal((n_agents, INPUT_DIM))
+        head_grads = head_grads_for(rng, n_agents)
+        step = np.zeros(n_agents)
+        step[0] = 0.4
+        step[2] = -0.3
+        expected, expected_norms = reference_step(net.params, x, head_grads, step, 2.0)
+        before = {k: v.copy() for k, v in net.params.items()}
+
+        _, cache = net.forward(x)
+        net.apply_gradients(net.backward(cache, head_grads), step, clip_norm=2.0)
+
+        np.testing.assert_allclose(net.last_grad_norms, expected_norms, rtol=1e-12, atol=0)
+        for k, p in net.params.items():
+            for b in range(n_agents):
+                if step[b] == 0.0:
+                    assert np.array_equal(p[b], before[k][b]), (b, k)
+                else:
+                    np.testing.assert_allclose(p[b], expected[k][b], rtol=1e-12, atol=0, err_msg=f"{k}[{b}]")
+
+    def test_nonfinite_norm_of_zero_step_agent_is_still_caught(self):
+        n_agents = AGENT_BLOCK + 2
+        net = make_net(n_agents, seed=10)
+        x = derive_stream(11, "x").standard_normal((n_agents, INPUT_DIM))
+        x[-1, 2] = np.inf
+        step = np.zeros(n_agents)
+        step[0] = 0.5  # the non-finite agent sits in an all-zero block
+        before = {k: v.copy() for k, v in net.params.items()}
+        with np.errstate(invalid="ignore"):
+            _, cache = net.forward(x)
+            factors = net.backward(cache, head_grads_for(derive_stream(12, "g"), n_agents))
+            with pytest.raises(NumericalInstabilityError, match=rf"agents \[{n_agents - 1}\]: W0 of agents"):
+                net.apply_gradients(factors, step, clip_norm=1.0)
         for k, p in net.params.items():
             assert np.array_equal(p, before[k])
 
@@ -132,6 +185,52 @@ def test_step_is_clipped_and_isolated_per_agent(rows, other_row, steps, clip, se
         _, cache = net.forward(inputs)
         net.apply_gradients(net.backward(cache, head_grads), step, clip_norm=clip)
         nets.append(net)
+        for b in range(n_agents):
+            change = np.sqrt(sum(float(((net.params[k][b] - before[k][b]) ** 2).sum()) for k in before))
+            assert change <= abs(step[b]) * clip * (1 + 1e-12)
+
+    for b in range(n_agents):
+        if b != j:
+            for k in nets[0].params:
+                assert np.array_equal(nets[0].params[k][b], nets[1].params[k][b]), (b, k)
+
+
+steps_with_zeros = st.one_of(st.just(0.0), step_sizes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    steps=st.lists(steps_with_zeros, min_size=AGENT_BLOCK + 1, max_size=3 * AGENT_BLOCK),
+    clip=st.floats(0.5, 20.0),
+    seed=st.integers(0, 2**16),
+    perturbed=st.integers(0, 3 * AGENT_BLOCK - 1),
+)
+# All-zero, mixed and partial last blocks, whatever the random draws cover.
+@example(steps=[0.0] * AGENT_BLOCK + [0.5, 0.0, 0.0, -0.3] + [0.0], clip=1.0, seed=0, perturbed=4)
+@example(steps=[0.7, 0.0, 0.0, 0.0] + [0.0] * AGENT_BLOCK + [0.0, -1.2], clip=5.0, seed=1, perturbed=9)
+def test_zero_steps_are_skipped_bit_identically(steps, clip, seed, perturbed):
+    n_agents = len(steps)
+    j = perturbed % n_agents
+    rng = derive_stream(seed, "inputs")
+    x = rng.standard_normal((n_agents, INPUT_DIM))
+    x_other = x.copy()
+    x_other[j] = rng.standard_normal(INPUT_DIM)
+    step = np.array(steps)
+    head_grads = head_grads_for(derive_stream(seed, "head_grads"), n_agents)
+
+    nets = []
+    for inputs in (x, x_other):
+        net = make_net(n_agents, seed=seed)
+        before = {k: v.copy() for k, v in net.params.items()}
+        _, cache = net.forward(inputs)
+        factors = net.backward(cache, head_grads)
+        net.apply_gradients(factors, step, clip_norm=clip)
+        nets.append(net)
+        _, expected_norms = reference_step(before, inputs, head_grads, step, clip)
+        np.testing.assert_allclose(net.last_grad_norms, expected_norms, rtol=1e-12, atol=0)
+        expected = unblocked_step(before, factors, step, net.last_grad_norms, clip)
+        for k in before:
+            assert np.array_equal(net.params[k], expected[k]), k
         for b in range(n_agents):
             change = np.sqrt(sum(float(((net.params[k][b] - before[k][b]) ** 2).sum()) for k in before))
             assert change <= abs(step[b]) * clip * (1 + 1e-12)

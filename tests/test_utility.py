@@ -15,6 +15,15 @@ def test_bad_budget_rejected(bad):
         config(budget=bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "field", ["valuation_slope", "valuation_intercept", "lost_bid_cost", "backoff_cost", "utilization_weight"]
+)
+def test_nonfinite_payoff_parameter_rejected(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        config(**{field: bad})
+
+
 class TestValuation:
     def test_linear_map(self):
         assert valuation(3.0, config()) == 3.0
