@@ -15,13 +15,17 @@ x dz^T, and `apply_gradients` uses the per-example identity
 clip norm and adds the clipped step as a rank-1 update. The minibatch
 optimizer (`AdamState`) builds dense gradients with `dense_gradients`.
 
-Most actor steps are zero: an agent that executed its behavioural action
-gets step 0.0 (see `ActorCriticPool.update`). `apply_gradients` still takes
-every agent's norm, but adds the update only to blocks of `AGENT_BLOCK`
-agents that hold a nonzero step. Skipping is bit-identical: once the norms
-are finite, a zero step adds +-0 to a finite parameter, which changes it
-only if it is -0.0. None is: biases start at +0.0, weights are normal
-draws, and a sum x + (-x) rounds to +0.0, so no update makes a -0.0.
+Most of a step is zero, and `apply_gradients` adds only the rest. An
+agent that executed its behavioural action gets step 0.0 (see
+`ActorCriticPool.update`), and most of the zero-padded input window is 0.0,
+so most rows of s x in the first layer are zero. `apply_gradients` still
+takes every agent's norm, but adds a layer's weight step only at the
+(agent, input row) pairs where s x_i is nonzero, and the bias step only for
+agents with a nonzero step s. Skipping is bit-identical: once the norms are
+finite, a skipped entry would add (s x_i) dz_j = +-0 to a finite parameter,
+which changes it only if it is -0.0. None is: biases start at +0.0, weights
+are normal draws, and a sum x + (-x) rounds to +0.0, so no update makes a
+-0.0.
 """
 from __future__ import annotations
 
@@ -31,8 +35,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..engine import RngStream
-
-AGENT_BLOCK = 4  # agents per contiguous slice in `StackedMlp.apply_gradients`
 
 
 class NumericalInstabilityError(FloatingPointError):
@@ -138,10 +140,12 @@ class StackedMlp:
         weight gradient is the outer product x dz^T: its squared norm is
         ||x||^2 ||dz||^2 and the step is added as a rank-1 update.
 
-        Every agent's norm is checked and stored in `last_grad_norms`, but
-        the update is added only to the blocks of `AGENT_BLOCK` agents that
-        hold a nonzero step; an all-zero block would add +-0 to each of its
-        finite parameters, which leaves them bit-identical (module docstring).
+        Every agent's norm is checked and stored in `last_grad_norms`. The
+        weight step is then added only where the row factor s x_i is
+        nonzero, and the bias step only for agents whose step s is nonzero;
+        each skipped entry would add +-0 to a finite parameter, which leaves
+        it bit-identical (module docstring). The added entries are the same
+        two products as the dense update, s x_i first, then times dz_j.
         """
         vectors = {}
         sq_by_param = {}
@@ -168,15 +172,19 @@ class StackedMlp:
             )
         self.last_grad_norms = norms
         scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-12))
-        step = (np.asarray(step_size) * scale)[:, None]
-        for lo in range(0, self.B, AGENT_BLOCK):
-            block = slice(lo, lo + AGENT_BLOCK)
-            s = step[block]
-            if not s.any():
-                continue
-            for w_name, (x, dz) in vectors.items():
-                self.params[w_name][block] += np.einsum("bi,bj->bij", s * x[block], dz[block])
-                self.params["b" + w_name[1:]][block] += s * dz[block]
+        step = np.asarray(step_size) * scale
+        live = np.flatnonzero(step)
+        if live.size == 0:  # most actor calls once eta is at its floor
+            return
+        s = step[live, None]
+        for w_name, (x, dz) in vectors.items():
+            sx = s * x[live]
+            k, i = np.nonzero(sx)  # entry k of `live`, input row i
+            agents = live[k]
+            rank1 = dz[agents]
+            rank1 *= sx[k, i, None]
+            self.params[w_name][agents, i] += rank1
+            self.params["b" + w_name[1:]][live] += s * dz[live]
 
     # -- persistence / introspection ---------------------------------------------
 

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from offloadsim.agents import ActorCriticPool, NumericalInstabilityError, StackedMlp
-from offloadsim.agents.nets import AGENT_BLOCK
 from offloadsim.engine import derive_stream
 
 INPUT_DIM = 6
@@ -51,8 +50,9 @@ def reference_step(params, x, head_grads, step_size, clip_norm):
 
 
 def unblocked_step(params, factors, step_size, norms, clip_norm):
-    """Parameters after the rank-1 step added to every agent at once, zero steps
-    included, with the clip scale taken from the given norms."""
+    """Parameters after the dense rank-1 step added to every agent and every
+    weight row at once, zero steps and zero inputs included, with the clip
+    scale taken from the given norms."""
     step = (step_size * np.minimum(1.0, clip_norm / np.maximum(norms, 1e-12)))[:, None]
     after = {k: v.copy() for k, v in params.items()}
     for w_name, (x, dz) in factors.items():
@@ -99,7 +99,7 @@ class TestApplyGradients:
             assert np.array_equal(p, before[k])
 
     def test_zero_step_agent_is_untouched_but_normed(self):
-        n_agents = AGENT_BLOCK + 2  # one mixed block, then a partial all-zero block
+        n_agents = 6  # zero-step agents between and after the stepping ones, the last included
         net = make_net(n_agents, seed=8)
         rng = derive_stream(9, "x")
         x = rng.standard_normal((n_agents, INPUT_DIM))
@@ -122,12 +122,12 @@ class TestApplyGradients:
                     np.testing.assert_allclose(p[b], expected[k][b], rtol=1e-12, atol=0, err_msg=f"{k}[{b}]")
 
     def test_nonfinite_norm_of_zero_step_agent_is_still_caught(self):
-        n_agents = AGENT_BLOCK + 2
+        n_agents = 6
         net = make_net(n_agents, seed=10)
         x = derive_stream(11, "x").standard_normal((n_agents, INPUT_DIM))
         x[-1, 2] = np.inf
         step = np.zeros(n_agents)
-        step[0] = 0.5  # the non-finite agent sits in an all-zero block
+        step[0] = 0.5  # the non-finite agent is the last one, with a zero step
         before = {k: v.copy() for k, v in net.params.items()}
         with np.errstate(invalid="ignore"):
             _, cache = net.forward(x)
@@ -200,14 +200,16 @@ steps_with_zeros = st.one_of(st.just(0.0), step_sizes)
 
 @settings(max_examples=100, deadline=None)
 @given(
-    steps=st.lists(steps_with_zeros, min_size=AGENT_BLOCK + 1, max_size=3 * AGENT_BLOCK),
+    steps=st.lists(steps_with_zeros, min_size=5, max_size=12),
     clip=st.floats(0.5, 20.0),
     seed=st.integers(0, 2**16),
-    perturbed=st.integers(0, 3 * AGENT_BLOCK - 1),
+    perturbed=st.integers(0, 11),
 )
-# All-zero, mixed and partial last blocks, whatever the random draws cover.
-@example(steps=[0.0] * AGENT_BLOCK + [0.5, 0.0, 0.0, -0.3] + [0.0], clip=1.0, seed=0, perturbed=4)
-@example(steps=[0.7, 0.0, 0.0, 0.0] + [0.0] * AGENT_BLOCK + [0.0, -1.2], clip=5.0, seed=1, perturbed=9)
+# Every step zero, a zero-step run before mixed steps, and a zero-step and a
+# stepping last agent, whatever the random draws cover.
+@example(steps=[0.0, 0.0, 0.0, 0.0, 0.0], clip=1.0, seed=2, perturbed=3)
+@example(steps=[0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, -0.3, 0.0], clip=1.0, seed=0, perturbed=4)
+@example(steps=[0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.2], clip=5.0, seed=1, perturbed=9)
 def test_zero_steps_are_skipped_bit_identically(steps, clip, seed, perturbed):
     n_agents = len(steps)
     j = perturbed % n_agents
@@ -239,3 +241,77 @@ def test_zero_steps_are_skipped_bit_identically(steps, clip, seed, perturbed):
         if b != j:
             for k in nets[0].params:
                 assert np.array_equal(nets[0].params[k][b], nets[1].params[k][b]), (b, k)
+
+
+sparse_entries = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+)
+sparse_rows = st.lists(sparse_entries, min_size=INPUT_DIM, max_size=INPUT_DIM)
+
+
+def with_random_biases(net, seed):
+    """Nonzero biases, so that an all-zero input still drives the deeper layers."""
+    rng = derive_stream(seed, "biases")
+    for k, p in net.params.items():
+        if k.startswith("b"):
+            p += rng.standard_normal(p.shape)
+    return net
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(sparse_rows, min_size=1, max_size=8),
+    steps=st.lists(steps_with_zeros, min_size=8, max_size=8),
+    clip=st.floats(0.5, 20.0),
+    seed=st.integers(0, 2**16),
+)
+# Stepping agents with an all-zero input (the first and the last), beside a
+# sparse row with a -0.0 and a zero-step agent.
+@example(
+    rows=[[0.0] * INPUT_DIM, [0.0, 1.5, 0.0, -0.0, 0.0, -2.0], [0.4] * INPUT_DIM, [0.0] * INPUT_DIM],
+    steps=[0.6, -0.4, 0.0, 1.1, 0.0, 0.0, 0.0, 0.0],
+    clip=5.0,
+    seed=3,
+)
+def test_zero_input_rows_are_skipped_bit_identically(rows, steps, clip, seed):
+    n_agents = len(rows)
+    x = np.array(rows)
+    step = np.array(steps[:n_agents])
+    head_grads = head_grads_for(derive_stream(seed, "head_grads"), n_agents)
+    net = with_random_biases(make_net(n_agents, seed=seed), seed)
+    before = {k: v.copy() for k, v in net.params.items()}
+
+    _, cache = net.forward(x)
+    factors = net.backward(cache, head_grads)
+    net.apply_gradients(factors, step, clip_norm=clip)
+
+    _, expected_norms = reference_step(before, x, head_grads, step, clip)
+    np.testing.assert_allclose(net.last_grad_norms, expected_norms, rtol=1e-12, atol=0)
+    expected = unblocked_step(before, factors, step, net.last_grad_norms, clip)
+    for k in before:
+        assert np.array_equal(net.params[k], expected[k]), k
+    for b in range(n_agents):
+        zero_inputs = x[b] == 0.0
+        assert np.array_equal(net.params["W0"][b][zero_inputs], before["W0"][b][zero_inputs]), b
+        if step[b] != 0.0 and zero_inputs.all():
+            for k in before:
+                if k != "W0":
+                    assert not np.array_equal(net.params[k][b], before[k][b]), (b, k)
+
+
+def test_non_contiguous_parameters_are_stepped_in_place():
+    net = make_net(4, seed=13)
+    w0 = np.asfortranarray(net.params["W0"])
+    net.params["W0"] = w0
+    x = derive_stream(14, "x").standard_normal((4, INPUT_DIM))
+    x[1, :3] = 0.0
+    step = np.array([0.3, -0.2, 0.0, 0.5])
+    before = {k: v.copy() for k, v in net.params.items()}
+    _, cache = net.forward(x)
+    factors = net.backward(cache, head_grads_for(derive_stream(15, "g"), 4))
+    net.apply_gradients(factors, step, clip_norm=2.0)
+    assert net.params["W0"] is w0
+    assert not w0.flags.c_contiguous
+    expected = unblocked_step(before, factors, step, net.last_grad_norms, 2.0)
+    for k in before:
+        assert np.array_equal(net.params[k], expected[k]), k
