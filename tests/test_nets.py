@@ -198,31 +198,63 @@ def test_step_is_clipped_and_isolated_per_agent(rows, other_row, steps, clip, se
 steps_with_zeros = st.one_of(st.just(0.0), step_sizes)
 
 
+def with_random_biases(net, seed):
+    """Nonzero biases, so that an all-zero input still drives the deeper layers."""
+    rng = derive_stream(seed, "biases")
+    for k, p in net.params.items():
+        if k.startswith("b"):
+            p += rng.standard_normal(p.shape)
+    return net
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     steps=st.lists(steps_with_zeros, min_size=5, max_size=12),
     clip=st.floats(0.5, 20.0),
     seed=st.integers(0, 2**16),
     perturbed=st.integers(0, 11),
+    zero_rows=st.sets(st.integers(0, 11)),
+    zero_cells=st.sets(st.integers(0, 12 * INPUT_DIM - 1)),
 )
 # Every step zero, a zero-step run before mixed steps, and a zero-step and a
-# stepping last agent, whatever the random draws cover.
-@example(steps=[0.0, 0.0, 0.0, 0.0, 0.0], clip=1.0, seed=2, perturbed=3)
-@example(steps=[0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, -0.3, 0.0], clip=1.0, seed=0, perturbed=4)
-@example(steps=[0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.2], clip=5.0, seed=1, perturbed=9)
-def test_zero_steps_are_skipped_bit_identically(steps, clip, seed, perturbed):
+# stepping last agent, whatever the random draws cover; then stepping agents
+# with an all-zero input (the first and the last) beside a sparse row and a
+# zero-step agent.
+@example(steps=[0.0, 0.0, 0.0, 0.0, 0.0], clip=1.0, seed=2, perturbed=3, zero_rows=set(), zero_cells=set())
+@example(
+    steps=[0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, -0.3, 0.0],
+    clip=1.0,
+    seed=0,
+    perturbed=4,
+    zero_rows=set(),
+    zero_cells=set(),
+)
+@example(
+    steps=[0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.2],
+    clip=5.0,
+    seed=1,
+    perturbed=9,
+    zero_rows=set(),
+    zero_cells=set(),
+)
+@example(steps=[0.6, -0.4, 0.0, 1.1, 0.9], clip=5.0, seed=3, perturbed=2, zero_rows={0, 4}, zero_cells={6, 8, 10, 13})
+def test_zero_steps_are_skipped_bit_identically(steps, clip, seed, perturbed, zero_rows, zero_cells):
     n_agents = len(steps)
     j = perturbed % n_agents
     rng = derive_stream(seed, "inputs")
     x = rng.standard_normal((n_agents, INPUT_DIM))
     x_other = x.copy()
     x_other[j] = rng.standard_normal(INPUT_DIM)
+    cells = np.arange(n_agents * INPUT_DIM).reshape(n_agents, INPUT_DIM)
+    zero = np.isin(cells, list(zero_cells)) | np.isin(np.arange(n_agents), list(zero_rows))[:, None]
+    for inputs in (x, x_other):
+        inputs[zero] *= 0.0  # exact zeros, signed as the draws were
     step = np.array(steps)
     head_grads = head_grads_for(derive_stream(seed, "head_grads"), n_agents)
 
     nets = []
     for inputs in (x, x_other):
-        net = make_net(n_agents, seed=seed)
+        net = with_random_biases(make_net(n_agents, seed=seed), seed)
         before = {k: v.copy() for k, v in net.params.items()}
         _, cache = net.forward(inputs)
         factors = net.backward(cache, head_grads)
@@ -236,67 +268,15 @@ def test_zero_steps_are_skipped_bit_identically(steps, clip, seed, perturbed):
         for b in range(n_agents):
             change = np.sqrt(sum(float(((net.params[k][b] - before[k][b]) ** 2).sum()) for k in before))
             assert change <= abs(step[b]) * clip * (1 + 1e-12)
+            if step[b] != 0.0 and zero[b].all():
+                # A live agent with an all-zero input keeps W0 and steps the rest.
+                for k in before:
+                    assert np.array_equal(net.params[k][b], before[k][b]) == (k == "W0"), (b, k)
 
     for b in range(n_agents):
         if b != j:
             for k in nets[0].params:
                 assert np.array_equal(nets[0].params[k][b], nets[1].params[k][b]), (b, k)
-
-
-sparse_entries = st.one_of(
-    st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
-)
-sparse_rows = st.lists(sparse_entries, min_size=INPUT_DIM, max_size=INPUT_DIM)
-
-
-def with_random_biases(net, seed):
-    """Nonzero biases, so that an all-zero input still drives the deeper layers."""
-    rng = derive_stream(seed, "biases")
-    for k, p in net.params.items():
-        if k.startswith("b"):
-            p += rng.standard_normal(p.shape)
-    return net
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    rows=st.lists(sparse_rows, min_size=1, max_size=8),
-    steps=st.lists(steps_with_zeros, min_size=8, max_size=8),
-    clip=st.floats(0.5, 20.0),
-    seed=st.integers(0, 2**16),
-)
-# Stepping agents with an all-zero input (the first and the last), beside a
-# sparse row with a -0.0 and a zero-step agent.
-@example(
-    rows=[[0.0] * INPUT_DIM, [0.0, 1.5, 0.0, -0.0, 0.0, -2.0], [0.4] * INPUT_DIM, [0.0] * INPUT_DIM],
-    steps=[0.6, -0.4, 0.0, 1.1, 0.0, 0.0, 0.0, 0.0],
-    clip=5.0,
-    seed=3,
-)
-def test_zero_input_rows_are_skipped_bit_identically(rows, steps, clip, seed):
-    n_agents = len(rows)
-    x = np.array(rows)
-    step = np.array(steps[:n_agents])
-    head_grads = head_grads_for(derive_stream(seed, "head_grads"), n_agents)
-    net = with_random_biases(make_net(n_agents, seed=seed), seed)
-    before = {k: v.copy() for k, v in net.params.items()}
-
-    _, cache = net.forward(x)
-    factors = net.backward(cache, head_grads)
-    net.apply_gradients(factors, step, clip_norm=clip)
-
-    _, expected_norms = reference_step(before, x, head_grads, step, clip)
-    np.testing.assert_allclose(net.last_grad_norms, expected_norms, rtol=1e-12, atol=0)
-    expected = unblocked_step(before, factors, step, net.last_grad_norms, clip)
-    for k in before:
-        assert np.array_equal(net.params[k], expected[k]), k
-    for b in range(n_agents):
-        zero_inputs = x[b] == 0.0
-        assert np.array_equal(net.params["W0"][b][zero_inputs], before["W0"][b][zero_inputs]), b
-        if step[b] != 0.0 and zero_inputs.all():
-            for k in before:
-                if k != "W0":
-                    assert not np.array_equal(net.params[k][b], before[k][b]), (b, k)
 
 
 def test_non_contiguous_parameters_are_stepped_in_place():
