@@ -168,8 +168,7 @@ class LearningFleet:
         flat = self.window.flat().copy()
 
         if not self.frozen and prev_flat is not None:
-            v_prev, critic_cache = self.pool.critic_eval(prev_flat)
-            v_now, _ = self.pool.critic_eval(flat)
+            v_prev, v_now, critic_cache = self.pool.critic_eval(prev_flat, flat)
             delta = td_error(utilities, self.pool.avg_reward, v_now, v_prev)
             self.pool.update(
                 delta,
@@ -191,12 +190,13 @@ class LearningFleet:
         noise = np.stack([s.standard_normal(self.action_dim) for s in self.act_streams])
         zeta_raw = self.pool.sample_raw(mu, L, noise)
         zeta = squash_action(zeta_raw, self.action_dim, self.budgets)
-        psi_norm = self.behavior.predict(sl_states)
 
         eta = self.frozen_eta if self.frozen else self.hyper.eta.eta(self.t)
         use_rl = np.array([s.uniform() < eta for s in self.act_streams])
 
-        executed = np.where(use_rl[:, None], self._normalize(zeta), psi_norm)
+        executed = self._normalize(zeta)
+        if not use_rl.all():  # the behavioural model is asked only when someone needs it
+            executed = np.where(use_rl[:, None], executed, self.behavior.predict(sl_states))
         actions_abs = self._denormalize(executed)
 
         if not self.frozen:

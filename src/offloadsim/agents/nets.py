@@ -15,17 +15,25 @@ x dz^T, and `apply_gradients` uses the per-example identity
 clip norm and adds the clipped step as a rank-1 update. The minibatch
 optimizer (`AdamState`) builds dense gradients with `dense_gradients`.
 
-Most of a step is zero, and `apply_gradients` adds only the rest. An
+Most of a step is zero, and `apply_gradients` adds only what it must. An
 agent that executed its behavioural action gets step 0.0 (see
-`ActorCriticPool.update`), and most of the zero-padded input window is 0.0,
-so most rows of s x in the first layer are zero. `apply_gradients` still
-takes every agent's norm, but adds a layer's weight step only at the
-(agent, input row) pairs where s x_i is nonzero, and the bias step only for
-agents with a nonzero step s. Skipping is bit-identical: once the norms are
-finite, a skipped entry would add (s x_i) dz_j = +-0 to a finite parameter,
-which changes it only if it is -0.0. None is: biases start at +0.0, weights
-are normal draws, and a sum x + (-x) rounds to +0.0, so no update makes a
--0.0.
+`ActorCriticPool.update`), so `apply_gradients` takes every agent's norm
+but adds nothing for an agent whose step s is zero. For the others, the
+rule depends on what feeds the layer:
+
+- The input layer W0 is fed by the caller's input, a zero-padded window
+  that is mostly 0.0. Its weight step is added only at the (agent, input
+  row) pairs where s x_i is nonzero.
+- Every deeper layer and head is fed by tanh activations, which are
+  almost never exactly zero, so its weight step is added densely, as one
+  (agent, in, out) outer product of s x and dz.
+
+Both are bit-identical to the dense step over every agent and row. The
+added entries are the same two products, s x_i first, then times dz_j.
+Once the norms are finite, a skipped entry would add (s x_i) dz_j = +-0 to
+a finite parameter, which changes it only if it is -0.0. None is: biases
+start at +0.0, weights are normal draws, and a sum x + (-x) rounds to
++0.0, so no update makes a -0.0.
 """
 from __future__ import annotations
 
@@ -80,24 +88,36 @@ class StackedMlp:
 
     # -- forward / backward ---------------------------------------------------
     #
-    # Inputs may be (B, input_dim) for one sample per agent or
-    # (B, n, input_dim) for per-agent minibatches; outputs match.
+    # Inputs may be (B, input_dim) for one sample per agent,
+    # (B, n, input_dim) for per-agent minibatches, or (B, m, n, input_dim)
+    # for m such inputs per agent through the same weights; outputs match.
 
     def forward(self, x: np.ndarray) -> tuple[dict[str, np.ndarray], dict]:
         squeeze = x.ndim == 2
         if squeeze:
             x = x[:, None, :]
+        # Each agent's weights broadcast over a stacked-input axis, so matmul
+        # makes the same (n, in) @ (in, out) product per agent and input as
+        # a pass over that input alone, while the agent's weights are hot.
+        agent = (slice(None),) + (None,) * (x.ndim - 3)
         acts = [x]
         h = x
         for layer in range(len(self.hidden)):
-            z = np.matmul(h, self.params[f"W{layer}"]) + self.params[f"b{layer}"][:, None, :]
+            z = np.matmul(h, self.params[f"W{layer}"][agent]) + self.params[f"b{layer}"][agent][..., None, :]
             h = np.tanh(z)
             acts.append(h)
         outputs = {}
         for name in self.head_names:
-            y = np.matmul(h, self.params[f"W_{name}"]) + self.params[f"b_{name}"][:, None, :]
+            y = np.matmul(h, self.params[f"W_{name}"][agent]) + self.params[f"b_{name}"][agent][..., None, :]
             outputs[name] = y[:, 0, :] if squeeze else y
         return outputs, {"acts": acts, "squeeze": squeeze}
+
+    @staticmethod
+    def input_cache(cache: dict, index: int) -> dict:
+        """The cache of input `index` of a (B, m, 1, input_dim) forward pass:
+        what a pass over that (B, input_dim) input alone returns, for
+        `backward`."""
+        return {"acts": [a[:, index] for a in cache["acts"]], "squeeze": True}
 
     def backward(
         self, cache: dict, head_grads: Mapping[str, np.ndarray]
@@ -140,12 +160,15 @@ class StackedMlp:
         weight gradient is the outer product x dz^T: its squared norm is
         ||x||^2 ||dz||^2 and the step is added as a rank-1 update.
 
-        Every agent's norm is checked and stored in `last_grad_norms`. The
-        weight step is then added only where the row factor s x_i is
-        nonzero, and the bias step only for agents whose step s is nonzero;
-        each skipped entry would add +-0 to a finite parameter, which leaves
-        it bit-identical (module docstring). The added entries are the same
-        two products as the dense update, s x_i first, then times dz_j.
+        Every agent's norm is checked and stored in `last_grad_norms`. Steps
+        are then added only for agents whose step s is nonzero (all of them
+        through a slice when every agent steps). The input layer "W0" gets
+        its weight step only where the row factor s x_i is nonzero, since
+        its input is mostly zero padding; the layers fed by tanh activations
+        get the dense outer product. Each skipped entry would add +-0 to a
+        finite parameter, which leaves it bit-identical (module docstring).
+        The added entries are the same two products as the dense update,
+        s x_i first, then times dz_j.
         """
         vectors = {}
         sq_by_param = {}
@@ -176,15 +199,20 @@ class StackedMlp:
         live = np.flatnonzero(step)
         if live.size == 0:  # most actor calls once eta is at its floor
             return
-        s = step[live, None]
+        rows = slice(None) if live.size == self.B else live  # every critic call steps all
+        s = step[rows, None]
         for w_name, (x, dz) in vectors.items():
-            sx = s * x[live]
-            k, i = np.nonzero(sx)  # entry k of `live`, input row i
-            agents = live[k]
-            rank1 = dz[agents]
-            rank1 *= sx[k, i, None]
-            self.params[w_name][agents, i] += rank1
-            self.params["b" + w_name[1:]][live] += s * dz[live]
+            sx = s * x[rows]
+            w = self.params[w_name]
+            if w_name == "W0":  # the caller's input, mostly zero padding
+                k, i = np.nonzero(sx)  # entry k of `live`, input row i
+                agents = live[k]
+                rank1 = dz[agents]
+                rank1 *= sx[k, i, None]
+                w[agents, i] += rank1
+            else:  # tanh activations, dense
+                w[rows] += np.einsum("bi,bj->bij", sx, dz[rows])
+            self.params["b" + w_name[1:]][rows] += s * dz[rows]
 
     # -- persistence / introspection ---------------------------------------------
 

@@ -18,7 +18,6 @@ the score of any other action is not a policy gradient.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,10 +85,21 @@ class ActorCriticPool:
 
     # -- forward passes ------------------------------------------------------
 
-    def critic_eval(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        """V(S, w) for each agent, plus the activation cache for backprop."""
-        outputs, cache = self.critic.forward(x)
-        return outputs["v"][:, 0], cache
+    def critic_eval(self, x: np.ndarray, x_next: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(V(S), V(S'), cache of S) for each agent, from one critic pass.
+
+        x and x_next are (B, input_dim) states S and S'. They are stacked as
+        (B, 2, 1, input_dim) and each agent's weights broadcast over the
+        pair, so every weight array is read once for both values, and matmul
+        makes the same per-(agent, state) product as a one-state pass: both
+        values are bit-identical to two such passes. (Stacking as
+        (B, 2, input_dim) would make it a matrix-matrix product, which
+        rounds differently.) The cache is that of S alone, the one the
+        critic's step backpropagates through.
+        """
+        outputs, cache = self.critic.forward(np.stack((x, x_next), axis=1)[:, :, None, :])
+        v = outputs["v"][:, :, 0, 0]
+        return v[:, 0], v[:, 1], self.critic.input_cache(cache, 0)
 
     def actor_forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         """(mu (B,A), L (B,A,A), cache) with softplus-positive diagonal."""
@@ -107,13 +117,7 @@ class ActorCriticPool:
         """zeta = mu + L y for pre-drawn standard normal y (B, A)."""
         return mu + np.matmul(L, noise[:, :, None])[:, :, 0]
 
-    # -- log-density machinery -------------------------------------------------
-
-    def log_density(self, zeta_raw: np.ndarray, mu: np.ndarray, L: np.ndarray) -> np.ndarray:
-        r = (zeta_raw - mu)[:, :, None]
-        z = np.linalg.solve(L, r)[:, :, 0]
-        diag = L[:, np.arange(self.A), np.arange(self.A)]
-        return -0.5 * (z * z).sum(axis=1) - np.log(diag).sum(axis=1) - 0.5 * self.A * math.log(2 * math.pi)
+    # -- score function ----------------------------------------------------------
 
     def _density_grads(self, zeta_raw, mu, L, lraw):
         """Per-agent gradients of ln f w.r.t. mu and the raw L entries."""
@@ -143,10 +147,11 @@ class ActorCriticPool:
         """One critic gradient step for every agent and one actor step for
         the agents flagged in `sampled`.
 
-        critic_cache must be a fresh V(S) forward pass and actor_cache the
-        pass that produced (mu, L) at S; delta is the per-agent TD error and
-        zeta_raw the raw sample drawn at S. `sampled` (B,) marks the agents
-        that executed that sample; the others keep their actor parameters.
+        critic_cache must be the S cache of a fresh `critic_eval` and
+        actor_cache the pass that produced (mu, L) at S; delta is the
+        per-agent TD error and zeta_raw the raw sample drawn at S. `sampled`
+        (B,) marks the agents that executed that sample; the others keep
+        their actor parameters.
         """
         if not np.all(np.isfinite(delta)):
             raise NumericalInstabilityError(f"non-finite TD error: {delta}")

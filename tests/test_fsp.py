@@ -133,6 +133,29 @@ class TestLearningFleet:
         for b in range(2):
             assert not np.array_equal(f.pool.critic.flat_view(b), critic_before[b])
 
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_behavioural_model_is_asked_only_when_an_agent_needs_it(self, eta):
+        f = fleet(seed=4)
+        f.freeze()  # at t = 1, so eta is 1.0 and every agent executes its best response
+        assert f.frozen_eta == 1.0
+        f.frozen_eta = eta
+        predict = f.behavior.predict
+        calls = []
+
+        def counted(states):
+            calls.append(f.t)
+            return predict(states)
+
+        f.behavior.predict = counted
+        needed = []
+        for _ in range(8):
+            t = f.t
+            f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
+            if not f._prev_use_rl.all():
+                needed.append(t)
+        assert calls == needed
+        assert bool(needed) == (eta < 1.0)
+
     def test_frozen_fleet_stops_learning(self):
         f = fleet()
         f.act([None, None], pending_one(), 2, 0.0, 0.0)

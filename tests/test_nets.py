@@ -143,7 +143,7 @@ class TestApplyGradients:
         )
         x = derive_stream(7, "x").standard_normal((3, INPUT_DIM))
         x[1, 2] = np.inf
-        _, critic_cache = pool.critic_eval(x)
+        _, _, critic_cache = pool.critic_eval(x, x)
         mu, L, actor_cache = pool.actor_forward(x)
         zeta = pool.sample_raw(mu, L, np.ones((3, 2)))
         before = pool.critic.flat_view(1)
@@ -219,7 +219,8 @@ def with_random_biases(net, seed):
 # Every step zero, a zero-step run before mixed steps, and a zero-step and a
 # stepping last agent, whatever the random draws cover; then stepping agents
 # with an all-zero input (the first and the last) beside a sparse row and a
-# zero-step agent.
+# zero-step agent; then every agent stepping (the whole-fleet slice, as in
+# every critic call), one of them with an all-zero input.
 @example(steps=[0.0, 0.0, 0.0, 0.0, 0.0], clip=1.0, seed=2, perturbed=3, zero_rows=set(), zero_cells=set())
 @example(
     steps=[0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, -0.3, 0.0],
@@ -238,6 +239,7 @@ def with_random_biases(net, seed):
     zero_cells=set(),
 )
 @example(steps=[0.6, -0.4, 0.0, 1.1, 0.9], clip=5.0, seed=3, perturbed=2, zero_rows={0, 4}, zero_cells={6, 8, 10, 13})
+@example(steps=[0.5, -0.3, 1.2, 0.8, -1.5, 0.1], clip=2.0, seed=5, perturbed=1, zero_rows={2}, zero_cells={0, 7, 13})
 def test_zero_steps_are_skipped_bit_identically(steps, clip, seed, perturbed, zero_rows, zero_cells):
     n_agents = len(steps)
     j = perturbed % n_agents

@@ -1,7 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from offloadsim.agents import ActorCriticPool, LearningRates, NumericalInstabilityError, td_error
 from offloadsim.agents.nets import dense_gradients
@@ -24,6 +27,16 @@ def flat_grads(net, factors):
     return np.concatenate([grads[k][0].ravel() for k in sorted(net.params)])
 
 
+def log_density(zeta_raw, mu, L):
+    """ln f(zeta_raw) of the Gaussian N(mu, L L^T), per agent: the oracle the
+    score-function gradient is checked against by finite differences."""
+    a = mu.shape[1]
+    r = (zeta_raw - mu)[:, :, None]
+    z = np.linalg.solve(L, r)[:, :, 0]
+    diag = L[:, np.arange(a), np.arange(a)]
+    return -0.5 * (z * z).sum(axis=1) - np.log(diag).sum(axis=1) - 0.5 * a * math.log(2 * math.pi)
+
+
 def central_difference(f, flat, h=1e-6):
     grad = np.zeros_like(flat)
     for i in range(len(flat)):
@@ -41,34 +54,78 @@ class TestCritic:
         for k in pool.critic.params:
             pool.critic.params[k][:] = 0.0
         x = derive_stream(3, "x").standard_normal((1, 12))
-        v, _ = pool.critic_eval(x)
+        v, v_next, _ = pool.critic_eval(x, -x)
         assert v[0] == 0.0
+        assert v_next[0] == 0.0
 
     def test_value_is_finite(self):
         pool = small_pool()
         rng = derive_stream(5, "x")
         for _ in range(50):
-            v, _ = pool.critic_eval(rng.standard_normal((1, 12)))
+            v, v_next, _ = pool.critic_eval(rng.standard_normal((1, 12)), rng.standard_normal((1, 12)))
             assert np.isfinite(v[0])
+            assert np.isfinite(v_next[0])
 
     def test_gradient_matches_finite_differences(self):
         pool = small_pool(seed=9)
         rng = derive_stream(7, "x")
         for trial in range(5):
             x = rng.standard_normal((1, 12))
+            x_next = rng.standard_normal((1, 12))
             flat0 = pool.critic.flat_view(0)
 
             def f(flat):
                 pool.critic.load_flat(0, flat)
-                v, _ = pool.critic_eval(x)
+                v, _, _ = pool.critic_eval(x, x_next)
                 return float(v[0])
 
             fd = central_difference(f, flat0)
             pool.critic.load_flat(0, flat0)
-            _, cache = pool.critic_eval(x)
+            _, _, cache = pool.critic_eval(x, x_next)  # the cache of S, not of S'
             factors = pool.critic.backward(cache, {"v": np.ones((1, 1))})
             analytic = flat_grads(pool.critic, factors)
             assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_agents=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+    zero_tenths=st.sampled_from([0, 5, 9, 10]),
+    step_size=st.floats(-2.0, 2.0),
+)
+@example(n_agents=8, seed=0, zero_tenths=9, step_size=0.5)
+def test_two_state_critic_eval_matches_one_state_passes(n_agents, seed, zero_tenths, step_size):
+    # the benchmark's critic shape: a 352-wide zero-padded window, (64, 32) hidden
+    pool = ActorCriticPool(
+        [derive_stream(seed, f"agent/m{b}/init") for b in range(n_agents)], input_dim=352, action_dim=4
+    )
+    rng = derive_stream(seed, "states")
+    x, x_next = rng.standard_normal((2, n_agents, 352))
+    zero = rng.integer_array(0, 10, (2, n_agents, 352)) < zero_tenths
+    x[zero[0]] *= 0.0  # exact zeros, signed as the draws were
+    x_next[zero[1]] *= 0.0
+
+    v, v_next, cache = pool.critic_eval(x, x_next)
+    one_s, one_cache = pool.critic.forward(x)
+    one_next, _ = pool.critic.forward(x_next)
+    assert np.array_equal(v, one_s["v"][:, 0])
+    assert np.array_equal(v_next, one_next["v"][:, 0])
+
+    head_grads = {"v": np.ones((n_agents, 1))}
+    factors = pool.critic.backward(cache, head_grads)
+    one_factors = pool.critic.backward(one_cache, head_grads)
+    assert factors.keys() == one_factors.keys()
+    for name, (a, dz) in factors.items():
+        assert np.array_equal(a, one_factors[name][0]), name
+        assert np.array_equal(dz, one_factors[name][1]), name
+
+    stepped = copy.deepcopy(pool.critic)
+    stepped.apply_gradients(factors, np.full(n_agents, step_size), clip_norm=10.0)
+    pool.critic.apply_gradients(one_factors, np.full(n_agents, step_size), clip_norm=10.0)
+    assert np.array_equal(stepped.last_grad_norms, pool.critic.last_grad_norms)
+    for k, p in pool.critic.params.items():
+        assert np.array_equal(stepped.params[k], p), k
 
 
 class TestActorForward:
@@ -154,7 +211,7 @@ class TestScoreGradients:
             def f(flat):
                 pool.actor.load_flat(0, flat)
                 mu, L, _ = pool.actor_forward(x)
-                return float(pool.log_density(zeta, mu, L)[0])
+                return float(log_density(zeta, mu, L)[0])
 
             fd = central_difference(f, flat0)
             pool.actor.load_flat(0, flat0)
@@ -169,7 +226,7 @@ class TestUpdates:
     def test_zero_td_error_changes_nothing(self):
         pool = small_pool()
         x = derive_stream(3, "x").standard_normal((1, 12))
-        v, critic_cache = pool.critic_eval(x)
+        _, _, critic_cache = pool.critic_eval(x, x)
         mu, L, actor_cache = pool.actor_forward(x)
         zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
         before_actor = pool.actor.flat_view(0)
@@ -183,7 +240,7 @@ class TestUpdates:
             [derive_stream(0, f"agent/m{b}/init") for b in range(2)], input_dim=12, action_dim=4, hidden=(6, 5)
         )
         x = derive_stream(3, "x").standard_normal((2, 12))
-        _, critic_cache = pool.critic_eval(x)
+        _, _, critic_cache = pool.critic_eval(x, x)
         mu, L, actor_cache = pool.actor_forward(x)
         zeta = pool.sample_raw(mu, L, np.ones((2, 4)))
         actor_before = [pool.actor.flat_view(b) for b in range(2)]
@@ -197,7 +254,7 @@ class TestUpdates:
     def test_nonfinite_delta_raises(self):
         pool = small_pool()
         x = derive_stream(3, "x").standard_normal((1, 12))
-        _, critic_cache = pool.critic_eval(x)
+        _, _, critic_cache = pool.critic_eval(x, x)
         mu, L, actor_cache = pool.actor_forward(x)
         zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
         with pytest.raises(NumericalInstabilityError):
