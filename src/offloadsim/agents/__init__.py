@@ -2,7 +2,7 @@ from .behavior import BehaviorPool, InsufficientDataError
 from .bidder import BACKOFF, SUBMIT, EtaSchedule, LearnerHyper, LearningFleet, PassiveFleet
 from .features import FeatureCodec, WindowBuffer
 from .nets import AdamState, NumericalInstabilityError, StackedMlp
-from .policy import ActorCriticPool, LearningRates, squash_action, td_error
+from .policy import ActorCriticPool, LearningRates, td_error
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "SUBMIT",
     "StackedMlp",
     "WindowBuffer",
-    "squash_action",
     "td_error",
     "utility_per_type",
     "utility_total",

@@ -2,8 +2,9 @@
 (state, action) pairs to the action actually taken.
 
 Memory is a sliding window with uniform minibatch sampling, so the learned
-strategy tracks recent behavior; actions are stored normalized to [0,1]
-(backoff as-is, price divided by the agent's budget).
+strategy tracks recent behavior. Actions are stored and predicted as the
+executed fractions in [0, 1] that `LearningFleet._fractions` makes of a
+policy sample; this module does not know their layout.
 """
 from __future__ import annotations
 

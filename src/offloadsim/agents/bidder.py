@@ -6,8 +6,14 @@ its Gaussian policy and queries the behavioral model for its average
 strategy; with probability eta (1/t, optionally floored late in training)
 it executes the best response, otherwise the behavioral action. The actor
 learns only from rounds where it executed its own sample, the critic from
-every round. Per service type, a backoff component above the threshold
-submits the bid at the action price; below it the bid is deferred for a
+every round.
+
+`LearningFleet` is the only code that knows the action layout: K backoff
+components, then K prices. `LearningFleet._fractions` maps a raw policy
+sample to executed fractions in [0, 1], the form the behavioral model
+stores and predicts, and `_directives` turns a fraction into a price by one
+product with the budget. Per service type, a backoff component above the
+threshold submits the bid at that price; below it the bid is deferred for a
 duration linear in the component.
 
 Active agents of a fleet advance in lock step through batched learners but
@@ -25,21 +31,21 @@ from ..auction import FeedbackSignal
 from ..engine import derive_stream
 from .behavior import BehaviorPool
 from .features import FeatureCodec, WindowBuffer
-from .policy import ActorCriticPool, LearningRates, squash_action, td_error
+from .policy import ActorCriticPool, LearningRates, sigmoid, td_error
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
 
 
 @dataclass
 class EtaSchedule:
-    """Best-response mixing weight: 1/t, optionally floored after a while."""
+    """Best-response mixing weight: 1/t, floored after a while (a floor of
+    0 keeps the pure 1/t)."""
 
-    strict: bool = False
     floor: float = 0.01
     floor_after: int = 100
 
     def eta(self, t: int) -> float:
         value = 1.0 / max(1, t)
-        if self.strict or t <= self.floor_after:
+        if t <= self.floor_after:
             return value
         return max(value, self.floor)
 
@@ -75,9 +81,11 @@ class LearningFleet:
     ):
         if not configs:
             raise ValueError("need at least one agent")
+        self.hyper = hyper or LearnerHyper(window=codec.window)
+        if self.hyper.window != codec.window:
+            raise ValueError(f"LearnerHyper.window is {self.hyper.window} but the codec's window is {codec.window}")
         self.configs = list(configs)
         self.codec = codec
-        self.hyper = hyper or LearnerHyper()
         self.B = len(configs)
         self.k = codec.k
         self.action_dim = 2 * codec.k
@@ -107,25 +115,19 @@ class LearningFleet:
         )
         self.window = WindowBuffer(self.B, codec.window, codec.step_dim)
         self.t = 1
-        self.frozen = False
-        self.frozen_eta: Optional[float] = None
-        self._prev_flat: Optional[np.ndarray] = None
-        self._prev_zeta_raw: Optional[np.ndarray] = None
-        self._prev_use_rl: Optional[np.ndarray] = None
-        self._prev_mu = None
-        self._prev_L = None
-        self._prev_actor_cache = None
+        self.frozen_eta: Optional[float] = None  # the fixed mixing weight once frozen; None while learning
+        # Last round's (S, raw sample, mu, L, actor cache, use_rl), which
+        # this round's update scores.
+        self._prev: Optional[tuple] = None
         self._last_submitted: list[dict[str, float]] = [{} for _ in range(self.B)]
         self._last_backed: list[int] = [0] * self.B
         self._step_buf = np.zeros((self.B, codec.step_dim))
-        self.last_diag: dict[str, float] = {}
 
     # -- mode switches ---------------------------------------------------------
 
     def freeze(self):
         """Stop all learning; keep acting with the mixing weight fixed at its
         current value."""
-        self.frozen = True
         self.frozen_eta = self.hyper.eta.eta(self.t)
 
     # -- the per-round step ------------------------------------------------------
@@ -163,43 +165,29 @@ class LearningFleet:
             self.codec.encode_step(pending[b], env, prices_prev, float(utilities[b]), out=self._step_buf[b])
         sl_states = np.take(self._step_buf, self.codec.sl_columns, axis=1)
 
-        prev_flat = self._prev_flat
         self.window.push(self._step_buf)
         flat = self.window.flat().copy()
 
-        if not self.frozen and prev_flat is not None:
+        learning = self.frozen_eta is None
+        if learning and self._prev is not None:
+            prev_flat, *prev_sample, prev_use_rl = self._prev
             v_prev, v_now, critic_cache = self.pool.critic_eval(prev_flat, flat)
             delta = td_error(utilities, self.pool.avg_reward, v_now, v_prev)
-            self.pool.update(
-                delta,
-                self._prev_zeta_raw,
-                self._prev_mu,
-                self._prev_L,
-                self._prev_actor_cache,
-                critic_cache,
-                self._prev_use_rl,
-            )
+            self.pool.update(delta, *prev_sample, critic_cache, prev_use_rl)
             self.pool.update_avg_reward(utilities)
-            self.last_diag = {
-                "delta_mean_abs": float(np.abs(delta).mean()),
-                "avg_reward_mean": float(self.pool.avg_reward.mean()),
-                "actor_grad_norm": float(self.pool.actor.last_grad_norms.mean()),
-            }
 
         mu, L, actor_cache = self.pool.actor_forward(flat)
         noise = np.stack([s.standard_normal(self.action_dim) for s in self.act_streams])
         zeta_raw = self.pool.sample_raw(mu, L, noise)
-        zeta = squash_action(zeta_raw, self.action_dim, self.budgets)
 
-        eta = self.frozen_eta if self.frozen else self.hyper.eta.eta(self.t)
+        eta = self.hyper.eta.eta(self.t) if learning else self.frozen_eta
         use_rl = np.array([s.uniform() < eta for s in self.act_streams])
 
-        executed = self._normalize(zeta)
+        executed = self._fractions(zeta_raw)
         if not use_rl.all():  # the behavioural model is asked only when someone needs it
             executed = np.where(use_rl[:, None], executed, self.behavior.predict(sl_states))
-        actions_abs = self._denormalize(executed)
 
-        if not self.frozen:
+        if learning:
             self.behavior.store(sl_states, executed)
             if (
                 self.t % self.hyper.sl_train_interval == 0
@@ -207,31 +195,28 @@ class LearningFleet:
             ):
                 self.behavior.train_step(self.sl_streams)
 
-        directives = self._directives(actions_abs, pending)
+        directives = self._directives(executed, pending)
 
-        self._prev_flat = flat
-        self._prev_zeta_raw = zeta_raw
-        self._prev_use_rl = use_rl
-        self._prev_mu = mu
-        self._prev_L = L
-        self._prev_actor_cache = actor_cache
-        self.last_diag["eta"] = eta
+        self._prev = (flat, zeta_raw, mu, L, actor_cache, use_rl)
         self.t += 1
         return directives
 
-    # -- helpers ----------------------------------------------------------------
+    # -- the action map ------------------------------------------------------------
 
-    def _normalize(self, actions_abs: np.ndarray) -> np.ndarray:
-        out = actions_abs.copy()
-        out[:, self.k :] /= self.budgets[:, None]
+    def _fractions(self, zeta_raw: np.ndarray) -> np.ndarray:
+        """Executed fractions of raw samples (B, 2K): a sigmoid on each
+        backoff component, and each price clipped to [0, budget] and then
+        divided by the budget."""
+        budgets = self.budgets[:, None]
+        out = np.empty_like(zeta_raw)
+        out[:, : self.k] = sigmoid(zeta_raw[:, : self.k])
+        out[:, self.k :] = np.clip(zeta_raw[:, self.k :], 0.0, budgets) / budgets
         return out
 
-    def _denormalize(self, actions_norm: np.ndarray) -> np.ndarray:
-        out = actions_norm.copy()
-        out[:, self.k :] *= self.budgets[:, None]
-        return out
-
-    def _directives(self, actions_abs, pending) -> list[dict[str, tuple]]:
+    def _directives(self, fractions, pending) -> list[dict[str, tuple]]:
+        """Directives for the pending types. Every fraction is in [0, 1] and
+        rounding is monotone, so each price fraction * budget is in
+        [0, budget]."""
         directives: list[dict[str, tuple]] = []
         for b, config in enumerate(self.configs):
             agent_directives = {}
@@ -239,10 +224,9 @@ class LearningFleet:
             backed = 0
             for service_type, (work, _deadline) in pending[b].items():
                 i = self.codec.index[service_type]
-                alpha = float(actions_abs[b, i])
-                price = float(min(max(actions_abs[b, self.k + i], 0.0), config.budget))
+                alpha = float(fractions[b, i])
                 if alpha > config.backoff_threshold:
-                    agent_directives[service_type] = (SUBMIT, price)
+                    agent_directives[service_type] = (SUBMIT, float(fractions[b, self.k + i]) * config.budget)
                     submitted[service_type] = valuation(work, config)
                 else:
                     duration = max(1, round(alpha * config.max_backoff_ms))

@@ -2,8 +2,10 @@
 
 The actor network outputs the action mean and the entries of a lower
 triangular factor L (diagonal through softplus, so L L^T is always positive
-definite). Raw actions are mu + L y with y standard normal; squashing to
-the valid action box happens outside the density, so the score function
+definite). Raw actions are mu + L y with y standard normal. This module
+does not know what the action components mean: the caller maps a raw
+sample to the action it executes (the bidders' map is
+`LearningFleet._fractions`), outside the density, so the score function
 keeps the exact Gaussian form:
 
     d ln f / d mu = Sigma^-1 (x - mu)
@@ -33,6 +35,10 @@ def softplus(x):
 
 def softplus_inv(y: float) -> float:
     return float(np.log(np.expm1(y)))
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -129,7 +135,7 @@ class ActorCriticPool:
         d_l = outer[:, self.tril_rows, self.tril_cols]
         diag = L[:, np.arange(self.A), np.arange(self.A)]
         d_l[:, self.diag_positions] -= 1.0 / diag
-        d_l[:, self.diag_positions] *= _sigmoid(lraw[:, self.diag_positions])  # softplus chain
+        d_l[:, self.diag_positions] *= sigmoid(lraw[:, self.diag_positions])  # softplus chain
         return d_mu, d_l
 
     # -- updates -----------------------------------------------------------------
@@ -167,21 +173,3 @@ class ActorCriticPool:
         self.avg_reward *= lam
         self.avg_reward += (1.0 - lam) * u
 
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def squash_action(zeta_raw: np.ndarray, action_dim: int, budgets: np.ndarray) -> np.ndarray:
-    """Map raw samples into the action box.
-
-    The first half of each action vector are backoff components (sigmoid to
-    [0,1]); the second half are prices (clamped to [0, budget]).
-    """
-    half = action_dim // 2
-    out = np.empty_like(zeta_raw)
-    out[..., :half] = _sigmoid(zeta_raw[..., :half])
-    budgets = np.asarray(budgets)
-    cap = budgets[..., None] if budgets.ndim == 1 else budgets
-    out[..., half:] = np.clip(zeta_raw[..., half:], 0.0, cap)
-    return out

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offloadsim.auction import (
     Bid,
@@ -16,6 +18,21 @@ from oracles import check_outcome_against_oracle
 
 def bid(bidder, price, service_type="F1", estimate=3.0, deadline=300):
     return Bid(bidder, service_type, price, estimate, deadline)
+
+
+# grid prices make boundary ties common; floats cover everything else
+PRICES = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0]), st.floats(0.0, 1e6))
+
+
+@st.composite
+def clearing_instances(draw):
+    """(types, {bidder: {type: price}}, slots): up to 10 bidders and 3 types,
+    each bidder bidding on any subset of the types, 0..8 slots per type."""
+    types = ["F1", "F2", "F3"][: draw(st.integers(1, 3))]
+    n_bidders = draw(st.integers(1, 10))
+    prices = {f"m{b}": draw(st.dictionaries(st.sampled_from(types), PRICES)) for b in range(n_bidders)}
+    slots = {t: draw(st.integers(0, 8)) for t in types}
+    return types, prices, slots
 
 
 class TestClearing:
@@ -94,19 +111,11 @@ class TestOracleEquivalence:
         check_outcome_against_oracle(out, bids_by_type, slots)
         return out
 
-    def test_random_instances_match_oracle(self):
-        rng = derive_stream(99, "caser")
-        grid = [1.0, 2.0, 3.0, 4.0]
-        types = ["F1", "F2"]
-        for _ in range(300):
-            n_bidders = 1 + rng.integers(1, 5)
-            prices = {}
-            for b in range(n_bidders):
-                prices[f"m{b}"] = {
-                    t: grid[rng.integers(0, len(grid))] for t in types if rng.uniform() < 0.8
-                }
-            slots = {t: rng.integers(0, 4) for t in types}
-            self.run_case(prices, types, slots, seed=rng.integers(0, 10_000))
+    @settings(max_examples=300, deadline=None)
+    @given(instance=clearing_instances(), seed=st.integers(0, 2**64 - 1))
+    def test_random_instances_match_oracle(self, instance, seed):
+        types, prices, slots = instance
+        self.run_case(prices, types, slots, seed=seed)
 
     def test_price_raise_never_unseats_winner(self):
         # monotonicity: a winner that raises its price keeps winning

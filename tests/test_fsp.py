@@ -43,19 +43,19 @@ class TestEtaSchedule:
         assert EtaSchedule().eta(1) == 1.0
 
     def test_strict_schedule_vanishes(self):
-        sched = EtaSchedule(strict=True)
+        sched = EtaSchedule(floor=0.0)
         assert sched.eta(10_000) == 1e-4
 
     def test_floor_kicks_in_late(self):
-        sched = EtaSchedule(strict=False, floor=0.01, floor_after=100)
+        sched = EtaSchedule(floor=0.01, floor_after=100)
         assert sched.eta(50) == 1 / 50
         assert sched.eta(101) == 0.01
         assert sched.eta(10_000) == 0.01
 
     def test_mixing_count_tracks_harmonic_sum(self):
-        # strict 1/t over T steps: E[best-response choices] = H(T)
+        # pure 1/t over T steps: E[best-response choices] = H(T)
         T = 10_000
-        sched = EtaSchedule(strict=True)
+        sched = EtaSchedule(floor=0.0)
         rng = derive_stream(123, "mixing")
         count = sum(rng.uniform() < sched.eta(t) for t in range(1, T + 1))
         harmonic = sum(1.0 / t for t in range(1, T + 1))
@@ -112,7 +112,7 @@ class TestLearningFleet:
         small = fleet(seed=9, n=2)
         big = LearningFleet(configs(3), codec(), root_seed=9)
         d2 = small.act([None, None], pending_one(2), 2, 0.0, 0.0)
-        d3 = big.act([None, None, None], pending_one(3), 3, 0.0, 0.0)
+        d3 = big.act([None, None, None], pending_one(3), 2, 0.0, 0.0)  # same observation as the small fleet
         assert d2[0] == d3[0]
 
     def test_actor_learns_only_from_its_own_samples(self):
@@ -120,10 +120,10 @@ class TestLearningFleet:
         # executed the behavioural action keeps its actor, the critics all step
         f = fleet(seed=3)
         f.act([None, None], pending_one(), 2, 0.0, 0.0)
-        while f._prev_use_rl.all() or not f._prev_use_rl.any():
+        while f._prev[-1].all() or not f._prev[-1].any():  # last round's use_rl
             assert f.t < 50, "no round mixed the two branches"
             f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
-        br = int(np.flatnonzero(f._prev_use_rl)[0])
+        br = int(np.flatnonzero(f._prev[-1])[0])
         behavioural = 1 - br
         actor_before = [f.pool.actor.flat_view(b) for b in range(2)]
         critic_before = [f.pool.critic.flat_view(b) for b in range(2)]
@@ -151,10 +151,51 @@ class TestLearningFleet:
         for _ in range(8):
             t = f.t
             f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
-            if not f._prev_use_rl.all():
+            if not f._prev[-1].all():
                 needed.append(t)
         assert calls == needed
         assert bool(needed) == (eta < 1.0)
+
+    def test_window_must_match_codec(self):
+        with pytest.raises(ValueError, match="LearnerHyper.window is 2 but the codec's window is 8"):
+            LearningFleet(configs(2), codec(window=8), root_seed=1, hyper=LearnerHyper(window=2))
+
+    def test_reordering_the_fleet_changes_no_agent(self):
+        # the same agents in another order: each agent's directives and its
+        # actor, critic and behaviour parameters stay bit-identical through
+        # mixed pending sets, actor steps and behavioural training
+        n = 4
+        order = [2, 0, 3, 1]  # position -> agent in the reordered fleet
+        cfgs = configs(n)
+        fleets = [
+            (LearningFleet(cfgs, codec(), root_seed=7), list(range(n))),
+            (LearningFleet([cfgs[a] for a in order], codec(), root_seed=7), order),
+        ]
+        rng = derive_stream(11, "pending")
+        feedback = [[None] * n for _ in fleets]  # per fleet, indexed by agent
+        for r in range(120):
+            pending = [
+                {t: (1.0 + rng.integers(0, 30), 200.0) for t in ("F1-300", "F1-50") if rng.uniform() < 0.4}
+                for _ in range(n)
+            ]
+            by_agent = []
+            for (f, agents), fb in zip(fleets, feedback):
+                directives = f.act([fb[a] for a in agents], [pending[a] for a in agents], n, 0.3, (r % 10) / 10)
+                seen = [None] * n
+                for d, a in zip(directives, agents):
+                    seen[a] = d
+                    submitted = {t: value for t, (verb, value) in d.items() if verb == "submit"}
+                    fb[a] = FeedbackSignal(
+                        cfgs[a].bidder_id,
+                        {t: int(p > 40.0) for t, p in submitted.items()},
+                        dict.fromkeys(submitted, 40.0),
+                        0.3,
+                    )
+                by_agent.append(seen)
+            assert by_agent[0] == by_agent[1], r
+            for p, a in enumerate(order):
+                for nets in (lambda f: f.pool.actor, lambda f: f.pool.critic, lambda f: f.behavior.net):
+                    assert np.array_equal(nets(fleets[0][0]).flat_view(a), nets(fleets[1][0]).flat_view(p)), r
 
     def test_frozen_fleet_stops_learning(self):
         f = fleet()
@@ -168,11 +209,26 @@ class TestLearningFleet:
         assert np.array_equal(f.pool.actor.flat_view(0), before)
 
 
+class TestActionMap:
+    def test_boxes(self):
+        # a sigmoid on the backoff half; each price clipped to [0, budget],
+        # then divided by the budget
+        f = fleet(budget=80.0)
+        raw = np.array([[-50.0, 50.0, -3.0, 500.0], [0.0, 0.0, 20.0, 80.0]])
+        out = f._fractions(raw)
+        assert 0.0 <= out[0, 0] < 1e-9
+        assert 1.0 - 1e-9 < out[0, 1] <= 1.0
+        assert out[0, 2] == 0.0
+        assert out[0, 3] == 1.0
+        assert out[1, 0] == out[1, 1] == 0.5
+        assert out[1, 2] == 0.25
+        assert out[1, 3] == 1.0
+
+
 class TestBackoffSemantics:
     def test_backoff_duration_linear_in_component(self):
         # force the behavioral branch to emit a known backoff level
-        f = fleet(seed=2, hyper=LearnerHyper(eta=EtaSchedule(strict=True)))
-        f.frozen = True
+        f = fleet(seed=2)
         f.frozen_eta = 0.0  # always behavioral
         level = 0.3
         f.behavior.predict = lambda states: np.full((2, 4), level)
@@ -184,7 +240,6 @@ class TestBackoffSemantics:
 
     def test_high_component_submits(self):
         f = fleet(seed=2)
-        f.frozen = True
         f.frozen_eta = 0.0
         f.behavior.predict = lambda states: np.full((2, 4), 0.9)
         directives = f.act([None, None], pending_one(), 2, 0.0, 0.0)

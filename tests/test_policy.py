@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from offloadsim.agents import ActorCriticPool, LearningRates, NumericalInstabilityError, td_error
 from offloadsim.agents.nets import dense_gradients
-from offloadsim.agents.policy import softplus_inv, squash_action
+from offloadsim.agents.policy import softplus_inv
 from offloadsim.engine import derive_stream
 
 
@@ -275,12 +275,3 @@ class TestTdError:
             pool.update_avg_reward(np.array([c]))
             assert abs(pool.avg_reward[0] - c) == pytest.approx(c * 0.9**n, rel=1e-9)
 
-
-class TestSquashing:
-    def test_boxes(self):
-        raw = np.array([[-50.0, 50.0, -3.0, 500.0]])
-        out = squash_action(raw, 4, np.array([100.0]))
-        assert 0.0 <= out[0, 0] < 1e-9
-        assert 1.0 - 1e-9 < out[0, 1] <= 1.0
-        assert out[0, 2] == 0.0
-        assert out[0, 3] == 100.0
