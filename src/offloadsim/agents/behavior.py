@@ -34,7 +34,6 @@ class BehaviorPool:
         lr: float = 1e-3,
     ):
         self.B = len(streams)
-        self.state_dim = state_dim
         self.action_dim = action_dim
         self.capacity = capacity
         self.batch_size = batch_size

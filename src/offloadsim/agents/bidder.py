@@ -18,7 +18,19 @@ duration linear in the component.
 
 Active agents of a fleet advance in lock step through batched learners but
 draw all randomness from their own per-agent streams, so fleet composition
-never perturbs an individual agent's trajectory.
+never perturbs an individual agent's trajectory. `LearningFleet.act` runs a
+round in three stages:
+
+1. One pass in, per agent: score last round's actions, encode the step
+   into the newest window row, draw the noise vector, then the eta coin.
+2. The batched learner step: `ActorCriticPool.td_step` on last round's
+   sample, the actor pass and sample, and the behavioural model.
+3. One pass out, per agent: the directives for its pending types.
+
+Each agent draws its noise, then its eta coin, once per round, pending or
+not, learning or frozen, so stage 2 may run for a subset of agents without
+moving any stream. An error raised part-way through stage 1 leaves the
+window shifted and the earlier agents' streams advanced.
 """
 from __future__ import annotations
 
@@ -31,7 +43,7 @@ from ..auction import FeedbackSignal
 from ..engine import derive_stream
 from .behavior import BehaviorPool
 from .features import FeatureCodec, WindowBuffer
-from .policy import ActorCriticPool, LearningRates, sigmoid, td_error
+from .policy import ActorCriticPool, LearningRates, sigmoid
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
 
 
@@ -116,12 +128,11 @@ class LearningFleet:
         self.window = WindowBuffer(self.B, codec.window, codec.step_dim)
         self.t = 1
         self.frozen_eta: Optional[float] = None  # the fixed mixing weight once frozen; None while learning
-        # Last round's (S, raw sample, mu, L, actor cache, use_rl), which
-        # this round's update scores.
+        # Last round's (S, raw sample, actor cache, use_rl), which this
+        # round's TD step scores.
         self._prev: Optional[tuple] = None
-        self._last_submitted: list[dict[str, float]] = [{} for _ in range(self.B)]
-        self._last_backed: list[int] = [0] * self.B
-        self._step_buf = np.zeros((self.B, codec.step_dim))
+        # Per agent, last round's ({submitted type: valuation}, backoff count).
+        self._last_actions: list[tuple[dict[str, float], int]] = [({}, 0)] * self.B
 
     # -- mode switches ---------------------------------------------------------
 
@@ -131,20 +142,6 @@ class LearningFleet:
         self.frozen_eta = self.hyper.eta.eta(self.t)
 
     # -- the per-round step ------------------------------------------------------
-
-    def round_utilities(self, feedbacks: Sequence[Optional[FeedbackSignal]], beta: float) -> np.ndarray:
-        """Utility of last round's actions given this round's feedback."""
-        u = np.zeros(self.B)
-        for b, config in enumerate(self.configs):
-            terms = []
-            fb = feedbacks[b]
-            for service_type, v in self._last_submitted[b].items():
-                x = fb.outcomes.get(service_type, 0) if fb else 0
-                p = fb.prices.get(service_type, 0.0) if fb else 0.0
-                terms.append(utility_per_type(x, v, p, config.lost_bid_cost, config.backoff_cost, True))
-            terms.extend([config.backoff_cost] * self._last_backed[b])
-            u[b] = utility_total(terms, beta, config.utilization_weight)
-        return u
 
     def act(
         self,
@@ -156,50 +153,49 @@ class LearningFleet:
     ) -> list[dict[str, tuple]]:
         """Advance one decision round; returns per-agent directives
         {type: ("submit", price) | ("backoff", duration_ms)} for pending types."""
-        utilities = self.round_utilities(feedbacks, beta)
-
+        # 1. one pass in: score, encode, draw
+        learning = self.frozen_eta is None
+        eta = self.hyper.eta.eta(self.t) if learning else self.frozen_eta
         env = (float(n_present), beta, phase)
-        for b in range(self.B):
+        utilities = np.zeros(self.B)
+        noise = np.empty((self.B, self.action_dim))
+        coins = np.empty(self.B)
+        steps = self.window.shift()
+        for b, config in enumerate(self.configs):
             fb = feedbacks[b]
-            prices_prev = fb.prices if fb else {}
-            self.codec.encode_step(pending[b], env, prices_prev, float(utilities[b]), out=self._step_buf[b])
-        sl_states = np.take(self._step_buf, self.codec.sl_columns, axis=1)
-
-        self.window.push(self._step_buf)
+            outcomes, prices = (fb.outcomes, fb.prices) if fb else ({}, {})
+            submitted, backed = self._last_actions[b]  # scored on this round's feedback
+            c, q = config.lost_bid_cost, config.backoff_cost
+            terms = [
+                utility_per_type(outcomes.get(t, 0), v, prices.get(t, 0.0), c, q, True) for t, v in submitted.items()
+            ]
+            terms.extend([q] * backed)
+            utilities[b] = utility_total(terms, beta, config.utilization_weight)
+            self.codec.encode_step(pending[b], env, prices, float(utilities[b]), out=steps[b])
+            noise[b] = self.act_streams[b].standard_normal(self.action_dim)
+            coins[b] = self.act_streams[b].uniform()
+        use_rl = coins < eta
+        sl_states = np.take(steps, self.codec.sl_columns, axis=1)
         flat = self.window.flat().copy()
 
-        learning = self.frozen_eta is None
+        # 2. the batched learner step
         if learning and self._prev is not None:
-            prev_flat, *prev_sample, prev_use_rl = self._prev
-            v_prev, v_now, critic_cache = self.pool.critic_eval(prev_flat, flat)
-            delta = td_error(utilities, self.pool.avg_reward, v_now, v_prev)
-            self.pool.update(delta, *prev_sample, critic_cache, prev_use_rl)
-            self.pool.update_avg_reward(utilities)
-
+            prev_flat, prev_raw, prev_cache, prev_use_rl = self._prev
+            self.pool.td_step(prev_flat, flat, utilities, prev_raw, prev_cache, prev_use_rl)
         mu, L, actor_cache = self.pool.actor_forward(flat)
-        noise = np.stack([s.standard_normal(self.action_dim) for s in self.act_streams])
         zeta_raw = self.pool.sample_raw(mu, L, noise)
-
-        eta = self.hyper.eta.eta(self.t) if learning else self.frozen_eta
-        use_rl = np.array([s.uniform() < eta for s in self.act_streams])
-
         executed = self._fractions(zeta_raw)
         if not use_rl.all():  # the behavioural model is asked only when someone needs it
             executed = np.where(use_rl[:, None], executed, self.behavior.predict(sl_states))
-
         if learning:
             self.behavior.store(sl_states, executed)
-            if (
-                self.t % self.hyper.sl_train_interval == 0
-                and self.behavior.count >= self.behavior.batch_size
-            ):
+            if self.t % self.hyper.sl_train_interval == 0 and self.behavior.count >= self.behavior.batch_size:
                 self.behavior.train_step(self.sl_streams)
-
-        directives = self._directives(executed, pending)
-
-        self._prev = (flat, zeta_raw, mu, L, actor_cache, use_rl)
+        self._prev = (flat, zeta_raw, actor_cache, use_rl)
         self.t += 1
-        return directives
+
+        # 3. one pass out
+        return self._directives(executed, pending)
 
     # -- the action map ------------------------------------------------------------
 
@@ -232,8 +228,7 @@ class LearningFleet:
                     duration = max(1, round(alpha * config.max_backoff_ms))
                     agent_directives[service_type] = (BACKOFF, duration)
                     backed += 1
-            self._last_submitted[b] = submitted
-            self._last_backed[b] = backed
+            self._last_actions[b] = (submitted, backed)
             directives.append(agent_directives)
         return directives
 

@@ -89,10 +89,11 @@ class WindowBuffer:
     def __init__(self, n_agents: int, window: int, step_dim: int):
         self.data = np.zeros((n_agents, window, step_dim))
 
-    def push(self, steps: np.ndarray):
-        """Shift every agent's window left by one and append the new step."""
+    def shift(self) -> np.ndarray:
+        """Shift every agent's window left by one; returns the (B, step_dim)
+        view of the newest row, which the caller overwrites with the step."""
         self.data[:, :-1, :] = self.data[:, 1:, :]
-        self.data[:, -1, :] = steps
+        return self.data[:, -1, :]
 
     def flat(self) -> np.ndarray:
         """(B, window*step_dim) view suitable as learner input."""

@@ -44,6 +44,8 @@ import numpy as np
 
 from ..engine import RngStream
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamState's moment decays and denominator guard
+
 
 class NumericalInstabilityError(FloatingPointError):
     """Gradients stopped being finite: learning rates are diverging."""
@@ -68,7 +70,6 @@ class StackedMlp:
         heads: Mapping[str, tuple],
     ):
         self.B = len(streams)
-        self.input_dim = input_dim
         self.hidden = tuple(hidden)
         self.head_names = tuple(heads)
         self.last_grad_norms = np.zeros(self.B)
@@ -243,12 +244,9 @@ def dense_gradients(factors: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> dic
 class AdamState:
     """Adam moments for one StackedMlp (used by the behavioral model)."""
 
-    def __init__(self, net: StackedMlp, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, net: StackedMlp, lr: float = 1e-3):
         self.net = net
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in net.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in net.params.items()}
@@ -256,13 +254,13 @@ class AdamState:
     def step(self, factors: Mapping[str, tuple[np.ndarray, np.ndarray]]):
         """Descent step on the gradients given as `StackedMlp.backward` factors."""
         self.t += 1
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
+        bias1 = 1.0 - ADAM_BETA1**self.t
+        bias2 = 1.0 - ADAM_BETA2**self.t
         for k, g in dense_gradients(factors).items():
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            self.net.params[k] -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            self.net.params[k] -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)

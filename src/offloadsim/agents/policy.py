@@ -14,9 +14,10 @@ keeps the exact Gaussian form:
 (the mu-gradient uses the inverse covariance; finite-difference tests pin
 this down). Updates are plain gradient steps weighted by the TD error
 delta = u - u_bar + V(S') - V(S), with u_bar an exponential moving average
-of past rewards. The critic steps for every agent; the actor steps only for
-agents whose executed action was the sample drawn from this policy, since
-the score of any other action is not a policy gradient.
+of past rewards; `ActorCriticPool.td_step` is the whole step, from the
+critic pass to the new u_bar. The critic steps for every agent; the actor
+steps only for agents whose executed action was the sample drawn from this
+policy, since the score of any other action is not a policy gradient.
 """
 from __future__ import annotations
 
@@ -66,14 +67,13 @@ class ActorCriticPool:
         streams: Sequence[RngStream],
         input_dim: int,
         action_dim: int,
+        rates: LearningRates,
         hidden: tuple[int, ...] = (64, 32),
-        rates: LearningRates = LearningRates(),
         init_std: float = 0.5,
         mu_bias_init=0.0,
     ):
         self.B = len(streams)
         self.A = action_dim
-        self.input_dim = input_dim
         self.rates = rates
         self.tril_rows, self.tril_cols = np.tril_indices(action_dim)
         self.diag_positions = np.flatnonzero(self.tril_rows == self.tril_cols)
@@ -108,7 +108,8 @@ class ActorCriticPool:
         return v[:, 0], v[:, 1], self.critic.input_cache(cache, 0)
 
     def actor_forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """(mu (B,A), L (B,A,A), cache) with softplus-positive diagonal."""
+        """(mu (B,A), L (B,A,A), cache) with softplus-positive diagonal. The
+        cache also carries mu, L and the raw L entries, for `update`."""
         outputs, cache = self.actor.forward(x)
         mu = outputs["mu"]
         lraw = outputs["lraw"]
@@ -116,7 +117,7 @@ class ActorCriticPool:
         values = lraw.copy()
         values[:, self.diag_positions] = softplus(lraw[:, self.diag_positions])
         L[:, self.tril_rows, self.tril_cols] = values
-        cache["lraw"] = lraw
+        cache.update(mu=mu, L=L, lraw=lraw)
         return mu, L, cache
 
     def sample_raw(self, mu: np.ndarray, L: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -125,8 +126,9 @@ class ActorCriticPool:
 
     # -- score function ----------------------------------------------------------
 
-    def _density_grads(self, zeta_raw, mu, L, lraw):
-        """Per-agent gradients of ln f w.r.t. mu and the raw L entries."""
+    def _density_grads(self, zeta_raw, actor_cache):
+        """Per-agent gradients of ln f w.r.t. mu and the raw L entries, at an `actor_forward` cache."""
+        mu, L, lraw = actor_cache["mu"], actor_cache["L"], actor_cache["lraw"]
         r = (zeta_raw - mu)[:, :, None]
         z = np.linalg.solve(L, r)  # (B, A, 1)
         w = np.linalg.solve(L.transpose(0, 2, 1), z)[:, :, 0]  # Sigma^-1 (x - mu)
@@ -140,30 +142,34 @@ class ActorCriticPool:
 
     # -- updates -----------------------------------------------------------------
 
-    def update(
-        self,
-        delta: np.ndarray,
-        zeta_raw: np.ndarray,
-        mu: np.ndarray,
-        L: np.ndarray,
-        actor_cache: dict,
-        critic_cache: dict,
-        sampled: np.ndarray,
-    ):
+    def td_step(self, x, x_next, u, zeta_raw, actor_cache, sampled):
+        """One average-reward TD step from state x (S) to x_next (S'), both
+        (B, input_dim).
+
+        u (B,) is the reward collected between them, zeta_raw the raw sample
+        drawn at S by the `actor_forward` pass whose cache is actor_cache.
+        delta = u - u_bar + V(S') - V(S) steps the critic and (for the
+        agents in `sampled`) the actor; u then enters u_bar.
+        """
+        v, v_next, critic_cache = self.critic_eval(x, x_next)
+        delta = td_error(u, self.avg_reward, v_next, v)
+        self.update(delta, zeta_raw, actor_cache, critic_cache, sampled)
+        self.update_avg_reward(u)
+
+    def update(self, delta: np.ndarray, zeta_raw: np.ndarray, actor_cache: dict, critic_cache: dict, sampled):
         """One critic gradient step for every agent and one actor step for
         the agents flagged in `sampled`.
 
         critic_cache must be the S cache of a fresh `critic_eval` and
-        actor_cache the pass that produced (mu, L) at S; delta is the
-        per-agent TD error and zeta_raw the raw sample drawn at S. `sampled`
-        (B,) marks the agents that executed that sample; the others keep
-        their actor parameters.
+        actor_cache the `actor_forward` pass at S; delta is the per-agent TD
+        error and zeta_raw the raw sample drawn at S. `sampled` (B,) marks
+        the agents that executed that sample; the others keep their actor.
         """
         if not np.all(np.isfinite(delta)):
             raise NumericalInstabilityError(f"non-finite TD error: {delta}")
         critic_factors = self.critic.backward(critic_cache, {"v": np.ones((self.B, 1))})
         self.critic.apply_gradients(critic_factors, self.rates.critic * delta, clip_norm=self.rates.grad_clip)
-        d_mu, d_l = self._density_grads(zeta_raw, mu, L, actor_cache["lraw"])
+        d_mu, d_l = self._density_grads(zeta_raw, actor_cache)
         actor_factors = self.actor.backward(actor_cache, {"mu": d_mu, "lraw": d_l})
         actor_step = np.where(sampled, self.rates.actor * delta, 0.0)
         self.actor.apply_gradients(actor_factors, actor_step, clip_norm=self.rates.grad_clip)

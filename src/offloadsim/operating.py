@@ -78,10 +78,17 @@ class ComputingSite:
         sigma_utilization: float = 0.0,
         sigma_work: float = 0.0,
     ):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if not 0 < capacity < math.inf:
+            raise ValueError(f"capacity must be finite and positive, got {capacity}")
         if report_delay_ms < 0:
             raise ValueError("report_delay_ms must be >= 0")
+        for name, sigma in (
+            ("sigma_delay_ms", sigma_delay_ms),
+            ("sigma_utilization", sigma_utilization),
+            ("sigma_work", sigma_work),
+        ):
+            if not 0 <= sigma < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
         self.site_id = site_id
         self.capacity = float(capacity)
         self.servers = int(math.floor(capacity))

@@ -3,6 +3,7 @@ modulated Poisson arrivals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -22,8 +23,8 @@ class TaskSpec:
     resource_units: float  # work volume: served in one ms by one resource unit
 
     def __post_init__(self):
-        if self.resource_units <= 0:
-            raise ValueError(f"task {self.task_id}: resource_units must be > 0")
+        if not 0 < self.resource_units < math.inf:
+            raise ValueError(f"task {self.task_id}: resource_units must be finite and > 0, got {self.resource_units}")
 
 
 @dataclass(frozen=True)
@@ -38,18 +39,14 @@ class ServiceTypeSpec:
             raise ValueError(f"service type {self.type_id}: task_chain must be non-empty")
         if self.deadline_ms <= 0:
             raise ValueError(f"service type {self.type_id}: deadline_ms must be positive")
+        if not 0 <= self.probability < math.inf:
+            raise ValueError(
+                f"service type {self.type_id}: probability must be finite and >= 0, got {self.probability}"
+            )
 
     @cached_property
     def total_units(self) -> float:
         return sum(t.resource_units for t in self.task_chain)
-
-
-def validate_catalog(catalog: Sequence[ServiceTypeSpec], tol: float = 1e-9):
-    if not catalog:
-        raise EmptyCatalogError("catalog is empty")
-    total = sum(s.probability for s in catalog)
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"catalog probabilities sum to {total}, expected 1")
 
 
 def normalize_catalog(catalog: Sequence[ServiceTypeSpec]) -> list[ServiceTypeSpec]:
@@ -99,8 +96,8 @@ class MmppState:
     ms_into_epoch: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.lambda_low < self.lambda_high):
-            raise ValueError("need 0 <= lambda_low < lambda_high")
+        if not (0 <= self.lambda_low < self.lambda_high < math.inf):
+            raise ValueError(f"need 0 <= lambda_low < lambda_high < inf, got {self.lambda_low}, {self.lambda_high}")
         if not (0 <= self.p_high <= 1 and 0 <= self.p_low <= 1):
             raise ValueError("switch probabilities must be in [0,1]")
         if self.regime not in ("High", "Low"):

@@ -90,7 +90,7 @@ class TestWindow:
     def test_fresh_window_is_zero_padded(self):
         c = codec()
         buf = WindowBuffer(1, c.window, c.step_dim)
-        buf.push(c.encode_step(**step())[None, :])
+        c.encode_step(**step(), out=buf.shift()[0])
         data = buf.data[0]
         assert np.all(data[:-1] == 0.0)
         assert data[-1].any()
@@ -102,5 +102,5 @@ class TestWindow:
         for k in range(5):
             vec = c.encode_step(**step(utility_prev=float(k)))
             marks.append(vec[-1])
-            buf.push(vec[None, :])
+            buf.shift()[0] = vec
         assert list(buf.data[0, :, -1]) == marks[-3:]

@@ -197,6 +197,28 @@ class TestLearningFleet:
                 for nets in (lambda f: f.pool.actor, lambda f: f.pool.critic, lambda f: f.behavior.net):
                     assert np.array_equal(nets(fleets[0][0]).flat_view(a), nets(fleets[1][0]).flat_view(p)), r
 
+    def test_each_agent_draws_noise_then_coin_every_round(self):
+        # every round, pending or not, learning or frozen, each act stream
+        # gives one noise vector and one eta coin; each sl stream gives one
+        # minibatch draw per behavioural training
+        f = fleet(seed=6, hyper=LearnerHyper(window=4, sl_batch_size=4, sl_train_interval=3))
+        train_step = f.behavior.train_step
+        trainings = []
+        f.behavior.train_step = lambda streams: trainings.append(f.t) or train_step(streams)
+        pendings = [pending_one(), [{}, {}], [{}, {"F1-300": (3.0, 200.0)}]]
+        feedback = [None, None]
+        for r in range(24):
+            if r == 12:
+                f.freeze()
+            act_before = [s.draw_counter for s in f.act_streams]
+            sl_before = [s.draw_counter for s in f.sl_streams]
+            trained = len(trainings)
+            f.act(feedback, pendings[r % 3], 2, 0.3, 0.0)
+            feedback = self.feedback()
+            assert [s.draw_counter for s in f.act_streams] == [n + 2 for n in act_before], r
+            assert [s.draw_counter for s in f.sl_streams] == [n + len(trainings) - trained for n in sl_before], r
+        assert trainings == [6, 9, 12]  # none once frozen at t = 13
+
     def test_frozen_fleet_stops_learning(self):
         f = fleet()
         f.act([None, None], pending_one(), 2, 0.0, 0.0)

@@ -18,13 +18,16 @@ from offloadsim.gametheory import (
     check_potential_identity,
     enumerate_pure_ne,
     linear_fit_interior,
+    player_action_space,
     pareto_fairness_check,
     potential_value,
     potential_identity_sweep,
     random_uncontended_game,
     uncontended_utility,
     welfare,
+    _expected_round_utilities,
 )
+from oracles import enumerate_best_responses
 
 
 def two_player_game(q=1.0, w=1.0, capacity=10.0, omega=2.0):
@@ -116,6 +119,22 @@ class TestEquilibriumEnumeration:
         with pytest.raises(TooLargeError):
             enumerate_pure_ne(game)
 
+    @pytest.mark.parametrize("contended", [False, True])
+    def test_enumeration_matches_naive_oracle(self, contended):
+        # the full payoff table over every joint grid action, searched by the
+        # independent brute-force oracle
+        game = two_player_game()
+        if contended:
+            players = [StaticPlayer({"T": 0.2}, {"T": 2.0}, {"T": v}, 0.5, 10.0) for v in (6.0, 5.0, 4.0)]
+            game = StaticGame(
+                players, capacity=10.0, utilization_weight=1.0, price_levels=(0.0, 2.0, 4.0, 6.0), slots={"T": 1}
+            )
+        spaces = [player_action_space(game, i) for i in range(len(game.players))]
+        payoffs = {profile: _expected_round_utilities(game, profile) for profile in itertools.product(*spaces)}
+        ne = enumerate_pure_ne(game)
+        assert ne
+        assert set(ne) == set(enumerate_best_responses(payoffs))
+
     def test_contended_static_clear_matches_auction_module(self):
         # tie-free: the expected-utility clearing must agree with a real clear
         players = [
@@ -125,8 +144,6 @@ class TestEquilibriumEnumeration:
         ]
         game = StaticGame(players, capacity=100.0, utilization_weight=0.0, slots={"T": 1})
         actions = (((1.0,), (5.0,)), ((1.0,), (4.0,)), ((1.0,), (3.0,)))
-        from offloadsim.gametheory import _expected_round_utilities
-
         utils = _expected_round_utilities(game, actions)
         rng = derive_stream(0, "auction")
         outcome = clear_auction(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from offloadsim.agents import ActorCriticPool, NumericalInstabilityError, StackedMlp
+from offloadsim.agents import ActorCriticPool, LearningRates, NumericalInstabilityError, StackedMlp
 from offloadsim.engine import derive_stream
 
 INPUT_DIM = 6
@@ -139,7 +139,11 @@ class TestApplyGradients:
 
     def test_nonfinite_norm_names_agent_and_layer(self):
         pool = ActorCriticPool(
-            [derive_stream(b, f"agent/m{b}/init") for b in range(3)], input_dim=INPUT_DIM, action_dim=2, hidden=HIDDEN
+            [derive_stream(b, f"agent/m{b}/init") for b in range(3)],
+            input_dim=INPUT_DIM,
+            action_dim=2,
+            rates=LearningRates(),
+            hidden=HIDDEN,
         )
         x = derive_stream(7, "x").standard_normal((3, INPUT_DIM))
         x[1, 2] = np.inf
@@ -150,7 +154,7 @@ class TestApplyGradients:
         with np.errstate(invalid="ignore"), pytest.raises(
             NumericalInstabilityError, match=r"agents \[1\]: W0 of agents \[1\]"
         ):
-            pool.update(np.full(3, 0.5), zeta, mu, L, actor_cache, critic_cache, np.ones(3, dtype=bool))
+            pool.update(np.full(3, 0.5), zeta, actor_cache, critic_cache, np.ones(3, dtype=bool))
         assert np.array_equal(pool.critic.flat_view(1), before)
 
 

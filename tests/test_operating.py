@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,6 +204,21 @@ class TestEstimates:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             make_site().update_service_estimate("F2", 0.0)
+
+
+class TestSiteParameters:
+    @pytest.mark.parametrize("capacity", [0.0, math.inf, math.nan])
+    def test_bad_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            make_site(capacity=capacity)
+
+    # a negative or NaN sigma would silently turn its noise off; an infinite
+    # sigma_utilization would make every report 0.0 or 1.0
+    @pytest.mark.parametrize("name", ["sigma_delay_ms", "sigma_utilization", "sigma_work"])
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_bad_sigma_rejected(self, name, sigma):
+        with pytest.raises(ValueError, match=name):
+            make_site(**{name: sigma})
 
 
 class TestReports:

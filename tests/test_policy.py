@@ -12,11 +12,12 @@ from offloadsim.agents.policy import softplus_inv
 from offloadsim.engine import derive_stream
 
 
-def small_pool(seed=0, input_dim=12, action_dim=4, hidden=(6, 5), **kw):
+def small_pool(seed=0, input_dim=12, action_dim=4, hidden=(6, 5), rates=None, **kw):
     return ActorCriticPool(
         [derive_stream(seed, "agent/m0/init")],
         input_dim=input_dim,
         action_dim=action_dim,
+        rates=rates or LearningRates(),
         hidden=hidden,
         **kw,
     )
@@ -98,7 +99,10 @@ class TestCritic:
 def test_two_state_critic_eval_matches_one_state_passes(n_agents, seed, zero_tenths, step_size):
     # the benchmark's critic shape: a 352-wide zero-padded window, (64, 32) hidden
     pool = ActorCriticPool(
-        [derive_stream(seed, f"agent/m{b}/init") for b in range(n_agents)], input_dim=352, action_dim=4
+        [derive_stream(seed, f"agent/m{b}/init") for b in range(n_agents)],
+        input_dim=352,
+        action_dim=4,
+        rates=LearningRates(),
     )
     rng = derive_stream(seed, "states")
     x, x_next = rng.standard_normal((2, n_agents, 352))
@@ -148,7 +152,9 @@ class TestActorForward:
 
     def test_covariance_factor_is_positive_definite(self):
         streams = [derive_stream(s, f"agent/m{s}/init") for s in range(200)]
-        pool = ActorCriticPool(streams, input_dim=12, action_dim=4, hidden=(6, 5), init_std=0.3)
+        pool = ActorCriticPool(
+            streams, input_dim=12, action_dim=4, rates=LearningRates(), hidden=(6, 5), init_std=0.3
+        )
         rng = derive_stream(11, "x")
         for _ in range(5):
             x = rng.standard_normal((200, 12))
@@ -195,7 +201,7 @@ class TestScoreGradients:
         x = derive_stream(3, "x").standard_normal((1, 12))
         mu, L, cache = pool.actor_forward(x)
         zeta = mu + 0.37
-        d_mu, _ = pool._density_grads(zeta, mu, L, cache["lraw"])
+        d_mu, _ = pool._density_grads(zeta, cache)
         sigma2 = float(L[0, 0, 0]) ** 2
         assert d_mu[0, 0] == pytest.approx(0.37 / sigma2)
 
@@ -216,7 +222,7 @@ class TestScoreGradients:
             fd = central_difference(f, flat0)
             pool.actor.load_flat(0, flat0)
             mu, L, cache = pool.actor_forward(x)
-            d_mu, d_l = pool._density_grads(zeta, mu, L, cache["lraw"])
+            d_mu, d_l = pool._density_grads(zeta, cache)
             factors = pool.actor.backward(cache, {"mu": d_mu, "lraw": d_l})
             analytic = flat_grads(pool.actor, factors)
             assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
@@ -231,13 +237,17 @@ class TestUpdates:
         zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
         before_actor = pool.actor.flat_view(0)
         before_critic = pool.critic.flat_view(0)
-        pool.update(np.zeros(1), zeta, mu, L, actor_cache, critic_cache, np.ones(1, dtype=bool))
+        pool.update(np.zeros(1), zeta, actor_cache, critic_cache, np.ones(1, dtype=bool))
         assert np.array_equal(pool.actor.flat_view(0), before_actor)
         assert np.array_equal(pool.critic.flat_view(0), before_critic)
 
     def test_actor_steps_only_for_sampled_agents(self):
         pool = ActorCriticPool(
-            [derive_stream(0, f"agent/m{b}/init") for b in range(2)], input_dim=12, action_dim=4, hidden=(6, 5)
+            [derive_stream(0, f"agent/m{b}/init") for b in range(2)],
+            input_dim=12,
+            action_dim=4,
+            rates=LearningRates(),
+            hidden=(6, 5),
         )
         x = derive_stream(3, "x").standard_normal((2, 12))
         _, _, critic_cache = pool.critic_eval(x, x)
@@ -245,7 +255,7 @@ class TestUpdates:
         zeta = pool.sample_raw(mu, L, np.ones((2, 4)))
         actor_before = [pool.actor.flat_view(b) for b in range(2)]
         critic_before = [pool.critic.flat_view(b) for b in range(2)]
-        pool.update(np.full(2, 0.5), zeta, mu, L, actor_cache, critic_cache, np.array([False, True]))
+        pool.update(np.full(2, 0.5), zeta, actor_cache, critic_cache, np.array([False, True]))
         assert np.array_equal(pool.actor.flat_view(0), actor_before[0])
         assert not np.array_equal(pool.actor.flat_view(1), actor_before[1])
         for b in range(2):
@@ -258,7 +268,7 @@ class TestUpdates:
         mu, L, actor_cache = pool.actor_forward(x)
         zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
         with pytest.raises(NumericalInstabilityError):
-            pool.update(np.array([np.inf]), zeta, mu, L, actor_cache, critic_cache, np.ones(1, dtype=bool))
+            pool.update(np.array([np.inf]), zeta, actor_cache, critic_cache, np.ones(1, dtype=bool))
 
 
 class TestTdError:

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import math
+
 import pytest
 from scipy import stats
 
@@ -15,7 +17,6 @@ from offloadsim.workload import (
     normalize_catalog,
     sample_service_request,
     synthetic_catalog,
-    validate_catalog,
 )
 
 
@@ -94,6 +95,11 @@ class TestMmpp:
         with pytest.raises(ValueError):
             MmppState("High", lambda_high=0.1, lambda_low=0.2, p_high=0.5, p_low=0.5)
 
+    def test_infinite_high_rate_rejected(self):
+        # every gap would be 0.0: the next arrival would never leave its millisecond
+        with pytest.raises(ValueError, match="lambda_high"):
+            high_regime_state(lambda_high=math.inf)
+
 
 class TestCatalog:
     def test_paper_share_is_sampling_weight(self):
@@ -102,7 +108,6 @@ class TestCatalog:
             ServiceTypeSpec("F1-300", (TaskSpec("F1", 3.0),), 300, 0.1875),
             ServiceTypeSpec("other", (TaskSpec("F1", 3.0),), 300, 0.8125),
         ]
-        validate_catalog(catalog)
         rng = derive_stream(5, "catalog")
         n = 100_000
         hits = sum(sample_service_request(catalog, rng).type_id == "F1-300" for _ in range(n))
@@ -121,7 +126,7 @@ class TestCatalog:
 
     def test_synthetic_catalog_is_normalized(self):
         catalog = synthetic_catalog()
-        validate_catalog(catalog)
+        assert sum(s.probability for s in catalog) == pytest.approx(1.0, abs=1e-9)
         # raw shares summed to 112.5%; each entry is rescaled by 1/1.125
         by_id = {s.type_id: s for s in catalog}
         assert by_id["F1-300"].probability == pytest.approx(0.1875 / 1.125)
@@ -145,3 +150,15 @@ class TestCatalog:
             sample_service_request([], rng)
         with pytest.raises(EmptyCatalogError):
             normalize_catalog([])
+
+    @pytest.mark.parametrize("units", [math.nan, math.inf])
+    def test_non_finite_work_rejected(self, units):
+        with pytest.raises(ValueError, match="resource_units"):
+            TaskSpec("F1", units)
+
+    @pytest.mark.parametrize("share", [math.nan, math.inf, -0.5])
+    def test_bad_share_rejected(self, share):
+        # NaN turns every normalized share into NaN, and a negative share
+        # makes the cumulative sampler skip the next type
+        with pytest.raises(ValueError, match="probability"):
+            ServiceTypeSpec("F1-300", (TaskSpec("F1", 3.0),), 300, share)
