@@ -50,9 +50,10 @@ class BehaviorPool:
         self._ptr = (self._ptr + 1) % self.capacity
         self.count = min(self.count + 1, self.capacity)
 
-    def predict(self, states: np.ndarray) -> np.ndarray:
-        """Normalized actions in [0,1]; states (B, state_dim)."""
-        outputs, _ = self.net.forward(states)
+    def predict(self, states: np.ndarray, agents=slice(None)) -> np.ndarray:
+        """Normalized actions in [0,1]; states (n, state_dim), row r for
+        agent agents[r]."""
+        outputs, _ = self.net.forward(states, agents)
         return np.clip(outputs["a"], 0.0, 1.0)
 
     def train_step(self, streams: Sequence[RngStream]) -> float:

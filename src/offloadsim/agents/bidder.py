@@ -18,14 +18,27 @@ duration linear in the component.
 
 Active agents of a fleet advance in lock step through batched learners but
 draw all randomness from their own per-agent streams, so fleet composition
-never perturbs an individual agent's trajectory. `LearningFleet.act` runs a
-round in three stages:
+never perturbs an individual agent's trajectory. Only agents with a pending
+request decide; the others are idle once they have no feedback and no
+previous-round action to score. `LearningFleet.act` runs a round in three
+stages:
 
-1. One pass in, per agent: score last round's actions, encode the step
-   into the newest window row, draw the noise vector, then the eta coin.
+1. One pass in over every agent: score last round's actions and encode the
+   step into the newest window row, then draw the noise vector, then the
+   eta coin. Idle agents' rows and rewards are written in bulk
+   (`FeatureCodec.encode_idle`, `utility_total` over the fleet's weights),
+   which is the same arithmetic per element; only the others are scored
+   and encoded one by one.
 2. The batched learner step: `ActorCriticPool.td_step` on last round's
-   sample, the actor pass and sample, and the behavioural model.
-3. One pass out, per agent: the directives for its pending types.
+   sample, the actor pass and sample, and the behavioural model. While
+   learning it runs for every agent, since the critic, the actor cache and
+   the behavioural memory take every row. Once frozen it runs only on the
+   deciding agents' rows, reading only their weights, and not at all when
+   none decides. That is bit-identical to the full batch: matmul makes the
+   same per-agent product whichever agents run beside it, and the rest of
+   the step is per row.
+3. One pass out over the deciding agents: the directives for their pending
+   types. Every other agent gets none and nothing to score next round.
 
 Each agent draws its noise, then its eta coin, once per round, pending or
 not, learning or frozen, so stage 2 may run for a subset of agents without
@@ -79,6 +92,7 @@ class LearnerHyper:
 
 SUBMIT = "submit"
 BACKOFF = "backoff"
+NO_ACTIONS: tuple[dict[str, float], int] = ({}, 0)  # an agent's round with nothing pending
 
 
 class LearningFleet:
@@ -102,6 +116,7 @@ class LearningFleet:
         self.k = codec.k
         self.action_dim = 2 * codec.k
         self.budgets = np.array([c.budget for c in configs])
+        self.weights = np.array([c.utilization_weight for c in configs])
         init_streams = [derive_stream(root_seed, f"agent/{c.bidder_id}/init") for c in configs]
         self.act_streams = [derive_stream(root_seed, f"agent/{c.bidder_id}/act") for c in configs]
         self.sl_streams = [derive_stream(root_seed, f"agent/{c.bidder_id}/sl") for c in configs]
@@ -132,7 +147,7 @@ class LearningFleet:
         # round's TD step scores.
         self._prev: Optional[tuple] = None
         # Per agent, last round's ({submitted type: valuation}, backoff count).
-        self._last_actions: list[tuple[dict[str, float], int]] = [({}, 0)] * self.B
+        self._last_actions: list[tuple[dict[str, float], int]] = [NO_ACTIONS] * self.B
 
     # -- mode switches ---------------------------------------------------------
 
@@ -140,6 +155,7 @@ class LearningFleet:
         """Stop all learning; keep acting with the mixing weight fixed at its
         current value."""
         self.frozen_eta = self.hyper.eta.eta(self.t)
+        self._prev = None  # no TD step will score it
 
     # -- the per-round step ------------------------------------------------------
 
@@ -153,83 +169,97 @@ class LearningFleet:
     ) -> list[dict[str, tuple]]:
         """Advance one decision round; returns per-agent directives
         {type: ("submit", price) | ("backoff", duration_ms)} for pending types."""
-        # 1. one pass in: score, encode, draw
+        # 1. one pass in: score and encode the agents that are not idle, draw for all
         learning = self.frozen_eta is None
         eta = self.hyper.eta.eta(self.t) if learning else self.frozen_eta
         env = (float(n_present), beta, phase)
-        utilities = np.zeros(self.B)
+        utilities = utility_total([], beta, self.weights)  # an idle round's, for every agent
+        steps = self.codec.encode_idle(env, utilities, self.window.shift())
         noise = np.empty((self.B, self.action_dim))
         coins = np.empty(self.B)
-        steps = self.window.shift()
+        deciding = []  # the agents with a pending request, in fleet order
         for b, config in enumerate(self.configs):
             fb = feedbacks[b]
-            outcomes, prices = (fb.outcomes, fb.prices) if fb else ({}, {})
             submitted, backed = self._last_actions[b]  # scored on this round's feedback
-            c, q = config.lost_bid_cost, config.backoff_cost
-            terms = [
-                utility_per_type(outcomes.get(t, 0), v, prices.get(t, 0.0), c, q, True) for t, v in submitted.items()
-            ]
-            terms.extend([q] * backed)
-            utilities[b] = utility_total(terms, beta, config.utilization_weight)
-            self.codec.encode_step(pending[b], env, prices, float(utilities[b]), out=steps[b])
+            if pending[b]:
+                deciding.append(b)
+            if fb is not None or submitted or backed or pending[b]:
+                outcomes, prices = (fb.outcomes, fb.prices) if fb else ({}, {})
+                c, q = config.lost_bid_cost, config.backoff_cost
+                terms = [
+                    utility_per_type(outcomes.get(t, 0), v, prices.get(t, 0.0), c, q, True)
+                    for t, v in submitted.items()
+                ]
+                terms.extend([q] * backed)
+                utilities[b] = utility_total(terms, beta, config.utilization_weight)
+                self.codec.encode_step(pending[b], env, prices, float(utilities[b]), out=steps[b])
             noise[b] = self.act_streams[b].standard_normal(self.action_dim)
             coins[b] = self.act_streams[b].uniform()
         use_rl = coins < eta
-        sl_states = np.take(steps, self.codec.sl_columns, axis=1)
-        flat = self.window.flat().copy()
 
-        # 2. the batched learner step
-        if learning and self._prev is not None:
-            prev_flat, prev_raw, prev_cache, prev_use_rl = self._prev
-            self.pool.td_step(prev_flat, flat, utilities, prev_raw, prev_cache, prev_use_rl)
-        mu, L, actor_cache = self.pool.actor_forward(flat)
-        zeta_raw = self.pool.sample_raw(mu, L, noise)
-        executed = self._fractions(zeta_raw)
-        if not use_rl.all():  # the behavioural model is asked only when someone needs it
-            executed = np.where(use_rl[:, None], executed, self.behavior.predict(sl_states))
-        if learning:
-            self.behavior.store(sl_states, executed)
-            if self.t % self.hyper.sl_train_interval == 0 and self.behavior.count >= self.behavior.batch_size:
-                self.behavior.train_step(self.sl_streams)
-        self._prev = (flat, zeta_raw, actor_cache, use_rl)
+        # 2. the batched learner step: every agent while learning, the deciding ones once frozen
+        rows = slice(None) if learning else deciding
+        executed = None
+        if learning or deciding:
+            sl_states = np.take(steps[rows], self.codec.sl_columns, axis=1)
+            flat = self.window.flat()[rows]
+            if learning:
+                flat = flat.copy()
+                if self._prev is not None:
+                    prev_flat, prev_raw, prev_cache, prev_use_rl = self._prev
+                    self.pool.td_step(prev_flat, flat, utilities, prev_raw, prev_cache, prev_use_rl)
+            mu, L, actor_cache = self.pool.actor_forward(flat, rows)
+            zeta_raw = self.pool.sample_raw(mu, L, noise[rows])
+            executed = self._fractions(zeta_raw, self.budgets[rows])
+            picked = use_rl[rows]
+            if not picked.all():  # the behavioural model is asked only when someone needs it
+                executed = np.where(picked[:, None], executed, self.behavior.predict(sl_states, rows))
+            if learning:
+                self.behavior.store(sl_states, executed)
+                if self.t % self.hyper.sl_train_interval == 0 and self.behavior.count >= self.behavior.batch_size:
+                    self.behavior.train_step(self.sl_streams)
+                self._prev = (flat, zeta_raw, actor_cache, use_rl)
+                executed = executed[deciding]
         self.t += 1
 
-        # 3. one pass out
-        return self._directives(executed, pending)
+        # 3. one pass out, per deciding agent
+        return self._directives(executed, deciding, pending)
 
     # -- the action map ------------------------------------------------------------
 
-    def _fractions(self, zeta_raw: np.ndarray) -> np.ndarray:
-        """Executed fractions of raw samples (B, 2K): a sigmoid on each
-        backoff component, and each price clipped to [0, budget] and then
-        divided by the budget."""
-        budgets = self.budgets[:, None]
+    def _fractions(self, zeta_raw: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+        """Executed fractions of raw samples (n, 2K) of agents with budgets
+        (n,): a sigmoid on each backoff component, and each price clipped to
+        [0, budget] and then divided by the budget."""
+        budgets = budgets[:, None]
         out = np.empty_like(zeta_raw)
         out[:, : self.k] = sigmoid(zeta_raw[:, : self.k])
         out[:, self.k :] = np.clip(zeta_raw[:, self.k :], 0.0, budgets) / budgets
         return out
 
-    def _directives(self, fractions, pending) -> list[dict[str, tuple]]:
-        """Directives for the pending types. Every fraction is in [0, 1] and
-        rounding is monotone, so each price fraction * budget is in
-        [0, budget]."""
-        directives: list[dict[str, tuple]] = []
-        for b, config in enumerate(self.configs):
-            agent_directives = {}
+    def _directives(self, fractions, deciding, pending) -> list[dict[str, tuple]]:
+        """Directives for the pending types; row r of fractions belongs to
+        agent deciding[r], and every other agent gets none. Every fraction
+        is in [0, 1] and rounding is monotone, so each price fraction *
+        budget is in [0, budget]."""
+        directives: list[dict[str, tuple]] = [{} for _ in range(self.B)]
+        self._last_actions = [NO_ACTIONS] * self.B
+        for row, b in enumerate(deciding):
+            config = self.configs[b]
+            agent_directives = directives[b]
             submitted: dict[str, float] = {}
             backed = 0
             for service_type, (work, _deadline) in pending[b].items():
                 i = self.codec.index[service_type]
-                alpha = float(fractions[b, i])
+                alpha = float(fractions[row, i])
                 if alpha > config.backoff_threshold:
-                    agent_directives[service_type] = (SUBMIT, float(fractions[b, self.k + i]) * config.budget)
+                    agent_directives[service_type] = (SUBMIT, float(fractions[row, self.k + i]) * config.budget)
                     submitted[service_type] = valuation(work, config)
                 else:
                     duration = max(1, round(alpha * config.max_backoff_ms))
                     agent_directives[service_type] = (BACKOFF, duration)
                     backed += 1
             self._last_actions[b] = (submitted, backed)
-            directives.append(agent_directives)
         return directives
 
 

@@ -20,6 +20,7 @@ layouts differently.
 """
 from __future__ import annotations
 
+import math
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -37,6 +38,9 @@ class FeatureCodec:
     ):
         if window < 1:
             raise ValueError("window must be >= 1")
+        for name, value in (("work_max", work_max), ("deadline_max", deadline_max), ("price_max", price_max)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         self.type_ids = tuple(sorted(type_ids))
         self.index = {t: i for i, t in enumerate(self.type_ids)}
         self.work_max = float(work_max)
@@ -80,6 +84,14 @@ class FeatureCodec:
         out[5 * k + 1] = beta
         out[5 * k + 2] = phase
         out[5 * k + 3] = utility_prev / self.price_max
+        return out
+
+    def encode_idle(self, env: tuple[float, float, float], utilities: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """`encode_step` with no request and no previous price, in bulk:
+        row r of out (n >= 1, step_dim) gets the step of reward utilities[r]."""
+        self.encode_step({}, env, {}, 0.0, out=out[0])
+        out[1:] = out[0]
+        out[:, -1] = utilities / self.price_max  # the reward column
         return out
 
 

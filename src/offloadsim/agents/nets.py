@@ -92,15 +92,18 @@ class StackedMlp:
     # Inputs may be (B, input_dim) for one sample per agent,
     # (B, n, input_dim) for per-agent minibatches, or (B, m, n, input_dim)
     # for m such inputs per agent through the same weights; outputs match.
+    # `agents` selects whose networks run: row r of x then belongs to agent
+    # agents[r], and only those agents' weights are read.
 
-    def forward(self, x: np.ndarray) -> tuple[dict[str, np.ndarray], dict]:
+    def forward(self, x: np.ndarray, agents=slice(None)) -> tuple[dict[str, np.ndarray], dict]:
         squeeze = x.ndim == 2
         if squeeze:
             x = x[:, None, :]
         # Each agent's weights broadcast over a stacked-input axis, so matmul
         # makes the same (n, in) @ (in, out) product per agent and input as
         # a pass over that input alone, while the agent's weights are hot.
-        agent = (slice(None),) + (None,) * (x.ndim - 3)
+        # The product of one agent is the same whichever agents run with it.
+        agent = (agents,) + (None,) * (x.ndim - 3)
         acts = [x]
         h = x
         for layer in range(len(self.hidden)):

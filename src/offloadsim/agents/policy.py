@@ -107,13 +107,14 @@ class ActorCriticPool:
         v = outputs["v"][:, :, 0, 0]
         return v[:, 0], v[:, 1], self.critic.input_cache(cache, 0)
 
-    def actor_forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """(mu (B,A), L (B,A,A), cache) with softplus-positive diagonal. The
-        cache also carries mu, L and the raw L entries, for `update`."""
-        outputs, cache = self.actor.forward(x)
+    def actor_forward(self, x: np.ndarray, agents=slice(None)) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(mu (n,A), L (n,A,A), cache) with softplus-positive diagonal, for
+        the n agents selected by `agents` (row r of x is agent agents[r]).
+        The cache also carries mu, L and the raw L entries, for `update`."""
+        outputs, cache = self.actor.forward(x, agents)
         mu = outputs["mu"]
         lraw = outputs["lraw"]
-        L = np.zeros((self.B, self.A, self.A))
+        L = np.zeros((len(mu), self.A, self.A))
         values = lraw.copy()
         values[:, self.diag_positions] = softplus(lraw[:, self.diag_positions])
         L[:, self.tril_rows, self.tril_cols] = values

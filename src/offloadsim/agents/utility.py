@@ -75,8 +75,10 @@ def utility_per_type(x: int, v: float, p: float, c: float, q: float, submitted: 
     return gain
 
 
-def utility_total(per_type_utilities, beta: float, w: float) -> float:
-    """Round utility: sum over types plus w * (1 - beta)."""
+def utility_total(per_type_utilities, beta: float, w):
+    """Round utility: sum over types plus w * (1 - beta). With no terms and
+    a (B,) array w it gives B agents' utilities of an idle round, by the
+    same two operations per element."""
     if not (0.0 <= beta <= 1.0):
         raise ValueError("beta must be in [0,1]")
     return sum(per_type_utilities) + w * (1.0 - beta)

@@ -57,8 +57,8 @@ class StaticGame:
     slots: Optional[dict[str, int]] = None  # None: every submitted bid is accepted
 
     def __post_init__(self):
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if not 0 < self.capacity < math.inf:
+            raise ValueError(f"capacity must be finite and positive, got {self.capacity}")
         if not self.alpha_levels or not self.price_levels:
             raise ValueError("action grids must be non-empty")
 

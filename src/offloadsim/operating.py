@@ -80,8 +80,8 @@ class ComputingSite:
     ):
         if not 0 < capacity < math.inf:
             raise ValueError(f"capacity must be finite and positive, got {capacity}")
-        if report_delay_ms < 0:
-            raise ValueError("report_delay_ms must be >= 0")
+        if not 0 <= report_delay_ms < math.inf:
+            raise ValueError(f"report_delay_ms must be finite and >= 0, got {report_delay_ms}")
         for name, sigma in (
             ("sigma_delay_ms", sigma_delay_ms),
             ("sigma_utilization", sigma_utilization),

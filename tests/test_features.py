@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 
 from offloadsim.agents import FeatureCodec, WindowBuffer
 
@@ -84,6 +87,29 @@ class TestEncoding:
         assert np.array_equal(sl[0], expected)
         expected[: 3 * c.k] = 0.0
         assert np.array_equal(sl[1], expected)
+
+
+    def test_idle_steps_match_encode_step(self):
+        # the bulk encoder writes, row for row, what encode_step writes for
+        # no request and no previous price
+        c = codec()
+        env = (4.0, 0.5, 0.25)
+        utilities = np.array([1.0, 0.0, -3.5, 0.7])
+        out = np.full((4, c.step_dim), np.nan)
+        c.encode_idle(env, utilities, out)
+        for row, u in zip(out, utilities):
+            assert row.tobytes() == c.encode_step({}, env, {}, float(u)).tobytes()
+
+
+class TestCodecParameters:
+    # 0 makes encode_step divide by zero; NaN and inf make every scaled column nan or 0
+    @pytest.mark.parametrize("name", ["work_max", "deadline_max", "price_max"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_scale_rejected(self, name, value):
+        kw = dict(type_ids=["F1-300"], work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=4)
+        kw[name] = value
+        with pytest.raises(ValueError, match=name):
+            FeatureCodec(**kw)
 
 
 class TestWindow:

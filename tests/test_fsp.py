@@ -10,6 +10,9 @@ from offloadsim.agents import (
     LearnerHyper,
     LearningFleet,
     PassiveFleet,
+    utility_per_type,
+    utility_total,
+    valuation,
 )
 from offloadsim.auction import FeedbackSignal
 from offloadsim.engine import derive_stream
@@ -142,16 +145,22 @@ class TestLearningFleet:
         predict = f.behavior.predict
         calls = []
 
-        def counted(states):
+        def counted(states, agents):
             calls.append(f.t)
-            return predict(states)
+            return predict(states, agents)
 
         f.behavior.predict = counted
+        # replicas of the act streams give each round's eta coins: noise, then coin
+        streams = [derive_stream(4, f"agent/m{b}/act") for b in range(2)]
         needed = []
         for _ in range(8):
             t = f.t
+            coins = []
+            for s in streams:
+                s.standard_normal(4)  # the noise vector
+                coins.append(s.uniform())
             f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
-            if not f._prev[-1].all():
+            if not all(coin < eta for coin in coins):
                 needed.append(t)
         assert calls == needed
         assert bool(needed) == (eta < 1.0)
@@ -231,13 +240,147 @@ class TestLearningFleet:
         assert np.array_equal(f.pool.actor.flat_view(0), before)
 
 
+def mixed_pending(rng, r, n):
+    """Round r's pending sets for n agents, cycling through no agent, one,
+    some and every agent deciding."""
+    kind = r % 4
+    if kind == 0:
+        deciding = []
+    elif kind == 1:
+        deciding = [(r // 4) % n]
+    elif kind == 2:
+        deciding = [b for b in range(n) if rng.uniform() < 0.5]
+    else:
+        deciding = list(range(n))
+    pending = [{} for _ in range(n)]
+    for b in deciding:
+        types = [t for t in ("F1-300", "F1-50") if rng.uniform() < 0.6] or ["F1-50"]
+        pending[b] = {t: (1.0 + rng.integers(0, 30), 200.0) for t in types}
+    return pending
+
+
+def feedback_for(cfgs, directives, price=40.0, beta=0.3):
+    """Each agent that submitted wins the types it bid above `price` on, at `price`."""
+    out = []
+    for cfg, d in zip(cfgs, directives):
+        submitted = {t: value for t, (verb, value) in d.items() if verb == "submit"}
+        outcomes = {t: int(p > price) for t, p in submitted.items()}
+        prices = dict.fromkeys(submitted, price)
+        out.append(FeedbackSignal(cfg.bidder_id, outcomes, prices, beta) if submitted else None)
+    return out
+
+
+class TestDecidingAgentsOnly:
+    """A round's work runs for the agents that decide: a frozen fleet's actor
+    pass and behavioural model take only their rows, and idle agents' steps
+    are encoded in bulk. Both must be bit-identical to the per-agent and
+    full-batch computations they replace."""
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5, 0.0])
+    def test_frozen_directives_match_full_batch(self, eta):
+        n, seed = 5, 12
+        cfgs = configs(n)
+        hyper = LearnerHyper(window=4, sl_batch_size=4, sl_train_interval=3)
+        f = LearningFleet(cfgs, codec(), root_seed=seed, hyper=hyper)
+        streams = [derive_stream(seed, f"agent/{c.bidder_id}/act") for c in cfgs]  # replicas: noise, then coin
+        rng = derive_stream(13, "pending")
+        actor_rows = []  # the agents of each actor pass in a round
+        actor_forward = f.pool.actor_forward
+
+        def recorded(x, agents=slice(None)):
+            actor_rows.append(agents)
+            return actor_forward(x, agents)
+
+        f.pool.actor_forward = recorded
+        feedback = [None] * n
+        seen = set()
+        for r in range(48):
+            if r == 8:  # after some learning, so the nets are not at their initial weights
+                f.freeze()
+                f.frozen_eta = eta
+            pending = mixed_pending(rng, r, n)
+            noise = np.empty((n, f.action_dim))
+            coins = np.empty(n)
+            for b, s in enumerate(streams):
+                noise[b] = s.standard_normal(f.action_dim)
+                coins[b] = s.uniform()
+            actor_rows.clear()
+            directives = f.act(feedback, pending, n, 0.3, (r % 10) / 10)
+            if r < 8:
+                feedback = feedback_for(cfgs, directives)
+                continue
+            deciding = [b for b in range(n) if pending[b]]
+            seen.add(len(deciding))
+            passes = [np.arange(n)[agents].tolist() for agents in actor_rows]
+            assert passes == ([deciding] if deciding else []), r
+            # the reference: every agent's full-batch pass on this round's window and noise
+            mu, L, _ = f.pool.actor_forward(f.window.flat().copy())
+            executed = f._fractions(f.pool.sample_raw(mu, L, noise), f.budgets)
+            predicted = f.behavior.predict(np.take(f.window.data[:, -1], f.codec.sl_columns, axis=1))
+            executed = np.where((coins < eta)[:, None], executed, predicted)
+            expected = []
+            for b, cfg in enumerate(cfgs):
+                d = {}
+                for t, (_work, _deadline) in pending[b].items():
+                    i = f.codec.index[t]
+                    if executed[b, i] > cfg.backoff_threshold:
+                        d[t] = ("submit", float(executed[b, f.k + i]) * cfg.budget)
+                    else:
+                        d[t] = ("backoff", max(1, round(float(executed[b, i]) * cfg.max_backoff_ms)))
+                expected.append(d)
+            assert directives == expected, r
+            feedback = feedback_for(cfgs, directives)
+        assert seen >= {0, 1, n} and len(seen) >= 4
+
+    def test_every_step_row_matches_encode_step(self):
+        # idle agents' rows are written in bulk; each must equal, bit for bit,
+        # a per-agent encode_step of that agent's utility, learning and frozen
+        n = 5
+        cfgs = [
+            AgentConfig(bidder_id=f"m{i}", budget=100.0, utilization_weight=w)
+            for i, w in enumerate([1.0, 0.0, 2.5, 0.3, 1.0])
+        ]
+        hyper = LearnerHyper(window=4, sl_batch_size=4, sl_train_interval=3)
+        f = LearningFleet(cfgs, codec(), root_seed=3, hyper=hyper)
+        rng = derive_stream(14, "pending")
+        feedback = [None] * n
+        last = [({}, 0)] * n  # per agent, last round's (submitted valuations, backoff count)
+        for r in range(40):
+            if r == 20:
+                f.freeze()
+            pending = mixed_pending(rng, r, n)
+            beta = (0.0, 0.3, 1.0)[r % 3]
+            env = (float(n), beta, (r % 10) / 10)
+            directives = f.act(feedback, pending, n, beta, env[2])
+            for b, cfg in enumerate(cfgs):
+                fb = feedback[b]
+                outcomes, prices = (fb.outcomes, fb.prices) if fb else ({}, {})
+                submitted, backed = last[b]
+                c, q = cfg.lost_bid_cost, cfg.backoff_cost
+                terms = [
+                    utility_per_type(outcomes.get(t, 0), v, prices.get(t, 0.0), c, q, True)
+                    for t, v in submitted.items()
+                ]
+                u = utility_total(terms + [q] * backed, beta, cfg.utilization_weight)
+                expected = f.codec.encode_step(pending[b], env, prices, u)
+                assert f.window.data[b, -1].tobytes() == expected.tobytes(), (r, b)
+            last = [
+                (
+                    {t: valuation(pending[b][t][0], cfg) for t, (verb, _) in directives[b].items() if verb == "submit"},
+                    sum(verb == "backoff" for verb, _ in directives[b].values()),
+                )
+                for b, cfg in enumerate(cfgs)
+            ]
+            feedback = feedback_for(cfgs, directives, beta=beta)
+
+
 class TestActionMap:
     def test_boxes(self):
         # a sigmoid on the backoff half; each price clipped to [0, budget],
         # then divided by the budget
         f = fleet(budget=80.0)
         raw = np.array([[-50.0, 50.0, -3.0, 500.0], [0.0, 0.0, 20.0, 80.0]])
-        out = f._fractions(raw)
+        out = f._fractions(raw, f.budgets)
         assert 0.0 <= out[0, 0] < 1e-9
         assert 1.0 - 1e-9 < out[0, 1] <= 1.0
         assert out[0, 2] == 0.0
@@ -253,7 +396,7 @@ class TestBackoffSemantics:
         f = fleet(seed=2)
         f.frozen_eta = 0.0  # always behavioral
         level = 0.3
-        f.behavior.predict = lambda states: np.full((2, 4), level)
+        f.behavior.predict = lambda states, agents: np.full((len(states), 4), level)
         directives = f.act([None, None], pending_one(), 2, 0.0, 0.0)
         for d in directives:
             verb, value = d["F1-300"]
@@ -263,7 +406,7 @@ class TestBackoffSemantics:
     def test_high_component_submits(self):
         f = fleet(seed=2)
         f.frozen_eta = 0.0
-        f.behavior.predict = lambda states: np.full((2, 4), 0.9)
+        f.behavior.predict = lambda states, agents: np.full((len(states), 4), 0.9)
         directives = f.act([None, None], pending_one(), 2, 0.0, 0.0)
         for d in directives:
             verb, value = d["F1-300"]

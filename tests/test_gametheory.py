@@ -38,6 +38,13 @@ def two_player_game(q=1.0, w=1.0, capacity=10.0, omega=2.0):
     return StaticGame(players=players, capacity=capacity, utilization_weight=w)
 
 
+# the utility and potential terms divide load by the capacity
+@pytest.mark.parametrize("capacity", [0.0, math.nan, math.inf])
+def test_bad_capacity_rejected(capacity):
+    with pytest.raises(ValueError, match="capacity"):
+        two_player_game(capacity=capacity)
+
+
 class TestPotential:
     def test_all_backed_off(self):
         game = two_player_game()

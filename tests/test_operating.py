@@ -221,6 +221,12 @@ class TestSiteParameters:
             make_site(**{name: sigma})
 
 
+    @pytest.mark.parametrize("delay", [-1, math.nan, math.inf])
+    def test_bad_report_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="report_delay_ms"):
+            make_site(report_delay_ms=delay)
+
+
 class TestReports:
     def test_noiseless_report_is_exact(self):
         site = make_site(capacity=2, report_delay_ms=50)
