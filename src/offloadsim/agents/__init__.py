@@ -1,6 +1,6 @@
 from .behavior import BehaviorPool, InsufficientDataError
 from .bidder import BACKOFF, SUBMIT, EtaSchedule, LearnerHyper, LearningFleet, PassiveFleet
-from .features import FeatureCodec, WindowBuffer
+from .features import FeatureCodec
 from .nets import AdamState, NumericalInstabilityError, StackedMlp
 from .policy import ActorCriticPool, LearningRates, td_error
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
@@ -21,7 +21,6 @@ __all__ = [
     "PassiveFleet",
     "SUBMIT",
     "StackedMlp",
-    "WindowBuffer",
     "td_error",
     "utility_per_type",
     "utility_total",

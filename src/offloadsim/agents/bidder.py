@@ -23,12 +23,12 @@ request decide; the others are idle once they have no feedback and no
 previous-round action to score. `LearningFleet.act` runs a round in three
 stages:
 
-1. One pass in over every agent: score last round's actions and encode the
-   step into the newest window row, then draw the noise vector, then the
-   eta coin. Idle agents' rows and rewards are written in bulk
-   (`FeatureCodec.encode_idle`, `utility_total` over the fleet's weights),
-   which is the same arithmetic per element; only the others are scored
-   and encoded one by one.
+1. One pass in over every agent: score last round's actions of each agent
+   that is not idle and note its request and last prices, then draw the
+   noise vector, then the eta coin. Idle agents' rewards are written in
+   bulk (`utility_total` over the fleet's weights), the same arithmetic per
+   element. After the pass the history shifts one step left and one
+   `FeatureCodec.encode` call writes every agent's newest row.
 2. The batched learner step: `ActorCriticPool.td_step` on last round's
    sample, the actor pass and sample, and the behavioural model. While
    learning it runs for every agent, since the critic, the actor cache and
@@ -43,7 +43,7 @@ stages:
 Each agent draws its noise, then its eta coin, once per round, pending or
 not, learning or frozen, so stage 2 may run for a subset of agents without
 moving any stream. An error raised part-way through stage 1 leaves the
-window shifted and the earlier agents' streams advanced.
+history as it was and the earlier agents' streams advanced.
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ import numpy as np
 from ..auction import FeedbackSignal
 from ..engine import derive_stream
 from .behavior import BehaviorPool
-from .features import FeatureCodec, WindowBuffer
+from .features import FeatureCodec
 from .policy import ActorCriticPool, LearningRates, sigmoid
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
 
@@ -67,6 +67,10 @@ class EtaSchedule:
 
     floor: float = 0.01
     floor_after: int = 100
+
+    def __post_init__(self):
+        if not 0.0 <= self.floor <= 1.0:
+            raise ValueError(f"floor must be in [0, 1], got {self.floor}")
 
     def eta(self, t: int) -> float:
         value = 1.0 / max(1, t)
@@ -107,6 +111,9 @@ class LearningFleet:
     ):
         if not configs:
             raise ValueError("need at least one agent")
+        ids = [c.bidder_id for c in configs]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"bidder_id must be distinct across the fleet, got {ids}")
         self.hyper = hyper or LearnerHyper(window=codec.window)
         if self.hyper.window != codec.window:
             raise ValueError(f"LearnerHyper.window is {self.hyper.window} but the codec's window is {codec.window}")
@@ -140,7 +147,7 @@ class LearningFleet:
             batch_size=self.hyper.sl_batch_size,
             lr=self.hyper.sl_lr,
         )
-        self.window = WindowBuffer(self.B, codec.window, codec.step_dim)
+        self.history = np.zeros((self.B, codec.window, codec.step_dim))  # per agent, the oldest step first
         self.t = 1
         self.frozen_eta: Optional[float] = None  # the fixed mixing weight once frozen; None while learning
         # Last round's (S, raw sample, actor cache, use_rl), which this
@@ -169,12 +176,11 @@ class LearningFleet:
     ) -> list[dict[str, tuple]]:
         """Advance one decision round; returns per-agent directives
         {type: ("submit", price) | ("backoff", duration_ms)} for pending types."""
-        # 1. one pass in: score and encode the agents that are not idle, draw for all
+        # 1. one pass in: score the agents that are not idle, draw for all, then encode
         learning = self.frozen_eta is None
         eta = self.hyper.eta.eta(self.t) if learning else self.frozen_eta
-        env = (float(n_present), beta, phase)
         utilities = utility_total([], beta, self.weights)  # an idle round's, for every agent
-        steps = self.codec.encode_idle(env, utilities, self.window.shift())
+        active = []  # (agent, its request, last round's prices) of the agents that are not idle
         noise = np.empty((self.B, self.action_dim))
         coins = np.empty(self.B)
         deciding = []  # the agents with a pending request, in fleet order
@@ -192,17 +198,19 @@ class LearningFleet:
                 ]
                 terms.extend([q] * backed)
                 utilities[b] = utility_total(terms, beta, config.utilization_weight)
-                self.codec.encode_step(pending[b], env, prices, float(utilities[b]), out=steps[b])
+                active.append((b, pending[b], prices))
             noise[b] = self.act_streams[b].standard_normal(self.action_dim)
             coins[b] = self.act_streams[b].uniform()
         use_rl = coins < eta
+        self.history[:, :-1] = self.history[:, 1:]
+        steps = self.codec.encode(self.history[:, -1], (float(n_present), beta, phase), utilities, active)
 
         # 2. the batched learner step: every agent while learning, the deciding ones once frozen
         rows = slice(None) if learning else deciding
         executed = None
         if learning or deciding:
             sl_states = np.take(steps[rows], self.codec.sl_columns, axis=1)
-            flat = self.window.flat()[rows]
+            flat = self.history.reshape(self.B, -1)[rows]
             if learning:
                 flat = flat.copy()
                 if self._prev is not None:

@@ -2,7 +2,9 @@
 
 Each decision step is one fixed-width vector; the learner input is the
 flattened window of the nu most recent steps, zero padded while the history
-is still short.
+is still short. `FeatureCodec.encode` is the only writer of a step; the
+windows live in `LearningFleet.history`, one (window, step_dim) block per
+agent with the oldest step first.
 
 Per-step layout (K catalog types in sorted id order):
   for each type k: [pending flag, work estimate / work_max,
@@ -21,7 +23,8 @@ layouts differently.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence
+import numbers
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,11 +45,15 @@ class FeatureCodec:
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         self.type_ids = tuple(sorted(type_ids))
+        if not self.type_ids or len(set(self.type_ids)) != len(self.type_ids):
+            raise ValueError(f"type_ids must be non-empty and distinct, got {list(type_ids)}")
+        if not isinstance(fleet_size, numbers.Integral) or fleet_size < 1:
+            raise ValueError(f"fleet_size must be an integer >= 1, got {fleet_size!r}")
         self.index = {t: i for i, t in enumerate(self.type_ids)}
         self.work_max = float(work_max)
         self.deadline_max = float(deadline_max)
         self.price_max = float(price_max)
-        self.fleet_size = max(1, int(fleet_size))
+        self.fleet_size = int(fleet_size)
         self.window = int(window)
         self.k = len(self.type_ids)
         self.step_dim = 5 * self.k + 4
@@ -54,59 +61,35 @@ class FeatureCodec:
         self.sl_dim = len(self.sl_columns)
         self.rl_input_dim = self.window * self.step_dim
 
-    def encode_step(
+    def encode(
         self,
-        requests: Mapping[str, tuple[float, float]],
+        out: np.ndarray,
         env: tuple[float, float, float],
-        prices_prev: Mapping[str, float],
-        utility_prev: float,
-        out: Optional[np.ndarray] = None,
+        utilities: np.ndarray,
+        active: Iterable[tuple[int, Mapping[str, tuple[float, float]], Mapping[str, float]]],
     ) -> np.ndarray:
-        """requests: type -> (work estimate, ms to deadline); env: (bidder
-        count, beta, phase in [0,1)); prices_prev: only the types bid on last
-        round."""
-        if out is None:
-            out = np.zeros(self.step_dim)
-        else:
-            out[:] = 0.0
+        """Write the step of every row of out (n, step_dim): env is (bidder
+        count, beta, phase in [0,1)), utilities (n,) the previous round's
+        rewards. Rows without an entry in active get no request and no
+        previous price; for (row, requests, prices_prev) in active, requests
+        maps type -> (work estimate, ms to deadline) and prices_prev holds
+        only the types bid on last round."""
         k = self.k
-        for type_id, (work, deadline) in requests.items():
-            i = self.index[type_id]
-            out[i] = 1.0
-            out[k + i] = work / self.work_max
-            out[2 * k + i] = deadline / self.deadline_max
-        for type_id, price in prices_prev.items():
-            i = self.index[type_id]
-            out[3 * k + i] = price / self.price_max
-            out[4 * k + i] = 1.0
+        out[:, : 5 * k] = 0.0
         count, beta, phase = env
-        out[5 * k] = count / self.fleet_size
-        out[5 * k + 1] = beta
-        out[5 * k + 2] = phase
-        out[5 * k + 3] = utility_prev / self.price_max
+        out[:, 5 * k] = count / self.fleet_size
+        out[:, 5 * k + 1] = beta
+        out[:, 5 * k + 2] = phase
+        out[:, 5 * k + 3] = utilities / self.price_max
+        for row, requests, prices_prev in active:
+            step = out[row]
+            for type_id, (work, deadline) in requests.items():
+                i = self.index[type_id]
+                step[i] = 1.0
+                step[k + i] = work / self.work_max
+                step[2 * k + i] = deadline / self.deadline_max
+            for type_id, price in prices_prev.items():
+                i = self.index[type_id]
+                step[3 * k + i] = price / self.price_max
+                step[4 * k + i] = 1.0
         return out
-
-    def encode_idle(self, env: tuple[float, float, float], utilities: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """`encode_step` with no request and no previous price, in bulk:
-        row r of out (n >= 1, step_dim) gets the step of reward utilities[r]."""
-        self.encode_step({}, env, {}, 0.0, out=out[0])
-        out[1:] = out[0]
-        out[:, -1] = utilities / self.price_max  # the reward column
-        return out
-
-
-class WindowBuffer:
-    """Per-agent ring of the nu most recent step vectors, zero padded."""
-
-    def __init__(self, n_agents: int, window: int, step_dim: int):
-        self.data = np.zeros((n_agents, window, step_dim))
-
-    def shift(self) -> np.ndarray:
-        """Shift every agent's window left by one; returns the (B, step_dim)
-        view of the newest row, which the caller overwrites with the step."""
-        self.data[:, :-1, :] = self.data[:, 1:, :]
-        return self.data[:, -1, :]
-
-    def flat(self) -> np.ndarray:
-        """(B, window*step_dim) view suitable as learner input."""
-        return self.data.reshape(self.data.shape[0], -1)

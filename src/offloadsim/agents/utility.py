@@ -40,8 +40,8 @@ class AgentConfig:
             raise ValueError("utilization_weight must be >= 0")
         if not (0.0 < self.backoff_threshold < 1.0):
             raise ValueError("backoff_threshold must be in (0,1)")
-        if self.max_backoff_ms <= 0:
-            raise ValueError("max_backoff_ms must be positive")
+        if not 0 < self.max_backoff_ms < math.inf:
+            raise ValueError(f"max_backoff_ms must be finite and positive, got {self.max_backoff_ms}")
 
 
 def valuation(resource_estimate: float, config: AgentConfig) -> float:

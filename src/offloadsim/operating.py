@@ -78,8 +78,8 @@ class ComputingSite:
         sigma_utilization: float = 0.0,
         sigma_work: float = 0.0,
     ):
-        if not 0 < capacity < math.inf:
-            raise ValueError(f"capacity must be finite and positive, got {capacity}")
+        if not 1 <= capacity < math.inf:  # below 1 the site has no server to run what it admits
+            raise ValueError(f"capacity must be finite and >= 1, got {capacity}")
         if not 0 <= report_delay_ms < math.inf:
             raise ValueError(f"report_delay_ms must be finite and >= 0, got {report_delay_ms}")
         for name, sigma in (
@@ -210,6 +210,8 @@ class AdmissionController:
         if not sites:
             raise ValueError("need at least one computing site")
         self.sites = {s.site_id: s for s in sites}
+        if len(self.sites) != len(sites):
+            raise ValueError(f"site_id must be distinct, got {[s.site_id for s in sites]}")
         self.site_order = sorted(self.sites)
         self.beliefs = {sid: _SiteBelief() for sid in self.sites}
         self.prices = {sid: 0.0 for sid in self.sites}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from offloadsim.agents import FeatureCodec, WindowBuffer
+from offloadsim.agents import AgentConfig, FeatureCodec, LearningFleet
 
 
 def codec(window=8):
@@ -17,16 +17,12 @@ def codec(window=8):
     )
 
 
-def step(**kw):
-    """Keyword arguments of `encode_step` for one decision step."""
-    defaults = dict(
-        requests={"F1-300": (3.0, 150.0)},
-        env=(4.0, 0.5, 0.25),
-        prices_prev={"F1-300": 2.0},
-        utility_prev=1.0,
-    )
-    defaults.update(kw)
-    return defaults
+def encode_one(c, requests=None, env=(4.0, 0.5, 0.25), prices_prev=None, utility_prev=1.0):
+    """`encode` of one decision step on a one-row out."""
+    requests = {"F1-300": (3.0, 150.0)} if requests is None else requests
+    prices_prev = {"F1-300": 2.0} if prices_prev is None else prices_prev
+    out = np.full((1, c.step_dim), np.nan)
+    return c.encode(out, env, np.array([utility_prev]), [(0, requests, prices_prev)])[0]
 
 
 class TestEncoding:
@@ -38,7 +34,7 @@ class TestEncoding:
 
     def test_request_block(self):
         c = codec()
-        vec = c.encode_step(**step())
+        vec = encode_one(c)
         i = c.index["F1-300"]
         assert vec[i] == 1.0
         assert vec[c.k + i] == 3.0 / 30.0
@@ -46,18 +42,18 @@ class TestEncoding:
 
     def test_unrequested_type_is_zero_with_absent_flag(self):
         c = codec()
-        vec = c.encode_step(**step(prices_prev={}))
+        vec = encode_one(c, prices_prev={})
         i = c.index["F1-50"]
         assert vec[3 * c.k + i] == 0.0  # price
         assert vec[4 * c.k + i] == 0.0  # presence flag
         # and the type bid on keeps its flag
-        vec2 = c.encode_step(**step())
+        vec2 = encode_one(c)
         j = c.index["F1-300"]
         assert vec2[4 * c.k + j] == 1.0
 
     def test_env_and_reward_block(self):
         c = codec()
-        vec = c.encode_step(**step())
+        vec = encode_one(c)
         base = 5 * c.k
         assert vec[base] == 0.4
         assert vec[base + 1] == 0.5
@@ -78,8 +74,8 @@ class TestEncoding:
         expected[3 * c.k :] = [4.0 / 10, 0.5, 0.25]
         steps = np.stack(
             [
-                c.encode_step(**step(requests=requests, env=env)),
-                c.encode_step(**step(requests={}, env=env, prices_prev={}, utility_prev=-3.0)),
+                encode_one(c, requests=requests, env=env),
+                encode_one(c, requests={}, env=env, prices_prev={}, utility_prev=-3.0),
             ]
         )
         sl = np.take(steps, c.sl_columns, axis=1)
@@ -88,21 +84,25 @@ class TestEncoding:
         expected[: 3 * c.k] = 0.0
         assert np.array_equal(sl[1], expected)
 
-
-    def test_idle_steps_match_encode_step(self):
-        # the bulk encoder writes, row for row, what encode_step writes for
-        # no request and no previous price
+    def test_idle_rows_carry_only_env_and_reward(self):
+        # rows without an entry in active get the env and their own reward,
+        # written out here, and zero request and price blocks; the active
+        # row is what a one-row encode of that step writes
         c = codec()
         env = (4.0, 0.5, 0.25)
         utilities = np.array([1.0, 0.0, -3.5, 0.7])
         out = np.full((4, c.step_dim), np.nan)
-        c.encode_idle(env, utilities, out)
-        for row, u in zip(out, utilities):
-            assert row.tobytes() == c.encode_step({}, env, {}, float(u)).tobytes()
+        c.encode(out, env, utilities, [(2, {"F1-50": (7.5, 40.0)}, {"F1-300": 2.0})])
+        for r in (0, 1, 3):
+            expected = np.zeros(c.step_dim)
+            expected[5 * c.k :] = [4.0 / 10, 0.5, 0.25, utilities[r] / 100.0]
+            assert out[r].tobytes() == expected.tobytes(), r
+        active = encode_one(c, requests={"F1-50": (7.5, 40.0)}, utility_prev=-3.5)
+        assert out[2].tobytes() == active.tobytes()
 
 
 class TestCodecParameters:
-    # 0 makes encode_step divide by zero; NaN and inf make every scaled column nan or 0
+    # 0 makes encode divide by zero; NaN and inf make every scaled column nan or 0
     @pytest.mark.parametrize("name", ["work_max", "deadline_max", "price_max"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_bad_scale_rejected(self, name, value):
@@ -111,22 +111,39 @@ class TestCodecParameters:
         with pytest.raises(ValueError, match=name):
             FeatureCodec(**kw)
 
+    @pytest.mark.parametrize("type_ids", [[], ["A", "A"]])
+    def test_empty_or_repeated_type_ids_rejected(self, type_ids):
+        # ["A", "A"] would give k = 2 with both types mapped to column 1
+        with pytest.raises(ValueError, match="type_ids"):
+            FeatureCodec(type_ids, work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=4)
+
+    @pytest.mark.parametrize("fleet_size", [0, -5, 2.5])
+    def test_bad_fleet_size_rejected(self, fleet_size):
+        with pytest.raises(ValueError, match="fleet_size"):
+            FeatureCodec(["F1-300"], work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=fleet_size)
+
 
 class TestWindow:
+    """The window is `LearningFleet.history`: per agent, the most recent
+    steps with the oldest first."""
+
+    def fleet(self, window):
+        c = codec(window=window)
+        return LearningFleet([AgentConfig(bidder_id="m0", budget=100.0)], c, root_seed=1)
+
     def test_fresh_window_is_zero_padded(self):
-        c = codec()
-        buf = WindowBuffer(1, c.window, c.step_dim)
-        c.encode_step(**step(), out=buf.shift()[0])
-        data = buf.data[0]
+        f = self.fleet(8)
+        f.act([None], [{"F1-300": (3.0, 150.0)}], n_present=4, beta=0.5, phase=0.25)
+        data = f.history[0]
         assert np.all(data[:-1] == 0.0)
         assert data[-1].any()
 
     def test_window_shifts_one_step_per_push(self):
-        c = codec(window=3)
-        buf = WindowBuffer(1, 3, c.step_dim)
+        f = self.fleet(3)
+        phase_column = 5 * f.k + 2
         marks = []
         for k in range(5):
-            vec = c.encode_step(**step(utility_prev=float(k)))
-            marks.append(vec[-1])
-            buf.shift()[0] = vec
-        assert list(buf.data[0, :, -1]) == marks[-3:]
+            phase = k / 10
+            marks.append(phase)
+            f.act([None], [{"F1-300": (3.0, 150.0)}], n_present=4, beta=0.5, phase=phase)
+        assert list(f.history[0, :, phase_column]) == marks[-3:]

@@ -65,6 +65,12 @@ class TestEtaSchedule:
         variance = sum((1.0 / t) * (1 - 1.0 / t) for t in range(1, T + 1))
         assert abs(count - harmonic) <= 3 * math.sqrt(variance)
 
+    @pytest.mark.parametrize("floor", [-0.1, 2.0, math.nan])
+    def test_floor_outside_unit_interval_rejected(self, floor):
+        # 2.0 would give eta 2.0; a NaN floor would be ignored by max()
+        with pytest.raises(ValueError, match="floor"):
+            EtaSchedule(floor=floor)
+
 
 class TestLearningFleet:
     def feedback(self, won=True, price=2.0, beta=0.4):
@@ -164,6 +170,13 @@ class TestLearningFleet:
                 needed.append(t)
         assert calls == needed
         assert bool(needed) == (eta < 1.0)
+
+    def test_repeated_bidder_id_rejected(self):
+        # two agents of one id would derive the same streams and start identical
+        cfgs = configs(3)
+        cfgs[2] = AgentConfig(bidder_id="m0", budget=100.0)
+        with pytest.raises(ValueError, match="bidder_id"):
+            LearningFleet(cfgs, codec(), root_seed=1)
 
     def test_window_must_match_codec(self):
         with pytest.raises(ValueError, match="LearnerHyper.window is 2 but the codec's window is 8"):
@@ -272,8 +285,8 @@ def feedback_for(cfgs, directives, price=40.0, beta=0.3):
 
 class TestDecidingAgentsOnly:
     """A round's work runs for the agents that decide: a frozen fleet's actor
-    pass and behavioural model take only their rows, and idle agents' steps
-    are encoded in bulk. Both must be bit-identical to the per-agent and
+    pass and behavioural model take only their rows, and every agent's step
+    is encoded in one call. Both must be bit-identical to the per-agent and
     full-batch computations they replace."""
 
     @pytest.mark.parametrize("eta", [1.0, 0.5, 0.0])
@@ -314,9 +327,9 @@ class TestDecidingAgentsOnly:
             passes = [np.arange(n)[agents].tolist() for agents in actor_rows]
             assert passes == ([deciding] if deciding else []), r
             # the reference: every agent's full-batch pass on this round's window and noise
-            mu, L, _ = f.pool.actor_forward(f.window.flat().copy())
+            mu, L, _ = f.pool.actor_forward(f.history.reshape(n, -1).copy())
             executed = f._fractions(f.pool.sample_raw(mu, L, noise), f.budgets)
-            predicted = f.behavior.predict(np.take(f.window.data[:, -1], f.codec.sl_columns, axis=1))
+            predicted = f.behavior.predict(np.take(f.history[:, -1], f.codec.sl_columns, axis=1))
             executed = np.where((coins < eta)[:, None], executed, predicted)
             expected = []
             for b, cfg in enumerate(cfgs):
@@ -332,9 +345,10 @@ class TestDecidingAgentsOnly:
             feedback = feedback_for(cfgs, directives)
         assert seen >= {0, 1, n} and len(seen) >= 4
 
-    def test_every_step_row_matches_encode_step(self):
-        # idle agents' rows are written in bulk; each must equal, bit for bit,
-        # a per-agent encode_step of that agent's utility, learning and frozen
+    def test_every_step_row_matches_the_step_layout(self):
+        # every agent's newest row must equal, bit for bit, the step layout
+        # written out here from that agent's request, prices and utility,
+        # learning and frozen
         n = 5
         cfgs = [
             AgentConfig(bidder_id=f"m{i}", budget=100.0, utilization_weight=w)
@@ -362,8 +376,15 @@ class TestDecidingAgentsOnly:
                     for t, v in submitted.items()
                 ]
                 u = utility_total(terms + [q] * backed, beta, cfg.utilization_weight)
-                expected = f.codec.encode_step(pending[b], env, prices, u)
-                assert f.window.data[b, -1].tobytes() == expected.tobytes(), (r, b)
+                expected = np.zeros(f.codec.step_dim)  # the codec's scales: 30, 300, 100 and fleet size 4
+                for t, (work, deadline) in pending[b].items():
+                    i = f.codec.index[t]
+                    expected[[i, f.k + i, 2 * f.k + i]] = 1.0, work / 30.0, deadline / 300.0
+                for t, price in prices.items():
+                    i = f.codec.index[t]
+                    expected[[3 * f.k + i, 4 * f.k + i]] = price / 100.0, 1.0
+                expected[5 * f.k :] = env[0] / 4, beta, env[2], u / 100.0
+                assert f.history[b, -1].tobytes() == expected.tobytes(), (r, b)
             last = [
                 (
                     {t: valuation(pending[b][t][0], cfg) for t, (verb, _) in directives[b].items() if verb == "submit"},

@@ -207,7 +207,8 @@ class TestEstimates:
 
 
 class TestSiteParameters:
-    @pytest.mark.parametrize("capacity", [0.0, math.inf, math.nan])
+    # below 1 the site has no server, so a job it admits would never start
+    @pytest.mark.parametrize("capacity", [0.0, 0.7, math.inf, math.nan])
     def test_bad_capacity_rejected(self, capacity):
         with pytest.raises(ValueError, match="capacity"):
             make_site(capacity=capacity)
@@ -257,6 +258,11 @@ class TestSlots:
     def controller(self, capacities=(30.0, 30.0)):
         sites = [make_site("edge", capacities[0]), make_site("remote", capacities[1])]
         return AdmissionController(sites)
+
+    def test_repeated_site_id_rejected(self):
+        # the later site would silently replace the earlier one
+        with pytest.raises(ValueError, match="site_id"):
+            AdmissionController([make_site("edge", 30.0), make_site("remote", 30.0), make_site("edge", 6.0)])
 
     def test_floor_division(self):
         aca = self.controller()
@@ -404,7 +410,7 @@ BELIEF_OPS = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    capacities=st.lists(st.sampled_from([3.0, 6.0, 10.0, 12.5, 30.0, 0.7]), min_size=1, max_size=4),
+    capacities=st.lists(st.sampled_from([3.0, 6.0, 10.0, 12.5, 30.0, 1.3]), min_size=1, max_size=4),
     ops=BELIEF_OPS,
     prices=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=4, max_size=4),
     estimates=st.dictionaries(st.sampled_from("ABC"), UNITS),

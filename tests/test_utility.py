@@ -24,6 +24,13 @@ def test_nonfinite_payoff_parameter_rejected(field, bad):
         config(**{field: bad})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0, -5])
+def test_bad_max_backoff_rejected(bad):
+    # a NaN or inf bound would fail only later, when a backoff duration is rounded
+    with pytest.raises(ValueError, match="max_backoff_ms"):
+        config(max_backoff_ms=bad)
+
+
 class TestValuation:
     def test_linear_map(self):
         assert valuation(3.0, config()) == 3.0
