@@ -29,24 +29,28 @@ stages:
    bulk (`utility_total` over the fleet's weights), the same arithmetic per
    element. After the pass the history shifts one step left and one
    `FeatureCodec.encode` call writes every agent's newest row.
-2. The batched learner step: `ActorCriticPool.td_step` on last round's
-   sample, the actor pass and sample, and the behavioural model. While
-   learning it runs for every agent, since the critic, the actor cache and
-   the behavioural memory take every row. Once frozen it runs only on the
-   deciding agents' rows, reading only their weights, and not at all when
-   none decides. That is bit-identical to the full batch: matmul makes the
-   same per-agent product whichever agents run beside it, and the rest of
-   the step is per row.
+2. The batched learner step. While learning, `ActorCriticPool.td_step`
+   first steps every agent's critic on last round's transition, and the
+   actor of last round's deciding agents on their samples. Then, on the
+   deciding agents' rows only, reading only their weights: the actor pass
+   and sample, the behavioural model where an agent needs it, and (while
+   learning) one behaviour-memory row each. Nothing of this runs when no
+   agent decides. A learning round and a frozen one take the same rows.
+   For the deciding agents the result is bit-identical to a full-batch
+   pass: matmul makes the same per-agent product whichever agents run
+   beside it, and the rest of the step is per row. An agent that does not
+   decide executes no action, so it has none to score or to remember.
 3. One pass out over the deciding agents: the directives for their pending
    types. Every other agent gets none and nothing to score next round.
 
 Each agent draws its noise, then its eta coin, once per round, pending or
-not, learning or frozen, so stage 2 may run for a subset of agents without
-moving any stream. An error raised part-way through stage 1 leaves the
+not, learning or frozen, so stage 2 runs for a subset of agents without
+moving any act stream. An error raised part-way through stage 1 leaves the
 history as it was and the earlier agents' streams advanced.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -92,6 +96,22 @@ class LearnerHyper:
     sl_lr: float = 1e-3
     sl_train_interval: int = 32
     eta: EtaSchedule = field(default_factory=EtaSchedule)
+
+    def __post_init__(self):
+        for name in ("sl_capacity", "sl_batch_size", "sl_train_interval"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.sl_batch_size > self.sl_capacity:
+            raise ValueError(
+                f"sl_batch_size ({self.sl_batch_size}) must not exceed sl_capacity ({self.sl_capacity})"
+            )
+        for name in ("init_std", "sl_lr"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not math.isfinite(self.price_bias_init):
+            raise ValueError(f"price_bias_init must be finite, got {self.price_bias_init}")
 
 
 SUBMIT = "submit"
@@ -150,8 +170,8 @@ class LearningFleet:
         self.history = np.zeros((self.B, codec.window, codec.step_dim))  # per agent, the oldest step first
         self.t = 1
         self.frozen_eta: Optional[float] = None  # the fixed mixing weight once frozen; None while learning
-        # Last round's (S, raw sample, actor cache, use_rl), which this
-        # round's TD step scores.
+        # Last round's (S of every agent, (raw sample, actor cache, use_rl)
+        # of the deciding agents or None), which this round's TD step scores.
         self._prev: Optional[tuple] = None
         # Per agent, last round's ({submitted type: valuation}, backoff count).
         self._last_actions: list[tuple[dict[str, float], int]] = [NO_ACTIONS] * self.B
@@ -205,29 +225,30 @@ class LearningFleet:
         self.history[:, :-1] = self.history[:, 1:]
         steps = self.codec.encode(self.history[:, -1], (float(n_present), beta, phase), utilities, active)
 
-        # 2. the batched learner step: every agent while learning, the deciding ones once frozen
-        rows = slice(None) if learning else deciding
+        # 2. the batched learner step: every critic while learning, then the deciding agents' rows
+        if learning:
+            flat = self.history.reshape(self.B, -1).copy()
+            if self._prev is not None:
+                prev_flat, prev_scored = self._prev
+                self.pool.td_step(prev_flat, flat, utilities, prev_scored)
+        scored = None
         executed = None
-        if learning or deciding:
-            sl_states = np.take(steps[rows], self.codec.sl_columns, axis=1)
-            flat = self.history.reshape(self.B, -1)[rows]
-            if learning:
-                flat = flat.copy()
-                if self._prev is not None:
-                    prev_flat, prev_raw, prev_cache, prev_use_rl = self._prev
-                    self.pool.td_step(prev_flat, flat, utilities, prev_raw, prev_cache, prev_use_rl)
-            mu, L, actor_cache = self.pool.actor_forward(flat, rows)
-            zeta_raw = self.pool.sample_raw(mu, L, noise[rows])
-            executed = self._fractions(zeta_raw, self.budgets[rows])
-            picked = use_rl[rows]
+        if deciding:
+            sl_states = np.take(steps[deciding], self.codec.sl_columns, axis=1)
+            x = self.history.reshape(self.B, -1)[deciding]
+            mu, L, actor_cache = self.pool.actor_forward(x, deciding)
+            zeta_raw = self.pool.sample_raw(mu, L, noise[deciding])
+            executed = self._fractions(zeta_raw, self.budgets[deciding])
+            picked = use_rl[deciding]
             if not picked.all():  # the behavioural model is asked only when someone needs it
-                executed = np.where(picked[:, None], executed, self.behavior.predict(sl_states, rows))
+                executed = np.where(picked[:, None], executed, self.behavior.predict(sl_states, deciding))
             if learning:
-                self.behavior.store(sl_states, executed)
-                if self.t % self.hyper.sl_train_interval == 0 and self.behavior.count >= self.behavior.batch_size:
-                    self.behavior.train_step(self.sl_streams)
-                self._prev = (flat, zeta_raw, actor_cache, use_rl)
-                executed = executed[deciding]
+                self.behavior.store(sl_states, executed, deciding)
+                scored = (zeta_raw, actor_cache, picked)
+        if learning:
+            if self.t % self.hyper.sl_train_interval == 0 and self.behavior.count.max() >= self.hyper.sl_batch_size:
+                self.behavior.train_step(self.sl_streams)
+            self._prev = (flat, scored)
         self.t += 1
 
         # 3. one pass out, per deciding agent

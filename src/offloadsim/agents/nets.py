@@ -15,11 +15,13 @@ x dz^T, and `apply_gradients` uses the per-example identity
 clip norm and adds the clipped step as a rank-1 update. The minibatch
 optimizer (`AdamState`) builds dense gradients with `dense_gradients`.
 
-Most of a step is zero, and `apply_gradients` adds only what it must. An
-agent that executed its behavioural action gets step 0.0 (see
-`ActorCriticPool.update`), so `apply_gradients` takes every agent's norm
-but adds nothing for an agent whose step s is zero. For the others, the
-rule depends on what feeds the layer:
+Most of a step is zero, and `apply_gradients` adds only what it must. A
+pass may run for a subset of the agents (`forward`'s `agents`, which the
+cache records), and `backward` and `apply_gradients` then read and step
+only those agents. An agent that executed its behavioural action gets step
+0.0 (see `ActorCriticPool.update`), so `apply_gradients` takes the norm of
+every agent it is given but adds nothing for an agent whose step s is zero.
+For the others, the rule depends on what feeds the layer:
 
 - The input layer W0 is fed by the caller's input, a zero-padded window
   that is mostly 0.0. Its weight step is added only at the (agent, input
@@ -93,7 +95,8 @@ class StackedMlp:
     # (B, n, input_dim) for per-agent minibatches, or (B, m, n, input_dim)
     # for m such inputs per agent through the same weights; outputs match.
     # `agents` selects whose networks run: row r of x then belongs to agent
-    # agents[r], and only those agents' weights are read.
+    # agents[r], and only those agents' weights are read. The cache records
+    # `agents`, so `backward` reads the same agents' weights.
 
     def forward(self, x: np.ndarray, agents=slice(None)) -> tuple[dict[str, np.ndarray], dict]:
         squeeze = x.ndim == 2
@@ -114,14 +117,14 @@ class StackedMlp:
         for name in self.head_names:
             y = np.matmul(h, self.params[f"W_{name}"][agent]) + self.params[f"b_{name}"][agent][..., None, :]
             outputs[name] = y[:, 0, :] if squeeze else y
-        return outputs, {"acts": acts, "squeeze": squeeze}
+        return outputs, {"acts": acts, "squeeze": squeeze, "agents": agents}
 
     @staticmethod
     def input_cache(cache: dict, index: int) -> dict:
         """The cache of input `index` of a (B, m, 1, input_dim) forward pass:
         what a pass over that (B, input_dim) input alone returns, for
         `backward`."""
-        return {"acts": [a[:, index] for a in cache["acts"]], "squeeze": True}
+        return {"acts": [a[:, index] for a in cache["acts"]], "squeeze": True, "agents": cache["agents"]}
 
     def backward(
         self, cache: dict, head_grads: Mapping[str, np.ndarray]
@@ -129,11 +132,13 @@ class StackedMlp:
         """Gradient factors of sum over agents and samples of <head_grad, head_out>.
 
         Maps each layer's weight name to (x, dz): the layer's input
-        activation (B, n, in) and its pre-activation gradient (B, n, out).
-        The bias of weight "W<s>" is "b<s>".
+        activation (B, n, in) and its pre-activation gradient (B, n, out),
+        row r for agent agents[r] of the cache's forward pass. The bias of
+        weight "W<s>" is "b<s>".
         """
         acts = cache["acts"]
         squeeze = cache["squeeze"]
+        agents = cache["agents"]
         factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         top = acts[-1]
         dh = None
@@ -144,36 +149,41 @@ class StackedMlp:
             if squeeze:
                 dy = dy[:, None, :]
             factors[f"W_{name}"] = (top, dy)
-            contrib = np.matmul(dy, self.params[f"W_{name}"].transpose(0, 2, 1))
+            contrib = np.matmul(dy, self.params[f"W_{name}"][agents].transpose(0, 2, 1))
             dh = contrib if dh is None else dh + contrib
         for layer in reversed(range(len(self.hidden))):
             h = acts[layer + 1]
             dz = dh * (1.0 - h * h)
             factors[f"W{layer}"] = (acts[layer], dz)
             if layer > 0:
-                dh = np.matmul(dz, self.params[f"W{layer}"].transpose(0, 2, 1))
+                dh = np.matmul(dz, self.params[f"W{layer}"][agents].transpose(0, 2, 1))
         return factors
 
     # -- updates ----------------------------------------------------------------
 
-    def apply_gradients(self, factors: Mapping[str, tuple[np.ndarray, np.ndarray]], step_size, clip_norm: float):
-        """In-place ascent step: params += step_size * grads (per-agent step
-        sizes accepted as a (B,) vector), with a per-agent norm clip.
+    def apply_gradients(
+        self, factors: Mapping[str, tuple[np.ndarray, np.ndarray]], step_size, clip_norm: float, agents=slice(None)
+    ):
+        """In-place ascent step: params += step_size * grads for `agents`,
+        the agents of the forward pass the factors come from (row r for
+        agent agents[r]), with per-row step sizes and a per-agent norm clip.
 
         factors come from `backward` on a one-sample-per-agent cache, so each
         weight gradient is the outer product x dz^T: its squared norm is
         ||x||^2 ||dz||^2 and the step is added as a rank-1 update.
 
-        Every agent's norm is checked and stored in `last_grad_norms`. Steps
-        are then added only for agents whose step s is nonzero (all of them
-        through a slice when every agent steps). The input layer "W0" gets
-        its weight step only where the row factor s x_i is nonzero, since
-        its input is mostly zero padding; the layers fed by tanh activations
-        get the dense outer product. Each skipped entry would add +-0 to a
+        Every given agent's norm is checked and stored in `last_grad_norms`
+        (B,), which holds 0.0 for the agents not given. Steps are then
+        added only for agents whose step s is nonzero (all of them through
+        a slice when every agent steps). The input layer "W0" gets its
+        weight step only where the row factor s x_i is nonzero, since its
+        input is mostly zero padding; the layers fed by tanh activations get
+        the dense outer product. Each skipped entry would add +-0 to a
         finite parameter, which leaves it bit-identical (module docstring).
         The added entries are the same two products as the dense update,
         s x_i first, then times dz_j.
         """
+        ids = np.arange(self.B)[agents]  # the agent of each factor row
         vectors = {}
         sq_by_param = {}
         for w_name, (x, dz) in factors.items():
@@ -190,33 +200,37 @@ class StackedMlp:
         norms = np.sqrt(sum(sq_by_param.values()))
         if not np.all(np.isfinite(norms)):
             culprits = "; ".join(
-                f"{name} of agents {np.flatnonzero(~np.isfinite(sq)).tolist()}"
+                f"{name} of agents {ids[~np.isfinite(sq)].tolist()}"
                 for name, sq in sq_by_param.items()
                 if not np.all(np.isfinite(sq))
             )
             raise NumericalInstabilityError(
-                f"non-finite gradient norm for agents {np.flatnonzero(~np.isfinite(norms)).tolist()}: {culprits}"
+                f"non-finite gradient norm for agents {ids[~np.isfinite(norms)].tolist()}: {culprits}"
             )
-        self.last_grad_norms = norms
+        self.last_grad_norms = np.zeros(self.B)
+        self.last_grad_norms[agents] = norms
         scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-12))
         step = np.asarray(step_size) * scale
-        live = np.flatnonzero(step)
+        live = np.flatnonzero(step)  # the factor rows that step
         if live.size == 0:  # most actor calls once eta is at its floor
             return
-        rows = slice(None) if live.size == self.B else live  # every critic call steps all
+        if live.size == len(ids):  # every critic call steps all
+            rows, targets = slice(None), agents
+        else:
+            rows, targets = live, ids[live]
         s = step[rows, None]
         for w_name, (x, dz) in vectors.items():
             sx = s * x[rows]
             w = self.params[w_name]
             if w_name == "W0":  # the caller's input, mostly zero padding
                 k, i = np.nonzero(sx)  # entry k of `live`, input row i
-                agents = live[k]
-                rank1 = dz[agents]
+                row = live[k]
+                rank1 = dz[row]
                 rank1 *= sx[k, i, None]
-                w[agents, i] += rank1
+                w[ids[row], i] += rank1
             else:  # tanh activations, dense
-                w[rows] += np.einsum("bi,bj->bij", sx, dz[rows])
-            self.params["b" + w_name[1:]][rows] += s * dz[rows]
+                w[targets] += np.einsum("bi,bj->bij", sx, dz[rows])
+            self.params["b" + w_name[1:]][targets] += s * dz[rows]
 
     # -- persistence / introspection ---------------------------------------------
 
@@ -245,25 +259,32 @@ def dense_gradients(factors: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> dic
 
 
 class AdamState:
-    """Adam moments for one StackedMlp (used by the behavioral model)."""
+    """Adam moments and a step count per agent for one StackedMlp (used by
+    the behavioral model)."""
 
     def __init__(self, net: StackedMlp, lr: float = 1e-3):
         self.net = net
         self.lr = lr
-        self.t = 0
+        self.t = np.zeros(net.B, dtype=np.int64)
         self.m = {k: np.zeros_like(v) for k, v in net.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in net.params.items()}
 
-    def step(self, factors: Mapping[str, tuple[np.ndarray, np.ndarray]]):
-        """Descent step on the gradients given as `StackedMlp.backward` factors."""
-        self.t += 1
-        bias1 = 1.0 - ADAM_BETA1**self.t
-        bias2 = 1.0 - ADAM_BETA2**self.t
+    def step(self, factors: Mapping[str, tuple[np.ndarray, np.ndarray]], agents=slice(None)):
+        """Descent step for `agents` on the gradients given as
+        `StackedMlp.backward` factors of a forward pass over those agents;
+        every other agent keeps its parameters, moments and step count."""
+        self.t[agents] += 1
+        steps = self.t[agents].tolist()
+        bias1 = np.array([1.0 - ADAM_BETA1**t for t in steps])
+        bias2 = np.array([1.0 - ADAM_BETA2**t for t in steps])
         for k, g in dense_gradients(factors).items():
-            m = self.m[k]
-            v = self.v[k]
-            m *= ADAM_BETA1
+            per_agent = (-1,) + (1,) * (g.ndim - 1)
+            m = self.m[k][agents] * ADAM_BETA1
             m += (1 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
+            v = self.v[k][agents] * ADAM_BETA2
             v += (1 - ADAM_BETA2) * g * g
-            self.net.params[k] -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+            self.m[k][agents] = m
+            self.v[k][agents] = v
+            m_hat = m / bias1.reshape(per_agent)
+            v_hat = v / bias2.reshape(per_agent)
+            self.net.params[k][agents] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

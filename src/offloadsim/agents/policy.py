@@ -15,14 +15,16 @@ keeps the exact Gaussian form:
 this down). Updates are plain gradient steps weighted by the TD error
 delta = u - u_bar + V(S') - V(S), with u_bar an exponential moving average
 of past rewards; `ActorCriticPool.td_step` is the whole step, from the
-critic pass to the new u_bar. The critic steps for every agent; the actor
-steps only for agents whose executed action was the sample drawn from this
-policy, since the score of any other action is not a policy gradient.
+critic pass to the new u_bar. The critic steps for every agent. The actor
+is scored only for the agents that drew a sample at S, the rows of that
+`actor_forward` pass, and steps only for those whose executed action was
+that sample, since the score of any other action is not a policy gradient.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +50,16 @@ class LearningRates:
     critic: float = 1e-3
     reward_smoothing: float = 0.99  # EMA retention for the average reward
     grad_clip: float = 100.0
+
+    def __post_init__(self):
+        for name in ("actor", "critic"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not 0.0 < self.grad_clip < math.inf:
+            raise ValueError(f"grad_clip must be finite and > 0, got {self.grad_clip}")
+        if not 0.0 <= self.reward_smoothing <= 1.0:
+            raise ValueError(f"reward_smoothing must be in [0, 1], got {self.reward_smoothing}")
 
 
 def td_error(u: float, avg_reward: float, v_next: float, v_now: float) -> float:
@@ -143,37 +155,46 @@ class ActorCriticPool:
 
     # -- updates -----------------------------------------------------------------
 
-    def td_step(self, x, x_next, u, zeta_raw, actor_cache, sampled):
+    def td_step(self, x, x_next, u, scored: Optional[tuple] = None):
         """One average-reward TD step from state x (S) to x_next (S'), both
         (B, input_dim).
 
-        u (B,) is the reward collected between them, zeta_raw the raw sample
-        drawn at S by the `actor_forward` pass whose cache is actor_cache.
-        delta = u - u_bar + V(S') - V(S) steps the critic and (for the
-        agents in `sampled`) the actor; u then enters u_bar.
+        u (B,) is the reward collected between them. delta = u - u_bar +
+        V(S') - V(S) steps every agent's critic and, through `scored`, the
+        actor of the agents that drew a sample at S; u then enters u_bar.
+        scored is (zeta_raw, actor_cache, sampled) for those agents (see
+        `update`), or None when no agent drew one.
         """
         v, v_next, critic_cache = self.critic_eval(x, x_next)
         delta = td_error(u, self.avg_reward, v_next, v)
-        self.update(delta, zeta_raw, actor_cache, critic_cache, sampled)
+        self.update(delta, critic_cache, scored)
         self.update_avg_reward(u)
 
-    def update(self, delta: np.ndarray, zeta_raw: np.ndarray, actor_cache: dict, critic_cache: dict, sampled):
-        """One critic gradient step for every agent and one actor step for
-        the agents flagged in `sampled`.
+    def update(self, delta: np.ndarray, critic_cache: dict, scored: Optional[tuple] = None):
+        """One critic gradient step for every agent and, when `scored` is
+        given, one actor step for the agents it marks.
 
-        critic_cache must be the S cache of a fresh `critic_eval` and
-        actor_cache the `actor_forward` pass at S; delta is the per-agent TD
-        error and zeta_raw the raw sample drawn at S. `sampled` (B,) marks
-        the agents that executed that sample; the others keep their actor.
+        critic_cache must be the S cache of a fresh `critic_eval`, and delta
+        (B,) the per-agent TD error. scored is (zeta_raw, actor_cache,
+        sampled): the `actor_forward` cache at S of n agents, their raw
+        samples (n, A) drawn from that pass, and a mask (n,) of the ones
+        that executed their sample. The other agents of the pass get a step
+        of 0.0. An agent outside the pass is not scored: it keeps its actor
+        and reads 0.0 in `actor.last_grad_norms`.
         """
         if not np.all(np.isfinite(delta)):
             raise NumericalInstabilityError(f"non-finite TD error: {delta}")
         critic_factors = self.critic.backward(critic_cache, {"v": np.ones((self.B, 1))})
         self.critic.apply_gradients(critic_factors, self.rates.critic * delta, clip_norm=self.rates.grad_clip)
+        if scored is None:
+            self.actor.last_grad_norms = np.zeros(self.B)
+            return
+        zeta_raw, actor_cache, sampled = scored
+        agents = actor_cache["agents"]
         d_mu, d_l = self._density_grads(zeta_raw, actor_cache)
         actor_factors = self.actor.backward(actor_cache, {"mu": d_mu, "lraw": d_l})
-        actor_step = np.where(sampled, self.rates.actor * delta, 0.0)
-        self.actor.apply_gradients(actor_factors, actor_step, clip_norm=self.rates.grad_clip)
+        actor_step = np.where(sampled, self.rates.actor * delta[agents], 0.0)
+        self.actor.apply_gradients(actor_factors, actor_step, clip_norm=self.rates.grad_clip, agents=agents)
 
     def update_avg_reward(self, u: np.ndarray):
         lam = self.rates.reward_smoothing

@@ -270,8 +270,8 @@ class AdmissionController:
         free_total = sum(self.believed_free(sid) for sid in self.sites)
         slots = {}
         for service_type, estimate in demand_estimates.items():
-            if estimate <= 0:
-                raise ValueError(f"estimate for {service_type} must be positive")
+            if not 0 < estimate < math.inf:
+                raise ValueError(f"estimate for {service_type} must be finite and positive, got {estimate}")
             slots[service_type] = int(free_total // estimate)
         return slots
 
@@ -320,8 +320,10 @@ class AdmissionController:
             if not decision.admitted:
                 continue
             estimate = demand_estimates.get(decision.bid.service_type, decision.bid.resource_estimate)
-            if estimate <= 0:
-                raise ValueError(f"estimate for {decision.bid.service_type} must be positive")
+            if not 0 < estimate < math.inf:
+                raise ValueError(
+                    f"estimate for {decision.bid.service_type} must be finite and positive, got {estimate}"
+                )
             if estimate < unfit:
                 try:
                     decision.assigned_site = self.rial_assign(estimate, now)

@@ -12,8 +12,8 @@ class TestBehaviorPool:
         target = np.array([[0.9, 0.1], [0.2, 0.6]])
         state = np.array([[0.5, 0.5, 0.5], [0.1, 0.2, 0.3]])
         for _ in range(32):
-            pool.store(state, target)
-        assert pool.count == 16
+            pool.store(state, target, [0, 1])
+        assert pool.count.tolist() == [16, 16]
         train_streams = [derive_stream(7, "agent/m0/sl"), derive_stream(7, "agent/m1/sl")]
         for _ in range(500):
             pool.train_step(train_streams)
@@ -36,7 +36,7 @@ class TestBehaviorPool:
             [derive_stream(2, "sl/init")], state_dim=2, action_dim=2, capacity=n, batch_size=32, lr=3e-3
         )
         for s, a in zip(states, actions):
-            pool.store(s[None, :], a[None, :])
+            pool.store(s[None, :], a[None, :], [0])
         train_streams = [derive_stream(2, "sl")]
         for _ in range(600):
             pool.train_step(train_streams)
@@ -52,7 +52,7 @@ class TestBehaviorPool:
     def test_train_requires_enough_samples(self):
         streams = [derive_stream(7, "agent/m0/init")]
         pool = BehaviorPool(streams, state_dim=3, action_dim=2, capacity=16, batch_size=8)
-        pool.store(np.zeros((1, 3)), np.zeros((1, 2)))
+        pool.store(np.zeros((1, 3)), np.zeros((1, 2)), [0])
         with pytest.raises(InsufficientDataError):
             pool.train_step([derive_stream(7, "agent/m0/sl")])
 
@@ -62,3 +62,90 @@ class TestBehaviorPool:
         rng = derive_stream(10, "x")
         preds = pool.predict(rng.standard_normal((1, 3)) * 10)
         assert np.all(preds >= 0.0) and np.all(preds <= 1.0)
+
+
+def three_agent_pool(batch_size=2):
+    streams = [derive_stream(8, f"agent/m{b}/init") for b in range(3)]
+    return BehaviorPool(streams, state_dim=3, action_dim=2, capacity=4, batch_size=batch_size)
+
+
+def sl_streams(n=3):
+    return [derive_stream(8, f"agent/m{b}/sl") for b in range(n)]
+
+
+def agent_state(pool, b):
+    """Agent b's parameters, Adam moments and step count."""
+    net = pool.net.flat_view(b)
+    moments = [pool.opt.m[k][b].copy() for k in sorted(pool.opt.m)] + [pool.opt.v[k][b].copy() for k in sorted(pool.opt.v)]
+    return net, moments, int(pool.opt.t[b])
+
+
+class TestPerAgentMemory:
+    def test_rows_and_count_move_only_for_stored_agents(self):
+        pool = three_agent_pool()
+        rng = derive_stream(4, "rows")
+        stored = [[0, 2], [2], [0, 1, 2], [2], [2], [2]]  # agent 2 wraps its capacity of 4
+        rows = {b: [] for b in range(3)}
+        for agents in stored:
+            before = (pool.states.copy(), pool.actions.copy(), pool.count.copy())
+            states = rng.standard_normal((len(agents), 3))
+            actions = rng.standard_normal((len(agents), 2))
+            pool.store(states, actions, agents)
+            for b in range(3):
+                if b in agents:
+                    r = agents.index(b)
+                    rows[b].append((states[r], actions[r]))
+                else:
+                    assert np.array_equal(pool.states[b], before[0][b])
+                    assert np.array_equal(pool.actions[b], before[1][b])
+                    assert pool.count[b] == before[2][b]
+        assert pool.count.tolist() == [2, 1, 4]
+        for b in range(3):
+            # the last `capacity` rows of each agent, at slot (position mod capacity)
+            for position, (state, action) in enumerate(rows[b]):
+                if position >= len(rows[b]) - 4:
+                    assert np.array_equal(pool.states[b, position % 4], state), (b, position)
+                    assert np.array_equal(pool.actions[b, position % 4], action), (b, position)
+
+    def test_agent_below_batch_size_is_left_as_it_was(self):
+        pool = three_agent_pool(batch_size=2)
+        for agents in ([0, 1], [1], [1, 2]):  # counts 1, 3, 1
+            pool.store(np.ones((len(agents), 3)), np.full((len(agents), 2), 0.25), agents)
+        streams = sl_streams()
+        before = {b: agent_state(pool, b) for b in (0, 2)}
+        trained_before = agent_state(pool, 1)
+        pool.train_step(streams)
+        assert [s.draw_counter for s in streams] == [0, 1, 0]
+        for b in (0, 2):
+            net, moments, t = agent_state(pool, b)
+            assert np.array_equal(net, before[b][0])
+            assert all(np.array_equal(m, m0) for m, m0 in zip(moments, before[b][1]))
+            assert t == before[b][2] == 0
+        net, _, t = agent_state(pool, 1)
+        assert not np.array_equal(net, trained_before[0])
+        assert t == 1
+
+    def test_ready_agents_train_as_they_would_alone(self):
+        # an agent's step is the same whichever agents are ready beside it
+        together = three_agent_pool(batch_size=2)
+        alone = three_agent_pool(batch_size=2)
+        rng = derive_stream(5, "rows")
+        for _ in range(3):
+            states = rng.standard_normal((3, 3))
+            actions = rng.standard_normal((3, 2))
+            together.store(states, actions, [0, 1, 2])
+            alone.store(states[1:2], actions[1:2], [1])
+        together.train_step(sl_streams())
+        alone.train_step(sl_streams())
+        assert np.array_equal(together.net.flat_view(1), alone.net.flat_view(1))
+
+    def test_insufficient_data_only_when_no_agent_is_ready(self):
+        pool = three_agent_pool(batch_size=2)
+        pool.store(np.zeros((3, 3)), np.zeros((3, 2)), [0, 1, 2])
+        streams = sl_streams()
+        with pytest.raises(InsufficientDataError, match="no agent holds 2 samples"):
+            pool.train_step(streams)
+        assert [s.draw_counter for s in streams] == [0, 0, 0]
+        pool.store(np.zeros((1, 3)), np.zeros((1, 2)), [2])
+        pool.train_step(streams)  # agent 2 is ready; the others are not
+        assert [s.draw_counter for s in streams] == [0, 0, 1]

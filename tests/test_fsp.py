@@ -72,6 +72,37 @@ class TestEtaSchedule:
             EtaSchedule(floor=floor)
 
 
+class TestLearnerHyper:
+    @pytest.mark.parametrize("name", ["sl_capacity", "sl_batch_size", "sl_train_interval"])
+    @pytest.mark.parametrize("bad", [0, -3, 2.0, True])
+    def test_memory_sizes_must_be_integers_of_at_least_one(self, name, bad):
+        # 0 used to fail later in act: IndexError, or ZeroDivisionError mid-round
+        with pytest.raises(ValueError, match=name):
+            LearnerHyper(**{name: bad})
+
+    def test_batch_larger_than_capacity_rejected(self):
+        # such a memory could never fill a minibatch, so it never trained
+        with pytest.raises(ValueError, match="sl_batch_size"):
+            LearnerHyper(sl_capacity=16, sl_batch_size=17)
+        assert LearnerHyper(sl_capacity=16, sl_batch_size=16).sl_batch_size == 16
+
+    @pytest.mark.parametrize("name", ["init_std", "sl_lr", "price_bias_init"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            LearnerHyper(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["init_std", "sl_lr"])
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    def test_non_positive_scale_rejected(self, name, bad):
+        # init_std = 0 used to fail in np.linalg.solve with a singular factor
+        with pytest.raises(ValueError, match=name):
+            LearnerHyper(**{name: bad})
+
+    def test_negative_price_bias_accepted(self):
+        assert LearnerHyper(price_bias_init=-2.0).price_bias_init == -2.0
+
+
 class TestLearningFleet:
     def feedback(self, won=True, price=2.0, beta=0.4):
         return [
@@ -129,10 +160,14 @@ class TestLearningFleet:
         # executed the behavioural action keeps its actor, the critics all step
         f = fleet(seed=3)
         f.act([None, None], pending_one(), 2, 0.0, 0.0)
-        while f._prev[-1].all() or not f._prev[-1].any():  # last round's use_rl
+
+        def last_use_rl():  # both agents decide every round, so this is every agent's
+            return f._prev[1][-1]
+
+        while last_use_rl().all() or not last_use_rl().any():
             assert f.t < 50, "no round mixed the two branches"
             f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
-        br = int(np.flatnonzero(f._prev[-1])[0])
+        br = int(np.flatnonzero(last_use_rl())[0])
         behavioural = 1 - br
         actor_before = [f.pool.actor.flat_view(b) for b in range(2)]
         critic_before = [f.pool.critic.flat_view(b) for b in range(2)]
@@ -222,11 +257,17 @@ class TestLearningFleet:
     def test_each_agent_draws_noise_then_coin_every_round(self):
         # every round, pending or not, learning or frozen, each act stream
         # gives one noise vector and one eta coin; each sl stream gives one
-        # minibatch draw per behavioural training
+        # minibatch draw per behavioural training of that agent, which needs
+        # a minibatch of the agent's own rows
         f = fleet(seed=6, hyper=LearnerHyper(window=4, sl_batch_size=4, sl_train_interval=3))
         train_step = f.behavior.train_step
-        trainings = []
-        f.behavior.train_step = lambda streams: trainings.append(f.t) or train_step(streams)
+        trainings = []  # (t, the agents holding a minibatch) of each training
+
+        def counted(streams):
+            trainings.append((f.t, (f.behavior.count >= 4).tolist()))
+            return train_step(streams)
+
+        f.behavior.train_step = counted
         pendings = [pending_one(), [{}, {}], [{}, {"F1-300": (3.0, 200.0)}]]
         feedback = [None, None]
         for r in range(24):
@@ -238,8 +279,11 @@ class TestLearningFleet:
             f.act(feedback, pendings[r % 3], 2, 0.3, 0.0)
             feedback = self.feedback()
             assert [s.draw_counter for s in f.act_streams] == [n + 2 for n in act_before], r
-            assert [s.draw_counter for s in f.sl_streams] == [n + len(trainings) - trained for n in sl_before], r
-        assert trainings == [6, 9, 12]  # none once frozen at t = 13
+            ready = trainings[-1][1] if len(trainings) > trained else [False, False]
+            assert [s.draw_counter for s in f.sl_streams] == [n + int(b) for n, b in zip(sl_before, ready)], r
+        # m1 decides two rounds in three and holds 4 rows at t = 6, m0 one in
+        # three and 4 rows at t = 10; none trains once frozen at t = 13
+        assert trainings == [(6, [False, True]), (9, [False, True]), (12, [True, True])]
 
     def test_frozen_fleet_stops_learning(self):
         f = fleet()
@@ -284,10 +328,72 @@ def feedback_for(cfgs, directives, price=40.0, beta=0.3):
 
 
 class TestDecidingAgentsOnly:
-    """A round's work runs for the agents that decide: a frozen fleet's actor
-    pass and behavioural model take only their rows, and every agent's step
-    is encoded in one call. Both must be bit-identical to the per-agent and
-    full-batch computations they replace."""
+    """A round's work runs for the agents that decide: the actor pass and
+    the behavioural model take only their rows, and so, while learning, do
+    the actor step and the behaviour memory; every agent's step is encoded
+    in one call. A frozen round and the step layout must be bit-identical to
+    the full-batch and per-agent computations they replace."""
+
+    def test_learning_round_runs_the_actor_and_memory_on_deciding_agents(self):
+        # while learning: the actor pass runs on exactly the deciding rows
+        # (none when no agent decides), only deciding agents get a behaviour
+        # row, every critic steps, and an actor steps only for an agent that
+        # decided last round and executed its own sample, the one scored now
+        n, seed = 5, 21
+        cfgs = configs(n)
+        eta_mixed = EtaSchedule(floor=0.5, floor_after=2)  # both branches, every round
+        hyper = LearnerHyper(window=4, sl_batch_size=4, sl_train_interval=3, eta=eta_mixed)
+        f = LearningFleet(cfgs, codec(), root_seed=seed, hyper=hyper)
+        streams = [derive_stream(seed, f"agent/{c.bidder_id}/act") for c in cfgs]  # replicas: noise, then coin
+        rng = derive_stream(22, "pending")
+        mixed_rounds = 0  # rounds whose TD step scored some of last round's deciding agents, not all
+        actor_rows = []
+        actor_forward = f.pool.actor_forward
+
+        def recorded(x, agents=slice(None)):
+            actor_rows.append(agents)
+            return actor_forward(x, agents)
+
+        f.pool.actor_forward = recorded
+        feedback = [None] * n
+        scored_last = []  # the agents whose sample this round's TD step scores
+        seen = set()
+        for r in range(40):
+            pending = mixed_pending(rng, r, n)
+            deciding = [b for b in range(n) if pending[b]]
+            eta = f.hyper.eta.eta(f.t)
+            coins = []
+            for s in streams:
+                s.standard_normal(f.action_dim)
+                coins.append(s.uniform())
+            actor_before = [f.pool.actor.flat_view(b) for b in range(n)]
+            critic_before = [f.pool.critic.flat_view(b) for b in range(n)]
+            rows_before = (f.behavior.states.copy(), f.behavior.actions.copy(), f.behavior.count.copy())
+            actor_rows.clear()
+            directives = f.act(feedback, pending, n, 0.3, (r % 10) / 10)
+            seen.add(len(deciding))
+            assert [np.arange(n)[agents].tolist() for agents in actor_rows] == ([deciding] if deciding else []), r
+            for b in range(n):
+                stepped = not np.array_equal(f.pool.actor.flat_view(b), actor_before[b])
+                assert stepped == (b in scored_last), (r, b)
+                if r > 0:
+                    assert not np.array_equal(f.pool.critic.flat_view(b), critic_before[b]), (r, b)
+                stored = b in deciding
+                assert f.behavior.count[b] == rows_before[2][b] + stored, (r, b)
+                if not stored:
+                    assert np.array_equal(f.behavior.states[b], rows_before[0][b]), (r, b)
+                    assert np.array_equal(f.behavior.actions[b], rows_before[1][b]), (r, b)
+            norms = f.pool.actor.last_grad_norms
+            assert norms.shape == (n,)
+            if r > 0:
+                last = np.isin(np.arange(n), last_deciding)
+                assert np.all(norms[~last] == 0.0) and np.all(norms[last] > 0.0), r
+            last_deciding = deciding
+            scored_last = [b for b in deciding if coins[b] < eta]
+            mixed_rounds += 0 < len(scored_last) < len(deciding)
+            feedback = feedback_for(cfgs, directives)
+        assert seen >= {0, 1, n} and len(seen) >= 4
+        assert mixed_rounds >= 3
 
     @pytest.mark.parametrize("eta", [1.0, 0.5, 0.0])
     def test_frozen_directives_match_full_batch(self, eta):

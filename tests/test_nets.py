@@ -137,6 +137,45 @@ class TestApplyGradients:
         for k, p in net.params.items():
             assert np.array_equal(p, before[k])
 
+    @pytest.mark.parametrize("step_of_m1", [0.3, 0.0])
+    def test_subset_pass_steps_only_its_agents(self, step_of_m1):
+        # a forward pass over agents [3, 1] steps only those two, as the full
+        # batch would; the rest keep their parameters and read norm 0.0
+        n_agents, agents = 5, [3, 1]
+        net = make_net(n_agents, seed=16)
+        rng = derive_stream(17, "x")
+        x = rng.standard_normal((n_agents, INPUT_DIM))
+        head_grads = head_grads_for(rng, n_agents)
+        step = np.array([0.2, step_of_m1, -0.4, 0.5, 0.1])
+        expected, expected_norms = reference_step(net.params, x, head_grads, step, 2.0)
+        before = {k: v.copy() for k, v in net.params.items()}
+
+        _, cache = net.forward(x[agents], agents)
+        factors = net.backward(cache, {h: g[agents] for h, g in head_grads.items()})
+        net.apply_gradients(factors, step[agents], clip_norm=2.0, agents=agents)
+
+        assert net.last_grad_norms.shape == (n_agents,)
+        for b in range(n_agents):
+            if b in agents:
+                np.testing.assert_allclose(net.last_grad_norms[b], expected_norms[b], rtol=1e-12, atol=0)
+            else:
+                assert net.last_grad_norms[b] == 0.0
+            for k, p in net.params.items():
+                if b in agents and step[b] != 0.0:
+                    np.testing.assert_allclose(p[b], expected[k][b], rtol=1e-12, atol=0, err_msg=f"{k}[{b}]")
+                else:
+                    assert np.array_equal(p[b], before[k][b]), (b, k)
+
+    def test_nonfinite_norm_of_subset_names_the_agent(self):
+        net = make_net(5, seed=18)
+        x = derive_stream(19, "x").standard_normal((2, INPUT_DIM))
+        x[0, 1] = np.inf  # the row of agent 4
+        with np.errstate(invalid="ignore"):
+            _, cache = net.forward(x, [4, 2])
+            factors = net.backward(cache, head_grads_for(derive_stream(20, "g"), 2))
+            with pytest.raises(NumericalInstabilityError, match=r"agents \[4\]: W0 of agents \[4\]"):
+                net.apply_gradients(factors, np.ones(2), clip_norm=1.0, agents=[4, 2])
+
     def test_nonfinite_norm_names_agent_and_layer(self):
         pool = ActorCriticPool(
             [derive_stream(b, f"agent/m{b}/init") for b in range(3)],
@@ -154,7 +193,7 @@ class TestApplyGradients:
         with np.errstate(invalid="ignore"), pytest.raises(
             NumericalInstabilityError, match=r"agents \[1\]: W0 of agents \[1\]"
         ):
-            pool.update(np.full(3, 0.5), zeta, actor_cache, critic_cache, np.ones(3, dtype=bool))
+            pool.update(np.full(3, 0.5), critic_cache, (zeta, actor_cache, np.ones(3, dtype=bool)))
         assert np.array_equal(pool.critic.flat_view(1), before)
 
 

@@ -276,6 +276,13 @@ class TestSlots:
         aca.on_report(report("remote", 0, 1.0))
         assert aca.compute_slots({"F1": 3.0, "F2": 30.0}) == {"F1": 0, "F2": 0}
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_estimate_rejected(self, bad):
+        # NaN passed the <= 0 check and then failed in int() naming nothing
+        aca = self.controller()
+        with pytest.raises(ValueError, match="estimate for F2 must be finite"):
+            aca.compute_slots({"F1": 3.0, "F2": bad})
+
     def test_belief_uses_stale_report(self):
         # a burst filled the sites after the last report was measured: the
         # controller still believes the old free capacity and overcommits
@@ -370,6 +377,14 @@ class TestAssignment:
         bids = [Bid("m0", "F1", 5.0, 3.0, 300)]
         with pytest.raises(ValueError):
             aca.decide_round(bids, {"F1": 1}, derive_stream(1, "auction"), {"F1": 0.0}, now=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_decide_round_rejects_non_finite_estimate(self, bad):
+        # a NaN estimate used to mark the type's winners Rejected without an error
+        aca = self.controller_with_prices(0.0, 0.0)
+        bids = [Bid("m0", "F1", 5.0, 3.0, 300)]
+        with pytest.raises(ValueError, match="estimate for F1 must be finite"):
+            aca.decide_round(bids, {"F1": 1}, derive_stream(1, "auction"), {"F1": bad}, now=0)
 
 
 def fold_sum(values):

@@ -228,6 +228,30 @@ class TestScoreGradients:
             assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
 
 
+class TestLearningRates:
+    @pytest.mark.parametrize("name", ["actor", "critic"])
+    @pytest.mark.parametrize("bad", [-1e-4, math.nan, math.inf])
+    def test_bad_rate_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            LearningRates(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_grad_clip_rejected(self, bad):
+        # -1 used to turn every step around; NaN failed later naming nothing
+        with pytest.raises(ValueError, match="grad_clip"):
+            LearningRates(grad_clip=bad)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_reward_smoothing_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="reward_smoothing"):
+            LearningRates(reward_smoothing=bad)
+
+    def test_boundary_values_accepted(self):
+        rates = LearningRates(actor=0.0, critic=0.0, reward_smoothing=1.0)
+        assert (rates.actor, rates.critic, rates.reward_smoothing) == (0.0, 0.0, 1.0)
+        assert LearningRates(reward_smoothing=0.0).reward_smoothing == 0.0
+
+
 class TestUpdates:
     def test_zero_td_error_changes_nothing(self):
         pool = small_pool()
@@ -237,7 +261,7 @@ class TestUpdates:
         zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
         before_actor = pool.actor.flat_view(0)
         before_critic = pool.critic.flat_view(0)
-        pool.update(np.zeros(1), zeta, actor_cache, critic_cache, np.ones(1, dtype=bool))
+        pool.update(np.zeros(1), critic_cache, (zeta, actor_cache, np.ones(1, dtype=bool)))
         assert np.array_equal(pool.actor.flat_view(0), before_actor)
         assert np.array_equal(pool.critic.flat_view(0), before_critic)
 
@@ -255,11 +279,38 @@ class TestUpdates:
         zeta = pool.sample_raw(mu, L, np.ones((2, 4)))
         actor_before = [pool.actor.flat_view(b) for b in range(2)]
         critic_before = [pool.critic.flat_view(b) for b in range(2)]
-        pool.update(np.full(2, 0.5), zeta, actor_cache, critic_cache, np.array([False, True]))
+        pool.update(np.full(2, 0.5), critic_cache, (zeta, actor_cache, np.array([False, True])))
         assert np.array_equal(pool.actor.flat_view(0), actor_before[0])
         assert not np.array_equal(pool.actor.flat_view(1), actor_before[1])
         for b in range(2):
             assert not np.array_equal(pool.critic.flat_view(b), critic_before[b])
+
+    def test_actor_is_scored_only_on_its_pass_rows(self):
+        pool = ActorCriticPool(
+            [derive_stream(0, f"agent/m{b}/init") for b in range(3)],
+            input_dim=12,
+            action_dim=4,
+            rates=LearningRates(),
+            hidden=(6, 5),
+        )
+        x = derive_stream(3, "x").standard_normal((3, 12))
+        actor_before = [pool.actor.flat_view(b) for b in range(3)]
+        critic_before = [pool.critic.flat_view(b) for b in range(3)]
+        _, _, critic_cache = pool.critic_eval(x, x)
+        pool.update(np.full(3, 0.5), critic_cache)  # no agent drew a sample
+        assert pool.actor.last_grad_norms.tolist() == [0.0, 0.0, 0.0]
+        for b in range(3):
+            assert np.array_equal(pool.actor.flat_view(b), actor_before[b])
+            assert not np.array_equal(pool.critic.flat_view(b), critic_before[b])
+        _, _, critic_cache = pool.critic_eval(x, x)
+        mu, L, actor_cache = pool.actor_forward(x[[2, 0]], [2, 0])
+        zeta = pool.sample_raw(mu, L, np.ones((2, 4)))
+        pool.update(np.full(3, 0.5), critic_cache, (zeta, actor_cache, np.array([True, False])))
+        norms = pool.actor.last_grad_norms
+        assert norms[1] == 0.0 and norms[0] > 0.0 and norms[2] > 0.0
+        assert not np.array_equal(pool.actor.flat_view(2), actor_before[2])
+        for b in (0, 1):  # agent 0 executed another action, agent 1 drew no sample
+            assert np.array_equal(pool.actor.flat_view(b), actor_before[b])
 
     def test_nonfinite_delta_raises(self):
         pool = small_pool()
@@ -268,7 +319,7 @@ class TestUpdates:
         mu, L, actor_cache = pool.actor_forward(x)
         zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
         with pytest.raises(NumericalInstabilityError):
-            pool.update(np.array([np.inf]), zeta, actor_cache, critic_cache, np.ones(1, dtype=bool))
+            pool.update(np.array([np.inf]), critic_cache, (zeta, actor_cache, np.ones(1, dtype=bool)))
 
 
 class TestTdError:

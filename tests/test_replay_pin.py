@@ -8,6 +8,10 @@ meant to alter behaviour, update the pinned digest and say why.
 The short pins stop at round 60 or earlier. A second fsp-train pin plays
 rounds 0..153, past round 100, where the learners' eta sits at its floor
 and most actor steps are zero: the regime the benchmark measures.
+
+A traced fsp-train run wraps the learner's entry points (`pool.update`,
+`behavior.store`, `behavior.train_step` among them) in timing spans, and
+fails `correct` when its digest differs from the untraced pass's.
 """
 import json
 import re
@@ -21,21 +25,28 @@ RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 PINNED_DIGESTS = {
     "crowd": "949487df88d0ebb2",
-    "fsp-train": "e98b7dd83db3af2b",
+    "fsp-train": "d9e8deb438714c9d",
     "fsp-eval": "e5b682c69ca71125",
 }
 
 
-def replay_digest(workload, seconds):
-    args = ["--workload", workload, "--seed", "1", "--seconds", str(seconds), "--trace", "0"]
+def replay_digests(workload, seconds, trace=0):
+    """The digests a correct seed-1 run prints: one untraced, or the
+    untraced and the traced pass's."""
+    args = ["--workload", workload, "--seed", "1", "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run([sys.executable, str(RUN), *args], capture_output=True, text=True, timeout=170)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    digest = re.search(r"^replay_digest (\w+)", out.stdout, re.MULTILINE)
-    assert digest is not None, out.stdout
-    return digest.group(1)
+    digests = re.findall(r"^replay_digest (?:\(\w+\) )?(\w+)", out.stdout, re.MULTILINE)
+    assert len(digests) == 1 + trace, out.stdout
+    return digests
+
+
+def replay_digest(workload, seconds):
+    (digest,) = replay_digests(workload, seconds)
+    return digest
 
 
 @pytest.mark.parametrize("workload", sorted(PINNED_DIGESTS))
@@ -44,4 +55,8 @@ def test_replay_digest_is_pinned(workload):
 
 
 def test_fsp_train_digest_is_pinned_past_the_eta_floor():
-    assert replay_digest("fsp-train", 6) == "66a70d268c775334"
+    assert replay_digest("fsp-train", 6) == "ee07dd93735d5bff"
+
+
+def test_traced_fsp_train_run_matches_the_untraced_digest():
+    assert replay_digests("fsp-train", 6, trace=1) == ["ee07dd93735d5bff"] * 2
