@@ -9,6 +9,13 @@ holds a minibatch of its own: every other agent's parameters, Adam moments
 and sl stream are left as they were. Actions are stored and predicted as
 the executed fractions in [0, 1] that `LearningFleet._fractions` makes of
 a policy sample; this module does not know their layout.
+
+The memory is laid out time-major, (capacity, B, dim): row r of every agent
+sits in one contiguous band. numpy advises huge pages (MADV_HUGEPAGE) on
+large arrays, so under an agent-major layout each agent's first row would
+fault in a 2 MB page of its own slab, and the resident set would grow with
+the fleet size times the page size. Time-major, it grows with the rows the
+busiest agent holds.
 """
 from __future__ import annotations
 
@@ -43,8 +50,8 @@ class BehaviorPool:
         self.batch_size = batch_size
         self.net = StackedMlp(streams, state_dim, hidden, heads={"a": (action_dim, 0.1, 0.5)})
         self.opt = AdamState(self.net, lr=lr)
-        self.states = np.zeros((self.B, capacity, state_dim))
-        self.actions = np.zeros((self.B, capacity, action_dim))
+        self.states = np.zeros((capacity, self.B, state_dim))  # time-major, see the module docstring
+        self.actions = np.zeros((capacity, self.B, action_dim))
         self.count = np.zeros(self.B, dtype=np.int64)  # rows held, per agent
         self._ptr = np.zeros(self.B, dtype=np.int64)  # next row written, per agent
 
@@ -52,8 +59,8 @@ class BehaviorPool:
         """One row per agent in `agents` (distinct indices): row r of states
         (n, state_dim) and actions_norm (n, action_dim) for agent agents[r]."""
         ptr = self._ptr[agents]
-        self.states[agents, ptr] = states
-        self.actions[agents, ptr] = actions_norm
+        self.states[ptr, agents] = states
+        self.actions[ptr, agents] = actions_norm
         self._ptr[agents] = (ptr + 1) % self.capacity
         self.count[agents] = np.minimum(self.count[agents] + 1, self.capacity)
 
@@ -63,18 +70,17 @@ class BehaviorPool:
         outputs, _ = self.net.forward(states, agents)
         return np.clip(outputs["a"], 0.0, 1.0)
 
-    def train_step(self, streams: Sequence[RngStream]) -> float:
-        """One minibatch descent step for each agent with at least
-        batch_size rows of its own, its minibatch drawn from its stream in
-        `streams` (one per agent); returns their mean MSE."""
+    def train_step(self, streams: Sequence[RngStream]):
+        """One minibatch descent step on the mean squared error for each
+        agent with at least batch_size rows of its own, its minibatch drawn
+        from its stream in `streams` (one per agent)."""
         ready = np.flatnonzero(self.count >= self.batch_size)
         if ready.size == 0:
             raise InsufficientDataError(f"no agent holds {self.batch_size} samples; the most is {self.count.max()}")
         idx = np.stack([streams[b].integer_array(0, int(self.count[b]), self.batch_size) for b in ready])
-        x = self.states[ready[:, None], idx]
-        target = self.actions[ready[:, None], idx]
+        x = self.states[idx, ready[:, None]]
+        target = self.actions[idx, ready[:, None]]
         outputs, cache = self.net.forward(x, ready)
         err = outputs["a"] - target
         factors = self.net.backward(cache, {"a": (2.0 / (self.batch_size * self.action_dim)) * err})
         self.opt.step(factors, ready)
-        return float((err * err).mean())

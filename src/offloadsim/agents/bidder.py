@@ -64,6 +64,13 @@ from .policy import ActorCriticPool, LearningRates, sigmoid
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
 
 
+def _require_count(obj, name: str, least: int):
+    """Refuse obj.<name> unless it is an integer >= least (a bool is not)."""
+    value = getattr(obj, name)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class EtaSchedule:
     """Best-response mixing weight: 1/t, floored after a while (a floor of
@@ -75,6 +82,7 @@ class EtaSchedule:
     def __post_init__(self):
         if not 0.0 <= self.floor <= 1.0:
             raise ValueError(f"floor must be in [0, 1], got {self.floor}")
+        _require_count(self, "floor_after", 0)
 
     def eta(self, t: int) -> float:
         value = 1.0 / max(1, t)
@@ -99,9 +107,7 @@ class LearnerHyper:
 
     def __post_init__(self):
         for name in ("sl_capacity", "sl_batch_size", "sl_train_interval"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _require_count(self, name, 1)
         if self.sl_batch_size > self.sl_capacity:
             raise ValueError(
                 f"sl_batch_size ({self.sl_batch_size}) must not exceed sl_capacity ({self.sl_capacity})"

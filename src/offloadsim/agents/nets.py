@@ -53,8 +53,15 @@ class NumericalInstabilityError(FloatingPointError):
     """Gradients stopped being finite: learning rates are diverging."""
 
 
-def _init_weight(rng: RngStream, fan_in: int, fan_out: int, scale: float) -> np.ndarray:
-    return rng.standard_normal((fan_in, fan_out)) * (scale / math.sqrt(fan_in))
+def _init_weights(streams: Sequence[RngStream], fan_in: int, fan_out: int, scale: float) -> np.ndarray:
+    """(B, fan_in, fan_out) normal draws times scale / sqrt(fan_in), agent b's
+    from streams[b], each written straight into its slice so that set-up
+    holds every weight once."""
+    w = np.empty((len(streams), fan_in, fan_out))
+    factor = scale / math.sqrt(fan_in)
+    for rng, out in zip(streams, w):
+        np.multiply(rng.standard_normal((fan_in, fan_out)), factor, out=out)
+    return w
 
 
 class StackedMlp:
@@ -78,15 +85,13 @@ class StackedMlp:
         self.params: dict[str, np.ndarray] = {}
         dims = (input_dim, *hidden)
         for layer in range(len(hidden)):
-            w = np.stack([_init_weight(s, dims[layer], dims[layer + 1], 1.0) for s in streams])
-            self.params[f"W{layer}"] = w
+            self.params[f"W{layer}"] = _init_weights(streams, dims[layer], dims[layer + 1], 1.0)
             self.params[f"b{layer}"] = np.zeros((self.B, dims[layer + 1]))
         for name, spec in heads.items():
             out_dim, head_scale, bias_init = spec
-            w = np.stack([_init_weight(s, dims[-1], out_dim, head_scale) for s in streams])
+            self.params[f"W_{name}"] = _init_weights(streams, dims[-1], out_dim, head_scale)
             b = np.zeros((self.B, out_dim))
             b += np.asarray(bias_init)
-            self.params[f"W_{name}"] = w
             self.params[f"b_{name}"] = b
 
     # -- forward / backward ---------------------------------------------------

@@ -62,7 +62,7 @@ def utility_per_type(x: int, v: float, p: float, c: float, q: float, submitted: 
     uncontended win carries no competitive gain (payoff 0). The same -v also
     falls on a loser at price 0, whose payoff is then -c-v. Charging the loser
     too is an open modelling assumption: the source abstract settles neither
-    case, and the learners' reward design (ROADMAP, direction 1) decides it.
+    case, and the learners' reward design (ROADMAP, direction 2) decides it.
     Deferred: the backoff reward q.
     """
     if x not in (0, 1):

@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -6,9 +7,16 @@ import numpy as np
 # test_replay_pin.py were recorded with it, and another release may round differently.
 PINNED_NUMPY = "2.4.6"
 
+# The kernel's transparent huge page mode: numpy's huge-page advice on large
+# arrays takes effect only under "always" or "madvise", so the behaviour
+# memory's resident-growth test can catch a huge page per agent only there.
+THP_MODE = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+
 
 def pytest_report_header(config):
+    thp = THP_MODE.read_text().strip() if THP_MODE.exists() else "not reported by this kernel"
     return [
         f"python {sys.version.split()[0]}, numpy {np.__version__}",
         f"replay pins in tests/test_replay_pin.py were recorded with numpy {PINNED_NUMPY}, the release CI pins",
+        f"transparent huge pages: {thp}",
     ]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -96,16 +101,16 @@ class TestPerAgentMemory:
                     r = agents.index(b)
                     rows[b].append((states[r], actions[r]))
                 else:
-                    assert np.array_equal(pool.states[b], before[0][b])
-                    assert np.array_equal(pool.actions[b], before[1][b])
+                    assert np.array_equal(pool.states[:, b], before[0][:, b])
+                    assert np.array_equal(pool.actions[:, b], before[1][:, b])
                     assert pool.count[b] == before[2][b]
         assert pool.count.tolist() == [2, 1, 4]
         for b in range(3):
             # the last `capacity` rows of each agent, at slot (position mod capacity)
             for position, (state, action) in enumerate(rows[b]):
                 if position >= len(rows[b]) - 4:
-                    assert np.array_equal(pool.states[b, position % 4], state), (b, position)
-                    assert np.array_equal(pool.actions[b, position % 4], action), (b, position)
+                    assert np.array_equal(pool.states[position % 4, b], state), (b, position)
+                    assert np.array_equal(pool.actions[position % 4, b], action), (b, position)
 
     def test_agent_below_batch_size_is_left_as_it_was(self):
         pool = three_agent_pool(batch_size=2)
@@ -149,3 +154,49 @@ class TestPerAgentMemory:
         pool.store(np.zeros((1, 3)), np.zeros((1, 2)), [2])
         pool.train_step(streams)  # agent 2 is ready; the others are not
         assert [s.draw_counter for s in streams] == [0, 0, 1]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Resident growth of 100 stored rows for each of 32 agents, in a fresh
+# process so that nothing else the test run allocated is counted.
+STORE_GROWTH = """
+import os
+
+import numpy as np
+
+from offloadsim.agents import BehaviorPool
+from offloadsim.engine import derive_stream
+
+
+def resident_bytes():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+n = 32
+pool = BehaviorPool([derive_stream(1, f"agent/m{b}/init") for b in range(n)], 27, 16, capacity=10_000)
+states, actions, agents = np.ones((n, 27)), np.full((n, 16), 0.5), list(range(n))
+before = resident_bytes()
+for _ in range(100):
+    pool.store(states, actions, agents)
+print(resident_bytes() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+def test_memory_grows_with_the_rows_held():
+    # numpy advises huge pages on arrays this large, so a layout that gave
+    # each agent its own slab would fault in a 2 MB page per agent and array
+    # on its first row (about 100 MB for this pool); time-major rows touch about 3 MB
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", STORE_GROWTH],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    growth_mb = int(out.stdout) / 2**20
+    assert growth_mb < 16, f"100 rows for each of 32 agents grew the resident set by {growth_mb:.1f} MB"

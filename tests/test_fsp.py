@@ -71,6 +71,12 @@ class TestEtaSchedule:
         with pytest.raises(ValueError, match="floor"):
             EtaSchedule(floor=floor)
 
+    @pytest.mark.parametrize("floor_after", [math.nan, -5, 2.5, True])
+    def test_floor_after_must_be_a_count(self, floor_after):
+        # with NaN, t <= floor_after is never true, so the floor would apply from round 1
+        with pytest.raises(ValueError, match="floor_after"):
+            EtaSchedule(floor=0.5, floor_after=floor_after)
+
 
 class TestLearnerHyper:
     @pytest.mark.parametrize("name", ["sl_capacity", "sl_batch_size", "sl_train_interval"])
@@ -381,8 +387,8 @@ class TestDecidingAgentsOnly:
                 stored = b in deciding
                 assert f.behavior.count[b] == rows_before[2][b] + stored, (r, b)
                 if not stored:
-                    assert np.array_equal(f.behavior.states[b], rows_before[0][b]), (r, b)
-                    assert np.array_equal(f.behavior.actions[b], rows_before[1][b]), (r, b)
+                    assert np.array_equal(f.behavior.states[:, b], rows_before[0][:, b]), (r, b)
+                    assert np.array_equal(f.behavior.actions[:, b], rows_before[1][:, b]), (r, b)
             norms = f.pool.actor.last_grad_norms
             assert norms.shape == (n,)
             if r > 0:

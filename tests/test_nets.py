@@ -340,3 +340,21 @@ def test_non_contiguous_parameters_are_stepped_in_place():
     expected = unblocked_step(before, factors, step, net.last_grad_norms, 2.0)
     for k in before:
         assert np.array_equal(net.params[k], expected[k]), k
+
+
+def test_weights_are_scaled_normal_draws_from_each_agents_stream():
+    # agent b's weights are its own stream's draws, layer by layer and then
+    # head by head, each times scale / sqrt(fan_in); biases start at their init
+    net = make_net(3, seed=16)
+    dims = (INPUT_DIM, *HIDDEN)
+    layers = [(f"W{i}", dims[i], dims[i + 1], 1.0) for i in range(len(HIDDEN))]
+    layers += [(f"W_{name}", HIDDEN[-1], out_dim, scale) for name, (out_dim, scale, _) in HEADS.items()]
+    for b in range(3):
+        rng = derive_stream(16, f"agent/m{b}/init")
+        for name, fan_in, fan_out, scale in layers:
+            expected = rng.standard_normal((fan_in, fan_out)) * (scale / np.sqrt(fan_in))
+            assert np.array_equal(net.params[name][b], expected), (b, name)
+        for name, (out_dim, _, bias_init) in HEADS.items():
+            assert np.array_equal(net.params[f"b_{name}"][b], np.full(out_dim, bias_init)), (b, name)
+        for i in range(len(HIDDEN)):
+            assert np.array_equal(net.params[f"b{i}"][b], np.zeros(HIDDEN[i])), (b, i)
