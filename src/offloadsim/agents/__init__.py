@@ -1,4 +1,4 @@
-from .behavior import BehaviorPool, InsufficientDataError
+from .behavior import BehaviorPool
 from .bidder import BACKOFF, SUBMIT, EtaSchedule, LearnerHyper, LearningFleet, PassiveFleet
 from .features import FeatureCodec
 from .nets import AdamState, NumericalInstabilityError, StackedMlp
@@ -13,7 +13,6 @@ __all__ = [
     "BehaviorPool",
     "EtaSchedule",
     "FeatureCodec",
-    "InsufficientDataError",
     "LearnerHyper",
     "LearningFleet",
     "LearningRates",

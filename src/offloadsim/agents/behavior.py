@@ -27,10 +27,6 @@ from ..engine import RngStream
 from .nets import AdamState, StackedMlp
 
 
-class InsufficientDataError(RuntimeError):
-    pass
-
-
 class BehaviorPool:
     """One behavioral model per agent, trained side by side."""
 
@@ -73,10 +69,11 @@ class BehaviorPool:
     def train_step(self, streams: Sequence[RngStream]):
         """One minibatch descent step on the mean squared error for each
         agent with at least batch_size rows of its own, its minibatch drawn
-        from its stream in `streams` (one per agent)."""
+        from its stream in `streams` (one per agent). With no such agent it
+        draws nothing and changes nothing."""
         ready = np.flatnonzero(self.count >= self.batch_size)
         if ready.size == 0:
-            raise InsufficientDataError(f"no agent holds {self.batch_size} samples; the most is {self.count.max()}")
+            return
         idx = np.stack([streams[b].integer_array(0, int(self.count[b]), self.batch_size) for b in ready])
         x = self.states[idx, ready[:, None]]
         target = self.actions[idx, ready[:, None]]

@@ -59,16 +59,9 @@ import numpy as np
 from ..auction import FeedbackSignal
 from ..engine import derive_stream
 from .behavior import BehaviorPool
-from .features import FeatureCodec
+from .features import FeatureCodec, require_count
 from .policy import ActorCriticPool, LearningRates, sigmoid
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
-
-
-def _require_count(obj, name: str, least: int):
-    """Refuse obj.<name> unless it is an integer >= least (a bool is not)."""
-    value = getattr(obj, name)
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -82,7 +75,7 @@ class EtaSchedule:
     def __post_init__(self):
         if not 0.0 <= self.floor <= 1.0:
             raise ValueError(f"floor must be in [0, 1], got {self.floor}")
-        _require_count(self, "floor_after", 0)
+        require_count("floor_after", self.floor_after, 0)
 
     def eta(self, t: int) -> float:
         value = 1.0 / max(1, t)
@@ -106,8 +99,8 @@ class LearnerHyper:
     eta: EtaSchedule = field(default_factory=EtaSchedule)
 
     def __post_init__(self):
-        for name in ("sl_capacity", "sl_batch_size", "sl_train_interval"):
-            _require_count(self, name, 1)
+        for name in ("window", "sl_capacity", "sl_batch_size", "sl_train_interval"):
+            require_count(name, getattr(self, name), 1)
         if self.sl_batch_size > self.sl_capacity:
             raise ValueError(
                 f"sl_batch_size ({self.sl_batch_size}) must not exceed sl_capacity ({self.sl_capacity})"
@@ -252,7 +245,7 @@ class LearningFleet:
                 self.behavior.store(sl_states, executed, deciding)
                 scored = (zeta_raw, actor_cache, picked)
         if learning:
-            if self.t % self.hyper.sl_train_interval == 0 and self.behavior.count.max() >= self.hyper.sl_batch_size:
+            if self.t % self.hyper.sl_train_interval == 0:
                 self.behavior.train_step(self.sl_streams)
             self._prev = (flat, scored)
         self.t += 1

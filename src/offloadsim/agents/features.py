@@ -29,6 +29,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 
+def require_count(name: str, value, least: int):
+    """Refuse `value`, reported as `name`, unless it is an integer >= least (a bool is not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class FeatureCodec:
     def __init__(
         self,
@@ -39,16 +45,14 @@ class FeatureCodec:
         fleet_size: int,
         window: int = 8,
     ):
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        require_count("window", window, 1)
         for name, value in (("work_max", work_max), ("deadline_max", deadline_max), ("price_max", price_max)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         self.type_ids = tuple(sorted(type_ids))
         if not self.type_ids or len(set(self.type_ids)) != len(self.type_ids):
             raise ValueError(f"type_ids must be non-empty and distinct, got {list(type_ids)}")
-        if not isinstance(fleet_size, numbers.Integral) or fleet_size < 1:
-            raise ValueError(f"fleet_size must be an integer >= 1, got {fleet_size!r}")
+        require_count("fleet_size", fleet_size, 1)
         self.index = {t: i for i, t in enumerate(self.type_ids)}
         self.work_max = float(work_max)
         self.deadline_max = float(deadline_max)

@@ -19,16 +19,13 @@ Most of a step is zero, and `apply_gradients` adds only what it must. A
 pass may run for a subset of the agents (`forward`'s `agents`, which the
 cache records), and `backward` and `apply_gradients` then read and step
 only those agents. An agent that executed its behavioural action gets step
-0.0 (see `ActorCriticPool.update`), so `apply_gradients` takes the norm of
-every agent it is given but adds nothing for an agent whose step s is zero.
-For the others, the rule depends on what feeds the layer:
-
-- The input layer W0 is fed by the caller's input, a zero-padded window
-  that is mostly 0.0. Its weight step is added only at the (agent, input
-  row) pairs where s x_i is nonzero.
-- Every deeper layer and head is fed by tanh activations, which are
-  almost never exactly zero, so its weight step is added densely, as one
-  (agent, in, out) outer product of s x and dz.
+0.0 (see `ActorCriticPool.update`). The input layer W0 is fed by the
+caller's input, a zero-padded window that is mostly 0.0, so its weight step
+is added only at the (agent, input row) pairs where s x_i is nonzero, which
+also skips every agent whose step s is zero. Every deeper layer and head is
+fed by tanh activations, which are almost never exactly zero, so its weight
+step is added densely over the given agents, as one (agent, in, out) outer
+product of s x and dz; the biases too.
 
 Both are bit-identical to the dense step over every agent and row. The
 added entries are the same two products, s x_i first, then times dz_j.
@@ -136,10 +133,10 @@ class StackedMlp:
     ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Gradient factors of sum over agents and samples of <head_grad, head_out>.
 
-        Maps each layer's weight name to (x, dz): the layer's input
-        activation (B, n, in) and its pre-activation gradient (B, n, out),
-        row r for agent agents[r] of the cache's forward pass. The bias of
-        weight "W<s>" is "b<s>".
+        head_grads holds a gradient for every head. Maps each layer's weight
+        name to (x, dz): the layer's input activation (B, n, in) and its
+        pre-activation gradient (B, n, out), row r for agent agents[r] of the
+        cache's forward pass. The bias of weight "W<s>" is "b<s>".
         """
         acts = cache["acts"]
         squeeze = cache["squeeze"]
@@ -148,9 +145,7 @@ class StackedMlp:
         top = acts[-1]
         dh = None
         for name in self.head_names:
-            dy = head_grads.get(name)
-            if dy is None:
-                continue
+            dy = head_grads[name]
             if squeeze:
                 dy = dy[:, None, :]
             factors[f"W_{name}"] = (top, dy)
@@ -175,18 +170,11 @@ class StackedMlp:
 
         factors come from `backward` on a one-sample-per-agent cache, so each
         weight gradient is the outer product x dz^T: its squared norm is
-        ||x||^2 ||dz||^2 and the step is added as a rank-1 update.
-
-        Every given agent's norm is checked and stored in `last_grad_norms`
-        (B,), which holds 0.0 for the agents not given. Steps are then
-        added only for agents whose step s is nonzero (all of them through
-        a slice when every agent steps). The input layer "W0" gets its
-        weight step only where the row factor s x_i is nonzero, since its
-        input is mostly zero padding; the layers fed by tanh activations get
-        the dense outer product. Each skipped entry would add +-0 to a
-        finite parameter, which leaves it bit-identical (module docstring).
-        The added entries are the same two products as the dense update,
-        s x_i first, then times dz_j.
+        ||x||^2 ||dz||^2 and the step is added as a rank-1 update. Every
+        given agent's norm is checked and stored in `last_grad_norms` (B,),
+        which holds 0.0 for the agents not given. "W0" gets its weight step
+        only where s x_i is nonzero; the other layers and the biases get it
+        densely (module docstring).
         """
         ids = np.arange(self.B)[agents]  # the agent of each factor row
         vectors = {}
@@ -216,26 +204,23 @@ class StackedMlp:
         self.last_grad_norms[agents] = norms
         scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-12))
         step = np.asarray(step_size) * scale
-        live = np.flatnonzero(step)  # the factor rows that step
-        if live.size == 0:  # most actor calls once eta is at its floor
+        # Most actor calls once eta is at its floor: every row executed its
+        # behavioural action, and the dense adds below would cost a pass over
+        # the given agents' weights for nothing.
+        if not step.any():
             return
-        if live.size == len(ids):  # every critic call steps all
-            rows, targets = slice(None), agents
-        else:
-            rows, targets = live, ids[live]
-        s = step[rows, None]
+        s = step[:, None]
         for w_name, (x, dz) in vectors.items():
-            sx = s * x[rows]
+            sx = s * x
             w = self.params[w_name]
             if w_name == "W0":  # the caller's input, mostly zero padding
-                k, i = np.nonzero(sx)  # entry k of `live`, input row i
-                row = live[k]
-                rank1 = dz[row]
-                rank1 *= sx[k, i, None]
-                w[ids[row], i] += rank1
+                r, i = np.nonzero(sx)  # factor row r, input row i
+                rank1 = dz[r]
+                rank1 *= sx[r, i, None]
+                w[ids[r], i] += rank1
             else:  # tanh activations, dense
-                w[targets] += np.einsum("bi,bj->bij", sx, dz[rows])
-            self.params["b" + w_name[1:]][targets] += s * dz[rows]
+                w[agents] += np.einsum("bi,bj->bij", sx, dz)
+            self.params["b" + w_name[1:]][agents] += s * dz
 
     # -- persistence / introspection ---------------------------------------------
 

@@ -8,7 +8,10 @@ weighted idle-capacity term.
 
 `utility_per_type` is the one payoff rule: the learners are rewarded with
 it, and the static-game oracles in `offloadsim.gametheory` (expected round
-utilities and welfare) evaluate the same function.
+utilities and welfare) evaluate the same function. One closed-form copy
+remains: `gametheory.best_response_curve` takes the rule's expectation over
+a price x quadrature grid in vectorised form, so a change to the rule here
+must change it there too (a test checks the two agree on a small grid).
 """
 from __future__ import annotations
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from offloadsim.agents import BehaviorPool, InsufficientDataError
+from offloadsim.agents import BehaviorPool
 from offloadsim.engine import derive_stream
 
 
@@ -54,12 +54,15 @@ class TestBehaviorPool:
             pred = pool.predict(base[None, :])[0]
             assert np.max(np.abs(pred - oracle)) < 0.05
 
-    def test_train_requires_enough_samples(self):
+    def test_train_without_a_minibatch_is_a_no_op(self):
         streams = [derive_stream(7, "agent/m0/init")]
         pool = BehaviorPool(streams, state_dim=3, action_dim=2, capacity=16, batch_size=8)
         pool.store(np.zeros((1, 3)), np.zeros((1, 2)), [0])
-        with pytest.raises(InsufficientDataError):
-            pool.train_step([derive_stream(7, "agent/m0/sl")])
+        before = agent_state(pool, 0)
+        sl = [derive_stream(7, "agent/m0/sl")]
+        pool.train_step(sl)
+        assert sl[0].draw_counter == 0
+        assert_unchanged(pool, 0, before)
 
     def test_predictions_stay_in_unit_box(self):
         streams = [derive_stream(9, "agent/m0/init")]
@@ -83,6 +86,15 @@ def agent_state(pool, b):
     net = pool.net.flat_view(b)
     moments = [pool.opt.m[k][b].copy() for k in sorted(pool.opt.m)] + [pool.opt.v[k][b].copy() for k in sorted(pool.opt.v)]
     return net, moments, int(pool.opt.t[b])
+
+
+def assert_unchanged(pool, b, before):
+    """Agent b's parameters, moments and step count are as in `before`, an
+    untrained agent's."""
+    net, moments, t = agent_state(pool, b)
+    assert np.array_equal(net, before[0])
+    assert all(np.array_equal(m, m0) for m, m0 in zip(moments, before[1]))
+    assert t == before[2] == 0
 
 
 class TestPerAgentMemory:
@@ -122,10 +134,7 @@ class TestPerAgentMemory:
         pool.train_step(streams)
         assert [s.draw_counter for s in streams] == [0, 1, 0]
         for b in (0, 2):
-            net, moments, t = agent_state(pool, b)
-            assert np.array_equal(net, before[b][0])
-            assert all(np.array_equal(m, m0) for m, m0 in zip(moments, before[b][1]))
-            assert t == before[b][2] == 0
+            assert_unchanged(pool, b, before[b])
         net, _, t = agent_state(pool, 1)
         assert not np.array_equal(net, trained_before[0])
         assert t == 1
@@ -144,13 +153,15 @@ class TestPerAgentMemory:
         alone.train_step(sl_streams())
         assert np.array_equal(together.net.flat_view(1), alone.net.flat_view(1))
 
-    def test_insufficient_data_only_when_no_agent_is_ready(self):
+    def test_no_agent_ready_no_draw_no_parameter_change(self):
         pool = three_agent_pool(batch_size=2)
         pool.store(np.zeros((3, 3)), np.zeros((3, 2)), [0, 1, 2])
         streams = sl_streams()
-        with pytest.raises(InsufficientDataError, match="no agent holds 2 samples"):
-            pool.train_step(streams)
+        before = {b: agent_state(pool, b) for b in range(3)}
+        pool.train_step(streams)
         assert [s.draw_counter for s in streams] == [0, 0, 0]
+        for b in range(3):
+            assert_unchanged(pool, b, before[b])
         pool.store(np.zeros((1, 3)), np.zeros((1, 2)), [2])
         pool.train_step(streams)  # agent 2 is ready; the others are not
         assert [s.draw_counter for s in streams] == [0, 0, 1]

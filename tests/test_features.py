@@ -117,10 +117,16 @@ class TestCodecParameters:
         with pytest.raises(ValueError, match="type_ids"):
             FeatureCodec(type_ids, work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=4)
 
-    @pytest.mark.parametrize("fleet_size", [0, -5, 2.5])
+    @pytest.mark.parametrize("fleet_size", [0, -5, 2.5, True])
     def test_bad_fleet_size_rejected(self, fleet_size):
         with pytest.raises(ValueError, match="fleet_size"):
             FeatureCodec(["F1-300"], work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=fleet_size)
+
+    @pytest.mark.parametrize("window", [0, -2, 2.5, True])
+    def test_bad_window_rejected(self, window):
+        # 2.5 used to be truncated to a window of 2, and True taken as 1
+        with pytest.raises(ValueError, match="window"):
+            FeatureCodec(["F1-300"], work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=4, window=window)
 
 
 class TestWindow:

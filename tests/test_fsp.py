@@ -79,10 +79,11 @@ class TestEtaSchedule:
 
 
 class TestLearnerHyper:
-    @pytest.mark.parametrize("name", ["sl_capacity", "sl_batch_size", "sl_train_interval"])
-    @pytest.mark.parametrize("bad", [0, -3, 2.0, True])
+    @pytest.mark.parametrize("name", ["window", "sl_capacity", "sl_batch_size", "sl_train_interval"])
+    @pytest.mark.parametrize("bad", [0, -3, 2.0, 2.5, True])
     def test_memory_sizes_must_be_integers_of_at_least_one(self, name, bad):
-        # 0 used to fail later in act: IndexError, or ZeroDivisionError mid-round
+        # 0 used to fail later in act: IndexError, or ZeroDivisionError
+        # mid-round; a bad window, only as a mismatch with the codec's
         with pytest.raises(ValueError, match=name):
             LearnerHyper(**{name: bad})
 
@@ -264,7 +265,8 @@ class TestLearningFleet:
         # every round, pending or not, learning or frozen, each act stream
         # gives one noise vector and one eta coin; each sl stream gives one
         # minibatch draw per behavioural training of that agent, which needs
-        # a minibatch of the agent's own rows
+        # a minibatch of the agent's own rows; a training call with no agent
+        # ready draws nothing
         f = fleet(seed=6, hyper=LearnerHyper(window=4, sl_batch_size=4, sl_train_interval=3))
         train_step = f.behavior.train_step
         trainings = []  # (t, the agents holding a minibatch) of each training
@@ -287,9 +289,10 @@ class TestLearningFleet:
             assert [s.draw_counter for s in f.act_streams] == [n + 2 for n in act_before], r
             ready = trainings[-1][1] if len(trainings) > trained else [False, False]
             assert [s.draw_counter for s in f.sl_streams] == [n + int(b) for n, b in zip(sl_before, ready)], r
-        # m1 decides two rounds in three and holds 4 rows at t = 6, m0 one in
-        # three and 4 rows at t = 10; none trains once frozen at t = 13
-        assert trainings == [(6, [False, True]), (9, [False, True]), (12, [True, True])]
+        # the call at t = 3 finds no agent ready; m1 decides two rounds in
+        # three and holds 4 rows at t = 6, m0 one in three and 4 rows at
+        # t = 10; none trains once frozen at t = 13
+        assert trainings == [(3, [False, False]), (6, [False, True]), (9, [False, True]), (12, [True, True])]
 
     def test_frozen_fleet_stops_learning(self):
         f = fleet()

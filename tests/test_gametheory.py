@@ -212,6 +212,21 @@ class TestBestResponse:
         scores = [utility_per_type(int(b > 5.0), 1.0, 5.0 if b > 5.0 else b, 0.0, 0.0, True) for b in (0, 1, 2, 6)]
         assert scores == [-1.0, 0.0, 0.0, -4.0]
 
+    @pytest.mark.parametrize("c", [0.0, 0.7])
+    def test_chosen_price_maximizes_mean_utility_per_type(self, c):
+        # best_response_curve scores in closed form; cell by cell, its
+        # argmax must be an argmax of the mean utility_per_type payoff
+        opponent = LinearOpponent(0.0, 10.0, 2.0, 9.0)
+        opp_bids = opponent.bids(41)
+        prices = np.linspace(0.0, 12.0, 8)
+        curve = best_response_curve(opponent, np.linspace(1.0, 9.0, 5), prices, lost_bid_cost=c, quad_points=41)
+        for v, chosen in curve:
+            means = {
+                float(b): np.mean([utility_per_type(int(b > o), v, o if b > o else b, c, 0.0, True) for o in opp_bids])
+                for b in prices
+            }
+            assert means[chosen] >= max(means.values()) - 1e-12, (v, chosen, means)
+
 
 class TestWelfare:
     def outcome(self, prices, slots=1):

@@ -98,6 +98,14 @@ class TestApplyGradients:
         for k, p in net.params.items():
             assert np.array_equal(p, before[k])
 
+    def test_backward_needs_every_head(self):
+        # without head "s", the trunk would get only head "m"'s gradient
+        net = make_net(3)
+        rng = derive_stream(6, "x")
+        _, cache = net.forward(rng.standard_normal((3, INPUT_DIM)))
+        with pytest.raises(KeyError, match="'s'"):
+            net.backward(cache, {"m": head_grads_for(rng, 3)["m"]})
+
     def test_zero_step_agent_is_untouched_but_normed(self):
         n_agents = 6  # zero-step agents between and after the stepping ones, the last included
         net = make_net(n_agents, seed=8)
@@ -263,7 +271,8 @@ def with_random_biases(net, seed):
 # stepping last agent, whatever the random draws cover; then stepping agents
 # with an all-zero input (the first and the last) beside a sparse row and a
 # zero-step agent; then every agent stepping (the whole-fleet slice, as in
-# every critic call), one of them with an all-zero input.
+# every critic call), one of them with an all-zero input. Each case also runs
+# as passes over a shuffled agent list, the actor's path.
 @example(steps=[0.0, 0.0, 0.0, 0.0, 0.0], clip=1.0, seed=2, perturbed=3, zero_rows=set(), zero_cells=set())
 @example(
     steps=[0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, -0.3, 0.0],
@@ -322,6 +331,23 @@ def test_zero_steps_are_skipped_bit_identically(steps, clip, seed, perturbed, ze
         if b != j:
             for k in nets[0].params:
                 assert np.array_equal(nets[0].params[k][b], nets[1].params[k][b]), (b, k)
+
+    # A pass over a shuffled list of the agents, all of them or the first
+    # half, steps each of them as the whole-fleet pass did and leaves the
+    # rest as they were.
+    order = derive_stream(seed, "order").permutation(n_agents).tolist()
+    for agents in (order, order[: (n_agents + 1) // 2]):
+        net = with_random_biases(make_net(n_agents, seed=seed), seed)
+        before = {k: v.copy() for k, v in net.params.items()}
+        _, cache = net.forward(x[agents], agents)
+        factors = net.backward(cache, {h: g[agents] for h, g in head_grads.items()})
+        net.apply_gradients(factors, step[agents], clip_norm=clip, agents=agents)
+        for b in range(n_agents):
+            given = b in agents
+            assert net.last_grad_norms[b] == (nets[0].last_grad_norms[b] if given else 0.0), (agents, b)
+            for k in before:
+                expected = nets[0].params[k][b] if given else before[k][b]
+                assert np.array_equal(net.params[k][b], expected), (agents, b, k)
 
 
 def test_non_contiguous_parameters_are_stepped_in_place():
