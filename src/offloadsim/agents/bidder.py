@@ -1,12 +1,11 @@
 """Bidder agents: self-play mixing of a best-response learner with a
 supervised behavioral model.
 
-Each decision round an agent samples a candidate best-response action from
-its Gaussian policy and queries the behavioral model for its average
-strategy; with probability eta (1/t, optionally floored late in training)
-it executes the best response, otherwise the behavioral action. The actor
-learns only from rounds where it executed its own sample, the critic from
-every round.
+Each decision round an agent tosses its eta coin: with probability eta
+(1/t, optionally floored late in training) it executes a best-response
+action sampled from its Gaussian policy, otherwise the behavioral model's
+average strategy. Only the chosen branch runs. The actor learns only from
+rounds where it executed its own sample, the critic from every round.
 
 `LearningFleet` is the only code that knows the action layout: K backoff
 components, then K prices. `LearningFleet._fractions` maps a raw policy
@@ -31,15 +30,20 @@ stages:
    `FeatureCodec.encode` call writes every agent's newest row.
 2. The batched learner step. While learning, `ActorCriticPool.td_step`
    first steps every agent's critic on last round's transition, and the
-   actor of last round's deciding agents on their samples. Then, on the
-   deciding agents' rows only, reading only their weights: the actor pass
-   and sample, the behavioural model where an agent needs it, and (while
-   learning) one behaviour-memory row each. Nothing of this runs when no
-   agent decides. A learning round and a frozen one take the same rows.
-   For the deciding agents the result is bit-identical to a full-batch
-   pass: matmul makes the same per-agent product whichever agents run
-   beside it, and the rest of the step is per row. An agent that does not
-   decide executes no action, so it has none to score or to remember.
+   actor of each agent that executed its own sample last round. Then each
+   deciding agent runs the branch its coin picks, on its own row and
+   reading only its own weights: the actor pass, the sample and
+   `_fractions` for the best response, or only the behavioural model's
+   prediction. While learning, every deciding agent stores one
+   behaviour-memory row, and the actor pass's rows are what the next TD
+   step scores. Nothing of this runs when no agent decides, and a learning
+   round and a frozen one with the same coins take the same rows. For
+   each deciding agent the result is bit-identical to a full-batch pass
+   running both branches for every agent: matmul makes the same per-agent
+   product whichever agents run beside it, and the solves and the squash
+   work per row. An agent that does not decide executes no action, so it
+   has none to score or to remember; one that executes the behavioural
+   action has no sample whose score is a policy gradient.
 3. One pass out over the deciding agents: the directives for their pending
    types. Every other agent gets none and nothing to score next round.
 
@@ -169,8 +173,9 @@ class LearningFleet:
         self.history = np.zeros((self.B, codec.window, codec.step_dim))  # per agent, the oldest step first
         self.t = 1
         self.frozen_eta: Optional[float] = None  # the fixed mixing weight once frozen; None while learning
-        # Last round's (S of every agent, (raw sample, actor cache, use_rl)
-        # of the deciding agents or None), which this round's TD step scores.
+        # Last round's (S of every agent, (raw sample, actor cache) of the
+        # agents that executed their sample, or None), which this round's
+        # TD step scores.
         self._prev: Optional[tuple] = None
         # Per agent, last round's ({submitted type: valuation}, backoff count).
         self._last_actions: list[tuple[dict[str, float], int]] = [NO_ACTIONS] * self.B
@@ -234,16 +239,26 @@ class LearningFleet:
         executed = None
         if deciding:
             sl_states = np.take(steps[deciding], self.codec.sl_columns, axis=1)
-            x = self.history.reshape(self.B, -1)[deciding]
-            mu, L, actor_cache = self.pool.actor_forward(x, deciding)
-            zeta_raw = self.pool.sample_raw(mu, L, noise[deciding])
-            executed = self._fractions(zeta_raw, self.budgets[deciding])
-            picked = use_rl[deciding]
-            if not picked.all():  # the behavioural model is asked only when someone needs it
-                executed = np.where(picked[:, None], executed, self.behavior.predict(sl_states, deciding))
+            best = [b for b in deciding if use_rl[b]]  # the agents that execute the actor's sample
+            if best:
+                x = self.history.reshape(self.B, -1)[best]
+                mu, L, actor_cache = self.pool.actor_forward(x, best)
+                zeta_raw = self.pool.sample_raw(mu, L, noise[best])
+                executed = self._fractions(zeta_raw, self.budgets[best])
+                if learning:
+                    scored = (zeta_raw, actor_cache)
+            if len(best) < len(deciding):  # the others execute the behavioural model's action
+                if best:  # each row from its agent's branch
+                    picked = use_rl[deciding]
+                    behavioural = [b for b in deciding if not use_rl[b]]
+                    mixed = np.empty((len(deciding), self.action_dim))
+                    mixed[picked] = executed
+                    mixed[~picked] = self.behavior.predict(sl_states[~picked], behavioural)
+                    executed = mixed
+                else:
+                    executed = self.behavior.predict(sl_states, deciding)
             if learning:
                 self.behavior.store(sl_states, executed, deciding)
-                scored = (zeta_raw, actor_cache, picked)
         if learning:
             if self.t % self.hyper.sl_train_interval == 0:
                 self.behavior.train_step(self.sl_streams)

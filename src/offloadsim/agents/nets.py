@@ -15,24 +15,25 @@ x dz^T, and `apply_gradients` uses the per-example identity
 clip norm and adds the clipped step as a rank-1 update. The minibatch
 optimizer (`AdamState`) builds dense gradients with `dense_gradients`.
 
-Most of a step is zero, and `apply_gradients` adds only what it must. A
-pass may run for a subset of the agents (`forward`'s `agents`, which the
-cache records), and `backward` and `apply_gradients` then read and step
-only those agents. An agent that executed its behavioural action gets step
-0.0 (see `ActorCriticPool.update`). The input layer W0 is fed by the
+A pass may run for a subset of the agents (`forward`'s `agents`, which
+the cache records), and `backward` and `apply_gradients` then read and
+step only those agents. The actor's pass holds only the agents that
+executed its sample (see `ActorCriticPool.update`), so every row given to
+`apply_gradients` is meant to step. The input layer W0 is fed by the
 caller's input, a zero-padded window that is mostly 0.0, so its weight step
-is added only at the (agent, input row) pairs where s x_i is nonzero, which
-also skips every agent whose step s is zero. Every deeper layer and head is
-fed by tanh activations, which are almost never exactly zero, so its weight
-step is added densely over the given agents, as one (agent, in, out) outer
-product of s x and dz; the biases too.
+is added only at the (agent, input row) pairs where s x_i is nonzero. Every
+deeper layer and head is fed by tanh activations, which are almost never
+exactly zero, so its weight step is added densely over the given agents,
+as one (agent, in, out) outer product of s x and dz; the biases too.
 
 Both are bit-identical to the dense step over every agent and row. The
 added entries are the same two products, s x_i first, then times dz_j.
 Once the norms are finite, a skipped entry would add (s x_i) dz_j = +-0 to
 a finite parameter, which changes it only if it is -0.0. None is: biases
 start at +0.0, weights are normal draws, and a sum x + (-x) rounds to
-+0.0, so no update makes a -0.0.
++0.0, so no update makes a -0.0. For the same reason a row whose step s is
+zero (a zero TD error or rate) keeps its parameters, though its dense adds
+run.
 """
 from __future__ import annotations
 
@@ -203,21 +204,20 @@ class StackedMlp:
         self.last_grad_norms = np.zeros(self.B)
         self.last_grad_norms[agents] = norms
         scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-12))
-        step = np.asarray(step_size) * scale
-        # Most actor calls once eta is at its floor: every row executed its
-        # behavioural action, and the dense adds below would cost a pass over
-        # the given agents' weights for nothing.
-        if not step.any():
-            return
-        s = step[:, None]
+        s = (np.asarray(step_size) * scale)[:, None]
         for w_name, (x, dz) in vectors.items():
             sx = s * x
             w = self.params[w_name]
             if w_name == "W0":  # the caller's input, mostly zero padding
-                r, i = np.nonzero(sx)  # factor row r, input row i
+                n_in = sx.shape[1]
+                k = np.flatnonzero(sx)  # entry k of sx is factor row k // n_in, input row k % n_in
+                r = k // n_in
                 rank1 = dz[r]
-                rank1 *= sx[r, i, None]
-                w[ids[r], i] += rank1
+                rank1 *= sx.ravel()[k, None]
+                rows = w.reshape(-1, w.shape[-1])  # row a * n_in + i is agent a's input row i
+                rows[k + (ids[r] - r) * n_in] += rank1
+                if not np.may_share_memory(rows, w):  # a layout the reshape had to copy
+                    w[...] = rows.reshape(w.shape)
             else:  # tanh activations, dense
                 w[agents] += np.einsum("bi,bj->bij", sx, dz)
             self.params["b" + w_name[1:]][agents] += s * dz

@@ -16,9 +16,10 @@ this down). Updates are plain gradient steps weighted by the TD error
 delta = u - u_bar + V(S') - V(S), with u_bar an exponential moving average
 of past rewards; `ActorCriticPool.td_step` is the whole step, from the
 critic pass to the new u_bar. The critic steps for every agent. The actor
-is scored only for the agents that drew a sample at S, the rows of that
-`actor_forward` pass, and steps only for those whose executed action was
-that sample, since the score of any other action is not a policy gradient.
+is scored and steps only for the agents that executed a sample of their
+own at S, the rows of that `actor_forward` pass: the score of any other
+action is not a policy gradient, so the caller runs no actor pass for an
+agent that will execute another action.
 """
 from __future__ import annotations
 
@@ -161,9 +162,9 @@ class ActorCriticPool:
 
         u (B,) is the reward collected between them. delta = u - u_bar +
         V(S') - V(S) steps every agent's critic and, through `scored`, the
-        actor of the agents that drew a sample at S; u then enters u_bar.
-        scored is (zeta_raw, actor_cache, sampled) for those agents (see
-        `update`), or None when no agent drew one.
+        actor of the agents that executed their sample at S; u then enters
+        u_bar. scored is (zeta_raw, actor_cache) for those agents (see
+        `update`), or None when no agent executed one.
         """
         v, v_next, critic_cache = self.critic_eval(x, x_next)
         delta = td_error(u, self.avg_reward, v_next, v)
@@ -172,16 +173,23 @@ class ActorCriticPool:
 
     def update(self, delta: np.ndarray, critic_cache: dict, scored: Optional[tuple] = None):
         """One critic gradient step for every agent and, when `scored` is
-        given, one actor step for the agents it marks.
+        given, one actor step for each agent of its pass.
 
         critic_cache must be the S cache of a fresh `critic_eval`, and delta
-        (B,) the per-agent TD error. scored is (zeta_raw, actor_cache,
-        sampled): the `actor_forward` cache at S of n agents, their raw
-        samples (n, A) drawn from that pass, and a mask (n,) of the ones
-        that executed their sample. The other agents of the pass get a step
-        of 0.0. An agent outside the pass is not scored: it keeps its actor
-        and reads 0.0 in `actor.last_grad_norms`.
+        (B,) the per-agent TD error. scored is (zeta_raw, actor_cache): the
+        `actor_forward` cache at S of the n agents that executed their
+        sample, and those raw samples (n, A), drawn from that pass. Every
+        agent of the pass steps, and `actor.last_grad_norms` holds the
+        pre-clip norm of its step; an agent outside the pass keeps its
+        actor and reads 0.0 there.
         """
+        if scored is not None:
+            zeta_raw, actor_cache = scored
+            if zeta_raw.shape != actor_cache["mu"].shape:
+                raise ValueError(
+                    f"scored zeta_raw has shape {zeta_raw.shape} but its actor pass has "
+                    f"{actor_cache['mu'].shape}: one sample per row of the pass"
+                )
         if not np.all(np.isfinite(delta)):
             raise NumericalInstabilityError(f"non-finite TD error: {delta}")
         critic_factors = self.critic.backward(critic_cache, {"v": np.ones((self.B, 1))})
@@ -189,12 +197,12 @@ class ActorCriticPool:
         if scored is None:
             self.actor.last_grad_norms = np.zeros(self.B)
             return
-        zeta_raw, actor_cache, sampled = scored
         agents = actor_cache["agents"]
         d_mu, d_l = self._density_grads(zeta_raw, actor_cache)
         actor_factors = self.actor.backward(actor_cache, {"mu": d_mu, "lraw": d_l})
-        actor_step = np.where(sampled, self.rates.actor * delta[agents], 0.0)
-        self.actor.apply_gradients(actor_factors, actor_step, clip_norm=self.rates.grad_clip, agents=agents)
+        self.actor.apply_gradients(
+            actor_factors, self.rates.actor * delta[agents], clip_norm=self.rates.grad_clip, agents=agents
+        )
 
     def update_avg_reward(self, u: np.ndarray):
         lam = self.rates.reward_smoothing

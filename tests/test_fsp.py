@@ -164,23 +164,26 @@ class TestLearningFleet:
 
     def test_actor_learns_only_from_its_own_samples(self):
         # each round's update scores the previous round's action: an agent that
-        # executed the behavioural action keeps its actor, the critics all step
+        # executed the behavioural action ran no actor pass, so it keeps its
+        # actor and reads norm 0.0; the critics all step
         f = fleet(seed=3)
         f.act([None, None], pending_one(), 2, 0.0, 0.0)
 
-        def last_use_rl():  # both agents decide every round, so this is every agent's
-            return f._prev[1][-1]
+        def last_pass():  # the agents whose sample the next round scores
+            scored = f._prev[1]
+            return [] if scored is None else np.arange(2)[scored[1]["agents"]].tolist()
 
-        while last_use_rl().all() or not last_use_rl().any():
+        while len(last_pass()) != 1:
             assert f.t < 50, "no round mixed the two branches"
             f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
-        br = int(np.flatnonzero(last_use_rl())[0])
+        (br,) = last_pass()
         behavioural = 1 - br
         actor_before = [f.pool.actor.flat_view(b) for b in range(2)]
         critic_before = [f.pool.critic.flat_view(b) for b in range(2)]
         f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
         assert np.array_equal(f.pool.actor.flat_view(behavioural), actor_before[behavioural])
         assert not np.array_equal(f.pool.actor.flat_view(br), actor_before[br])
+        assert f.pool.actor.last_grad_norms[behavioural] == 0.0 and f.pool.actor.last_grad_norms[br] > 0.0
         for b in range(2):
             assert not np.array_equal(f.pool.critic.flat_view(b), critic_before[b])
 
@@ -337,15 +340,19 @@ def feedback_for(cfgs, directives, price=40.0, beta=0.3):
 
 
 class TestDecidingAgentsOnly:
-    """A round's work runs for the agents that decide: the actor pass and
-    the behavioural model take only their rows, and so, while learning, do
-    the actor step and the behaviour memory; every agent's step is encoded
-    in one call. A frozen round and the step layout must be bit-identical to
-    the full-batch and per-agent computations they replace."""
+    """A round's work runs for the agents that decide, each on the branch
+    its eta coin picks: the actor pass takes only the rows of agents that
+    execute its sample, and so, while learning, does the actor step; the
+    behavioural model takes only the other deciding agents' rows, and every
+    deciding agent gets a behaviour-memory row. Every agent's step is
+    encoded in one call. A frozen round and the step layout must be
+    bit-identical to the full-batch and per-agent computations they
+    replace."""
 
     def test_learning_round_runs_the_actor_and_memory_on_deciding_agents(self):
         # while learning: the actor pass runs on exactly the deciding rows
-        # (none when no agent decides), only deciding agents get a behaviour
+        # whose coin is below eta (no pass, and no actor backward next
+        # round, when there are none), only deciding agents get a behaviour
         # row, every critic steps, and an actor steps only for an agent that
         # decided last round and executed its own sample, the one scored now
         n, seed = 5, 21
@@ -364,9 +371,18 @@ class TestDecidingAgentsOnly:
             return actor_forward(x, agents)
 
         f.pool.actor_forward = recorded
+        actor_backward = f.pool.actor.backward
+        backward_calls = []
+
+        def counted(cache, head_grads):
+            backward_calls.append(f.t)
+            return actor_backward(cache, head_grads)
+
+        f.pool.actor.backward = counted
         feedback = [None] * n
         scored_last = []  # the agents whose sample this round's TD step scores
         seen = set()
+        unpicked_rounds = 0  # rounds where agents decided and no coin picked the best response
         for r in range(40):
             pending = mixed_pending(rng, r, n)
             deciding = [b for b in range(n) if pending[b]]
@@ -379,9 +395,13 @@ class TestDecidingAgentsOnly:
             critic_before = [f.pool.critic.flat_view(b) for b in range(n)]
             rows_before = (f.behavior.states.copy(), f.behavior.actions.copy(), f.behavior.count.copy())
             actor_rows.clear()
+            backward_calls.clear()
             directives = f.act(feedback, pending, n, 0.3, (r % 10) / 10)
             seen.add(len(deciding))
-            assert [np.arange(n)[agents].tolist() for agents in actor_rows] == ([deciding] if deciding else []), r
+            best = [b for b in deciding if coins[b] < eta]
+            unpicked_rounds += bool(deciding) and not best
+            assert [np.arange(n)[agents].tolist() for agents in actor_rows] == ([best] if best else []), r
+            assert len(backward_calls) == bool(scored_last), r
             for b in range(n):
                 stepped = not np.array_equal(f.pool.actor.flat_view(b), actor_before[b])
                 assert stepped == (b in scored_last), (r, b)
@@ -394,15 +414,13 @@ class TestDecidingAgentsOnly:
                     assert np.array_equal(f.behavior.actions[:, b], rows_before[1][:, b]), (r, b)
             norms = f.pool.actor.last_grad_norms
             assert norms.shape == (n,)
-            if r > 0:
-                last = np.isin(np.arange(n), last_deciding)
-                assert np.all(norms[~last] == 0.0) and np.all(norms[last] > 0.0), r
-            last_deciding = deciding
-            scored_last = [b for b in deciding if coins[b] < eta]
-            mixed_rounds += 0 < len(scored_last) < len(deciding)
+            last = np.isin(np.arange(n), scored_last)
+            assert np.all(norms[~last] == 0.0) and np.all(norms[last] > 0.0), r
+            scored_last = best
+            mixed_rounds += 0 < len(best) < len(deciding)
             feedback = feedback_for(cfgs, directives)
         assert seen >= {0, 1, n} and len(seen) >= 4
-        assert mixed_rounds >= 3
+        assert mixed_rounds >= 3 and unpicked_rounds >= 3
 
     @pytest.mark.parametrize("eta", [1.0, 0.5, 0.0])
     def test_frozen_directives_match_full_batch(self, eta):
@@ -439,8 +457,9 @@ class TestDecidingAgentsOnly:
                 continue
             deciding = [b for b in range(n) if pending[b]]
             seen.add(len(deciding))
+            best = [b for b in deciding if coins[b] < eta]
             passes = [np.arange(n)[agents].tolist() for agents in actor_rows]
-            assert passes == ([deciding] if deciding else []), r
+            assert passes == ([best] if best else []), r
             # the reference: every agent's full-batch pass on this round's window and noise
             mu, L, _ = f.pool.actor_forward(f.history.reshape(n, -1).copy())
             executed = f._fractions(f.pool.sample_raw(mu, L, noise), f.budgets)

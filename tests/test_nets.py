@@ -201,7 +201,7 @@ class TestApplyGradients:
         with np.errstate(invalid="ignore"), pytest.raises(
             NumericalInstabilityError, match=r"agents \[1\]: W0 of agents \[1\]"
         ):
-            pool.update(np.full(3, 0.5), critic_cache, (zeta, actor_cache, np.ones(3, dtype=bool)))
+            pool.update(np.full(3, 0.5), critic_cache, (zeta, actor_cache))
         assert np.array_equal(pool.critic.flat_view(1), before)
 
 

@@ -261,11 +261,13 @@ class TestUpdates:
         zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
         before_actor = pool.actor.flat_view(0)
         before_critic = pool.critic.flat_view(0)
-        pool.update(np.zeros(1), critic_cache, (zeta, actor_cache, np.ones(1, dtype=bool)))
+        pool.update(np.zeros(1), critic_cache, (zeta, actor_cache))
         assert np.array_equal(pool.actor.flat_view(0), before_actor)
         assert np.array_equal(pool.critic.flat_view(0), before_critic)
 
     def test_actor_steps_only_for_sampled_agents(self):
+        # agent 1 executed its sample and is the whole actor pass; agent 0
+        # executed another action, so it has no row there
         pool = ActorCriticPool(
             [derive_stream(0, f"agent/m{b}/init") for b in range(2)],
             input_dim=12,
@@ -275,13 +277,14 @@ class TestUpdates:
         )
         x = derive_stream(3, "x").standard_normal((2, 12))
         _, _, critic_cache = pool.critic_eval(x, x)
-        mu, L, actor_cache = pool.actor_forward(x)
-        zeta = pool.sample_raw(mu, L, np.ones((2, 4)))
+        mu, L, actor_cache = pool.actor_forward(x[[1]], [1])
+        zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
         actor_before = [pool.actor.flat_view(b) for b in range(2)]
         critic_before = [pool.critic.flat_view(b) for b in range(2)]
-        pool.update(np.full(2, 0.5), critic_cache, (zeta, actor_cache, np.array([False, True])))
+        pool.update(np.full(2, 0.5), critic_cache, (zeta, actor_cache))
         assert np.array_equal(pool.actor.flat_view(0), actor_before[0])
         assert not np.array_equal(pool.actor.flat_view(1), actor_before[1])
+        assert pool.actor.last_grad_norms[0] == 0.0 and pool.actor.last_grad_norms[1] > 0.0
         for b in range(2):
             assert not np.array_equal(pool.critic.flat_view(b), critic_before[b])
 
@@ -305,12 +308,36 @@ class TestUpdates:
         _, _, critic_cache = pool.critic_eval(x, x)
         mu, L, actor_cache = pool.actor_forward(x[[2, 0]], [2, 0])
         zeta = pool.sample_raw(mu, L, np.ones((2, 4)))
-        pool.update(np.full(3, 0.5), critic_cache, (zeta, actor_cache, np.array([True, False])))
+        pool.update(np.full(3, 0.5), critic_cache, (zeta, actor_cache))
         norms = pool.actor.last_grad_norms
         assert norms[1] == 0.0 and norms[0] > 0.0 and norms[2] > 0.0
-        assert not np.array_equal(pool.actor.flat_view(2), actor_before[2])
-        for b in (0, 1):  # agent 0 executed another action, agent 1 drew no sample
-            assert np.array_equal(pool.actor.flat_view(b), actor_before[b])
+        for b in (0, 2):  # every row of the pass steps
+            assert not np.array_equal(pool.actor.flat_view(b), actor_before[b])
+        assert np.array_equal(pool.actor.flat_view(1), actor_before[1])  # agent 1 drew no sample
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_samples_must_match_the_pass_rows(self, rows):
+        # one sample against a two-row pass used to broadcast against both rows
+        pool = ActorCriticPool(
+            [derive_stream(0, f"agent/m{b}/init") for b in range(3)],
+            input_dim=12,
+            action_dim=4,
+            rates=LearningRates(),
+            hidden=(6, 5),
+        )
+        x = derive_stream(3, "x").standard_normal((3, 12))
+        mu, L, actor_cache = pool.actor_forward(x[[2, 0]], [2, 0])
+        zeta = pool.sample_raw(mu[:1], L[:1], np.ones((1, 4))).repeat(rows, axis=0)
+        before = [(pool.actor.flat_view(b), pool.critic.flat_view(b)) for b in range(3)]
+        _, _, critic_cache = pool.critic_eval(x, x)
+        with pytest.raises(ValueError, match=rf"zeta_raw has shape \({rows}, 4\) but its actor pass has \(2, 4\)"):
+            pool.update(np.full(3, 0.5), critic_cache, (zeta, actor_cache))
+        with pytest.raises(ValueError, match="zeta_raw"):
+            pool.td_step(x, x, np.ones(3), (zeta, actor_cache))
+        for b in range(3):
+            assert np.array_equal(pool.actor.flat_view(b), before[b][0])
+            assert np.array_equal(pool.critic.flat_view(b), before[b][1])
+        assert pool.avg_reward.tolist() == [0.0, 0.0, 0.0]
 
     def test_nonfinite_delta_raises(self):
         pool = small_pool()
@@ -319,7 +346,7 @@ class TestUpdates:
         mu, L, actor_cache = pool.actor_forward(x)
         zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
         with pytest.raises(NumericalInstabilityError):
-            pool.update(np.array([np.inf]), critic_cache, (zeta, actor_cache, np.ones(1, dtype=bool)))
+            pool.update(np.array([np.inf]), critic_cache, (zeta, actor_cache))
 
 
 class TestTdError:

@@ -7,7 +7,8 @@ meant to alter behaviour, update the pinned digest and say why.
 
 The short pins stop at round 60 or earlier. A second fsp-train pin plays
 rounds 0..153, past round 100, where the learners' eta sits at its floor
-and most actor steps are zero: the regime the benchmark measures.
+and most deciding agents execute the behavioural action, so the actor
+runs for few of them: the regime the benchmark measures.
 
 A traced fsp-train run wraps the learner's entry points (`pool.update`,
 `behavior.store`, `behavior.train_step` among them) in timing spans, and
