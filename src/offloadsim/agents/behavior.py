@@ -35,10 +35,10 @@ class BehaviorPool:
         streams: Sequence[RngStream],
         state_dim: int,
         action_dim: int,
+        capacity: int,
+        batch_size: int,
+        lr: float,
         hidden: tuple[int, ...] = (32,),
-        capacity: int = 10_000,
-        batch_size: int = 64,
-        lr: float = 1e-3,
     ):
         self.B = len(streams)
         self.action_dim = action_dim

@@ -61,9 +61,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..auction import FeedbackSignal
-from ..engine import derive_stream
+from ..engine import derive_stream, require_count
 from .behavior import BehaviorPool
-from .features import FeatureCodec, require_count
+from .features import FeatureCodec
 from .policy import ActorCriticPool, LearningRates, sigmoid
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
 
@@ -91,8 +91,6 @@ class EtaSchedule:
 @dataclass
 class LearnerHyper:
     window: int = 8
-    hidden_actor_critic: tuple[int, ...] = (64, 32)
-    hidden_behavior: tuple[int, ...] = (32,)
     rates: LearningRates = field(default_factory=LearningRates)
     init_std: float = 0.5
     price_bias_init: float = 1.0
@@ -156,7 +154,6 @@ class LearningFleet:
             init_streams,
             input_dim=codec.rl_input_dim,
             action_dim=self.action_dim,
-            hidden=self.hyper.hidden_actor_critic,
             rates=self.hyper.rates,
             init_std=self.hyper.init_std,
             mu_bias_init=mu_bias,
@@ -165,7 +162,6 @@ class LearningFleet:
             init_streams,
             state_dim=codec.sl_dim,
             action_dim=self.action_dim,
-            hidden=self.hyper.hidden_behavior,
             capacity=self.hyper.sl_capacity,
             batch_size=self.hyper.sl_batch_size,
             lr=self.hyper.sl_lr,

@@ -23,16 +23,11 @@ layouts differently.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-
-def require_count(name: str, value, least: int):
-    """Refuse `value`, reported as `name`, unless it is an integer >= least (a bool is not)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+from ..engine import require_count
 
 
 class FeatureCodec:
@@ -43,7 +38,7 @@ class FeatureCodec:
         deadline_max: float,
         price_max: float,
         fleet_size: int,
-        window: int = 8,
+        window: int,
     ):
         require_count("window", window, 1)
         for name, value in (("work_max", work_max), ("deadline_max", deadline_max), ("price_max", price_max)):

@@ -63,7 +63,9 @@ def _init_weights(streams: Sequence[RngStream], fan_in: int, fan_out: int, scale
 
 
 class StackedMlp:
-    """B parallel two-hidden-layer tanh networks with named linear heads.
+    """B parallel tanh networks, one hidden layer per entry of `hidden`
+    (the actor and the critic have two, the behavioural model one, and
+    `hidden=()` gives a linear map), with named linear heads.
 
     heads maps name -> (output_dim, weight_scale, bias_init). bias_init may
     be a scalar or a per-dim vector.
@@ -252,7 +254,7 @@ class AdamState:
     """Adam moments and a step count per agent for one StackedMlp (used by
     the behavioral model)."""
 
-    def __init__(self, net: StackedMlp, lr: float = 1e-3):
+    def __init__(self, net: StackedMlp, lr: float):
         self.net = net
         self.lr = lr
         self.t = np.zeros(net.B, dtype=np.int64)

@@ -81,8 +81,8 @@ class ActorCriticPool:
         input_dim: int,
         action_dim: int,
         rates: LearningRates,
+        init_std: float,
         hidden: tuple[int, ...] = (64, 32),
-        init_std: float = 0.5,
         mu_bias_init=0.0,
     ):
         self.B = len(streams)

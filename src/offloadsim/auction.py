@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .engine import RngStream, SimTime
+from .engine import RngStream, SimTime, require_count
 
 
 class DuplicateBidError(ValueError):
@@ -86,9 +86,8 @@ def clear_auction(
     winners: dict[str, set[str]] = {}
     payments: dict[str, float] = {}
     for service_type, type_bids in by_type.items():
-        n = int(slots.get(service_type, 0))
-        if n < 0:
-            raise ValueError(f"negative slot count for {service_type}")
+        n = slots.get(service_type, 0)
+        require_count(f"slot count for {service_type}", n, 0)
         prices = sorted((b.price for b in type_bids), reverse=True)
         if len(type_bids) <= n:
             winners[service_type] = {b.bidder_id for b in type_bids}

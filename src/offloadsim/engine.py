@@ -1,5 +1,6 @@
 """Deterministic discrete-event core: integer-ms clock, ordered event queue,
-named per-entity random streams, and an append-only run trace.
+named per-entity random streams, an append-only trace of the rows that event
+handlers record, and the count rule every layer validates its counts with.
 
 Time is an integer count of milliseconds. Events dequeue in (time, seq)
 order, where seq is the insertion counter, so replays are bit-identical
@@ -12,12 +13,19 @@ import hashlib
 import heapq
 import json
 import math
+import numbers
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
 SimTime = int  # non-negative milliseconds
+
+
+def require_count(name: str, value, least: int):
+    """Refuse `value`, reported as `name`, unless it is an integer >= least (a bool is not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class EventKind(Enum):
@@ -59,13 +67,11 @@ class RngStream:
     Adding an entity therefore never perturbs the draws of existing ones.
     """
 
-    __slots__ = ("root_seed", "entity_label", "draw_counter", "_gen")
+    __slots__ = ("draw_counter", "_gen")
 
     def __init__(self, root_seed: int, entity_label: str):
         if not entity_label:
             raise ValueError("entity_label must be non-empty")
-        self.root_seed = root_seed
-        self.entity_label = entity_label
         self.draw_counter = 0
         digest = hashlib.sha256(entity_label.encode("utf-8")).digest()
         words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
@@ -115,9 +121,9 @@ def derive_stream(root_seed: int, entity_label: str) -> RngStream:
 
 
 class TraceRecorder:
-    """Append-only event trace.
+    """Append-only run trace.
 
-    One row per processed event or observable effect. Attribute values are
+    One row per observable effect that a handler records. Attribute values are
     stored as strings (floats via repr), and the CSV's attrs column holds
     them as one JSON object, so a serialize/parse round trip is lossless for
     any keys and values and metrics recomputed from the CSV match exactly.
@@ -164,8 +170,8 @@ class Simulator:
     """Single-threaded event loop.
 
     Handlers are registered per event kind and invoked in strict (time, seq)
-    order. Every processed event is recorded to the trace; handlers add
-    effect rows themselves via sim.trace.record.
+    order. The loop records nothing itself: handlers add the effect rows a
+    run keeps via sim.trace.record.
     """
 
     def __init__(self, trace: Optional[TraceRecorder] = None):
@@ -198,8 +204,6 @@ class Simulator:
             assert key > self._last_key, f"event order violated: {key} after {self._last_key}"
             self._last_key = key
             self.clock = time
-            if self.trace.enabled:
-                self.trace.record(time, event.kind.value, str(event.payload.get("entity", "")))
             handler = handlers.get(event.kind)
             if handler is not None:
                 handler(self, event)

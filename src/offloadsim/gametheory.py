@@ -76,11 +76,10 @@ class StaticGame:
 
 
 def _as_alpha_matrix(game: StaticGame, profile) -> np.ndarray:
-    types = game.type_ids
-    out = np.zeros((len(game.players), len(types)))
+    """The (players, types) alphas of a profile given as one sequence per player, in type_ids order."""
+    out = np.zeros((len(game.players), len(game.type_ids)))
     for i, per_player in enumerate(profile):
-        for j, t in enumerate(types):
-            out[i, j] = per_player.get(t, 0.0) if isinstance(per_player, dict) else per_player[j]
+        out[i] = per_player[: out.shape[1]]
     return out
 
 
@@ -428,8 +427,6 @@ class FairnessReport:
     achieved_welfare: float
     best_welfare: float
     achieved_ratio: float  # E[omega1*x] / E[omega2*(1-x)] under the rule; nan if one side is empty
-    target_ratio: float
-    candidates_checked: int
     feasible_candidates: int
     passed: bool
 
@@ -507,8 +504,6 @@ def pareto_fairness_check(
         achieved_welfare=achieved,
         best_welfare=best,
         achieved_ratio=achieved_ratio,
-        target_ratio=target,
-        candidates_checked=len(candidates),
         feasible_candidates=feasible,
         passed=passed,
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
-from .engine import RngStream
+from .engine import RngStream, require_count
 
 MMPP_EPOCH_MS = 1000  # regime switching is evaluated once per simulated second
 
@@ -37,8 +37,7 @@ class ServiceTypeSpec:
     def __post_init__(self):
         if not self.task_chain:
             raise ValueError(f"service type {self.type_id}: task_chain must be non-empty")
-        if self.deadline_ms <= 0:
-            raise ValueError(f"service type {self.type_id}: deadline_ms must be positive")
+        require_count(f"service type {self.type_id}: deadline_ms", self.deadline_ms, 1)
         if not 0 <= self.probability < math.inf:
             raise ValueError(
                 f"service type {self.type_id}: probability must be finite and >= 0, got {self.probability}"
@@ -59,6 +58,11 @@ def normalize_catalog(catalog: Sequence[ServiceTypeSpec]) -> list[ServiceTypeSpe
     """
     if not catalog:
         raise EmptyCatalogError("catalog is empty")
+    seen = set()
+    for s in catalog:
+        if s.type_id in seen:
+            raise ValueError(f"service type {s.type_id} appears twice in the catalog")
+        seen.add(s.type_id)
     total = sum(s.probability for s in catalog)
     if total <= 0:
         raise ValueError("catalog probabilities must have a positive sum")

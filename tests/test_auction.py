@@ -86,6 +86,15 @@ class TestClearing:
         with pytest.raises(ValueError, match="resource_estimate"):
             bid("B", 1.0, estimate=bad)
 
+    @pytest.mark.parametrize("count", [1.7, True, float("nan"), -1])
+    def test_bad_slot_count_rejected(self, count):
+        # 1.7 and True used to clear as 1 slot (winner A at payment 4.0), and
+        # NaN raised from int()
+        rng = derive_stream(1, "auction")
+        with pytest.raises(ValueError, match="slot count for F1 must be an integer >= 0"):
+            clear_auction([bid("A", 5.0), bid("B", 4.0), bid("C", 3.0)], {"F1": count}, rng)
+        assert rng.draw_counter == 0
+
     def test_types_clear_independently(self):
         rng = derive_stream(1, "auction")
         out = clear_auction(

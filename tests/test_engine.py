@@ -74,13 +74,13 @@ def test_disabled_trace_records_nothing():
     assert sim.clock == 10 and sim.trace.rows == []
 
 
-def test_single_event_trace():
+def test_only_handlers_write_the_trace():
     sim = Simulator(trace=TraceRecorder())
+    sim.on(EventKind.SERVICE_ARRIVAL, lambda s, e: s.trace.record(s.clock, "admit", e.payload["entity"], site=3))
     sim.schedule(10, EventKind.SERVICE_ARRIVAL, entity="veh0")
-    sim.run_until(10)
-    assert len(sim.trace.rows) == 1
-    time, kind, entity, _ = sim.trace.rows[0]
-    assert (time, kind, entity) == (10, "ServiceArrival", "veh0")
+    sim.schedule(12, EventKind.AUCTION_CLEAR, entity="aca")  # no handler, so no row
+    sim.run_until(20)
+    assert sim.trace.rows == [(10, "admit", "veh0", {"site": "3"})]
 
 
 def test_clock_monotone_across_run_until_calls():

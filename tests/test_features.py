@@ -106,7 +106,7 @@ class TestCodecParameters:
     @pytest.mark.parametrize("name", ["work_max", "deadline_max", "price_max"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_bad_scale_rejected(self, name, value):
-        kw = dict(type_ids=["F1-300"], work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=4)
+        kw = dict(type_ids=["F1-300"], work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=4, window=8)
         kw[name] = value
         with pytest.raises(ValueError, match=name):
             FeatureCodec(**kw)
@@ -115,12 +115,14 @@ class TestCodecParameters:
     def test_empty_or_repeated_type_ids_rejected(self, type_ids):
         # ["A", "A"] would give k = 2 with both types mapped to column 1
         with pytest.raises(ValueError, match="type_ids"):
-            FeatureCodec(type_ids, work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=4)
+            FeatureCodec(type_ids, work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=4, window=8)
 
     @pytest.mark.parametrize("fleet_size", [0, -5, 2.5, True])
     def test_bad_fleet_size_rejected(self, fleet_size):
         with pytest.raises(ValueError, match="fleet_size"):
-            FeatureCodec(["F1-300"], work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=fleet_size)
+            FeatureCodec(
+                ["F1-300"], work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=fleet_size, window=8
+            )
 
     @pytest.mark.parametrize("window", [0, -2, 2.5, True])
     def test_bad_window_rejected(self, window):

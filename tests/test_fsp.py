@@ -9,11 +9,13 @@ from offloadsim.agents import (
     FeatureCodec,
     LearnerHyper,
     LearningFleet,
+    LearningRates,
     PassiveFleet,
     utility_per_type,
     utility_total,
     valuation,
 )
+from offloadsim.agents.policy import softplus_inv
 from offloadsim.auction import FeedbackSignal
 from offloadsim.engine import derive_stream
 
@@ -108,6 +110,23 @@ class TestLearnerHyper:
 
     def test_negative_price_bias_accepted(self):
         assert LearnerHyper(price_bias_init=-2.0).price_bias_init == -2.0
+
+    def test_every_setting_reaches_its_consumer(self):
+        # the pools take these values only from LearnerHyper; none may fall back on a default of its own
+        rates = LearningRates(actor=3e-4, critic=2e-3, reward_smoothing=0.9, grad_clip=7.0)
+        hyper = LearnerHyper(
+            window=4, rates=rates, init_std=0.8, price_bias_init=-1.5, sl_capacity=40, sl_batch_size=10, sl_lr=4e-3
+        )
+        f = fleet(n=3, hyper=hyper)
+        actor = f.pool.actor.params
+        assert np.all(actor["b_lraw"][:, f.pool.diag_positions] == softplus_inv(0.8))
+        assert np.all(actor["b_mu"][:, f.k :] == -1.5) and np.all(actor["b_mu"][:, : f.k] == 0.0)
+        assert f.pool.rates is hyper.rates
+        memory = f.behavior
+        assert memory.states.shape[:2] == memory.actions.shape[:2] == (40, 3)
+        assert (memory.capacity, memory.batch_size, memory.opt.lr) == (40, 10, 4e-3)
+        widths = [actor[f"W{layer}"].shape[2] for layer in range(2)]
+        assert widths == [f.pool.critic.params[f"W{layer}"].shape[2] for layer in range(2)] == [64, 32]
 
 
 class TestLearningFleet:

@@ -190,6 +190,7 @@ class TestApplyGradients:
             input_dim=INPUT_DIM,
             action_dim=2,
             rates=LearningRates(),
+            init_std=0.5,
             hidden=HIDDEN,
         )
         x = derive_stream(7, "x").standard_normal((3, INPUT_DIM))

@@ -12,12 +12,13 @@ from offloadsim.agents.policy import softplus_inv
 from offloadsim.engine import derive_stream
 
 
-def small_pool(seed=0, input_dim=12, action_dim=4, hidden=(6, 5), rates=None, **kw):
+def small_pool(seed=0, input_dim=12, action_dim=4, hidden=(6, 5), rates=None, init_std=0.5, **kw):
     return ActorCriticPool(
         [derive_stream(seed, "agent/m0/init")],
         input_dim=input_dim,
         action_dim=action_dim,
         rates=rates or LearningRates(),
+        init_std=init_std,
         hidden=hidden,
         **kw,
     )
@@ -103,6 +104,7 @@ def test_two_state_critic_eval_matches_one_state_passes(n_agents, seed, zero_ten
         input_dim=352,
         action_dim=4,
         rates=LearningRates(),
+        init_std=0.5,
     )
     rng = derive_stream(seed, "states")
     x, x_next = rng.standard_normal((2, n_agents, 352))
@@ -273,6 +275,7 @@ class TestUpdates:
             input_dim=12,
             action_dim=4,
             rates=LearningRates(),
+            init_std=0.5,
             hidden=(6, 5),
         )
         x = derive_stream(3, "x").standard_normal((2, 12))
@@ -294,6 +297,7 @@ class TestUpdates:
             input_dim=12,
             action_dim=4,
             rates=LearningRates(),
+            init_std=0.5,
             hidden=(6, 5),
         )
         x = derive_stream(3, "x").standard_normal((3, 12))
@@ -323,6 +327,7 @@ class TestUpdates:
             input_dim=12,
             action_dim=4,
             rates=LearningRates(),
+            init_std=0.5,
             hidden=(6, 5),
         )
         x = derive_stream(3, "x").standard_normal((3, 12))

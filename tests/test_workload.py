@@ -156,6 +156,23 @@ class TestCatalog:
         with pytest.raises(ValueError, match="resource_units"):
             TaskSpec("F1", units)
 
+    @pytest.mark.parametrize("deadline", [0, -50, 2.5, math.nan, math.inf, True])
+    def test_bad_deadline_rejected(self, deadline):
+        # NaN, inf and 2.5 used to pass here and fail only at the first
+        # arrival, as a non-integer event time; True was taken as 1 ms
+        with pytest.raises(ValueError, match="F1-300: deadline_ms must be an integer >= 1"):
+            ServiceTypeSpec("F1-300", (TaskSpec("F1", 3.0),), deadline, 1.0)
+
+    def test_repeated_type_id_rejected(self):
+        # a driver keyed by type would silently merge the two types' queues
+        catalog = [
+            ServiceTypeSpec("X", (TaskSpec("F1", 3.0),), 50, 0.5),
+            ServiceTypeSpec("Y", (TaskSpec("F1", 3.0),), 50, 0.25),
+            ServiceTypeSpec("X", (TaskSpec("F1", 3.0),), 300, 0.25),
+        ]
+        with pytest.raises(ValueError, match="service type X appears twice"):
+            normalize_catalog(catalog)
+
     @pytest.mark.parametrize("share", [math.nan, math.inf, -0.5])
     def test_bad_share_rejected(self, share):
         # NaN turns every normalized share into NaN, and a negative share
