@@ -117,7 +117,16 @@ class LearnerHyper:
 
 SUBMIT = "submit"
 BACKOFF = "backoff"
-NO_ACTIONS: tuple[dict[str, float], int] = ({}, 0)  # an agent's round with nothing pending
+
+
+def _require_roster(configs: Sequence[AgentConfig]):
+    """Refuse an empty fleet or a repeated bidder_id: the auction refuses two
+    bids of one id on one type, and a learner's streams derive from its id."""
+    if not configs:
+        raise ValueError("need at least one agent")
+    ids = [c.bidder_id for c in configs]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"bidder_id must be distinct across the fleet, got {ids}")
 
 
 class LearningFleet:
@@ -130,11 +139,7 @@ class LearningFleet:
         root_seed: int,
         hyper: Optional[LearnerHyper] = None,
     ):
-        if not configs:
-            raise ValueError("need at least one agent")
-        ids = [c.bidder_id for c in configs]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"bidder_id must be distinct across the fleet, got {ids}")
+        _require_roster(configs)
         self.hyper = hyper or LearnerHyper(window=codec.window)
         if self.hyper.window != codec.window:
             raise ValueError(f"LearnerHyper.window is {self.hyper.window} but the codec's window is {codec.window}")
@@ -173,8 +178,9 @@ class LearningFleet:
         # agents that executed their sample, or None), which this round's
         # TD step scores.
         self._prev: Optional[tuple] = None
-        # Per agent, last round's ({submitted type: valuation}, backoff count).
-        self._last_actions: list[tuple[dict[str, float], int]] = [NO_ACTIONS] * self.B
+        # Per agent, last round's (type, valuation, submitted) per pending
+        # type, the submitted types first.
+        self._last_actions: list[tuple[tuple[str, float, bool], ...]] = [()] * self.B
 
     # -- mode switches ---------------------------------------------------------
 
@@ -206,17 +212,16 @@ class LearningFleet:
         deciding = []  # the agents with a pending request, in fleet order
         for b, config in enumerate(self.configs):
             fb = feedbacks[b]
-            submitted, backed = self._last_actions[b]  # scored on this round's feedback
+            actions = self._last_actions[b]  # scored on this round's feedback
             if pending[b]:
                 deciding.append(b)
-            if fb is not None or submitted or backed or pending[b]:
+            if fb is not None or actions or pending[b]:
                 outcomes, prices = (fb.outcomes, fb.prices) if fb else ({}, {})
                 c, q = config.lost_bid_cost, config.backoff_cost
                 terms = [
-                    utility_per_type(outcomes.get(t, 0), v, prices.get(t, 0.0), c, q, True)
-                    for t, v in submitted.items()
+                    utility_per_type(outcomes.get(t, 0), v, prices.get(t, 0.0), c, q, sent)
+                    for t, v, sent in actions
                 ]
-                terms.extend([q] * backed)
                 utilities[b] = utility_total(terms, beta, config.utilization_weight)
                 active.append((b, pending[b], prices))
             noise[b] = self.act_streams[b].standard_normal(self.action_dim)
@@ -282,23 +287,22 @@ class LearningFleet:
         is in [0, 1] and rounding is monotone, so each price fraction *
         budget is in [0, budget]."""
         directives: list[dict[str, tuple]] = [{} for _ in range(self.B)]
-        self._last_actions = [NO_ACTIONS] * self.B
+        self._last_actions = [()] * self.B  # an agent with nothing pending has none
         for row, b in enumerate(deciding):
             config = self.configs[b]
             agent_directives = directives[b]
-            submitted: dict[str, float] = {}
-            backed = 0
+            submitted, deferred = [], []
             for service_type, (work, _deadline) in pending[b].items():
                 i = self.codec.index[service_type]
                 alpha = float(fractions[row, i])
                 if alpha > config.backoff_threshold:
                     agent_directives[service_type] = (SUBMIT, float(fractions[row, self.k + i]) * config.budget)
-                    submitted[service_type] = valuation(work, config)
+                    submitted.append((service_type, valuation(work, config), True))
                 else:
                     duration = max(1, round(alpha * config.max_backoff_ms))
                     agent_directives[service_type] = (BACKOFF, duration)
-                    backed += 1
-            self._last_actions[b] = (submitted, backed)
+                    deferred.append((service_type, valuation(work, config), False))
+            self._last_actions[b] = tuple(submitted + deferred)
         return directives
 
 
@@ -307,6 +311,7 @@ class PassiveFleet:
     at its valuation, a constant priority."""
 
     def __init__(self, configs: Sequence[AgentConfig]):
+        _require_roster(configs)
         self.configs = list(configs)
         self.B = len(configs)
 

@@ -6,17 +6,23 @@ with the lost-bid cost, zeroes the gain of a free (uncontended) win, and
 pays the backoff reward when the bid was deferred; the round total adds the
 weighted idle-capacity term.
 
-`utility_per_type` is the one payoff rule: the learners are rewarded with
-it, and the static-game oracles in `offloadsim.gametheory` (expected round
-utilities and welfare) evaluate the same function. One closed-form copy
-remains: `gametheory.best_response_curve` takes the rule's expectation over
-a price x quadrature grid in vectorised form, so a change to the rule here
-must change it there too (a test checks the two agree on a small grid).
+`utility_per_type` and `utility_total` are the only code that computes a
+bidder's round payoff. Every caller composes it through them:
+`LearningFleet.act` rewards the learners with one term per submitted and
+per deferred type; `gametheory._expected_round_utilities` takes each term in
+expectation over the win probability and totals with `utility_total`;
+`gametheory.uncontended_utility` scores each demanded type at final price 0;
+and `gametheory.best_response_curve` evaluates the rule elementwise over
+its bid x opponent-draw grid.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from ..engine import require_count
 
 
 @dataclass
@@ -43,22 +49,22 @@ class AgentConfig:
             raise ValueError("utilization_weight must be >= 0")
         if not (0.0 < self.backoff_threshold < 1.0):
             raise ValueError("backoff_threshold must be in (0,1)")
-        if not 0 < self.max_backoff_ms < math.inf:
-            raise ValueError(f"max_backoff_ms must be finite and positive, got {self.max_backoff_ms}")
+        require_count("max_backoff_ms", self.max_backoff_ms, 1)
 
 
 def valuation(resource_estimate: float, config: AgentConfig) -> float:
     """v = min(slope * estimate + intercept, budget); always positive."""
-    if resource_estimate <= 0:
-        raise ValueError("resource_estimate must be positive")
+    if not 0 < resource_estimate < math.inf:
+        raise ValueError(f"resource_estimate must be finite and positive, got {resource_estimate}")
     v = min(config.valuation_slope * resource_estimate + config.valuation_intercept, config.budget)
     if v <= 0:
         raise ValueError(f"valuation {v} is not positive; check slope/intercept")
     return v
 
 
-def utility_per_type(x: int, v: float, p: float, c: float, q: float, submitted: bool) -> float:
-    """One service type's round utility.
+def utility_per_type(x, v, p, c, q, submitted: bool):
+    """One service type's round utility, elementwise over arrays of x, v,
+    p and c as over scalars.
 
     Submitted: the win/lose payoff x*(v-p) - (1-x)*c, minus v again whenever
     the final price was zero. For a free win that removes the gain, since an
@@ -68,14 +74,11 @@ def utility_per_type(x: int, v: float, p: float, c: float, q: float, submitted: 
     case, and the learners' reward design (ROADMAP, direction 2) decides it.
     Deferred: the backoff reward q.
     """
-    if x not in (0, 1):
+    if np.count_nonzero(x * (1 - x)):
         raise ValueError("bidding outcome x must be 0 or 1")
     if not submitted:
         return q
-    gain = x * (v - p) - (1 - x) * c
-    if p == 0:
-        gain -= v
-    return gain
+    return x * (v - p) - (1 - x) * c - v * (p == 0)
 
 
 def utility_total(per_type_utilities, beta: float, w):

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .agents.utility import utility_per_type
+from .agents.utility import utility_per_type, utility_total
 
 IDENTITY_TOL = 1e-9
 
@@ -45,6 +45,10 @@ class StaticPlayer:
         for t, v in self.values.items():
             if v > self.budget + 1e-12:
                 raise ValueError(f"value {v} for {t} exceeds budget {self.budget}")
+        # the utilities score demanded types only, while potential_value counts every reward
+        undemanded = sorted(set(self.backoff_rewards) - set(self.work))
+        if undemanded:
+            raise ValueError(f"backoff rewards for types not in work: {undemanded}")
 
 
 @dataclass
@@ -102,18 +106,33 @@ def potential_value(game: StaticGame, profile) -> float:
 
 
 def uncontended_utility(game: StaticGame, profile, player: int) -> float:
-    """Player utility in the all-bids-accepted reduction (prices are moot)."""
+    """Player utility in the all-bids-accepted reduction.
+
+    Every submitted bid wins at final price 0, so each demanded type scores
+    alpha * u(won at price 0) + (1 - alpha) * u(deferred) with
+    `utility_per_type`. The idle-capacity term W * (1 - load / C) is added
+    unclamped rather than through `utility_total`, which refuses a
+    utilization above 1: random games overload capacity when everyone
+    submits. The term is common to all players, so it cancels in the
+    potential identity, and the identity cannot see a change to it.
+    """
     types = game.type_ids
     alphas = _as_alpha_matrix(game, profile)
     p = game.players[player]
-    own_q = sum(p.backoff_rewards.get(t, 0.0) for t in types)
-    chosen_q = sum(alphas[player, j] * p.backoff_rewards.get(t, 0.0) for j, t in enumerate(types))
+    terms = []
+    for j, t in enumerate(types):
+        if t not in p.work:
+            continue
+        v, c, q = p.values[t], p.lost_bid_cost, p.backoff_rewards.get(t, 0.0)
+        alpha = alphas[player, j]
+        won = utility_per_type(1, v, 0.0, c, q, True)  # every submitted bid wins
+        terms.append(alpha * won + (1.0 - alpha) * utility_per_type(0, v, 0.0, c, q, False))
     load = sum(
-        alphas[i, j] * q.work.get(t, 0.0)
-        for i, q in enumerate(game.players)
+        alphas[i, j] * other.work.get(t, 0.0)
+        for i, other in enumerate(game.players)
         for j, t in enumerate(types)
     )
-    return own_q - chosen_q + game.utilization_weight * (1.0 - load / game.capacity)
+    return sum(terms) + game.utilization_weight * (1.0 - load / game.capacity)
 
 
 def _potential_residual(game: StaticGame, profile, player: int, new_alpha) -> float:
@@ -180,7 +199,7 @@ def _expected_round_utilities(game: StaticGame, actions) -> list[float]:
 
     utilities = []
     for i, player in enumerate(game.players):
-        total = 0.0
+        terms = []
         for j, t in enumerate(types):
             if t not in player.work:
                 continue
@@ -190,9 +209,8 @@ def _expected_round_utilities(game: StaticGame, actions) -> list[float]:
             pr_win = win_prob[i, j]  # 0 for a deferred bid, whose payoff is q either way
             won = utility_per_type(1, v, p, c, q, submitted)
             lost = utility_per_type(0, v, p, c, q, submitted)
-            total += pr_win * won + (1.0 - pr_win) * lost
-        total += game.utilization_weight * (1.0 - beta)
-        utilities.append(total)
+            terms.append(pr_win * won + (1.0 - pr_win) * lost)
+        utilities.append(utility_total(terms, beta, game.utilization_weight))
     return utilities
 
 
@@ -273,10 +291,10 @@ def best_response_curve(
 ) -> list[tuple[float, float]]:
     """Grid argmax bid for each own valuation against the linear opponent.
 
-    Each (bid b, opponent draw) cell is scored with `utility_per_type`'s
-    rule x(v - p) - (1 - x)c - v[p = 0]: win against opponent bids below b
-    and pay the opponent's bid (the second price); otherwise lose, pay the
-    lost-bid cost, and the final price p is your own bid. Expectation by
+    Each (bid b, opponent draw) cell is scored with `utility_per_type`,
+    evaluated over the whole grid at once: win against opponent bids below
+    b and pay the opponent's bid (the second price); otherwise lose, pay the
+    lost-bid cost, and the final price is your own bid. Expectation by
     midpoint quadrature over the opponent's uniform valuation draw; argmax
     ties resolve to the lowest price.
     """
@@ -285,13 +303,10 @@ def best_response_curve(
     if prices.size == 0:
         raise ValueError("price grid is empty after the budget cap")
     win = prices[:, None] > opp_bids[None, :]  # (P, Q)
-    mean_win = win.mean(axis=1)
-    mean_paid = (win * opp_bids[None, :]).mean(axis=1)
     final_price = np.where(win, opp_bids[None, :], prices[:, None])
-    mean_free = (final_price == 0.0).mean(axis=1)
     curve = []
     for v in valuation_grid:
-        expected = v * mean_win - mean_paid - lost_bid_cost * (1.0 - mean_win) - v * mean_free
+        expected = utility_per_type(win, v, final_price, lost_bid_cost, 0.0, True).mean(axis=1)
         best = int(np.argmax(expected))
         curve.append((float(v), float(prices[best])))
     return curve
@@ -313,31 +328,6 @@ def linear_fit_interior(
     ss_tot = float(((b - b.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2, len(pts)
-
-
-# -- welfare -------------------------------------------------------------------
-
-
-def welfare(
-    outcome,
-    valuations: dict[str, dict[str, float]],
-    lost_bid_costs: dict[str, float],
-    backoff_rewards: Optional[dict[str, float]] = None,
-) -> float:
-    """Sum of realized bidder utilities (utility_per_type) for one cleared round.
-
-    outcome is an auction clearing result; backoff_rewards maps bidders that
-    deferred everything to their collected backoff reward.
-    """
-    total = 0.0
-    for bidder, types in outcome.participants.items():
-        for t in types:
-            x = 1 if bidder in outcome.winners.get(t, ()) else 0
-            p = outcome.payment_vector.get(t, 0.0)
-            total += utility_per_type(x, valuations[bidder][t], p, lost_bid_costs[bidder], 0.0, True)
-    for bidder, reward in (backoff_rewards or {}).items():
-        total += reward
-    return total
 
 
 # -- fairness-constrained allocation check -----------------------------------------

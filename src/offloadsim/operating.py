@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .auction import AuctionOutcome, Bid, clear_auction
-from .engine import RngStream, SimTime
+from .engine import RngStream, SimTime, require_count
 
 
 class NoFeasibleSiteError(RuntimeError):
@@ -80,8 +80,7 @@ class ComputingSite:
     ):
         if not 1 <= capacity < math.inf:  # below 1 the site has no server to run what it admits
             raise ValueError(f"capacity must be finite and >= 1, got {capacity}")
-        if not 0 <= report_delay_ms < math.inf:
-            raise ValueError(f"report_delay_ms must be finite and >= 0, got {report_delay_ms}")
+        require_count("report_delay_ms", report_delay_ms, 0)
         for name, sigma in (
             ("sigma_delay_ms", sigma_delay_ms),
             ("sigma_utilization", sigma_utilization),
@@ -166,8 +165,8 @@ class ComputingSite:
     # -- learned estimates and reports --------------------------------------
 
     def update_service_estimate(self, service_type: str, observed_units: float):
-        if observed_units <= 0:
-            raise ValueError("observed_units must be positive")
+        if not 0 < observed_units < math.inf:
+            raise ValueError(f"observed_units must be finite and positive, got {observed_units}")
         current = self.estimates.get(service_type)
         if current is None:
             self.estimates[service_type] = observed_units

@@ -600,3 +600,12 @@ class TestPassiveFleet:
         f = PassiveFleet(configs(1, budget=2.0))
         (d,) = f.act([None], [{"F1-300": (3.0, 100.0)}], 1, 0.0, 0.0)
         assert d["F1-300"] == ("submit", 2.0)
+
+    def test_empty_or_repeated_roster_rejected(self):
+        # the learning fleet's roster rule: a repeated id would otherwise fail
+        # only in a round where both copies bid on one type, inside the auction
+        with pytest.raises(ValueError, match="at least one agent"):
+            PassiveFleet([])
+        cfg = AgentConfig(bidder_id="m0", budget=100.0)
+        with pytest.raises(ValueError, match="bidder_id must be distinct"):
+            PassiveFleet([cfg, cfg])

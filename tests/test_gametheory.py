@@ -24,7 +24,6 @@ from offloadsim.gametheory import (
     potential_identity_sweep,
     random_uncontended_game,
     uncontended_utility,
-    welfare,
     _expected_round_utilities,
 )
 from oracles import enumerate_best_responses
@@ -43,6 +42,12 @@ def two_player_game(q=1.0, w=1.0, capacity=10.0, omega=2.0):
 def test_bad_capacity_rejected(capacity):
     with pytest.raises(ValueError, match="capacity"):
         two_player_game(capacity=capacity)
+
+
+def test_backoff_reward_for_undemanded_type_rejected():
+    # potential_value would count it, the players' utilities would not
+    with pytest.raises(ValueError, match=r"not in work: \['U'\]"):
+        StaticPlayer({"T": 1.0, "U": 0.5}, {"T": 2.0}, {"T": 3.0}, 0.5, 10.0)
 
 
 class TestPotential:
@@ -214,8 +219,8 @@ class TestBestResponse:
 
     @pytest.mark.parametrize("c", [0.0, 0.7])
     def test_chosen_price_maximizes_mean_utility_per_type(self, c):
-        # best_response_curve scores in closed form; cell by cell, its
-        # argmax must be an argmax of the mean utility_per_type payoff
+        # best_response_curve scores the whole grid in one array call; cell
+        # by cell, its argmax must be an argmax of the mean scalar payoff
         opponent = LinearOpponent(0.0, 10.0, 2.0, 9.0)
         opp_bids = opponent.bids(41)
         prices = np.linspace(0.0, 12.0, 8)
@@ -234,21 +239,6 @@ class TestWelfare:
         return clear_auction(
             [Bid(b, "T", p, 2.0, 100) for b, p in prices.items()], {"T": slots}, rng
         )
-
-    def test_winner_and_loser(self):
-        out = self.outcome({"A": 5.0, "B": 3.0})
-        value = welfare(out, {"A": {"T": 10.0}, "B": {"T": 4.0}}, {"A": 1.0, "B": 1.0})
-        assert value == pytest.approx(6.0)
-
-    def test_all_backed_off(self):
-        rng = derive_stream(1, "auction")
-        out = clear_auction([], {"T": 1}, rng, roster=["A", "B"])
-        assert welfare(out, {}, {}, backoff_rewards={"A": 0.3, "B": 0.2}) == pytest.approx(0.5)
-
-    def test_empty_game(self):
-        rng = derive_stream(1, "auction")
-        out = clear_auction([], {}, rng)
-        assert welfare(out, {}, {}) == 0.0
 
     def test_winner_set_maximizes_welfare_under_common_linear_bids(self):
         # with everyone bidding v + c, the top-slot winners are the top values

@@ -202,8 +202,12 @@ class TestEstimates:
         assert site.estimates["F2"] == pytest.approx(31.0)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            make_site().update_service_estimate("F2", 0.0)
+        # a NaN estimate would surface only later, in compute_slots
+        site = make_site()
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="observed_units"):
+                site.update_service_estimate("F2", bad)
+        assert site.estimates == {}
 
 
 class TestSiteParameters:
@@ -222,7 +226,8 @@ class TestSiteParameters:
             make_site(**{name: sigma})
 
 
-    @pytest.mark.parametrize("delay", [-1, math.nan, math.inf])
+    # a fractional delay would be truncated, and True taken as 1
+    @pytest.mark.parametrize("delay", [-1, math.nan, math.inf, 2.5, True])
     def test_bad_report_delay_rejected(self, delay):
         with pytest.raises(ValueError, match="report_delay_ms"):
             make_site(report_delay_ms=delay)

@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
-from offloadsim.agents import AgentConfig, utility_per_type, utility_total, valuation
+from offloadsim import gametheory
+from offloadsim.agents import AgentConfig, FeatureCodec, LearningFleet, utility_per_type, utility_total, valuation
+from offloadsim.agents import bidder
+from offloadsim.auction import FeedbackSignal
+from offloadsim.engine import derive_stream
 
 
 def config(**kw):
@@ -24,9 +29,10 @@ def test_nonfinite_payoff_parameter_rejected(field, bad):
         config(**{field: bad})
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0, -5])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0, -5, 2.5, True])
 def test_bad_max_backoff_rejected(bad):
-    # a NaN or inf bound would fail only later, when a backoff duration is rounded
+    # a NaN or inf bound would fail only later, when a backoff duration is
+    # rounded; a fractional one or True is not a count of milliseconds
     with pytest.raises(ValueError, match="max_backoff_ms"):
         config(max_backoff_ms=bad)
 
@@ -44,8 +50,10 @@ class TestValuation:
         assert high >= low
 
     def test_rejects_nonpositive_estimate(self):
-        with pytest.raises(ValueError):
-            valuation(0.0, config())
+        # NaN would otherwise come back as the valuation
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="resource_estimate"):
+                valuation(bad, config())
 
 
 class TestPerTypeUtility:
@@ -69,6 +77,29 @@ class TestPerTypeUtility:
         with pytest.raises(ValueError):
             utility_per_type(2, 10.0, 0.0, 1.0, 0.5, submitted=True)
 
+    def test_arrays_match_scalars_elementwise(self):
+        # the static-game oracles score a whole grid of outcomes and prices
+        # in one call; each element must be the scalar rule's, bit for bit
+        rng = derive_stream(7, "payoff")
+        n = 400
+        x = rng.integer_array(0, 2, n)
+        v = 1.0 + 9.0 * np.abs(rng.standard_normal(n))
+        p = np.where(rng.integer_array(0, 4, n) == 0, 0.0, 5.0 * rng.standard_normal(n))
+        c = np.abs(rng.standard_normal(n))
+        scalars = np.array(
+            [utility_per_type(int(x[i]), float(v[i]), float(p[i]), float(c[i]), 0.5, True) for i in range(n)]
+        )
+        assert utility_per_type(x, v, p, c, 0.5, True).tobytes() == scalars.tobytes()
+        assert utility_per_type(x.astype(bool), v, p, c, 0.5, True).tobytes() == scalars.tobytes()
+        assert (p == 0.0).any() and (x == 0).any() and (x == 1).any()
+
+    @pytest.mark.parametrize("bad", [2, 0.5, -1, float("nan")])
+    @pytest.mark.parametrize("submitted", [True, False])
+    def test_array_with_invalid_outcome_rejected(self, bad, submitted):
+        x = np.array([0, 1, bad, 1])
+        with pytest.raises(ValueError, match="outcome x"):
+            utility_per_type(x, 10.0, np.full(4, 3.0), 1.0, 0.5, submitted)
+
 
 class TestTotalUtility:
     def test_adds_idle_capacity_term(self):
@@ -88,3 +119,67 @@ class TestTotalUtility:
     def test_beta_out_of_range(self):
         with pytest.raises(ValueError):
             utility_total([1.0], beta=1.5, w=1.0)
+
+
+class TestOneHome:
+    """utility_per_type and utility_total are the only code that computes a
+    bidder's payoff: every caller reaches them, looked up where that caller
+    looks them up, instead of restating them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def per_type(x, v, p, c, q, submitted):
+            seen.append(("per_type", submitted))
+            return utility_per_type(x, v, p, c, q, submitted)
+
+        def total(per_type_utilities, beta, w):
+            seen.append(("total", None))
+            return utility_total(per_type_utilities, beta, w)
+
+        for module in (gametheory, bidder):
+            monkeypatch.setattr(module, "utility_per_type", per_type)
+            monkeypatch.setattr(module, "utility_total", total)
+        return seen
+
+    @staticmethod
+    def game():
+        players = [gametheory.StaticPlayer({"T": 0.2}, {"T": 2.0}, {"T": v}, 0.5, 10.0) for v in (6.0, 5.0)]
+        return gametheory.StaticGame(players, capacity=10.0, utilization_weight=1.0, slots={"T": 1})
+
+    def test_best_response_curve(self, calls):
+        opponent = gametheory.LinearOpponent(0.0, 10.0, 2.0, 9.0)
+        gametheory.best_response_curve(opponent, [1.0, 4.0, 7.0], [0.0, 3.0, 6.0, 9.0], quad_points=21)
+        assert calls == [("per_type", True)] * 3  # one call over the whole grid per valuation
+
+    def test_expected_round_utilities(self, calls):
+        gametheory._expected_round_utilities(self.game(), (((1.0,), (4.0,)), ((0.0,), (0.0,))))
+        # per player: the won and the lost payoff of its one type, then its total
+        submitter, deferrer = [("per_type", True)] * 2, [("per_type", False)] * 2
+        assert calls == submitter + [("total", None)] + deferrer + [("total", None)]
+
+    def test_uncontended_utility(self, calls):
+        gametheory.uncontended_utility(self.game(), ((1.0,), (0.0,)), 0)
+        # a submitted and a deferred score of its one type; the idle-capacity
+        # term is added unclamped, outside utility_total
+        assert calls == [("per_type", True), ("per_type", False)]
+
+    def test_fleet_scores_each_submitted_and_deferred_type_once(self, calls):
+        codec = FeatureCodec(
+            type_ids=["F1-300", "F1-50"], work_max=30.0, deadline_max=300.0, price_max=100.0, fleet_size=4, window=4
+        )
+        fleet = LearningFleet([config()], codec, root_seed=1)
+        fleet.frozen_eta = 0.0  # the behavioural branch, whose fractions are set here
+        fractions = np.full((1, 4), 0.5)
+        fractions[0, codec.index["F1-300"]] = 0.9  # submit
+        fractions[0, codec.index["F1-50"]] = 0.1  # defer
+        fleet.behavior.predict = lambda states, agents: fractions
+        (directives,) = fleet.act([None], [{"F1-300": (3.0, 200.0), "F1-50": (2.0, 200.0)}], 1, 0.3, 0.0)
+        assert [verb for verb, _ in directives.values()] == ["submit", "backoff"]
+        calls.clear()
+        feedback = FeedbackSignal("m0", {"F1-300": 1}, {"F1-300": 40.0}, 0.3)
+        fleet.act([feedback], [{}], 1, 0.3, 0.0)
+        # the idle-round total of every agent, then this agent's two types
+        # once each, the submitted type first, and its round total
+        assert calls == [("total", None), ("per_type", True), ("per_type", False), ("total", None)]
