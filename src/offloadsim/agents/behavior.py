@@ -19,7 +19,7 @@ busiest agent holds.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,11 +28,18 @@ from .nets import AdamState, StackedMlp
 
 
 class BehaviorPool:
-    """One behavioral model per agent, trained side by side."""
+    """One behavioral model per agent, trained side by side.
+
+    `__init__` sets up the memory and draws no weights: `draw` draws each
+    agent's net from its stream in `streams` and zeroes its Adam moments,
+    and `predict` and `train_step` need it drawn. `release_training`
+    drops the memory and the moments and keeps the net, which is all that
+    `predict` reads.
+    """
 
     def __init__(
         self,
-        streams: Sequence[RngStream],
+        n_agents: int,
         state_dim: int,
         action_dim: int,
         capacity: int,
@@ -40,16 +47,30 @@ class BehaviorPool:
         lr: float,
         hidden: tuple[int, ...] = (32,),
     ):
-        self.B = len(streams)
+        self.B = n_agents
+        self.state_dim = state_dim
         self.action_dim = action_dim
         self.capacity = capacity
         self.batch_size = batch_size
-        self.net = StackedMlp(streams, state_dim, hidden, heads={"a": (action_dim, 0.1, 0.5)})
-        self.opt = AdamState(self.net, lr=lr)
+        self.lr = lr
+        self.hidden = hidden
+        self.net: Optional[StackedMlp] = None
+        self.opt: Optional[AdamState] = None
         self.states = np.zeros((capacity, self.B, state_dim))  # time-major, see the module docstring
         self.actions = np.zeros((capacity, self.B, action_dim))
         self.count = np.zeros(self.B, dtype=np.int64)  # rows held, per agent
         self._ptr = np.zeros(self.B, dtype=np.int64)  # next row written, per agent
+
+    def draw(self, streams: Sequence[RngStream]):
+        """Draw each agent's net from its stream in `streams` (one per
+        agent), with zero Adam moments."""
+        self.net = StackedMlp(streams, self.state_dim, self.hidden, heads={"a": (self.action_dim, 0.1, 0.5)})
+        self.opt = AdamState(self.net, lr=self.lr)
+
+    def release_training(self):
+        """Drop the memory and the Adam moments; the net still predicts."""
+        self.states = self.actions = self.count = self._ptr = None
+        self.opt = None
 
     def store(self, states: np.ndarray, actions_norm: np.ndarray, agents: Sequence[int]):
         """One row per agent in `agents` (distinct indices): row r of states

@@ -51,6 +51,17 @@ Each agent draws its noise, then its eta coin, once per round, pending or
 not, learning or frozen, so stage 2 runs for a subset of agents without
 moving any act stream. An error raised part-way through stage 1 leaves the
 history as it was and the earlier agents' streams advanced.
+
+Each agent's `agent/<id>/init` stream feeds, in this order, its actor, its
+critic and its behaviour net, and nothing else reads it. The actor is
+drawn in `__init__`; the critic and then the behaviour net (with its Adam
+moments) are drawn from the same stream objects, once, when something
+first needs them: the first learning round, or the first behavioural
+prediction of a fleet frozen with a mixing weight below 1. So every weight
+is the one an eager draw in that order gives, and a fleet frozen at t = 1
+with eta 1 never draws them. `freeze` drops what a frozen fleet never
+reads: the critic, the behaviour memory and the Adam moments. It keeps the
+actor and the behaviour net, the two policies it acts with.
 """
 from __future__ import annotations
 
@@ -150,13 +161,14 @@ class LearningFleet:
         self.action_dim = 2 * codec.k
         self.budgets = np.array([c.budget for c in configs])
         self.weights = np.array([c.utilization_weight for c in configs])
-        init_streams = [derive_stream(root_seed, f"agent/{c.bidder_id}/init") for c in configs]
+        # the actor's draws, then the critic's and the behaviour net's in `_draw_learners`
+        self._init_streams = [derive_stream(root_seed, f"agent/{c.bidder_id}/init") for c in configs]
         self.act_streams = [derive_stream(root_seed, f"agent/{c.bidder_id}/act") for c in configs]
         self.sl_streams = [derive_stream(root_seed, f"agent/{c.bidder_id}/sl") for c in configs]
         mu_bias = np.zeros(self.action_dim)
         mu_bias[codec.k :] = self.hyper.price_bias_init
         self.pool = ActorCriticPool(
-            init_streams,
+            self._init_streams,
             input_dim=codec.rl_input_dim,
             action_dim=self.action_dim,
             rates=self.hyper.rates,
@@ -164,7 +176,7 @@ class LearningFleet:
             mu_bias_init=mu_bias,
         )
         self.behavior = BehaviorPool(
-            init_streams,
+            self.B,
             state_dim=codec.sl_dim,
             action_dim=self.action_dim,
             capacity=self.hyper.sl_capacity,
@@ -186,9 +198,28 @@ class LearningFleet:
 
     def freeze(self):
         """Stop all learning; keep acting with the mixing weight fixed at its
-        current value."""
+        current value. Drops what acting never reads: the critic, the
+        behaviour memory and its Adam moments. The behaviour net stays, for
+        the behavioural predictions of a mixing weight below 1."""
         self.frozen_eta = self.hyper.eta.eta(self.t)
         self._prev = None  # no TD step will score it
+        self._release_training()
+
+    def _release_training(self):
+        self.pool.critic = None
+        self.behavior.release_training()
+
+    def _draw_learners(self):
+        """Draw the critic, then the behaviour net, from the init streams
+        that drew the actor, once: at the first learning round or the first
+        behavioural prediction. A frozen fleet keeps only the net."""
+        if self._init_streams is None:
+            return
+        self.pool.draw_critic(self._init_streams)
+        self.behavior.draw(self._init_streams)
+        self._init_streams = None
+        if self.frozen_eta is not None:
+            self._release_training()
 
     # -- the per-round step ------------------------------------------------------
 
@@ -232,6 +263,7 @@ class LearningFleet:
 
         # 2. the batched learner step: every critic while learning, then the deciding agents' rows
         if learning:
+            self._draw_learners()
             flat = self.history.reshape(self.B, -1).copy()
             if self._prev is not None:
                 prev_flat, prev_scored = self._prev
@@ -249,6 +281,7 @@ class LearningFleet:
                 if learning:
                     scored = (zeta_raw, actor_cache)
             if len(best) < len(deciding):  # the others execute the behavioural model's action
+                self._draw_learners()
                 if best:  # each row from its agent's branch
                     picked = use_rl[deciding]
                     behavioural = [b for b in deciding if not use_rl[b]]

@@ -73,6 +73,11 @@ class ActorCriticPool:
 
     Critic: scalar head V(S, w). Actor: heads for the action mean (dim A)
     and the A(A+1)/2 lower-triangular factor entries.
+
+    Each agent's weights come from its stream in `streams`: `__init__`
+    draws the actor, and `draw_critic`, given the same streams, draws the
+    critic after it. Until then `critic` is None, so a pool that only acts
+    never holds one; the caller drops it again by setting `critic` to None.
     """
 
     def __init__(
@@ -99,8 +104,14 @@ class ActorCriticPool:
             hidden,
             heads={"mu": (action_dim, 0.01, mu_bias_init), "lraw": (n_l, 0.01, l_bias)},
         )
-        self.critic = StackedMlp(streams, input_dim, hidden, heads={"v": (1, 0.01, 0.0)})
+        self.input_dim = input_dim
+        self.hidden = hidden
+        self.critic: Optional[StackedMlp] = None
         self.avg_reward = np.zeros(self.B)
+
+    def draw_critic(self, streams: Sequence[RngStream]):
+        """Draw the critic from `streams`, the ones the actor was drawn from."""
+        self.critic = StackedMlp(streams, self.input_dim, self.hidden, heads={"v": (1, 0.01, 0.0)})
 
     # -- forward passes ------------------------------------------------------
 

@@ -45,6 +45,10 @@ class StaticPlayer:
         for t, v in self.values.items():
             if v > self.budget + 1e-12:
                 raise ValueError(f"value {v} for {t} exceeds budget {self.budget}")
+        # the utilities read a value for every demanded type
+        unvalued = sorted(set(self.work) - set(self.values))
+        if unvalued:
+            raise ValueError(f"no values for types in work: {unvalued}")
         # the utilities score demanded types only, while potential_value counts every reward
         undemanded = sorted(set(self.backoff_rewards) - set(self.work))
         if undemanded:
@@ -304,9 +308,10 @@ def best_response_curve(
         raise ValueError("price grid is empty after the budget cap")
     win = prices[:, None] > opp_bids[None, :]  # (P, Q)
     final_price = np.where(win, opp_bids[None, :], prices[:, None])
+    x = win.astype(float)  # float arithmetic throughout, without a bool-to-float cast per valuation
     curve = []
     for v in valuation_grid:
-        expected = utility_per_type(win, v, final_price, lost_bid_cost, 0.0, True).mean(axis=1)
+        expected = utility_per_type(x, v, final_price, lost_bid_cost, 0.0, True).mean(axis=1)
         best = int(np.argmax(expected))
         curve.append((float(v), float(prices[best])))
     return curve

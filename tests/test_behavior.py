@@ -10,10 +10,17 @@ from offloadsim.agents import BehaviorPool
 from offloadsim.engine import derive_stream
 
 
+def drawn_pool(streams, **kw):
+    """A pool whose nets are drawn from `streams`, one per agent."""
+    pool = BehaviorPool(len(streams), **kw)
+    pool.draw(streams)
+    return pool
+
+
 class TestBehaviorPool:
     def test_sliding_memory_and_prediction(self):
         streams = [derive_stream(7, "agent/m0/init"), derive_stream(7, "agent/m1/init")]
-        pool = BehaviorPool(streams, state_dim=3, action_dim=2, capacity=16, batch_size=8, lr=1e-3)
+        pool = drawn_pool(streams, state_dim=3, action_dim=2, capacity=16, batch_size=8, lr=1e-3)
         target = np.array([[0.9, 0.1], [0.2, 0.6]])
         state = np.array([[0.5, 0.5, 0.5], [0.1, 0.2, 0.3]])
         for _ in range(32):
@@ -37,7 +44,7 @@ class TestBehaviorPool:
             actions.append(np.array([0.8, 0.2]) if cluster == 0 else np.array([0.3, 0.9]))
         states = np.array(states)
         actions = np.array(actions)
-        pool = BehaviorPool(
+        pool = drawn_pool(
             [derive_stream(2, "sl/init")], state_dim=2, action_dim=2, capacity=n, batch_size=32, lr=3e-3
         )
         for s, a in zip(states, actions):
@@ -56,7 +63,7 @@ class TestBehaviorPool:
 
     def test_train_without_a_minibatch_is_a_no_op(self):
         streams = [derive_stream(7, "agent/m0/init")]
-        pool = BehaviorPool(streams, state_dim=3, action_dim=2, capacity=16, batch_size=8, lr=1e-3)
+        pool = drawn_pool(streams, state_dim=3, action_dim=2, capacity=16, batch_size=8, lr=1e-3)
         pool.store(np.zeros((1, 3)), np.zeros((1, 2)), [0])
         before = agent_state(pool, 0)
         sl = [derive_stream(7, "agent/m0/sl")]
@@ -66,7 +73,7 @@ class TestBehaviorPool:
 
     def test_predictions_stay_in_unit_box(self):
         streams = [derive_stream(9, "agent/m0/init")]
-        pool = BehaviorPool(streams, state_dim=3, action_dim=2, capacity=16, batch_size=8, lr=1e-3)
+        pool = drawn_pool(streams, state_dim=3, action_dim=2, capacity=16, batch_size=8, lr=1e-3)
         rng = derive_stream(10, "x")
         preds = pool.predict(rng.standard_normal((1, 3)) * 10)
         assert np.all(preds >= 0.0) and np.all(preds <= 1.0)
@@ -74,7 +81,7 @@ class TestBehaviorPool:
 
 def three_agent_pool(batch_size=2):
     streams = [derive_stream(8, f"agent/m{b}/init") for b in range(3)]
-    return BehaviorPool(streams, state_dim=3, action_dim=2, capacity=4, batch_size=batch_size, lr=1e-3)
+    return drawn_pool(streams, state_dim=3, action_dim=2, capacity=4, batch_size=batch_size, lr=1e-3)
 
 
 def sl_streams(n=3):
@@ -177,7 +184,6 @@ import os
 import numpy as np
 
 from offloadsim.agents import BehaviorPool
-from offloadsim.engine import derive_stream
 
 
 def resident_bytes():
@@ -186,7 +192,7 @@ def resident_bytes():
 
 
 n = 32
-pool = BehaviorPool([derive_stream(1, f"agent/m{b}/init") for b in range(n)], 27, 16, capacity=10_000, batch_size=64, lr=1e-3)
+pool = BehaviorPool(n, 27, 16, capacity=10_000, batch_size=64, lr=1e-3)
 states, actions, agents = np.ones((n, 27)), np.full((n, 16), 0.5), list(range(n))
 before = resident_bytes()
 for _ in range(100):

@@ -15,6 +15,7 @@ from offloadsim.agents import (
     utility_total,
     valuation,
 )
+from offloadsim.agents.nets import StackedMlp
 from offloadsim.agents.policy import softplus_inv
 from offloadsim.auction import FeedbackSignal
 from offloadsim.engine import derive_stream
@@ -118,6 +119,7 @@ class TestLearnerHyper:
             window=4, rates=rates, init_std=0.8, price_bias_init=-1.5, sl_capacity=40, sl_batch_size=10, sl_lr=4e-3
         )
         f = fleet(n=3, hyper=hyper)
+        f.act([None] * 3, [{}] * 3, 3, 0.0, 0.0)  # the first learning round draws the critic and behaviour net
         actor = f.pool.actor.params
         assert np.all(actor["b_lraw"][:, f.pool.diag_positions] == softplus_inv(0.8))
         assert np.all(actor["b_mu"][:, f.k :] == -1.5) and np.all(actor["b_mu"][:, : f.k] == 0.0)
@@ -411,7 +413,7 @@ class TestDecidingAgentsOnly:
                 s.standard_normal(f.action_dim)
                 coins.append(s.uniform())
             actor_before = [f.pool.actor.flat_view(b) for b in range(n)]
-            critic_before = [f.pool.critic.flat_view(b) for b in range(n)]
+            critic_before = [f.pool.critic.flat_view(b) for b in range(n)] if r > 0 else None  # drawn in round 0
             rows_before = (f.behavior.states.copy(), f.behavior.actions.copy(), f.behavior.count.copy())
             actor_rows.clear()
             backward_calls.clear()
@@ -546,6 +548,98 @@ class TestDecidingAgentsOnly:
                 for b, cfg in enumerate(cfgs)
             ]
             feedback = feedback_for(cfgs, directives, beta=beta)
+
+
+def eagerly_drawn(seed, f):
+    """(critic, behaviour net, streams) drawn from fresh init streams of f's
+    agents in the order actor, critic, behaviour net, as one set-up would."""
+    streams = [derive_stream(seed, f"agent/{c.bidder_id}/init") for c in f.configs]
+    n_l = f.action_dim * (f.action_dim + 1) // 2
+    actor_heads = {"mu": (f.action_dim, 0.01, 0.0), "lraw": (n_l, 0.01, 0.0)}
+    StackedMlp(streams, f.codec.rl_input_dim, (64, 32), heads=actor_heads)
+    critic = StackedMlp(streams, f.codec.rl_input_dim, (64, 32), heads={"v": (1, 0.01, 0.0)})
+    net = StackedMlp(streams, f.codec.sl_dim, (32,), heads={"a": (f.action_dim, 0.1, 0.5)})
+    return critic, net, streams
+
+
+def assert_same_params(net, reference):
+    assert net.params.keys() == reference.params.keys()
+    for k, p in reference.params.items():
+        assert net.params[k].tobytes() == p.tobytes(), k
+
+
+class TestLazyDraws:
+    # the init streams feed the actor, the critic and the behaviour net, in
+    # that order; the last two are drawn when first needed
+
+    def test_first_learning_round_draws_the_eager_weights(self):
+        f = fleet(seed=5, n=3)
+        assert f.pool.critic is None and f.behavior.net is None and f.behavior.opt is None
+        f.act([None] * 3, pending_one(3), 3, 0.0, 0.0)  # no TD step and no training at t = 1
+        critic, net, _ = eagerly_drawn(5, f)
+        assert_same_params(f.pool.critic, critic)
+        assert_same_params(f.behavior.net, net)
+        assert all(np.all(m == 0.0) for m in (*f.behavior.opt.m.values(), *f.behavior.opt.v.values()))
+
+    def test_fleet_frozen_at_the_start_draws_neither(self):
+        f = fleet(seed=5, n=3)
+        f.freeze()  # eta 1: every agent executes its best response
+        rng = derive_stream(6, "pending")
+        feedback = [None] * 3
+        for r in range(50):
+            directives = f.act(feedback, mixed_pending(rng, r, 3), 3, 0.3, 0.0)
+            feedback = feedback_for(f.configs, directives)
+        assert f.pool.critic is None and f.behavior.net is None and f.behavior.opt is None
+
+    def test_frozen_fleet_draws_both_at_its_first_behavioural_prediction(self):
+        f = fleet(seed=5, n=3)
+        f.freeze()
+        f.frozen_eta = 0.5
+        init_streams = f._init_streams
+        predict = f.behavior.predict
+        seen = []  # per prediction, the net it predicted with
+
+        def recorded(states, agents):
+            seen.append(f.behavior.net)
+            return predict(states, agents)
+
+        f.behavior.predict = recorded
+        rounds = 0
+        while not seen:
+            assert rounds < 20, "no agent executed the behavioural action"
+            assert f.behavior.net is None
+            f.act([None] * 3, pending_one(3), 3, 0.3, 0.0)
+            rounds += 1
+        _, net, streams = eagerly_drawn(5, f)
+        assert_same_params(seen[0], net)  # drawn after the critic, from the same streams
+        assert [s.draw_counter for s in init_streams] == [s.draw_counter for s in streams]
+        assert f.pool.critic is None and f.behavior.opt is None  # a frozen fleet keeps only the net
+        for _ in range(5):
+            f.act([None] * 3, pending_one(3), 3, 0.3, 0.0)
+        assert all(n is seen[0] for n in seen) and len(seen) > 1  # drawn once
+
+    def test_freeze_after_learning_keeps_what_acting_reads(self):
+        # one fleet is frozen, the other keeps everything but stops learning
+        # too: the freed critic, memory and moments never changed an action
+        n, seed = 4, 13
+        cfgs = configs(n)
+        hyper = LearnerHyper(window=4, sl_batch_size=4, sl_train_interval=3)
+        frozen, kept = (LearningFleet(cfgs, codec(), root_seed=seed, hyper=hyper) for _ in range(2))
+        rng = derive_stream(14, "pending")
+        feedback = [[None] * n, [None] * n]
+        for r in range(80):
+            if r == 40:
+                frozen.freeze()
+                kept.frozen_eta = kept.hyper.eta.eta(kept.t)
+                kept._prev = None
+            pending = mixed_pending(rng, r, n)
+            directives = [f.act(fb, pending, n, 0.3, (r % 10) / 10) for f, fb in zip((frozen, kept), feedback)]
+            assert directives[0] == directives[1], r
+            feedback = [feedback_for(cfgs, d) for d in directives]
+        assert frozen.pool.critic is None
+        assert frozen.behavior.states is frozen.behavior.actions is frozen.behavior.count is None
+        assert frozen.behavior.opt is None and frozen.behavior.net is not None
+        assert kept.pool.critic is not None and kept.behavior.count.min() >= 4  # every agent's memory trained
 
 
 class TestActionMap:

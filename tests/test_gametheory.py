@@ -50,6 +50,12 @@ def test_backoff_reward_for_undemanded_type_rejected():
         StaticPlayer({"T": 1.0, "U": 0.5}, {"T": 2.0}, {"T": 3.0}, 0.5, 10.0)
 
 
+def test_values_missing_a_demanded_type_rejected():
+    # the utilities read a value for every type in work; a missing one used to raise a bare KeyError there
+    with pytest.raises(ValueError, match=r"no values for types in work: \['U', 'V'\]"):
+        StaticPlayer({"T": 1.0}, {"T": 2.0, "U": 1.0, "V": 1.0}, {"T": 3.0}, 0.5, 10.0)
+
+
 class TestPotential:
     def test_all_backed_off(self):
         game = two_player_game()

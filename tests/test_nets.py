@@ -185,14 +185,16 @@ class TestApplyGradients:
                 net.apply_gradients(factors, np.ones(2), clip_norm=1.0, agents=[4, 2])
 
     def test_nonfinite_norm_names_agent_and_layer(self):
+        streams = [derive_stream(b, f"agent/m{b}/init") for b in range(3)]
         pool = ActorCriticPool(
-            [derive_stream(b, f"agent/m{b}/init") for b in range(3)],
+            streams,
             input_dim=INPUT_DIM,
             action_dim=2,
             rates=LearningRates(),
             init_std=0.5,
             hidden=HIDDEN,
         )
+        pool.draw_critic(streams)
         x = derive_stream(7, "x").standard_normal((3, INPUT_DIM))
         x[1, 2] = np.inf
         _, _, critic_cache = pool.critic_eval(x, x)

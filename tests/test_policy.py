@@ -12,9 +12,10 @@ from offloadsim.agents.policy import softplus_inv
 from offloadsim.engine import derive_stream
 
 
-def small_pool(seed=0, input_dim=12, action_dim=4, hidden=(6, 5), rates=None, init_std=0.5, **kw):
-    return ActorCriticPool(
-        [derive_stream(seed, "agent/m0/init")],
+def drawn_pool(streams, input_dim=12, action_dim=4, hidden=(6, 5), rates=None, init_std=0.5, **kw):
+    """A pool whose actor and then critic are drawn from `streams`."""
+    pool = ActorCriticPool(
+        streams,
         input_dim=input_dim,
         action_dim=action_dim,
         rates=rates or LearningRates(),
@@ -22,6 +23,12 @@ def small_pool(seed=0, input_dim=12, action_dim=4, hidden=(6, 5), rates=None, in
         hidden=hidden,
         **kw,
     )
+    pool.draw_critic(streams)
+    return pool
+
+
+def small_pool(seed=0, **kw):
+    return drawn_pool([derive_stream(seed, "agent/m0/init")], **kw)
 
 
 def flat_grads(net, factors):
@@ -99,13 +106,8 @@ class TestCritic:
 @example(n_agents=8, seed=0, zero_tenths=9, step_size=0.5)
 def test_two_state_critic_eval_matches_one_state_passes(n_agents, seed, zero_tenths, step_size):
     # the benchmark's critic shape: a 352-wide zero-padded window, (64, 32) hidden
-    pool = ActorCriticPool(
-        [derive_stream(seed, f"agent/m{b}/init") for b in range(n_agents)],
-        input_dim=352,
-        action_dim=4,
-        rates=LearningRates(),
-        init_std=0.5,
-    )
+    streams = [derive_stream(seed, f"agent/m{b}/init") for b in range(n_agents)]
+    pool = drawn_pool(streams, input_dim=352, hidden=(64, 32))
     rng = derive_stream(seed, "states")
     x, x_next = rng.standard_normal((2, n_agents, 352))
     zero = rng.integer_array(0, 10, (2, n_agents, 352)) < zero_tenths
@@ -270,14 +272,7 @@ class TestUpdates:
     def test_actor_steps_only_for_sampled_agents(self):
         # agent 1 executed its sample and is the whole actor pass; agent 0
         # executed another action, so it has no row there
-        pool = ActorCriticPool(
-            [derive_stream(0, f"agent/m{b}/init") for b in range(2)],
-            input_dim=12,
-            action_dim=4,
-            rates=LearningRates(),
-            init_std=0.5,
-            hidden=(6, 5),
-        )
+        pool = drawn_pool([derive_stream(0, f"agent/m{b}/init") for b in range(2)])
         x = derive_stream(3, "x").standard_normal((2, 12))
         _, _, critic_cache = pool.critic_eval(x, x)
         mu, L, actor_cache = pool.actor_forward(x[[1]], [1])
@@ -292,14 +287,7 @@ class TestUpdates:
             assert not np.array_equal(pool.critic.flat_view(b), critic_before[b])
 
     def test_actor_is_scored_only_on_its_pass_rows(self):
-        pool = ActorCriticPool(
-            [derive_stream(0, f"agent/m{b}/init") for b in range(3)],
-            input_dim=12,
-            action_dim=4,
-            rates=LearningRates(),
-            init_std=0.5,
-            hidden=(6, 5),
-        )
+        pool = drawn_pool([derive_stream(0, f"agent/m{b}/init") for b in range(3)])
         x = derive_stream(3, "x").standard_normal((3, 12))
         actor_before = [pool.actor.flat_view(b) for b in range(3)]
         critic_before = [pool.critic.flat_view(b) for b in range(3)]
@@ -322,14 +310,7 @@ class TestUpdates:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_samples_must_match_the_pass_rows(self, rows):
         # one sample against a two-row pass used to broadcast against both rows
-        pool = ActorCriticPool(
-            [derive_stream(0, f"agent/m{b}/init") for b in range(3)],
-            input_dim=12,
-            action_dim=4,
-            rates=LearningRates(),
-            init_std=0.5,
-            hidden=(6, 5),
-        )
+        pool = drawn_pool([derive_stream(0, f"agent/m{b}/init") for b in range(3)])
         x = derive_stream(3, "x").standard_normal((3, 12))
         mu, L, actor_cache = pool.actor_forward(x[[2, 0]], [2, 0])
         zeta = pool.sample_raw(mu[:1], L[:1], np.ones((1, 4))).repeat(rows, axis=0)

@@ -10,9 +10,11 @@ rounds 0..153, past round 100, where the learners' eta sits at its floor
 and most deciding agents execute the behavioural action, so the actor
 runs for few of them: the regime the benchmark measures.
 
-A traced fsp-train run wraps the learner's entry points (`pool.update`,
+A traced run wraps the learner's entry points (`pool.update`,
 `behavior.store`, `behavior.train_step` among them) in timing spans, and
-fails `correct` when its digest differs from the untraced pass's.
+fails `correct` when its digest differs from the untraced pass's. Both
+fsp workloads run traced: fsp-train, and fsp-eval, whose frozen fleet never
+draws the critic or the behaviour model that some of those spans wrap.
 """
 import json
 import re
@@ -61,3 +63,8 @@ def test_fsp_train_digest_is_pinned_past_the_eta_floor():
 
 def test_traced_fsp_train_run_matches_the_untraced_digest():
     assert replay_digests("fsp-train", 6, trace=1) == ["ee07dd93735d5bff"] * 2
+
+
+def test_traced_fsp_eval_run_matches_the_untraced_digest():
+    # the spans wrap the behaviour model of a frozen fleet that never draws it
+    assert replay_digests("fsp-eval", 0.1, trace=1) == [PINNED_DIGESTS["fsp-eval"]] * 2

@@ -93,6 +93,16 @@ class TestPerTypeUtility:
         assert utility_per_type(x.astype(bool), v, p, c, 0.5, True).tobytes() == scalars.tobytes()
         assert (p == 0.0).any() and (x == 0).any() and (x == 1).any()
 
+    @pytest.mark.parametrize("bad", [2, 0.5, -1, float("nan"), np.float64(0.5), np.int64(2)])
+    @pytest.mark.parametrize("submitted", [True, False])
+    def test_scalar_invalid_outcome_rejected(self, bad, submitted):
+        with pytest.raises(ValueError, match="outcome x"):
+            utility_per_type(bad, 10.0, 3.0, 1.0, 0.5, submitted)
+
+    @pytest.mark.parametrize("x", [0, 1, 0.0, 1.0, True, False, np.float64(1.0), np.int64(0), np.bool_(True)])
+    def test_scalar_outcomes_in_zero_one_accepted(self, x):
+        assert utility_per_type(x, 10.0, 4.0, 1.0, 0.5, True) == (6.0 if x else -1.0)
+
     @pytest.mark.parametrize("bad", [2, 0.5, -1, float("nan")])
     @pytest.mark.parametrize("submitted", [True, False])
     def test_array_with_invalid_outcome_rejected(self, bad, submitted):
