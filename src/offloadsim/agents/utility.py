@@ -74,11 +74,11 @@ def utility_per_type(x, v, p, c, q, submitted: bool):
     case, and the learners' reward design (ROADMAP, direction 2) decides it.
     Deferred: the backoff reward q.
 
-    An x outside {0, 1} is refused. A bool array needs no check, and a
-    scalar takes two comparisons; any other array is checked elementwise.
+    An x outside {0, 1} is refused: a scalar by two comparisons, an array
+    elementwise.
     """
     if isinstance(x, np.ndarray):
-        if x.dtype != np.bool_ and np.count_nonzero(x * (1 - x)):
+        if np.count_nonzero(x * (1 - x)):
             raise ValueError("bidding outcome x must be 0 or 1")
     elif x != 0 and x != 1:
         raise ValueError("bidding outcome x must be 0 or 1")
