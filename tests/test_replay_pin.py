@@ -8,7 +8,8 @@ meant to alter behaviour, update the pinned digest and say why.
 The short pins stop at round 60 or earlier. A second fsp-train pin plays
 rounds 0..153, past round 100, where the learners' eta sits at its floor
 and most deciding agents execute the behavioural action, so the actor
-runs for few of them: the regime the benchmark measures.
+runs for few of them: the regime the benchmark measures. A second crowd
+pin plays rounds 0..69, well past crowd's 30 warm-up rounds.
 
 A traced run wraps the learner's entry points (`pool.update`,
 `behavior.store`, `behavior.train_step` among them) in timing spans, and
@@ -59,6 +60,10 @@ def test_replay_digest_is_pinned(workload):
 
 def test_fsp_train_digest_is_pinned_past_the_eta_floor():
     assert replay_digest("fsp-train", 6) == "ee07dd93735d5bff"
+
+
+def test_crowd_digest_is_pinned_past_the_warm_up():
+    assert replay_digest("crowd", 3) == "0ffb60b4471045a0"
 
 
 def test_traced_fsp_train_run_matches_the_untraced_digest():
