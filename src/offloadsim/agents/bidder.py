@@ -350,11 +350,13 @@ class PassiveFleet:
 
     def act(self, feedbacks, pending, n_present, beta, phase) -> list[dict[str, tuple]]:
         directives = []
-        for b, config in enumerate(self.configs):
+        for config, agent_pending in zip(self.configs, pending, strict=True):
             directives.append(
                 {
                     service_type: (SUBMIT, valuation(work, config))
-                    for service_type, (work, _deadline) in pending[b].items()
+                    for service_type, (work, _deadline) in agent_pending.items()
                 }
+                if agent_pending
+                else {}
             )
         return directives

@@ -5,6 +5,12 @@ handlers record, and the count rule every layer validates its counts with.
 Time is an integer count of milliseconds. Events dequeue in (time, seq)
 order, where seq is the insertion counter, so replays are bit-identical
 for a fixed configuration and root seed.
+
+`EventKind` hashes by identity rather than by its member name, as `Enum`
+does in Python code. Enum members are singletons, so identity is equality
+for them and the handler lookup on every dispatched event stays in C.
+Member names hash differently from one process to the next anyway, so no
+replay can depend on either hash.
 """
 from __future__ import annotations
 
@@ -35,6 +41,8 @@ class EventKind(Enum):
     DEADLINE_EXPIRY = "DeadlineExpiry"
     UTILIZATION_REPORT_ARRIVAL = "UtilizationReportArrival"
 
+    __hash__ = object.__hash__
+
 
 class PastEventError(ValueError):
     """Raised when an event is scheduled before the current clock."""
@@ -44,7 +52,7 @@ class Event:
     __slots__ = ("time", "kind", "payload", "seq")
 
     def __init__(self, time: SimTime, kind: EventKind, payload: dict, seq: int):
-        if not isinstance(time, int) or time < 0:
+        if type(time) is not int or time < 0:  # a bool is not a time
             raise ValueError(f"event time must be a non-negative int, got {time!r}")
         if not isinstance(kind, EventKind):
             raise ValueError(f"event kind must be an EventKind, got {kind!r}")
@@ -89,6 +97,8 @@ class RngStream:
         return low + (high - low) * self._gen.random()
 
     def exponential(self, scale):
+        if not scale >= 0.0:  # numpy's own check lets NaN through
+            raise ValueError(f"exponential needs scale >= 0, got {scale}")
         self.draw_counter += 1
         return float(self._gen.exponential(scale))
 
@@ -180,7 +190,7 @@ class Simulator:
         self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._handlers: dict[EventKind, Callable[["Simulator", Event], None]] = {}
-        self._last_key = (-1, -1)
+        self._last = (-1, -1)  # the (time, seq, event) entry dispatched last
 
     def on(self, kind: EventKind, handler: Callable[["Simulator", Event], None]):
         self._handlers[kind] = handler
@@ -199,15 +209,13 @@ class Simulator:
             raise PastEventError(f"t_end={t_end} is before clock t={self.clock}")
         heap, handlers = self._heap, self._handlers
         while heap and heap[0][0] <= t_end:
-            time, seq, event = heapq.heappop(heap)
-            key = (time, seq)
-            assert key > self._last_key, f"event order violated: {key} after {self._last_key}"
-            self._last_key = key
-            self.clock = time
+            entry = heapq.heappop(heap)
+            # seqs are unique, so the comparison never reaches the events
+            assert entry > self._last, f"event order violated: {entry[:2]} after {self._last[:2]}"
+            self._last = entry
+            event = entry[2]
+            self.clock = event.time
             handler = handlers.get(event.kind)
             if handler is not None:
                 handler(self, event)
         self.clock = t_end
-
-    def pending(self) -> int:
-        return len(self._heap)

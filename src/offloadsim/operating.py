@@ -110,9 +110,6 @@ class ComputingSite:
     def utilization(self) -> float:
         return self.busy_units / self.capacity
 
-    def queued_count(self) -> int:
-        return len(self.queue)
-
     def accept(self, job: ExecutionJob, now: SimTime) -> list[ExecutionJob]:
         """Take on an admitted request; returns jobs that started right away."""
         self.queue[job.request_key] = job
@@ -282,13 +279,11 @@ class AdmissionController:
 
     def rial_assign(self, estimate: float, now: SimTime) -> str:
         """Cheapest believed-feasible site; ties to the lowest site id."""
-        best = None
-        for sid in self.site_order:
-            if self.believed_free(sid) >= estimate:
-                if best is None or self.prices[sid] < self.prices[best]:
-                    best = sid
-        if best is None:
+        free = [self.believed_free(sid) for sid in self.site_order]
+        j = _cheapest_fit(free, [self.prices[sid] for sid in self.site_order], estimate)
+        if j is None:
             raise NoFeasibleSiteError(f"no site with believed free capacity >= {estimate}")
+        best = self.site_order[j]
         self.note_assignment(best, now, estimate)
         return best
 
@@ -307,31 +302,50 @@ class AdmissionController:
         believed-feasible site, each placement shrinking the believed free
         capacity; winners that no longer fit anywhere are Rejected.
 
-        Within the call no report arrives, and every placement adds a positive
-        estimate to a site's pending units, so each site's believed free
-        capacity only shrinks. An estimate that fits on no site therefore
-        rules out every later estimate at least as large: those winners are
-        Rejected without scanning the sites, with the same result as a scan.
+        Within the call no report arrives and no price changes, and only a
+        placement changes a belief: it adds a positive estimate to the pending
+        units of the one site it chose. So the sites' believed free capacities
+        and prices are read once, and after a placement only the chosen
+        site's free capacity is read again. Each site's believed free
+        capacity only shrinks, so an estimate that fits on no site rules out
+        every later estimate at least as large: those winners are Rejected
+        without scanning the sites, with the same result as a scan.
         """
         decisions = admit(ordered_bids, slots, rng, outcome)
+        site_order = self.site_order
+        free = [self.believed_free(sid) for sid in site_order]
+        prices = [self.prices[sid] for sid in site_order]
         unfit = math.inf  # smallest estimate that fitted on no site this round
         for decision in decisions:
             if not decision.admitted:
                 continue
-            estimate = demand_estimates.get(decision.bid.service_type, decision.bid.resource_estimate)
+            bid = decision.bid
+            estimate = demand_estimates.get(bid.service_type, bid.resource_estimate)
             if not 0 < estimate < math.inf:
-                raise ValueError(
-                    f"estimate for {decision.bid.service_type} must be finite and positive, got {estimate}"
-                )
+                raise ValueError(f"estimate for {bid.service_type} must be finite and positive, got {estimate}")
             if estimate < unfit:
-                try:
-                    decision.assigned_site = self.rial_assign(estimate, now)
+                j = _cheapest_fit(free, prices, estimate)
+                if j is not None:
+                    sid = site_order[j]
+                    self.note_assignment(sid, now, estimate)
+                    free[j] = self.believed_free(sid)
+                    decision.assigned_site = sid
                     continue
-                except NoFeasibleSiteError:
-                    unfit = estimate
+                unfit = estimate
             decision.admitted = False
             decision.reason = "Rejected"
         return decisions
+
+
+def _cheapest_fit(free: Sequence[float], prices: Sequence[float], estimate: float) -> Optional[int]:
+    """The cheapest-site rule, over sites listed in id order: the index of
+    the cheapest site whose believed free capacity fits `estimate`, the
+    lowest index on equal prices; None if none fits."""
+    best = None
+    for j, room in enumerate(free):
+        if room >= estimate and (best is None or prices[j] < best_price):
+            best, best_price = j, prices[j]
+    return best
 
 
 def admit(
@@ -349,7 +363,8 @@ def admit(
     """
     if outcome is None:
         outcome = clear_auction(ordered_bids, slots, rng)
-    order = sorted(range(len(ordered_bids)), key=lambda i: (-ordered_bids[i].price, i))
+    # sorting is stable under reverse=True too, so equal prices keep submission order
+    order = sorted(range(len(ordered_bids)), key=[b.price for b in ordered_bids].__getitem__, reverse=True)
     decisions = []
     for i in order:
         bid = ordered_bids[i]

@@ -52,9 +52,11 @@ def test_schedule_in_past_rejected():
 
 def test_schedule_rejects_non_integer_time():
     sim = Simulator()
+    seen = collect(sim)
     with pytest.raises(ValueError):
         sim.schedule(2.5, EventKind.SERVICE_ARRIVAL)
-    assert sim.pending() == 0
+    sim.run_until(10)
+    assert seen == []
 
 
 def test_run_until_empty_queue_advances_clock():
@@ -97,6 +99,8 @@ def test_clock_monotone_across_run_until_calls():
 def test_event_payload_validation():
     with pytest.raises(ValueError):
         Event(-1, EventKind.SERVICE_ARRIVAL, {}, 0)
+    with pytest.raises(ValueError):
+        Event(True, EventKind.SERVICE_ARRIVAL, {}, 0)  # a bool is not a time, as it is not a count
     with pytest.raises(ValueError):
         Event(0, "ServiceArrival", {}, 0)
     with pytest.raises(ValueError):
@@ -201,6 +205,16 @@ def test_normal_is_generator_normal_bit_for_bit(loc, scale):
     assert s.draw_counter == 10_000
 
 
+@pytest.mark.parametrize("scale", [1.0, 33.3, 0.004, 1e-9, 0.0])
+def test_exponential_is_generator_exponential_bit_for_bit(scale):
+    s = derive_stream(5, "draws")
+    ref = twin_generator(s)
+    got = [s.exponential(scale) for _ in range(10_000)]
+    want = [ref.exponential(scale) for _ in range(10_000)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert s.draw_counter == 10_000
+
+
 def test_draw_arguments_checked_before_drawing():
     s = derive_stream(5, "draws")
     for bad in [(1.0, 0.0), (0.0, float("inf")), (0.0, float("nan"))]:
@@ -209,5 +223,7 @@ def test_draw_arguments_checked_before_drawing():
     for bad in [-1.0, float("nan")]:
         with pytest.raises(ValueError):
             s.normal(0.0, bad)
+        with pytest.raises(ValueError):
+            s.exponential(bad)
     assert s.draw_counter == 0
     assert s.uniform() == twin_generator(derive_stream(5, "draws")).uniform()

@@ -56,7 +56,7 @@ class TestExecution:
         site = make_site(capacity=1)
         site.accept(job("r1", (10.0,)), now=0)
         assert site.accept(job("r2", (5.0,)), now=0) == []
-        assert site.queued_count() == 1
+        assert len(site.queue) == 1
         _, started = site.finish("r1", 10)
         assert [j.request_key for j in started] == ["r2"]
         assert started[0].completes_at == 15
@@ -329,6 +329,23 @@ class TestAdmit:
         rng = derive_stream(1, "auction")
         decisions = admit(self.bids([5.0, 3.0]), {"F1": 5}, rng)
         assert all(d.reason == "Won" for d in decisions)
+
+
+# few distinct prices, so most bids tie; Bid accepts both zeros, which compare equal
+TIED_PRICES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 5.0]), st.floats(0.0, 100.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bids=st.lists(st.tuples(st.sampled_from("AB"), TIED_PRICES), max_size=40),
+    slots=st.fixed_dictionaries({t: st.integers(0, 10) for t in "AB"}),
+)
+def test_admit_orders_by_price_then_submission(bids, slots):
+    ordered = [Bid(f"m{i}", t, price, 3.0, 300) for i, (t, price) in enumerate(bids)]
+    decisions = admit(ordered, slots, derive_stream(1, "auction"))
+    price = [b.price for b in ordered]
+    want = sorted(range(len(ordered)), key=lambda i: (-price[i], i))
+    assert [d.bid.bidder_id for d in decisions] == [f"m{i}" for i in want]
 
 
 class TestAssignment:
