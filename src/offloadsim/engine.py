@@ -6,11 +6,11 @@ Time is an integer count of milliseconds. Events dequeue in (time, seq)
 order, where seq is the insertion counter, so replays are bit-identical
 for a fixed configuration and root seed.
 
-`EventKind` hashes by identity rather than by its member name, as `Enum`
-does in Python code. Enum members are singletons, so identity is equality
-for them and the handler lookup on every dispatched event stays in C.
-Member names hash differently from one process to the next anyway, so no
-replay can depend on either hash.
+`EventKind` hashes by identity. `Enum.__hash__` hashes the member name in
+Python code, and the handler lookup of every dispatched event paid for it.
+Enum members are singletons, so identity is equality for them, and member
+names hash differently from one process to the next anyway, so no replay
+can depend on either hash.
 """
 from __future__ import annotations
 
