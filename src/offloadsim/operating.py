@@ -18,10 +18,6 @@ from .auction import AuctionOutcome, Bid, clear_auction
 from .engine import RngStream, SimTime, require_count
 
 
-class NoFeasibleSiteError(RuntimeError):
-    pass
-
-
 @dataclass
 class UtilizationReport:
     site_id: str
@@ -260,7 +256,7 @@ class AdmissionController:
         capacity of all sites could hold.
 
         Every type is sized against the same free total, so the slots summed
-        over K types can reach K times the free capacity; `rial_assign` then
+        over K types can reach K times the free capacity; `decide_round` then
         rejects the winners that no longer fit (most winners on a busy round).
         """
         free_total = sum(self.believed_free(sid) for sid in self.sites)
@@ -277,16 +273,6 @@ class AdmissionController:
         for sid, belief in self.beliefs.items():
             self.prices[sid] = belief.utilization ** self.GAMMA_PRICE
 
-    def rial_assign(self, estimate: float, now: SimTime) -> str:
-        """Cheapest believed-feasible site; ties to the lowest site id."""
-        free = [self.believed_free(sid) for sid in self.site_order]
-        j = _cheapest_fit(free, [self.prices[sid] for sid in self.site_order], estimate)
-        if j is None:
-            raise NoFeasibleSiteError(f"no site with believed free capacity >= {estimate}")
-        best = self.site_order[j]
-        self.note_assignment(best, now, estimate)
-        return best
-
     def decide_round(
         self,
         ordered_bids: Sequence[Bid],
@@ -299,8 +285,9 @@ class AdmissionController:
         """Admission plus assignment for one round.
 
         Winners are walked in priority order and placed on the cheapest
-        believed-feasible site, each placement shrinking the believed free
-        capacity; winners that no longer fit anywhere are Rejected.
+        believed-feasible site, the lowest site id on equal prices, each
+        placement shrinking the believed free capacity; winners that no
+        longer fit anywhere are Rejected.
 
         Within the call no report arrives and no price changes, and only a
         placement changes a belief: it adds a positive estimate to the pending
@@ -324,28 +311,20 @@ class AdmissionController:
             if not 0 < estimate < math.inf:
                 raise ValueError(f"estimate for {bid.service_type} must be finite and positive, got {estimate}")
             if estimate < unfit:
-                j = _cheapest_fit(free, prices, estimate)
-                if j is not None:
-                    sid = site_order[j]
+                best = None
+                for j, room in enumerate(free):
+                    if room >= estimate and (best is None or prices[j] < best_price):
+                        best, best_price = j, prices[j]
+                if best is not None:
+                    sid = site_order[best]
                     self.note_assignment(sid, now, estimate)
-                    free[j] = self.believed_free(sid)
+                    free[best] = self.believed_free(sid)
                     decision.assigned_site = sid
                     continue
                 unfit = estimate
             decision.admitted = False
             decision.reason = "Rejected"
         return decisions
-
-
-def _cheapest_fit(free: Sequence[float], prices: Sequence[float], estimate: float) -> Optional[int]:
-    """The cheapest-site rule, over sites listed in id order: the index of
-    the cheapest site whose believed free capacity fits `estimate`, the
-    lowest index on equal prices; None if none fits."""
-    best = None
-    for j, room in enumerate(free):
-        if room >= estimate and (best is None or prices[j] < best_price):
-            best, best_price = j, prices[j]
-    return best
 
 
 def admit(

@@ -10,7 +10,6 @@ from offloadsim.operating import (
     AdmissionController,
     ComputingSite,
     ExecutionJob,
-    NoFeasibleSiteError,
     UtilizationReport,
     admit,
 )
@@ -26,6 +25,14 @@ def job(key, units=(3.0,), deadline=1000, service_type="F1"):
 
 def report(site_id, measured, util, arrives=None):
     return UtilizationReport(site_id, measured, arrives if arrives is not None else measured, util, util)
+
+
+def place(aca, estimate, now=0):
+    """One winning bid through `decide_round`; its decision."""
+    [decision] = aca.decide_round(
+        [Bid("m0", "F1", 5.0, estimate, 300)], {"F1": 1}, derive_stream(1, "auction"), {"F1": estimate}, now
+    )
+    return decision
 
 
 class FakeStream:
@@ -303,7 +310,7 @@ class TestSlots:
         aca = self.controller()
         aca.on_report(report("edge", 0, 0.0))
         aca.on_report(report("remote", 0, 1.0))
-        aca.rial_assign(10.0, now=1)
+        assert place(aca, 10.0, now=1).assigned_site == "edge"
         assert aca.believed_free("edge") == 20.0
         # a fresher report clears the pending adjustment
         aca.on_report(report("edge", 2, 0.5))
@@ -358,20 +365,20 @@ class TestAssignment:
 
     def test_min_price_site_wins(self):
         aca = self.controller_with_prices(0.2, 0.8)
-        assert aca.rial_assign(3.0, now=0) == "edge"
+        assert place(aca, 3.0).assigned_site == "edge"
 
     def test_infeasible_site_skipped(self):
         aca = self.controller_with_prices(1.0, 0.5)
-        assert aca.rial_assign(3.0, now=0) == "remote"
+        assert place(aca, 3.0).assigned_site == "remote"
 
     def test_equal_prices_tie_to_lowest_id(self):
         aca = self.controller_with_prices(0.5, 0.5)
-        assert aca.rial_assign(3.0, now=0) == "edge"
+        assert place(aca, 3.0).assigned_site == "edge"
 
     def test_no_feasible_site(self):
         aca = self.controller_with_prices(1.0, 1.0)
-        with pytest.raises(NoFeasibleSiteError):
-            aca.rial_assign(3.0, now=0)
+        decision = place(aca, 3.0)
+        assert (decision.admitted, decision.reason, decision.assigned_site) == (False, "Rejected", None)
 
     def test_price_rule(self):
         aca = self.controller_with_prices(0.0, 1.0)
