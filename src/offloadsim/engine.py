@@ -190,7 +190,7 @@ class Simulator:
         self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._handlers: dict[EventKind, Callable[["Simulator", Event], None]] = {}
-        self._last = (-1, -1)  # the (time, seq, event) entry dispatched last
+        self._last_key = (-1, -1)
 
     def on(self, kind: EventKind, handler: Callable[["Simulator", Event], None]):
         self._handlers[kind] = handler
@@ -209,12 +209,11 @@ class Simulator:
             raise PastEventError(f"t_end={t_end} is before clock t={self.clock}")
         heap, handlers = self._heap, self._handlers
         while heap and heap[0][0] <= t_end:
-            entry = heapq.heappop(heap)
-            # seqs are unique, so the comparison never reaches the events
-            assert entry > self._last, f"event order violated: {entry[:2]} after {self._last[:2]}"
-            self._last = entry
-            event = entry[2]
-            self.clock = event.time
+            time, seq, event = heapq.heappop(heap)
+            key = (time, seq)
+            assert key > self._last_key, f"event order violated: {key} after {self._last_key}"
+            self._last_key = key
+            self.clock = time
             handler = handlers.get(event.kind)
             if handler is not None:
                 handler(self, event)

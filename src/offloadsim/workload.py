@@ -139,9 +139,6 @@ def mmpp_next_arrival(
     else:
         gap = min(rng.exponential(1.0 / rate), float(horizon_ms))
     elapsed = state.ms_into_epoch + gap
-    if elapsed < MMPP_EPOCH_MS:  # the gap ends within the current epoch
-        state.ms_into_epoch = elapsed
-        return gap, state
     crossings = int(elapsed // MMPP_EPOCH_MS)
     for _ in range(crossings):
         mmpp_step_epoch(state, rng)
