@@ -350,13 +350,11 @@ class PassiveFleet:
 
     def act(self, feedbacks, pending, n_present, beta, phase) -> list[dict[str, tuple]]:
         directives = []
-        for config, agent_pending in zip(self.configs, pending, strict=True):
+        for b, config in enumerate(self.configs):
             directives.append(
                 {
                     service_type: (SUBMIT, valuation(work, config))
-                    for service_type, (work, _deadline) in agent_pending.items()
+                    for service_type, (work, _deadline) in pending[b].items()
                 }
-                if agent_pending
-                else {}
             )
         return directives
