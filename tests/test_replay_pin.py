@@ -9,7 +9,9 @@ The short pins stop at round 60 or earlier. A second fsp-train pin plays
 rounds 0..153, past round 100, where the learners' eta sits at its floor
 and most deciding agents execute the behavioural action, so the actor
 runs for few of them: the regime the benchmark measures. A second crowd
-pin plays rounds 0..69, well past crowd's 30 warm-up rounds.
+pin plays rounds 0..69, well past crowd's 30 warm-up rounds. A second
+fsp-eval pin plays rounds 0..249, past the warm-up and many times round
+the learners' 8-step observation window.
 
 A traced run wraps the learner's entry points (`pool.update`,
 `behavior.store`, `behavior.train_step` among them) in timing spans, and
@@ -64,6 +66,10 @@ def test_fsp_train_digest_is_pinned_past_the_eta_floor():
 
 def test_crowd_digest_is_pinned_past_the_warm_up():
     assert replay_digest("crowd", 3) == "0ffb60b4471045a0"
+
+
+def test_fsp_eval_digest_is_pinned_past_the_window_wrap():
+    assert replay_digest("fsp-eval", 3) == "0fa496d629bf7f93"
 
 
 def test_traced_fsp_train_run_matches_the_untraced_digest():
