@@ -22,12 +22,15 @@ request decide; the others are idle once they have no feedback and no
 previous-round action to score. `LearningFleet.act` runs a round in three
 stages:
 
-1. One pass in over every agent: score last round's actions of each agent
-   that is not idle and note its request and last prices, then draw the
-   noise vector, then the eta coin. Idle agents' rewards are written in
-   bulk (`utility_total` over the fleet's weights), the same arithmetic per
-   element. After the pass the history shifts one step left and one
-   `FeatureCodec.encode` call writes every agent's newest row.
+1. The input is checked: one feedback and one pending entry per agent,
+   and only pending types the codec knows. Then one pass over every agent
+   scores last round's actions of each agent that is not idle and notes
+   its request and last prices. Idle agents' rewards are written in bulk
+   (`utility_total` over the fleet's weights), the same arithmetic per
+   element. Only then does each agent draw, in a pass of its own: the
+   noise vector straight into its row of the round's noise array, then
+   the eta coin. One `FeatureCodec.encode` call writes every agent's new
+   step into a fresh array, which is copied into the window.
 2. The batched learner step. While learning, `ActorCriticPool.td_step`
    first steps every agent's critic on last round's transition, and the
    actor of each agent that executed its own sample last round. Then each
@@ -49,8 +52,15 @@ stages:
 
 Each agent draws its noise, then its eta coin, once per round, pending or
 not, learning or frozen, so stage 2 runs for a subset of agents without
-moving any act stream. An error raised part-way through stage 1 leaves the
-history as it was and the earlier agents' streams advanced.
+moving any act stream. A round refused for its input leaves everything as
+it was: every stream, `t` and the window. An error raised later in stage 1
+leaves the window and `t` as they were, and the streams of the agents
+that drew advanced.
+
+The window holds each step twice, at slots j and j + window of a
+(B, 2 * window, step_dim) array, where j is the round modulo the window.
+`history`, the last `window` steps oldest first, is then one slice of it,
+and a new step costs two row copies rather than a shift of the window.
 
 Each agent's `agent/<id>/init` stream feeds, in this order, its actor, its
 critic and its behaviour net, and nothing else reads it. The actor is
@@ -140,6 +150,15 @@ def _require_roster(configs: Sequence[AgentConfig]):
         raise ValueError(f"bidder_id must be distinct across the fleet, got {ids}")
 
 
+def _require_one_per_agent(n_agents: int, feedbacks: Sequence, pending: Sequence):
+    """Refuse a round without exactly one feedback and one pending entry per agent."""
+    if len(feedbacks) != n_agents or len(pending) != n_agents:
+        raise ValueError(
+            f"need one feedback and one pending entry per agent ({n_agents}), "
+            f"got {len(feedbacks)} and {len(pending)}"
+        )
+
+
 class LearningFleet:
     """All active bidders of a run, advanced together once per round."""
 
@@ -183,7 +202,10 @@ class LearningFleet:
             batch_size=self.hyper.sl_batch_size,
             lr=self.hyper.sl_lr,
         )
-        self.history = np.zeros((self.B, codec.window, codec.step_dim))  # per agent, the oldest step first
+        # Per agent, every step twice: round r's at slots r % window and
+        # r % window + window, so the last `window` steps lie in one slice.
+        self._windows = np.zeros((self.B, 2 * codec.window, codec.step_dim))
+        self._newest = codec.window - 1  # the slot of the newest step below `window`
         self.t = 1
         self.frozen_eta: Optional[float] = None  # the fixed mixing weight once frozen; None while learning
         # Last round's (S of every agent, (raw sample, actor cache) of the
@@ -193,6 +215,13 @@ class LearningFleet:
         # Per agent, last round's (type, valuation, submitted) per pending
         # type, the submitted types first.
         self._last_actions: list[tuple[tuple[str, float, bool], ...]] = [()] * self.B
+
+    @property
+    def history(self) -> np.ndarray:
+        """Per agent, the last `window` steps, the oldest first: a view of
+        shape (B, window, step_dim)."""
+        start = self._newest + 1
+        return self._windows[:, start : start + self.codec.window]
 
     # -- mode switches ---------------------------------------------------------
 
@@ -233,20 +262,24 @@ class LearningFleet:
     ) -> list[dict[str, tuple]]:
         """Advance one decision round; returns per-agent directives
         {type: ("submit", price) | ("backoff", duration_ms)} for pending types."""
-        # 1. one pass in: score the agents that are not idle, draw for all, then encode
+        # 1. check the input, score the agents that are not idle, draw for all, then encode
+        _require_one_per_agent(self.B, feedbacks, pending)
         learning = self.frozen_eta is None
         eta = self.hyper.eta.eta(self.t) if learning else self.frozen_eta
+        known = self.codec.index.keys()
         utilities = utility_total([], beta, self.weights)  # an idle round's, for every agent
         active = []  # (agent, its request, last round's prices) of the agents that are not idle
-        noise = np.empty((self.B, self.action_dim))
-        coins = np.empty(self.B)
         deciding = []  # the agents with a pending request, in fleet order
         for b, config in enumerate(self.configs):
             fb = feedbacks[b]
             actions = self._last_actions[b]  # scored on this round's feedback
-            if pending[b]:
+            requests = pending[b]
+            if requests:
+                if not known >= requests.keys():
+                    unknown = sorted(requests.keys() - known)
+                    raise ValueError(f"agent {config.bidder_id} has pending types the codec does not know: {unknown}")
                 deciding.append(b)
-            if fb is not None or actions or pending[b]:
+            if fb is not None or actions or requests:
                 outcomes, prices = (fb.outcomes, fb.prices) if fb else ({}, {})
                 c, q = config.lost_bid_cost, config.backoff_cost
                 terms = [
@@ -254,17 +287,26 @@ class LearningFleet:
                     for t, v, sent in actions
                 ]
                 utilities[b] = utility_total(terms, beta, config.utilization_weight)
-                active.append((b, pending[b], prices))
-            noise[b] = self.act_streams[b].standard_normal(self.action_dim)
-            coins[b] = self.act_streams[b].uniform()
+                active.append((b, requests, prices))
+        noise = np.empty((self.B, self.action_dim))
+        coins = np.empty(self.B)
+        for b, stream in enumerate(self.act_streams):
+            stream.standard_normal(out=noise[b])
+            coins[b] = stream.uniform()
         use_rl = coins < eta
-        self.history[:, :-1] = self.history[:, 1:]
-        steps = self.codec.encode(self.history[:, -1], (float(n_present), beta, phase), utilities, active)
+        steps = np.empty((self.B, self.codec.step_dim))
+        self.codec.encode(steps, (float(n_present), beta, phase), utilities, active)
+        window = self.codec.window
+        newest = (self._newest + 1) % window  # the oldest step's slots until now
+        self._windows[:, newest] = steps
+        self._windows[:, newest + window] = steps
+        self._newest = newest
+        history = self.history
 
         # 2. the batched learner step: every critic while learning, then the deciding agents' rows
         if learning:
             self._draw_learners()
-            flat = self.history.reshape(self.B, -1).copy()
+            flat = history.reshape(self.B, -1).copy()
             if self._prev is not None:
                 prev_flat, prev_scored = self._prev
                 self.pool.td_step(prev_flat, flat, utilities, prev_scored)
@@ -274,7 +316,7 @@ class LearningFleet:
             sl_states = np.take(steps[deciding], self.codec.sl_columns, axis=1)
             best = [b for b in deciding if use_rl[b]]  # the agents that execute the actor's sample
             if best:
-                x = self.history.reshape(self.B, -1)[best]
+                x = history.reshape(self.B, -1)[best]
                 mu, L, actor_cache = self.pool.actor_forward(x, best)
                 zeta_raw = self.pool.sample_raw(mu, L, noise[best])
                 executed = self._fractions(zeta_raw, self.budgets[best])
@@ -349,6 +391,7 @@ class PassiveFleet:
         self.B = len(configs)
 
     def act(self, feedbacks, pending, n_present, beta, phase) -> list[dict[str, tuple]]:
+        _require_one_per_agent(self.B, feedbacks, pending)
         directives = []
         for b, config in enumerate(self.configs):
             directives.append(

@@ -2,9 +2,10 @@
 
 Each decision step is one fixed-width vector; the learner input is the
 flattened window of the nu most recent steps, zero padded while the history
-is still short. `FeatureCodec.encode` is the only writer of a step; the
-windows live in `LearningFleet.history`, one (window, step_dim) block per
-agent with the oldest step first.
+is still short. `FeatureCodec.encode` is the only writer of a step. The
+windows live in `LearningFleet`, which stores each step twice so that
+`LearningFleet.history` is one (B, window, step_dim) view, per agent the
+oldest step first.
 
 Per-step layout (K catalog types in sorted id order):
   for each type k: [pending flag, work estimate / work_max,

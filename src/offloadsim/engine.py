@@ -108,21 +108,30 @@ class RngStream:
         self.draw_counter += 1
         return loc + scale * self._gen.standard_normal()
 
-    def standard_normal(self, size):
+    # the rest count a draw once numpy has taken its arguments, so a call it
+    # refuses leaves the counter as it was
+
+    def standard_normal(self, size=None, out=None):
+        """A float64 array of standard normals; with `out`, written into it
+        and returned."""
+        draws = self._gen.standard_normal(size, out=out)
         self.draw_counter += 1
-        return self._gen.standard_normal(size)
+        return draws
 
     def integers(self, low, high):
+        value = int(self._gen.integers(low, high))
         self.draw_counter += 1
-        return int(self._gen.integers(low, high))
+        return value
 
     def integer_array(self, low, high, size) -> np.ndarray:
+        draws = self._gen.integers(low, high, size=size)
         self.draw_counter += 1
-        return self._gen.integers(low, high, size=size)
+        return draws
 
     def permutation(self, n: int) -> np.ndarray:
+        draws = self._gen.permutation(n)
         self.draw_counter += 1
-        return self._gen.permutation(n)
+        return draws
 
 
 def derive_stream(root_seed: int, entity_label: str) -> RngStream:

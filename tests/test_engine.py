@@ -205,6 +205,19 @@ def test_normal_is_generator_normal_bit_for_bit(loc, scale):
     assert s.draw_counter == 10_000
 
 
+def test_standard_normal_out_is_generator_standard_normal_bit_for_bit():
+    # drawn into rows of one array, as the learning fleet draws its noise
+    s = derive_stream(5, "draws")
+    ref = twin_generator(s)
+    got = np.empty((1000, 4))
+    for row in got:
+        assert s.standard_normal(out=row) is row
+    want = np.stack([ref.standard_normal(4) for _ in range(1000)])
+    assert got.tobytes() == want.tobytes()
+    assert s.draw_counter == 1000
+    assert s.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
+
+
 @pytest.mark.parametrize("scale", [1.0, 33.3, 0.004, 1e-9, 0.0])
 def test_exponential_is_generator_exponential_bit_for_bit(scale):
     s = derive_stream(5, "draws")
@@ -225,5 +238,16 @@ def test_draw_arguments_checked_before_drawing():
             s.normal(0.0, bad)
         with pytest.raises(ValueError):
             s.exponential(bad)
+    # numpy's own refusals
+    with pytest.raises(ValueError):
+        s.standard_normal(-1)
+    with pytest.raises(ValueError):
+        s.standard_normal(3, out=np.empty(4))
+    with pytest.raises(TypeError):
+        s.standard_normal(out=np.empty(3, dtype=np.float32))
+    with pytest.raises(ValueError):
+        s.integers(5, 5)
+    with pytest.raises(ValueError):
+        s.integer_array(3, 1, 4)
     assert s.draw_counter == 0
     assert s.uniform() == twin_generator(derive_stream(5, "draws")).uniform()

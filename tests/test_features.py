@@ -135,9 +135,10 @@ class TestWindow:
     """The window is `LearningFleet.history`: per agent, the most recent
     steps with the oldest first."""
 
-    def fleet(self, window):
+    def fleet(self, window, n=1):
         c = codec(window=window)
-        return LearningFleet([AgentConfig(bidder_id="m0", budget=100.0)], c, root_seed=1)
+        cfgs = [AgentConfig(bidder_id=f"m{b}", budget=100.0) for b in range(n)]
+        return LearningFleet(cfgs, c, root_seed=1)
 
     def test_fresh_window_is_zero_padded(self):
         f = self.fleet(8)
@@ -147,11 +148,24 @@ class TestWindow:
         assert data[-1].any()
 
     def test_window_shifts_one_step_per_push(self):
-        f = self.fleet(3)
+        # past several wraps of the window, after every push: each agent's
+        # whole window is its last 3 steps oldest first, zero padded while
+        # short, marked by the phase and by the agent's own work estimate
+        window, n = 3, 2
+        f = self.fleet(window, n)
+        work_column = f.k + f.codec.index["F1-300"]
         phase_column = 5 * f.k + 2
-        marks = []
-        for k in range(5):
-            phase = k / 10
-            marks.append(phase)
-            f.act([None], [{"F1-300": (3.0, 150.0)}], n_present=4, beta=0.5, phase=phase)
-        assert list(f.history[0, :, phase_column]) == marks[-3:]
+        steps = []  # every push's newest rows, (n, step_dim)
+        for r in range(3 * window + 2):
+            phase = r / 20
+            work = [1.0 + r + 10 * b for b in range(n)]
+            f.act([None] * n, [{"F1-300": (w, 150.0)} for w in work], n_present=4, beta=0.5, phase=phase)
+            newest = f.history[:, -1]
+            assert list(newest[:, phase_column]) == [phase] * n, r
+            assert list(newest[:, work_column]) == [w / 30.0 for w in work], r
+            steps.append(newest.copy())
+            recent = steps[-window:]
+            expected = np.zeros((n, window, f.codec.step_dim))
+            expected[:, window - len(recent) :] = np.stack(recent, axis=1)
+            assert f.history.shape == expected.shape
+            assert f.history.tobytes() == expected.tobytes(), r

@@ -318,6 +318,39 @@ class TestLearningFleet:
         # t = 10; none trains once frozen at t = 13
         assert trainings == [(3, [False, False]), (6, [False, True]), (9, [False, True]), (12, [True, True])]
 
+    @pytest.mark.parametrize(
+        "feedbacks, pending, match",
+        [
+            ([None, None], pending_one(3), r"per agent \(2\), got 2 and 3"),
+            ([None, None], pending_one(1), r"per agent \(2\), got 2 and 1"),
+            ([None], pending_one(2), r"per agent \(2\), got 1 and 2"),
+            ([None, None], [{"Z": (3.0, 200.0)}, {}], r"m0 has pending types the codec does not know: \['Z'\]"),
+            ([None, None], [{"F1-300": (3.0, 200.0)}, {"F1-50": (1.0, 9.0), "Z": (3.0, 200.0)}], r"m1 .*\['Z'\]"),
+        ],
+        ids=["extra-pending", "missing-pending", "missing-feedback", "unknown-type", "unknown-type-later"],
+    )
+    def test_refused_round_draws_and_writes_nothing(self, feedbacks, pending, match):
+        # the refused round leaves the streams, t and the window as they
+        # were, so the next rounds match those of a twin that never saw it
+        f, twin = fleet(seed=3), fleet(seed=3)
+        for g in (f, twin):
+            g.act([None, None], pending_one(), 2, 0.0, 0.0)
+            g.act(self.feedback(), pending_one(), 2, 0.3, 0.1)
+        streams = [s._gen.bit_generator.state for s in f.act_streams]
+        counters = [s.draw_counter for s in f.act_streams]
+        t, history = f.t, f.history.copy()
+        with pytest.raises(ValueError, match=match):
+            f.act(feedbacks, pending, 2, 0.3, 0.2)
+        assert [s._gen.bit_generator.state for s in f.act_streams] == streams
+        assert [s.draw_counter for s in f.act_streams] == counters
+        assert f.t == t
+        assert f.history.tobytes() == history.tobytes()
+        for r in range(3):
+            assert f.act(self.feedback(), pending_one(), 2, 0.3, 0.2) == twin.act(
+                self.feedback(), pending_one(), 2, 0.3, 0.2
+            ), r
+        assert f.history.tobytes() == twin.history.tobytes()
+
     def test_frozen_fleet_stops_learning(self):
         f = fleet()
         f.act([None, None], pending_one(), 2, 0.0, 0.0)
@@ -694,6 +727,13 @@ class TestPassiveFleet:
         f = PassiveFleet(configs(1, budget=2.0))
         (d,) = f.act([None], [{"F1-300": (3.0, 100.0)}], 1, 0.0, 0.0)
         assert d["F1-300"] == ("submit", 2.0)
+
+    @pytest.mark.parametrize("n_feedbacks, n_pending", [(2, 3), (2, 1), (3, 2)])
+    def test_one_entry_per_agent_required(self, n_feedbacks, n_pending):
+        # an extra pending entry used to be dropped without a word
+        f = PassiveFleet(configs(2))
+        with pytest.raises(ValueError, match=rf"per agent \(2\), got {n_feedbacks} and {n_pending}"):
+            f.act([None] * n_feedbacks, pending_one(n_pending), 2, 0.0, 0.0)
 
     def test_empty_or_repeated_roster_rejected(self):
         # the learning fleet's roster rule: a repeated id would otherwise fail
