@@ -313,8 +313,9 @@ class LearningFleet:
         scored = None
         executed = None
         if deciding:
-            sl_states = np.take(steps[deciding], self.codec.sl_columns, axis=1)
             best = [b for b in deciding if use_rl[b]]  # the agents that execute the actor's sample
+            if learning or len(best) < len(deciding):  # a behavioural prediction or a store reads them
+                sl_states = np.take(steps[deciding], self.codec.sl_columns, axis=1)
             if best:
                 x = history.reshape(self.B, -1)[best]
                 mu, L, actor_cache = self.pool.actor_forward(x, best)
