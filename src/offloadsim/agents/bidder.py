@@ -22,15 +22,16 @@ request decide; the others are idle once they have no feedback and no
 previous-round action to score. `LearningFleet.act` runs a round in three
 stages:
 
-1. The input is checked: one feedback and one pending entry per agent,
-   and only pending types the codec knows. Then one pass over every agent
-   scores last round's actions of each agent that is not idle and notes
-   its request and last prices. Idle agents' rewards are written in bulk
-   (`utility_total` over the fleet's weights), the same arithmetic per
-   element. Only then does each agent draw, in a pass of its own: the
-   noise vector straight into its row of the round's noise array, then
-   the eta coin. One `FeatureCodec.encode` call writes every agent's new
-   step into a fresh array, which is copied into the window.
+1. One pass over every agent checks the input and scores last round's
+   actions of each agent that is not idle: there must be one feedback and
+   one pending entry per agent, and the codec must know every pending and
+   feedback price type. The pass notes each such agent's request and last
+   prices. Idle agents' rewards are written in bulk (`utility_total` over
+   the fleet's weights), the same arithmetic per element. Only then does
+   each agent draw, in a pass of its own: the noise vector straight into
+   its row of the round's noise array, then the eta coin. One
+   `FeatureCodec.encode` call writes every agent's new step into a fresh
+   array, which is copied into the window.
 2. The batched learner step. While learning, `ActorCriticPool.td_step`
    first steps every agent's critic on last round's transition, and the
    actor of each agent that executed its own sample last round. Then each
@@ -159,6 +160,10 @@ def _require_one_per_agent(n_agents: int, feedbacks: Sequence, pending: Sequence
         )
 
 
+def _unknown_types(bidder_id: str, what: str, by_type: dict, known) -> ValueError:
+    return ValueError(f"agent {bidder_id} has {what} types the codec does not know: {sorted(by_type.keys() - known)}")
+
+
 class LearningFleet:
     """All active bidders of a run, advanced together once per round."""
 
@@ -275,12 +280,13 @@ class LearningFleet:
             actions = self._last_actions[b]  # scored on this round's feedback
             requests = pending[b]
             if requests:
-                if not known >= requests.keys():
-                    unknown = sorted(requests.keys() - known)
-                    raise ValueError(f"agent {config.bidder_id} has pending types the codec does not know: {unknown}")
+                if not known >= requests.keys():  # refused before encode, which would raise KeyError
+                    raise _unknown_types(config.bidder_id, "pending", requests, known)
                 deciding.append(b)
             if fb is not None or actions or requests:
                 outcomes, prices = (fb.outcomes, fb.prices) if fb else ({}, {})
+                if not known >= prices.keys():
+                    raise _unknown_types(config.bidder_id, "feedback", prices, known)
                 c, q = config.lost_bid_cost, config.backoff_cost
                 terms = [
                     utility_per_type(outcomes.get(t, 0), v, prices.get(t, 0.0), c, q, sent)

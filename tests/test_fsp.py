@@ -326,8 +326,20 @@ class TestLearningFleet:
             ([None], pending_one(2), r"per agent \(2\), got 1 and 2"),
             ([None, None], [{"Z": (3.0, 200.0)}, {}], r"m0 has pending types the codec does not know: \['Z'\]"),
             ([None, None], [{"F1-300": (3.0, 200.0)}, {"F1-50": (1.0, 9.0), "Z": (3.0, 200.0)}], r"m1 .*\['Z'\]"),
+            (
+                [None, FeedbackSignal("m1", {"Z": 1}, {"Z": 5.0}, 0.3)],
+                pending_one(),
+                r"m1 has feedback types the codec does not know: \['Z'\]",
+            ),
         ],
-        ids=["extra-pending", "missing-pending", "missing-feedback", "unknown-type", "unknown-type-later"],
+        ids=[
+            "extra-pending",
+            "missing-pending",
+            "missing-feedback",
+            "unknown-type",
+            "unknown-type-later",
+            "unknown-price",
+        ],
     )
     def test_refused_round_draws_and_writes_nothing(self, feedbacks, pending, match):
         # the refused round leaves the streams, t and the window as they
