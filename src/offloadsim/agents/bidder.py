@@ -224,7 +224,8 @@ class LearningFleet:
     @property
     def history(self) -> np.ndarray:
         """Per agent, the last `window` steps, the oldest first: a view of
-        shape (B, window, step_dim)."""
+        shape (B, window, step_dim), to be read only, since a write would
+        reach one of a step's two copies."""
         start = self._newest + 1
         return self._windows[:, start : start + self.codec.window]
 
