@@ -2,7 +2,7 @@ from .behavior import BehaviorPool
 from .bidder import BACKOFF, SUBMIT, EtaSchedule, LearnerHyper, LearningFleet, PassiveFleet
 from .features import FeatureCodec
 from .nets import AdamState, NumericalInstabilityError, StackedMlp
-from .policy import ActorCriticPool, LearningRates, td_error
+from .policy import ActorCriticPool, LearningRates
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "PassiveFleet",
     "SUBMIT",
     "StackedMlp",
-    "td_error",
     "utility_per_type",
     "utility_total",
     "valuation",

@@ -11,9 +11,10 @@ rounds where it executed its own sample, the critic from every round.
 components, then K prices. `LearningFleet._fractions` maps a raw policy
 sample to executed fractions in [0, 1], the form the behavioral model
 stores and predicts, and `_directives` turns a fraction into a price by one
-product with the budget. Per service type, a backoff component above the
-threshold submits the bid at that price; below it the bid is deferred for a
-duration linear in the component.
+product with the budget. Per service type, a backoff component above
+`BACKOFF_THRESHOLD` submits the bid at that price; otherwise the bid is
+deferred for the component times `MAX_BACKOFF_MS`, rounded, and at least
+1 ms. Both are constants of this module, like the layout they read.
 
 Active agents of a fleet advance in lock step through batched learners but
 draw all randomness from their own per-agent streams, so fleet composition
@@ -58,10 +59,11 @@ it was: every stream, `t` and the window. An error raised later in stage 1
 leaves the window and `t` as they were, and the streams of the agents
 that drew advanced.
 
-The window holds each step twice, at slots j and j + window of a
-(B, 2 * window, step_dim) array, where j is the round modulo the window.
-`history`, the last `window` steps oldest first, is then one slice of it,
-and a new step costs two row copies rather than a shift of the window.
+The window's length is the codec's, its only settable home. The window
+holds each step twice, at slots j and j + window of a (B, 2 * window,
+step_dim) array, where j is the round modulo the window. `history`, the
+last `window` steps oldest first, is then one slice of it, and a new step
+costs two row copies rather than a shift of the window.
 
 Each agent's `agent/<id>/init` stream feeds, in this order, its actor, its
 critic and its behaviour net, and nothing else reads it. The actor is
@@ -78,7 +80,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -112,7 +114,9 @@ class EtaSchedule:
 
 @dataclass
 class LearnerHyper:
-    window: int = 8
+    # Not a field: a fleet takes its window from its codec alone. This is
+    # the length a caller may build that codec with.
+    window: ClassVar[int] = 8
     rates: LearningRates = field(default_factory=LearningRates)
     init_std: float = 0.5
     price_bias_init: float = 1.0
@@ -123,7 +127,7 @@ class LearnerHyper:
     eta: EtaSchedule = field(default_factory=EtaSchedule)
 
     def __post_init__(self):
-        for name in ("window", "sl_capacity", "sl_batch_size", "sl_train_interval"):
+        for name in ("sl_capacity", "sl_batch_size", "sl_train_interval"):
             require_count(name, getattr(self, name), 1)
         if self.sl_batch_size > self.sl_capacity:
             raise ValueError(
@@ -139,6 +143,8 @@ class LearnerHyper:
 
 SUBMIT = "submit"
 BACKOFF = "backoff"
+BACKOFF_THRESHOLD = 0.5  # a backoff component above it submits the bid
+MAX_BACKOFF_MS = 100  # the deferral of a backoff component of 1
 
 
 def _require_roster(configs: Sequence[AgentConfig]):
@@ -175,9 +181,7 @@ class LearningFleet:
         hyper: Optional[LearnerHyper] = None,
     ):
         _require_roster(configs)
-        self.hyper = hyper or LearnerHyper(window=codec.window)
-        if self.hyper.window != codec.window:
-            raise ValueError(f"LearnerHyper.window is {self.hyper.window} but the codec's window is {codec.window}")
+        self.hyper = hyper or LearnerHyper()
         self.configs = list(configs)
         self.codec = codec
         self.B = len(configs)
@@ -378,11 +382,11 @@ class LearningFleet:
             for service_type, (work, _deadline) in pending[b].items():
                 i = self.codec.index[service_type]
                 alpha = float(fractions[row, i])
-                if alpha > config.backoff_threshold:
+                if alpha > BACKOFF_THRESHOLD:
                     agent_directives[service_type] = (SUBMIT, float(fractions[row, self.k + i]) * config.budget)
                     submitted.append((service_type, valuation(work, config), True))
                 else:
-                    duration = max(1, round(alpha * config.max_backoff_ms))
+                    duration = max(1, round(alpha * MAX_BACKOFF_MS))
                     agent_directives[service_type] = (BACKOFF, duration)
                     deferred.append((service_type, valuation(work, config), False))
             self._last_actions[b] = tuple(submitted + deferred)

@@ -63,11 +63,6 @@ class LearningRates:
             raise ValueError(f"reward_smoothing must be in [0, 1], got {self.reward_smoothing}")
 
 
-def td_error(u: float, avg_reward: float, v_next: float, v_now: float) -> float:
-    """delta = u - u_bar + V(S') - V(S)."""
-    return u - avg_reward + v_next - v_now
-
-
 class ActorCriticPool:
     """B independent actor-critic learners advanced in lock step.
 
@@ -174,13 +169,16 @@ class ActorCriticPool:
         u (B,) is the reward collected between them. delta = u - u_bar +
         V(S') - V(S) steps every agent's critic and, through `scored`, the
         actor of the agents that executed their sample at S; u then enters
-        u_bar. scored is (zeta_raw, actor_cache) for those agents (see
-        `update`), or None when no agent executed one.
+        u_bar, which keeps `rates.reward_smoothing` of its old value. scored
+        is (zeta_raw, actor_cache) for those agents (see `update`), or None
+        when no agent executed one.
         """
         v, v_next, critic_cache = self.critic_eval(x, x_next)
-        delta = td_error(u, self.avg_reward, v_next, v)
+        delta = u - self.avg_reward + v_next - v
         self.update(delta, critic_cache, scored)
-        self.update_avg_reward(u)
+        lam = self.rates.reward_smoothing
+        self.avg_reward *= lam
+        self.avg_reward += (1.0 - lam) * u
 
     def update(self, delta: np.ndarray, critic_cache: dict, scored: Optional[tuple] = None):
         """One critic gradient step for every agent and, when `scored` is
@@ -214,9 +212,3 @@ class ActorCriticPool:
         self.actor.apply_gradients(
             actor_factors, self.rates.actor * delta[agents], clip_norm=self.rates.grad_clip, agents=agents
         )
-
-    def update_avg_reward(self, u: np.ndarray):
-        lam = self.rates.reward_smoothing
-        self.avg_reward *= lam
-        self.avg_reward += (1.0 - lam) * u
-

@@ -1,10 +1,11 @@
 """Bidder valuation and round utility.
 
-Valuations are linear in the request's estimated resource needs and capped
-by the budget. Round utility per service type combines the win/lose payoff
-with the lost-bid cost, zeroes the gain of a free (uncontended) win, and
-pays the backoff reward when the bid was deferred; the round total adds the
-weighted idle-capacity term.
+A valuation is the slope times the request's estimated resource needs,
+capped by the budget. `AgentConfig` refuses a slope that is not positive,
+so a valuation lies in (0, budget]. Round utility per service type
+combines the win/lose payoff with the lost-bid cost, zeroes the gain of a
+free (uncontended) win, and pays the backoff reward when the bid was
+deferred; the round total adds the weighted idle-capacity term.
 
 `utility_per_type` and `utility_total` are the only code that computes a
 bidder's round payoff. Every caller composes it through them:
@@ -22,43 +23,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import require_count
-
 
 @dataclass
 class AgentConfig:
     bidder_id: str
     budget: float
     valuation_slope: float = 1.0
-    valuation_intercept: float = 0.0
     lost_bid_cost: float = 1.0
     backoff_cost: float = 0.1  # reward collected when deferring a bid
     utilization_weight: float = 1.0
-    backoff_threshold: float = 0.5
-    max_backoff_ms: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.budget < math.inf:
-            raise ValueError(f"budget must be finite and positive, got {self.budget}")
-        for name in ("valuation_slope", "valuation_intercept", "lost_bid_cost", "backoff_cost", "utilization_weight"):
+        for name in ("budget", "valuation_slope"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        for name in ("lost_bid_cost", "backoff_cost", "utilization_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lost_bid_cost < 0:
             raise ValueError("lost_bid_cost must be >= 0")
         if self.utilization_weight < 0:
             raise ValueError("utilization_weight must be >= 0")
-        if not (0.0 < self.backoff_threshold < 1.0):
-            raise ValueError("backoff_threshold must be in (0,1)")
-        require_count("max_backoff_ms", self.max_backoff_ms, 1)
 
 
 def valuation(resource_estimate: float, config: AgentConfig) -> float:
-    """v = min(slope * estimate + intercept, budget); always positive."""
+    """v = min(slope * estimate, budget), in (0, budget]."""
     if not 0 < resource_estimate < math.inf:
         raise ValueError(f"resource_estimate must be finite and positive, got {resource_estimate}")
-    v = min(config.valuation_slope * resource_estimate + config.valuation_intercept, config.budget)
-    if v <= 0:
-        raise ValueError(f"valuation {v} is not positive; check slope/intercept")
+    v = min(config.valuation_slope * resource_estimate, config.budget)
+    if v == 0:  # both factors are positive, so only an underflow gives 0
+        raise ValueError(f"slope {config.valuation_slope} * estimate {resource_estimate} underflows to 0")
     return v
 
 

@@ -23,6 +23,10 @@ import numpy as np
 from .agents.utility import utility_per_type, utility_total
 
 IDENTITY_TOL = 1e-9
+NE_TOL = 1e-12  # a deviation must gain more than this to break an equilibrium
+WELFARE_TOL = 0.01  # the fairness check's welfare slack, relative to the best candidate
+SLOPE_GRID = 60  # candidate threshold slopes, from 0.25 to 4
+OFFSET_GRID = 41  # candidate threshold offsets, across the samples' spread
 
 
 class TooLargeError(ValueError):
@@ -231,8 +235,9 @@ def player_action_space(game: StaticGame, player: int) -> list[tuple[tuple, tupl
     return space
 
 
-def enumerate_pure_ne(game: StaticGame, tol: float = 1e-12) -> list[tuple]:
-    """All joint grid actions from which no unilateral deviation profits."""
+def enumerate_pure_ne(game: StaticGame) -> list[tuple]:
+    """All joint grid actions from which no unilateral deviation gains more
+    than NE_TOL."""
     spaces = [player_action_space(game, i) for i in range(len(game.players))]
     total = math.prod(len(s) for s in spaces)
     if total > 1_000_000:
@@ -253,7 +258,7 @@ def enumerate_pure_ne(game: StaticGame, tol: float = 1e-12) -> list[tuple]:
                 if alt == profile[i]:
                     continue
                 deviated = profile[:i] + (alt,) + profile[i + 1 :]
-                if utilities(deviated)[i] > base[i] + tol:
+                if utilities(deviated)[i] > base[i] + NE_TOL:
                     stable = False
                     break
             if not stable:
@@ -441,9 +446,6 @@ def pareto_fairness_check(
     v1_samples: np.ndarray,
     v2_samples: np.ndarray,
     ratio_tol: float = 0.02,
-    welfare_tol: float = 0.01,
-    slope_grid: int = 60,
-    offset_grid: int = 41,
 ) -> FairnessReport:
     """Compare the rule's allocated resource against the best linear
     threshold rule meeting (approximately) the same fairness ratio.
@@ -451,14 +453,15 @@ def pareto_fairness_check(
     The ratio of an allocation x is that of allocated totals,
     E[omega1*x] / E[omega2*(1-x)] (see AllocationRule). The candidate family
     'first wins when v1 >= s*v2 + o' always includes the rule itself, so
-    best >= achieved; the check passes when the rule is within welfare_tol of
-    the constrained best.
+    best >= achieved; the check passes when the rule is within WELFARE_TOL of
+    the constrained best. The family's grid is SLOPE_GRID slopes by
+    OFFSET_GRID offsets, plus the rule itself.
 
     The band lets candidates beat the rule. When the rule meets gamma exactly,
     Lagrangian sufficiency bounds a candidate x with ratio r_x to a gain of at
     most lambda* * (gamma - r_x) * E[omega2*(1-x)], that is up to
     |lambda*| * ratio_tol * max(1, gamma) * E[omega2*(1-x)]. ratio_tol must
-    keep that slack below welfare_tol * best, or a welfare-optimal rule fails.
+    keep that slack below WELFARE_TOL * best, or a welfare-optimal rule fails.
     """
     v1 = np.asarray(v1_samples, dtype=float)
     v2 = np.asarray(v2_samples, dtype=float)
@@ -472,9 +475,9 @@ def pareto_fairness_check(
     degenerate = math.isnan(achieved_ratio)
     target = rule.gamma if not degenerate else math.nan
 
-    slopes = np.linspace(0.25, 4.0, slope_grid)
+    slopes = np.linspace(0.25, 4.0, SLOPE_GRID)
     spread = max(v2.max() - v2.min(), v1.max() - v1.min(), 1.0)
-    offsets = np.linspace(-spread, spread, offset_grid)
+    offsets = np.linspace(-spread, spread, OFFSET_GRID)
     candidates = [(rule.j2 / rule.j1, (rule.d2 - rule.d1) / rule.j1)]
     candidates += [(s, o) for s in slopes for o in offsets]
 
@@ -494,7 +497,7 @@ def pareto_fairness_check(
             best = max(best, w)
     if feasible == 0:
         raise InfeasibleFairnessError("no candidate allocation meets the fairness band")
-    passed = achieved >= best * (1.0 - welfare_tol)
+    passed = achieved >= best * (1.0 - WELFARE_TOL)
     return FairnessReport(
         achieved_welfare=achieved,
         best_welfare=best,

@@ -11,6 +11,7 @@ from typing import Sequence
 from .engine import RngStream, require_count
 
 MMPP_EPOCH_MS = 1000  # regime switching is evaluated once per simulated second
+ARRIVAL_HORIZON_MS = 1e9  # cap on an interarrival gap; a vanishing rate gets it without a draw
 
 
 class EmptyCatalogError(ValueError):
@@ -121,23 +122,21 @@ def mmpp_step_epoch(state: MmppState, rng: RngStream) -> MmppState:
     return state
 
 
-def mmpp_next_arrival(
-    state: MmppState, rng: RngStream, horizon_ms: float = 1e9
-) -> tuple[float, MmppState]:
+def mmpp_next_arrival(state: MmppState, rng: RngStream) -> tuple[float, MmppState]:
     """Sample the next interarrival gap and advance `state` past it in place.
 
     Returns the gap and `state` itself. The gap is exponential with the rate
     of the regime at the start of the gap; regime switches are then evaluated
     at each whole-epoch boundary the gap crosses (arrivals within an epoch
     use the rate current at its start).
-    A vanishing rate yields a gap capped at horizon_ms instead of a division
-    by zero.
+    A gap is capped at ARRIVAL_HORIZON_MS, and a rate at or below its
+    inverse yields that gap without a draw instead of a division by zero.
     """
     rate = state.rate
-    if rate <= 1.0 / horizon_ms:
-        gap = float(horizon_ms)
+    if rate <= 1.0 / ARRIVAL_HORIZON_MS:
+        gap = ARRIVAL_HORIZON_MS
     else:
-        gap = min(rng.exponential(1.0 / rate), float(horizon_ms))
+        gap = min(rng.exponential(1.0 / rate), ARRIVAL_HORIZON_MS)
     elapsed = state.ms_into_epoch + gap
     crossings = int(elapsed // MMPP_EPOCH_MS)
     for _ in range(crossings):

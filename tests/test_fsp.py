@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from offloadsim.agents import (
     utility_total,
     valuation,
 )
+from offloadsim.agents.bidder import BACKOFF_THRESHOLD, MAX_BACKOFF_MS
 from offloadsim.agents.nets import StackedMlp
 from offloadsim.agents.policy import softplus_inv
 from offloadsim.auction import FeedbackSignal
@@ -82,11 +84,10 @@ class TestEtaSchedule:
 
 
 class TestLearnerHyper:
-    @pytest.mark.parametrize("name", ["window", "sl_capacity", "sl_batch_size", "sl_train_interval"])
+    @pytest.mark.parametrize("name", ["sl_capacity", "sl_batch_size", "sl_train_interval"])
     @pytest.mark.parametrize("bad", [0, -3, 2.0, 2.5, True])
     def test_memory_sizes_must_be_integers_of_at_least_one(self, name, bad):
-        # 0 used to fail later in act: IndexError, or ZeroDivisionError
-        # mid-round; a bad window, only as a mismatch with the codec's
+        # 0 used to fail later in act: IndexError, or ZeroDivisionError mid-round
         with pytest.raises(ValueError, match=name):
             LearnerHyper(**{name: bad})
 
@@ -115,9 +116,7 @@ class TestLearnerHyper:
     def test_every_setting_reaches_its_consumer(self):
         # the pools take these values only from LearnerHyper; none may fall back on a default of its own
         rates = LearningRates(actor=3e-4, critic=2e-3, reward_smoothing=0.9, grad_clip=7.0)
-        hyper = LearnerHyper(
-            window=4, rates=rates, init_std=0.8, price_bias_init=-1.5, sl_capacity=40, sl_batch_size=10, sl_lr=4e-3
-        )
+        hyper = LearnerHyper(rates=rates, init_std=0.8, price_bias_init=-1.5, sl_capacity=40, sl_batch_size=10, sl_lr=4e-3)
         f = fleet(n=3, hyper=hyper)
         f.act([None] * 3, [{}] * 3, 3, 0.0, 0.0)  # the first learning round draws the critic and behaviour net
         actor = f.pool.actor.params
@@ -129,6 +128,47 @@ class TestLearnerHyper:
         assert (memory.capacity, memory.batch_size, memory.opt.lr) == (40, 10, 4e-3)
         widths = [actor[f"W{layer}"].shape[2] for layer in range(2)]
         assert widths == [f.pool.critic.params[f"W{layer}"].shape[2] for layer in range(2)] == [64, 32]
+
+
+class TestAgentConfig:
+    # each field changed in turn, the rest kept, and something a run can see moves
+    CHANGED = {
+        "bidder_id": "m9",
+        "budget": 50.0,
+        "valuation_slope": 2.0,
+        "lost_bid_cost": 2.0,
+        "backoff_cost": 0.2,
+        "utilization_weight": 0.5,
+    }
+
+    @staticmethod
+    def observed(cfg):
+        """A one-agent fleet's actor weights (drawn from a stream labelled
+        with the bidder id), then, once with F1-300 won and once lost at
+        price 40: the directives of a round that submits F1-300 and defers
+        F1-50, and the reward in the next round's step row."""
+        seen = []
+        for won in (1, 0):
+            f = LearningFleet([cfg], codec(), root_seed=1)
+            f.frozen_eta = 0.0  # the behavioural branch, whose fractions are set here
+            fractions = np.full((1, 4), 0.3)  # F1-50 defers; each price is 0.3 of the budget
+            fractions[0, f.codec.index["F1-300"]] = 0.9  # submit
+            f.behavior.predict = lambda states, agents: fractions
+            directives = f.act([None], [{"F1-300": (3.0, 200.0), "F1-50": (2.0, 200.0)}], 1, 0.3, 0.0)
+            feedback = FeedbackSignal(cfg.bidder_id, {"F1-300": won}, {"F1-300": 40.0}, 0.3)
+            f.act([feedback], [{}], 1, 0.3, 0.0)
+            seen += [directives, float(f.history[0, -1, -1])]
+        return f.pool.actor.flat_view(0).tobytes(), seen
+
+    def test_census_names_every_field(self):
+        assert [fld.name for fld in dataclasses.fields(AgentConfig)] == list(self.CHANGED)
+
+    @pytest.mark.parametrize("name", list(CHANGED))
+    def test_every_field_reaches_an_observable(self, name):
+        base = AgentConfig(bidder_id="m0", budget=100.0)
+        seen = self.observed(base)
+        assert self.observed(base) == seen  # so a difference below is the field's
+        assert self.observed(dataclasses.replace(base, **{name: self.CHANGED[name]})) != seen
 
 
 class TestLearningFleet:
@@ -244,10 +284,6 @@ class TestLearningFleet:
         with pytest.raises(ValueError, match="bidder_id"):
             LearningFleet(cfgs, codec(), root_seed=1)
 
-    def test_window_must_match_codec(self):
-        with pytest.raises(ValueError, match="LearnerHyper.window is 2 but the codec's window is 8"):
-            LearningFleet(configs(2), codec(window=8), root_seed=1, hyper=LearnerHyper(window=2))
-
     def test_reordering_the_fleet_changes_no_agent(self):
         # the same agents in another order: each agent's directives and its
         # actor, critic and behaviour parameters stay bit-identical through
@@ -291,7 +327,7 @@ class TestLearningFleet:
         # minibatch draw per behavioural training of that agent, which needs
         # a minibatch of the agent's own rows; a training call with no agent
         # ready draws nothing
-        f = fleet(seed=6, hyper=LearnerHyper(window=4, sl_batch_size=4, sl_train_interval=3))
+        f = fleet(seed=6, hyper=LearnerHyper(sl_batch_size=4, sl_train_interval=3))
         train_step = f.behavior.train_step
         trainings = []  # (t, the agents holding a minibatch) of each training
 
@@ -424,7 +460,7 @@ class TestDecidingAgentsOnly:
         n, seed = 5, 21
         cfgs = configs(n)
         eta_mixed = EtaSchedule(floor=0.5, floor_after=2)  # both branches, every round
-        hyper = LearnerHyper(window=4, sl_batch_size=4, sl_train_interval=3, eta=eta_mixed)
+        hyper = LearnerHyper(sl_batch_size=4, sl_train_interval=3, eta=eta_mixed)
         f = LearningFleet(cfgs, codec(), root_seed=seed, hyper=hyper)
         streams = [derive_stream(seed, f"agent/{c.bidder_id}/act") for c in cfgs]  # replicas: noise, then coin
         rng = derive_stream(22, "pending")
@@ -492,7 +528,7 @@ class TestDecidingAgentsOnly:
     def test_frozen_directives_match_full_batch(self, eta):
         n, seed = 5, 12
         cfgs = configs(n)
-        hyper = LearnerHyper(window=4, sl_batch_size=4, sl_train_interval=3)
+        hyper = LearnerHyper(sl_batch_size=4, sl_train_interval=3)
         f = LearningFleet(cfgs, codec(), root_seed=seed, hyper=hyper)
         streams = [derive_stream(seed, f"agent/{c.bidder_id}/act") for c in cfgs]  # replicas: noise, then coin
         rng = derive_stream(13, "pending")
@@ -536,10 +572,10 @@ class TestDecidingAgentsOnly:
                 d = {}
                 for t, (_work, _deadline) in pending[b].items():
                     i = f.codec.index[t]
-                    if executed[b, i] > cfg.backoff_threshold:
+                    if executed[b, i] > BACKOFF_THRESHOLD:
                         d[t] = ("submit", float(executed[b, f.k + i]) * cfg.budget)
                     else:
-                        d[t] = ("backoff", max(1, round(float(executed[b, i]) * cfg.max_backoff_ms)))
+                        d[t] = ("backoff", max(1, round(float(executed[b, i]) * MAX_BACKOFF_MS)))
                 expected.append(d)
             assert directives == expected, r
             feedback = feedback_for(cfgs, directives)
@@ -554,7 +590,7 @@ class TestDecidingAgentsOnly:
             AgentConfig(bidder_id=f"m{i}", budget=100.0, utilization_weight=w)
             for i, w in enumerate([1.0, 0.0, 2.5, 0.3, 1.0])
         ]
-        hyper = LearnerHyper(window=4, sl_batch_size=4, sl_train_interval=3)
+        hyper = LearnerHyper(sl_batch_size=4, sl_train_interval=3)
         f = LearningFleet(cfgs, codec(), root_seed=3, hyper=hyper)
         rng = derive_stream(14, "pending")
         feedback = [None] * n
@@ -668,7 +704,7 @@ class TestLazyDraws:
         # too: the freed critic, memory and moments never changed an action
         n, seed = 4, 13
         cfgs = configs(n)
-        hyper = LearnerHyper(window=4, sl_batch_size=4, sl_train_interval=3)
+        hyper = LearnerHyper(sl_batch_size=4, sl_train_interval=3)
         frozen, kept = (LearningFleet(cfgs, codec(), root_seed=seed, hyper=hyper) for _ in range(2))
         rng = derive_stream(14, "pending")
         feedback = [[None] * n, [None] * n]

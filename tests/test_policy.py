@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from offloadsim.agents import ActorCriticPool, LearningRates, NumericalInstabilityError, td_error
+from offloadsim.agents import ActorCriticPool, LearningRates, NumericalInstabilityError
 from offloadsim.agents.nets import dense_gradients
 from offloadsim.agents.policy import softplus_inv
 from offloadsim.engine import derive_stream
@@ -336,16 +336,40 @@ class TestUpdates:
 
 
 class TestTdError:
+    # td_step from S to S' = S, so V(S') - V(S) cancels: delta is u - u_bar
+    @staticmethod
+    def deltas(pool):
+        """The TD errors that `td_step` hands to `update`, one per call."""
+        seen = []
+        update = pool.update
+
+        def recorded(delta, critic_cache, scored=None):
+            seen.append(delta.copy())
+            return update(delta, critic_cache, scored)
+
+        pool.update = recorded
+        return seen
+
     def test_balanced_terms_cancel(self):
-        assert td_error(2.0, 2.0, 5.0, 5.0) == 0.0
+        pool = small_pool()
+        seen = self.deltas(pool)
+        pool.avg_reward[:] = 2.0
+        x = derive_stream(4, "x").standard_normal((1, 12))
+        pool.td_step(x, x, np.array([2.0]))
+        assert seen[0].tolist() == [0.0]
 
     def test_pure_reward_surprise(self):
-        assert td_error(1.0, 0.0, 3.0, 3.0) == 1.0
+        pool = small_pool()
+        seen = self.deltas(pool)
+        x = derive_stream(4, "x").standard_normal((1, 12))
+        pool.td_step(x, x, np.array([1.0]))
+        assert seen[0][0] == pytest.approx(1.0, rel=0, abs=1e-15)
 
     def test_average_reward_converges_geometrically(self):
-        pool = small_pool(rates=LearningRates(reward_smoothing=0.9))
+        pool = small_pool(rates=LearningRates(critic=0.0, reward_smoothing=0.9))
+        x = derive_stream(4, "x").standard_normal((1, 12))
         c = 4.0
         for n in range(1, 60):
-            pool.update_avg_reward(np.array([c]))
+            pool.td_step(x, x, np.array([c]))
             assert abs(pool.avg_reward[0] - c) == pytest.approx(c * 0.9**n, rel=1e-9)
 

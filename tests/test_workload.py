@@ -7,6 +7,7 @@ from scipy import stats
 
 from offloadsim.engine import derive_stream
 from offloadsim.workload import (
+    ARRIVAL_HORIZON_MS,
     MMPP_EPOCH_MS,
     MmppState,
     EmptyCatalogError,
@@ -52,8 +53,8 @@ class TestMmpp:
     def test_vanishing_rate_caps_at_horizon(self):
         rng = derive_stream(3, "mmpp")
         state = MmppState("Low", lambda_high=1e-3, lambda_low=0.0, p_high=0.0, p_low=0.0)
-        gap, _ = mmpp_next_arrival(state, rng, horizon_ms=5000)
-        assert gap == 5000
+        gap, _ = mmpp_next_arrival(state, rng)
+        assert gap == ARRIVAL_HORIZON_MS
 
     def test_fixed_regime_gaps_are_exponential(self):
         rng = derive_stream(19, "mmpp")
