@@ -1,8 +1,8 @@
 from .behavior import BehaviorPool
-from .bidder import BACKOFF, SUBMIT, EtaSchedule, LearnerHyper, LearningFleet, PassiveFleet
+from .bidder import BACKOFF, SUBMIT, LearnerHyper, LearningFleet, PassiveFleet
 from .features import FeatureCodec
 from .nets import AdamState, NumericalInstabilityError, StackedMlp
-from .policy import ActorCriticPool, LearningRates
+from .policy import ActorCriticPool
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
 
 __all__ = [
@@ -11,11 +11,9 @@ __all__ = [
     "AdamState",
     "BACKOFF",
     "BehaviorPool",
-    "EtaSchedule",
     "FeatureCodec",
     "LearnerHyper",
     "LearningFleet",
-    "LearningRates",
     "NumericalInstabilityError",
     "PassiveFleet",
     "SUBMIT",

@@ -2,7 +2,7 @@
 supervised behavioral model.
 
 Each decision round an agent tosses its eta coin: with probability eta
-(1/t, optionally floored late in training) it executes a best-response
+(1/t, never below `LearnerHyper.eta_floor`) it executes a best-response
 action sampled from its Gaussian policy, otherwise the behavioral model's
 average strategy. Only the chosen branch runs. The actor learns only from
 rounds where it executed its own sample, the critic from every round.
@@ -25,14 +25,15 @@ stages:
 
 1. One pass over every agent checks the input and scores last round's
    actions of each agent that is not idle: there must be one feedback and
-   one pending entry per agent, and the codec must know every pending and
-   feedback price type. The pass notes each such agent's request and last
-   prices. Idle agents' rewards are written in bulk (`utility_total` over
-   the fleet's weights), the same arithmetic per element. Only then does
-   each agent draw, in a pass of its own: the noise vector straight into
-   its row of the round's noise array, then the eta coin. One
-   `FeatureCodec.encode` call writes every agent's new step into a fresh
-   array, which is copied into the window.
+   one pending entry per agent, the codec must know every pending and
+   feedback price type, and each pending work must be finite and > 0 and
+   each deadline finite and >= 0. The pass notes each such agent's
+   request and last prices. Idle agents' rewards are written in bulk
+   (`utility_total` over the fleet's weights), the same arithmetic per
+   element. Only then does each agent draw, in a pass of its own: the
+   noise vector straight into its row of the round's noise array, then
+   the eta coin. One `FeatureCodec.encode` call writes every agent's new
+   step into a fresh array, which is copied into the window.
 2. The batched learner step. While learning, `ActorCriticPool.td_step`
    first steps every agent's critic on last round's transition, and the
    actor of each agent that executed its own sample last round. Then each
@@ -79,7 +80,7 @@ actor and the behaviour net, the two policies it acts with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -88,28 +89,12 @@ from ..auction import FeedbackSignal
 from ..engine import derive_stream, require_count
 from .behavior import BehaviorPool
 from .features import FeatureCodec
-from .policy import ActorCriticPool, LearningRates, sigmoid
+from .policy import ActorCriticPool, sigmoid
 from .utility import AgentConfig, utility_per_type, utility_total, valuation
 
 
-@dataclass
-class EtaSchedule:
-    """Best-response mixing weight: 1/t, floored after a while (a floor of
-    0 keeps the pure 1/t)."""
-
-    floor: float = 0.01
-    floor_after: int = 100
-
-    def __post_init__(self):
-        if not 0.0 <= self.floor <= 1.0:
-            raise ValueError(f"floor must be in [0, 1], got {self.floor}")
-        require_count("floor_after", self.floor_after, 0)
-
-    def eta(self, t: int) -> float:
-        value = 1.0 / max(1, t)
-        if t <= self.floor_after:
-            return value
-        return max(value, self.floor)
+SL_CAPACITY = 10_000  # behaviour-memory rows per agent
+SL_LR = 1e-3  # the behaviour model's Adam step size
 
 
 @dataclass
@@ -117,28 +102,30 @@ class LearnerHyper:
     # Not a field: a fleet takes its window from its codec alone. This is
     # the length a caller may build that codec with.
     window: ClassVar[int] = 8
-    rates: LearningRates = field(default_factory=LearningRates)
+    actor_rate: float = 1e-4
+    eta_floor: float = 0.01  # 0 keeps the pure 1/t
     init_std: float = 0.5
     price_bias_init: float = 1.0
-    sl_capacity: int = 10_000
     sl_batch_size: int = 64
-    sl_lr: float = 1e-3
     sl_train_interval: int = 32
-    eta: EtaSchedule = field(default_factory=EtaSchedule)
 
     def __post_init__(self):
-        for name in ("sl_capacity", "sl_batch_size", "sl_train_interval"):
+        for name in ("sl_batch_size", "sl_train_interval"):
             require_count(name, getattr(self, name), 1)
-        if self.sl_batch_size > self.sl_capacity:
-            raise ValueError(
-                f"sl_batch_size ({self.sl_batch_size}) must not exceed sl_capacity ({self.sl_capacity})"
-            )
-        for name in ("init_std", "sl_lr"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if self.sl_batch_size > SL_CAPACITY:
+            raise ValueError(f"sl_batch_size ({self.sl_batch_size}) must not exceed SL_CAPACITY ({SL_CAPACITY})")
+        if not 0.0 <= self.actor_rate < math.inf:
+            raise ValueError(f"actor_rate must be finite and >= 0, got {self.actor_rate}")
+        if not 0.0 <= self.eta_floor <= 1.0:
+            raise ValueError(f"eta_floor must be in [0, 1], got {self.eta_floor}")
+        if not 0.0 < self.init_std < math.inf:
+            raise ValueError(f"init_std must be finite and > 0, got {self.init_std}")
         if not math.isfinite(self.price_bias_init):
             raise ValueError(f"price_bias_init must be finite, got {self.price_bias_init}")
+
+    def eta(self, t: int) -> float:
+        """The best response's mixing weight in round t: 1/t, never below eta_floor."""
+        return max(1.0 / max(1, t), self.eta_floor)
 
 
 SUBMIT = "submit"
@@ -199,7 +186,7 @@ class LearningFleet:
             self._init_streams,
             input_dim=codec.rl_input_dim,
             action_dim=self.action_dim,
-            rates=self.hyper.rates,
+            actor_rate=self.hyper.actor_rate,
             init_std=self.hyper.init_std,
             mu_bias_init=mu_bias,
         )
@@ -207,9 +194,9 @@ class LearningFleet:
             self.B,
             state_dim=codec.sl_dim,
             action_dim=self.action_dim,
-            capacity=self.hyper.sl_capacity,
+            capacity=SL_CAPACITY,
             batch_size=self.hyper.sl_batch_size,
-            lr=self.hyper.sl_lr,
+            lr=SL_LR,
         )
         # Per agent, every step twice: round r's at slots r % window and
         # r % window + window, so the last `window` steps lie in one slice.
@@ -240,7 +227,7 @@ class LearningFleet:
         current value. Drops what acting never reads: the critic, the
         behaviour memory and its Adam moments. The behaviour net stays, for
         the behavioural predictions of a mixing weight below 1."""
-        self.frozen_eta = self.hyper.eta.eta(self.t)
+        self.frozen_eta = self.hyper.eta(self.t)
         self._prev = None  # no TD step will score it
         self._release_training()
 
@@ -275,7 +262,7 @@ class LearningFleet:
         # 1. check the input, score the agents that are not idle, draw for all, then encode
         _require_one_per_agent(self.B, feedbacks, pending)
         learning = self.frozen_eta is None
-        eta = self.hyper.eta.eta(self.t) if learning else self.frozen_eta
+        eta = self.hyper.eta(self.t) if learning else self.frozen_eta
         known = self.codec.index.keys()
         utilities = utility_total([], beta, self.weights)  # an idle round's, for every agent
         active = []  # (agent, its request, last round's prices) of the agents that are not idle
@@ -287,6 +274,12 @@ class LearningFleet:
             if requests:
                 if not known >= requests.keys():  # refused before encode, which would raise KeyError
                     raise _unknown_types(config.bidder_id, "pending", requests, known)
+                for service_type, (work, deadline) in requests.items():
+                    if not (0.0 < work < math.inf and 0.0 <= deadline < math.inf):
+                        raise ValueError(
+                            f"agent {config.bidder_id} has pending type {service_type} with work {work} and "
+                            f"deadline {deadline}: work must be finite and > 0, the deadline finite and >= 0"
+                        )
                 deciding.append(b)
             if fb is not None or actions or requests:
                 outcomes, prices = (fb.outcomes, fb.prices) if fb else ({}, {})
@@ -322,29 +315,23 @@ class LearningFleet:
                 prev_flat, prev_scored = self._prev
                 self.pool.td_step(prev_flat, flat, utilities, prev_scored)
         scored = None
-        executed = None
+        executed = np.empty((len(deciding), self.action_dim))  # row r from agent deciding[r]'s branch
         if deciding:
+            picked = use_rl[deciding]
             best = [b for b in deciding if use_rl[b]]  # the agents that execute the actor's sample
-            if learning or len(best) < len(deciding):  # a behavioural prediction or a store reads them
+            behavioural = [b for b in deciding if not use_rl[b]]  # the others, the behavioural model's action
+            if learning or behavioural:  # a behavioural prediction or a store reads them
                 sl_states = np.take(steps[deciding], self.codec.sl_columns, axis=1)
             if best:
                 x = history.reshape(self.B, -1)[best]
                 mu, L, actor_cache = self.pool.actor_forward(x, best)
                 zeta_raw = self.pool.sample_raw(mu, L, noise[best])
-                executed = self._fractions(zeta_raw, self.budgets[best])
+                executed[picked] = self._fractions(zeta_raw, self.budgets[best])
                 if learning:
                     scored = (zeta_raw, actor_cache)
-            if len(best) < len(deciding):  # the others execute the behavioural model's action
+            if behavioural:
                 self._draw_learners()
-                if best:  # each row from its agent's branch
-                    picked = use_rl[deciding]
-                    behavioural = [b for b in deciding if not use_rl[b]]
-                    mixed = np.empty((len(deciding), self.action_dim))
-                    mixed[picked] = executed
-                    mixed[~picked] = self.behavior.predict(sl_states[~picked], behavioural)
-                    executed = mixed
-                else:
-                    executed = self.behavior.predict(sl_states, deciding)
+                executed[~picked] = self.behavior.predict(sl_states[~picked], behavioural)
             if learning:
                 self.behavior.store(sl_states, executed, deciding)
         if learning:

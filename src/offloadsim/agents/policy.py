@@ -23,8 +23,6 @@ agent that will execute another action.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,22 +43,9 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-@dataclass
-class LearningRates:
-    actor: float = 1e-4
-    critic: float = 1e-3
-    reward_smoothing: float = 0.99  # EMA retention for the average reward
-    grad_clip: float = 100.0
-
-    def __post_init__(self):
-        for name in ("actor", "critic"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not 0.0 < self.grad_clip < math.inf:
-            raise ValueError(f"grad_clip must be finite and > 0, got {self.grad_clip}")
-        if not 0.0 <= self.reward_smoothing <= 1.0:
-            raise ValueError(f"reward_smoothing must be in [0, 1], got {self.reward_smoothing}")
+CRITIC_RATE = 1e-3  # the critic's step size; the actor's is the caller's actor_rate
+REWARD_SMOOTHING = 0.99  # EMA retention for the average reward
+GRAD_CLIP = 100.0  # the largest norm of any agent's step, actor or critic
 
 
 class ActorCriticPool:
@@ -80,14 +65,14 @@ class ActorCriticPool:
         streams: Sequence[RngStream],
         input_dim: int,
         action_dim: int,
-        rates: LearningRates,
+        actor_rate: float,
         init_std: float,
         hidden: tuple[int, ...] = (64, 32),
         mu_bias_init=0.0,
     ):
         self.B = len(streams)
         self.A = action_dim
-        self.rates = rates
+        self.actor_rate = actor_rate
         self.tril_rows, self.tril_cols = np.tril_indices(action_dim)
         self.diag_positions = np.flatnonzero(self.tril_rows == self.tril_cols)
         n_l = len(self.tril_rows)
@@ -169,16 +154,15 @@ class ActorCriticPool:
         u (B,) is the reward collected between them. delta = u - u_bar +
         V(S') - V(S) steps every agent's critic and, through `scored`, the
         actor of the agents that executed their sample at S; u then enters
-        u_bar, which keeps `rates.reward_smoothing` of its old value. scored
+        u_bar, which keeps `REWARD_SMOOTHING` of its old value. scored
         is (zeta_raw, actor_cache) for those agents (see `update`), or None
         when no agent executed one.
         """
         v, v_next, critic_cache = self.critic_eval(x, x_next)
         delta = u - self.avg_reward + v_next - v
         self.update(delta, critic_cache, scored)
-        lam = self.rates.reward_smoothing
-        self.avg_reward *= lam
-        self.avg_reward += (1.0 - lam) * u
+        self.avg_reward *= REWARD_SMOOTHING
+        self.avg_reward += (1.0 - REWARD_SMOOTHING) * u
 
     def update(self, delta: np.ndarray, critic_cache: dict, scored: Optional[tuple] = None):
         """One critic gradient step for every agent and, when `scored` is
@@ -202,7 +186,7 @@ class ActorCriticPool:
         if not np.all(np.isfinite(delta)):
             raise NumericalInstabilityError(f"non-finite TD error: {delta}")
         critic_factors = self.critic.backward(critic_cache, {"v": np.ones((self.B, 1))})
-        self.critic.apply_gradients(critic_factors, self.rates.critic * delta, clip_norm=self.rates.grad_clip)
+        self.critic.apply_gradients(critic_factors, CRITIC_RATE * delta, clip_norm=GRAD_CLIP)
         if scored is None:
             self.actor.last_grad_norms = np.zeros(self.B)
             return
@@ -210,5 +194,5 @@ class ActorCriticPool:
         d_mu, d_l = self._density_grads(zeta_raw, actor_cache)
         actor_factors = self.actor.backward(actor_cache, {"mu": d_mu, "lraw": d_l})
         self.actor.apply_gradients(
-            actor_factors, self.rates.actor * delta[agents], clip_norm=self.rates.grad_clip, agents=agents
+            actor_factors, self.actor_rate * delta[agents], clip_norm=GRAD_CLIP, agents=agents
         )

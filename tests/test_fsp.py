@@ -3,22 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from offloadsim.agents import (
     AgentConfig,
-    EtaSchedule,
     FeatureCodec,
     LearnerHyper,
     LearningFleet,
-    LearningRates,
     PassiveFleet,
     utility_per_type,
     utility_total,
     valuation,
 )
-from offloadsim.agents.bidder import BACKOFF_THRESHOLD, MAX_BACKOFF_MS
+from offloadsim.agents.bidder import BACKOFF_THRESHOLD, MAX_BACKOFF_MS, SL_CAPACITY, SL_LR
 from offloadsim.agents.nets import StackedMlp
-from offloadsim.agents.policy import softplus_inv
+from offloadsim.agents.policy import CRITIC_RATE, GRAD_CLIP, softplus_inv
 from offloadsim.auction import FeedbackSignal
 from offloadsim.engine import derive_stream
 
@@ -46,26 +46,46 @@ def pending_one(n=2):
     return [{"F1-300": (3.0, 200.0)} for _ in range(n)]
 
 
+def two_branch_eta(floor, t):
+    """The mixing weight of the former two-branch schedule at its default
+    switch: 1/t through round 100, then never below the floor."""
+    value = 1.0 / max(1, t)
+    if t <= 100:
+        return value
+    return max(value, floor)
+
+
 class TestEtaSchedule:
     def test_first_step_is_pure_best_response(self):
-        assert EtaSchedule().eta(1) == 1.0
+        assert LearnerHyper().eta(1) == 1.0
 
     def test_strict_schedule_vanishes(self):
-        sched = EtaSchedule(floor=0.0)
-        assert sched.eta(10_000) == 1e-4
+        assert LearnerHyper(eta_floor=0.0).eta(10_000) == 1e-4
 
     def test_floor_kicks_in_late(self):
-        sched = EtaSchedule(floor=0.01, floor_after=100)
-        assert sched.eta(50) == 1 / 50
-        assert sched.eta(101) == 0.01
-        assert sched.eta(10_000) == 0.01
+        hyper = LearnerHyper(eta_floor=0.01)
+        assert hyper.eta(50) == 1 / 50
+        assert hyper.eta(100) == 1 / 100
+        assert hyper.eta(101) == 0.01
+        assert hyper.eta(10_000) == 0.01
+
+    def test_floor_of_one_is_pure_best_response_from_the_start(self):
+        assert {LearnerHyper(eta_floor=1.0).eta(t) for t in (1, 2, 100, 101, 10_000)} == {1.0}
+
+    @given(floor=st.floats(0.0, 0.01), t=st.integers(1, 10_000))
+    def test_matches_the_two_branch_schedule(self, floor, t):
+        # for a floor of at most 1/100, 1/t is at least the floor through
+        # round 100, so the former switch at round 100 never mattered
+        eta = LearnerHyper(eta_floor=floor).eta(t)
+        assert eta == two_branch_eta(floor, t)
+        assert 0.0 < eta <= 1.0
 
     def test_mixing_count_tracks_harmonic_sum(self):
         # pure 1/t over T steps: E[best-response choices] = H(T)
         T = 10_000
-        sched = EtaSchedule(floor=0.0)
+        hyper = LearnerHyper(eta_floor=0.0)
         rng = derive_stream(123, "mixing")
-        count = sum(rng.uniform() < sched.eta(t) for t in range(1, T + 1))
+        count = sum(rng.uniform() < hyper.eta(t) for t in range(1, T + 1))
         harmonic = sum(1.0 / t for t in range(1, T + 1))
         variance = sum((1.0 / t) * (1 - 1.0 / t) for t in range(1, T + 1))
         assert abs(count - harmonic) <= 3 * math.sqrt(variance)
@@ -73,18 +93,12 @@ class TestEtaSchedule:
     @pytest.mark.parametrize("floor", [-0.1, 2.0, math.nan])
     def test_floor_outside_unit_interval_rejected(self, floor):
         # 2.0 would give eta 2.0; a NaN floor would be ignored by max()
-        with pytest.raises(ValueError, match="floor"):
-            EtaSchedule(floor=floor)
-
-    @pytest.mark.parametrize("floor_after", [math.nan, -5, 2.5, True])
-    def test_floor_after_must_be_a_count(self, floor_after):
-        # with NaN, t <= floor_after is never true, so the floor would apply from round 1
-        with pytest.raises(ValueError, match="floor_after"):
-            EtaSchedule(floor=0.5, floor_after=floor_after)
+        with pytest.raises(ValueError, match="eta_floor"):
+            LearnerHyper(eta_floor=floor)
 
 
 class TestLearnerHyper:
-    @pytest.mark.parametrize("name", ["sl_capacity", "sl_batch_size", "sl_train_interval"])
+    @pytest.mark.parametrize("name", ["sl_batch_size", "sl_train_interval"])
     @pytest.mark.parametrize("bad", [0, -3, 2.0, 2.5, True])
     def test_memory_sizes_must_be_integers_of_at_least_one(self, name, bad):
         # 0 used to fail later in act: IndexError, or ZeroDivisionError mid-round
@@ -94,40 +108,87 @@ class TestLearnerHyper:
     def test_batch_larger_than_capacity_rejected(self):
         # such a memory could never fill a minibatch, so it never trained
         with pytest.raises(ValueError, match="sl_batch_size"):
-            LearnerHyper(sl_capacity=16, sl_batch_size=17)
-        assert LearnerHyper(sl_capacity=16, sl_batch_size=16).sl_batch_size == 16
+            LearnerHyper(sl_batch_size=SL_CAPACITY + 1)
+        assert LearnerHyper(sl_batch_size=SL_CAPACITY).sl_batch_size == SL_CAPACITY
 
-    @pytest.mark.parametrize("name", ["init_std", "sl_lr", "price_bias_init"])
+    @pytest.mark.parametrize("name", ["init_std", "price_bias_init", "actor_rate"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, name, bad):
         with pytest.raises(ValueError, match=name):
             LearnerHyper(**{name: bad})
 
-    @pytest.mark.parametrize("name", ["init_std", "sl_lr"])
+    @pytest.mark.parametrize("name", ["init_std"])
     @pytest.mark.parametrize("bad", [0.0, -0.5])
     def test_non_positive_scale_rejected(self, name, bad):
         # init_std = 0 used to fail in np.linalg.solve with a singular factor
         with pytest.raises(ValueError, match=name):
             LearnerHyper(**{name: bad})
 
+    def test_negative_actor_rate_rejected(self):
+        # it would step every actor against its policy gradient
+        with pytest.raises(ValueError, match="actor_rate"):
+            LearnerHyper(actor_rate=-1e-4)
+
+    def test_boundary_values_accepted(self):
+        hyper = LearnerHyper(actor_rate=0.0, eta_floor=0.0)
+        assert (hyper.actor_rate, hyper.eta_floor) == (0.0, 0.0)
+        assert LearnerHyper(eta_floor=1.0).eta_floor == 1.0
+
     def test_negative_price_bias_accepted(self):
         assert LearnerHyper(price_bias_init=-2.0).price_bias_init == -2.0
 
+    def test_census_names_every_field(self):
+        assert [fld.name for fld in dataclasses.fields(LearnerHyper)] == [
+            "actor_rate",
+            "eta_floor",
+            "init_std",
+            "price_bias_init",
+            "sl_batch_size",
+            "sl_train_interval",
+        ]
+
     def test_every_setting_reaches_its_consumer(self):
-        # the pools take these values only from LearnerHyper; none may fall back on a default of its own
-        rates = LearningRates(actor=3e-4, critic=2e-3, reward_smoothing=0.9, grad_clip=7.0)
-        hyper = LearnerHyper(rates=rates, init_std=0.8, price_bias_init=-1.5, sl_capacity=40, sl_batch_size=10, sl_lr=4e-3)
+        # the pools take these values only from LearnerHyper or the module
+        # constants; none may fall back on a default of its own. The average
+        # reward's REWARD_SMOOTHING is pinned in test_policy.py.
+        hyper = LearnerHyper(
+            actor_rate=3e-4, eta_floor=0.9, init_std=0.8, price_bias_init=-1.5, sl_batch_size=10, sl_train_interval=3
+        )
         f = fleet(n=3, hyper=hyper)
-        f.act([None] * 3, [{}] * 3, 3, 0.0, 0.0)  # the first learning round draws the critic and behaviour net
+        trained_at = []
+        train_step = f.behavior.train_step
+        f.behavior.train_step = lambda streams: (trained_at.append(f.t), train_step(streams))
+        f.act([None] * 3, pending_one(3), 3, 0.0, 0.0)  # the first learning round draws the critic and behaviour net
         actor = f.pool.actor.params
         assert np.all(actor["b_lraw"][:, f.pool.diag_positions] == softplus_inv(0.8))
         assert np.all(actor["b_mu"][:, f.k :] == -1.5) and np.all(actor["b_mu"][:, : f.k] == 0.0)
-        assert f.pool.rates is hyper.rates
-        memory = f.behavior
-        assert memory.states.shape[:2] == memory.actions.shape[:2] == (40, 3)
-        assert (memory.capacity, memory.batch_size, memory.opt.lr) == (40, 10, 4e-3)
         widths = [actor[f"W{layer}"].shape[2] for layer in range(2)]
         assert widths == [f.pool.critic.params[f"W{layer}"].shape[2] for layer in range(2)] == [64, 32]
+        memory = f.behavior
+        assert memory.states.shape[:2] == memory.actions.shape[:2] == (SL_CAPACITY, 3)
+        assert (memory.capacity, memory.batch_size, memory.opt.lr) == (SL_CAPACITY, 10, SL_LR)
+
+        steps = {}  # per net, the step sizes and clip norm of its one step in the next round
+        for name, net in (("critic", f.pool.critic), ("actor", f.pool.actor)):
+
+            def recorded(factors, step_size, clip_norm, agents=slice(None), name=name, apply=net.apply_gradients):
+                steps[name] = (step_size.copy(), clip_norm)
+                return apply(factors, step_size, clip_norm, agents)
+
+            net.apply_gradients = recorded
+        deltas = []
+        update = f.pool.update
+        f.pool.update = lambda delta, cache, scored=None: (deltas.append(delta.copy()), update(delta, cache, scored))
+        f.act([None] * 3, [{}] * 3, 3, 0.0, 0.0)  # scores round 1, where every coin picked the actor (eta 1)
+        (delta,) = deltas
+        assert np.array_equal(steps["critic"][0], CRITIC_RATE * delta)
+        assert np.array_equal(steps["actor"][0], 3e-4 * delta)
+        assert steps["critic"][1] == steps["actor"][1] == GRAD_CLIP
+        for _ in range(5):
+            f.act([None] * 3, [{}] * 3, 3, 0.0, 0.0)
+        assert trained_at == [3, 6]
+        f.freeze()  # at t = 8, where 1/t is below the floor
+        assert f.frozen_eta == 0.9
 
 
 class TestAgentConfig:
@@ -169,6 +230,12 @@ class TestAgentConfig:
         seen = self.observed(base)
         assert self.observed(base) == seen  # so a difference below is the field's
         assert self.observed(dataclasses.replace(base, **{name: self.CHANGED[name]})) != seen
+
+
+# by test id, the (work, deadline) of a pending request the fleet refuses
+BAD_REQUESTS = {f"work-{work}": (work, 9.0) for work in (math.nan, math.inf, 0.0, -1.0)} | {
+    f"deadline-{deadline}": (1.0, deadline) for deadline in (math.nan, math.inf, -1.0)
+}
 
 
 class TestLearningFleet:
@@ -367,6 +434,10 @@ class TestLearningFleet:
                 pending_one(),
                 r"m1 has feedback types the codec does not know: \['Z'\]",
             ),
+            *[
+                ([None, None], [pending_one(1)[0], {"F1-50": request}], r"agent m1 has pending type F1-50 with work")
+                for request in BAD_REQUESTS.values()
+            ],
         ],
         ids=[
             "extra-pending",
@@ -375,6 +446,7 @@ class TestLearningFleet:
             "unknown-type",
             "unknown-type-later",
             "unknown-price",
+            *BAD_REQUESTS,
         ],
     )
     def test_refused_round_draws_and_writes_nothing(self, feedbacks, pending, match):
@@ -459,8 +531,8 @@ class TestDecidingAgentsOnly:
         # decided last round and executed its own sample, the one scored now
         n, seed = 5, 21
         cfgs = configs(n)
-        eta_mixed = EtaSchedule(floor=0.5, floor_after=2)  # both branches, every round
-        hyper = LearnerHyper(sl_batch_size=4, sl_train_interval=3, eta=eta_mixed)
+        # eta 1 in round 1, then 0.5: both branches, every round
+        hyper = LearnerHyper(sl_batch_size=4, sl_train_interval=3, eta_floor=0.5)
         f = LearningFleet(cfgs, codec(), root_seed=seed, hyper=hyper)
         streams = [derive_stream(seed, f"agent/{c.bidder_id}/act") for c in cfgs]  # replicas: noise, then coin
         rng = derive_stream(22, "pending")
@@ -488,7 +560,7 @@ class TestDecidingAgentsOnly:
         for r in range(40):
             pending = mixed_pending(rng, r, n)
             deciding = [b for b in range(n) if pending[b]]
-            eta = f.hyper.eta.eta(f.t)
+            eta = f.hyper.eta(f.t)
             coins = []
             for s in streams:
                 s.standard_normal(f.action_dim)
@@ -711,7 +783,7 @@ class TestLazyDraws:
         for r in range(80):
             if r == 40:
                 frozen.freeze()
-                kept.frozen_eta = kept.hyper.eta.eta(kept.t)
+                kept.frozen_eta = kept.hyper.eta(kept.t)
                 kept._prev = None
             pending = mixed_pending(rng, r, n)
             directives = [f.act(fb, pending, n, 0.3, (r % 10) / 10) for f, fb in zip((frozen, kept), feedback)]

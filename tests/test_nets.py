@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from offloadsim.agents import ActorCriticPool, LearningRates, NumericalInstabilityError, StackedMlp
+from offloadsim.agents import ActorCriticPool, NumericalInstabilityError, StackedMlp
 from offloadsim.engine import derive_stream
 
 INPUT_DIM = 6
@@ -190,7 +190,7 @@ class TestApplyGradients:
             streams,
             input_dim=INPUT_DIM,
             action_dim=2,
-            rates=LearningRates(),
+            actor_rate=1e-4,
             init_std=0.5,
             hidden=HIDDEN,
         )
