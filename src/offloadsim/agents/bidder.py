@@ -30,9 +30,10 @@ stages:
    each deadline finite and >= 0. The pass notes each such agent's
    request and last prices. Idle agents' rewards are written in bulk
    (`utility_total` over the fleet's weights), the same arithmetic per
-   element. Only then does each agent draw, in a pass of its own: the
-   noise vector straight into its row of the round's noise array, then
-   the eta coin. One `FeatureCodec.encode` call writes every agent's new
+   element. Only then does each agent draw, in a pass of its own and one
+   `RngStream.normals_then_uniform` call per agent: the noise vector
+   straight into its row of the round's noise array, then the eta coin.
+   One `FeatureCodec.encode` call writes every agent's new
    step into a fresh array, which is copied into the window.
 2. The batched learner step. While learning, `ActorCriticPool.td_step`
    first steps every agent's critic on last round's transition, and the
@@ -293,11 +294,8 @@ class LearningFleet:
                 utilities[b] = utility_total(terms, beta, config.utilization_weight)
                 active.append((b, requests, prices))
         noise = np.empty((self.B, self.action_dim))
-        coins = np.empty(self.B)
-        for b, stream in enumerate(self.act_streams):
-            stream.standard_normal(out=noise[b])
-            coins[b] = stream.uniform()
-        use_rl = coins < eta
+        coins = [stream.normals_then_uniform(row) for stream, row in zip(self.act_streams, noise)]
+        use_rl = np.array(coins) < eta
         steps = np.empty((self.B, self.codec.step_dim))
         self.codec.encode(steps, (float(n_present), beta, phase), utilities, active)
         window = self.codec.window

@@ -17,7 +17,9 @@ optimizer (`AdamState`) builds dense gradients with `dense_gradients`.
 
 A pass may run for a subset of the agents (`forward`'s `agents`, which
 the cache records), and `backward` and `apply_gradients` then read and
-step only those agents. The actor's pass holds only the agents that
+step only those agents. For an index list `forward` copies no weight: it
+runs one matmul per agent and layer on a view of that agent's weights,
+while a slice runs each layer as one batched matmul. The actor's pass holds only the agents that
 executed its sample (see `ActorCriticPool.update`), so every row given to
 `apply_gradients` is meant to step. The input layer W0 is fed by the
 caller's input, a zero-padded window that is mostly 0.0, so its weight step
@@ -99,30 +101,48 @@ class StackedMlp:
     # Inputs may be (B, input_dim) for one sample per agent,
     # (B, n, input_dim) for per-agent minibatches, or (B, m, n, input_dim)
     # for m such inputs per agent through the same weights; outputs match.
-    # `agents` selects whose networks run: row r of x then belongs to agent
-    # agents[r], and only those agents' weights are read. The cache records
-    # `agents`, so `backward` reads the same agents' weights.
+    # `agents` selects whose networks run: a slice, or an index list or
+    # array, in any order. Row r of x then belongs to agent agents[r], and
+    # only those agents' weights are read. The cache records `agents`, so
+    # `backward` reads the same agents' weights.
 
     def forward(self, x: np.ndarray, agents=slice(None)) -> tuple[dict[str, np.ndarray], dict]:
         squeeze = x.ndim == 2
         if squeeze:
             x = x[:, None, :]
-        # Each agent's weights broadcast over a stacked-input axis, so matmul
-        # makes the same (n, in) @ (in, out) product per agent and input as
-        # a pass over that input alone, while the agent's weights are hot.
-        # The product of one agent is the same whichever agents run with it.
-        agent = (agents,) + (None,) * (x.ndim - 3)
         acts = [x]
         h = x
         for layer in range(len(self.hidden)):
-            z = np.matmul(h, self.params[f"W{layer}"][agent]) + self.params[f"b{layer}"][agent][..., None, :]
-            h = np.tanh(z)
+            h = np.tanh(self._affine(h, str(layer), agents))
             acts.append(h)
         outputs = {}
         for name in self.head_names:
-            y = np.matmul(h, self.params[f"W_{name}"][agent]) + self.params[f"b_{name}"][agent][..., None, :]
+            y = self._affine(h, f"_{name}", agents)
             outputs[name] = y[:, 0, :] if squeeze else y
         return outputs, {"acts": acts, "squeeze": squeeze, "agents": agents}
+
+    def _affine(self, h: np.ndarray, suffix: str, agents) -> np.ndarray:
+        """h @ W + b for the weight "W<suffix>" and bias "b<suffix>", row r
+        of h (k, n, in) or (k, m, n, in) for agent agents[r].
+
+        Each agent's weights broadcast over a stacked-input axis, so matmul
+        makes the same (n, in) @ (in, out) product per agent and input as a
+        pass over that input alone, while the agent's weights are hot. A
+        slice runs as one batched matmul on a view of the weights. For an
+        index list, each agent's product runs on a view of its own weights
+        into its row of the result, so no weight is copied. The product of
+        one agent is the same whichever agents run with it.
+        """
+        w, b = self.params["W" + suffix], self.params["b" + suffix]
+        agent = (agents,) + (None,) * (h.ndim - 3)
+        if isinstance(agents, slice):
+            z = np.matmul(h, w[agent])
+        else:
+            z = np.empty(h.shape[:-1] + w.shape[-1:])
+            for r, a in enumerate(agents):
+                np.matmul(h[r], w[a], out=z[r])
+        z += b[agent][..., None, :]
+        return z
 
     @staticmethod
     def input_cache(cache: dict, index: int) -> dict:

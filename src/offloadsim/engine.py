@@ -111,12 +111,18 @@ class RngStream:
     # the rest count a draw once numpy has taken its arguments, so a call it
     # refuses leaves the counter as it was
 
-    def standard_normal(self, size=None, out=None):
-        """A float64 array of standard normals; with `out`, written into it
-        and returned."""
-        draws = self._gen.standard_normal(size, out=out)
+    def standard_normal(self, size=None):
+        draws = self._gen.standard_normal(size)
         self.draw_counter += 1
         return draws
+
+    def normals_then_uniform(self, out: np.ndarray) -> float:
+        """Standard normals written into the float64 array `out`, then one
+        uniform in [0, 1): the two draws of `standard_normal(out.shape)` and
+        `uniform()`, in that order, in one call."""
+        self._gen.standard_normal(out=out)
+        self.draw_counter += 2
+        return self._gen.random()
 
     def integers(self, low, high):
         value = int(self._gen.integers(low, high))

@@ -205,17 +205,23 @@ def test_normal_is_generator_normal_bit_for_bit(loc, scale):
     assert s.draw_counter == 10_000
 
 
-def test_standard_normal_out_is_generator_standard_normal_bit_for_bit():
-    # drawn into rows of one array, as the learning fleet draws its noise
+def test_normals_then_uniform_is_standard_normal_then_uniform_bit_for_bit():
+    # drawn into rows of one array, as the learning fleet draws each agent's
+    # noise and then its eta coin; the twin draws the same two per row
     s = derive_stream(5, "draws")
-    ref = twin_generator(s)
+    twin = derive_stream(5, "draws")
     got = np.empty((1000, 4))
-    for row in got:
-        assert s.standard_normal(out=row) is row
-    want = np.stack([ref.standard_normal(4) for _ in range(1000)])
+    coins = [s.normals_then_uniform(row) for row in got]
+    want = np.empty_like(got)
+    want_coins = []
+    for row in want:
+        row[:] = twin.standard_normal(4)
+        want_coins.append(twin.uniform())
     assert got.tobytes() == want.tobytes()
-    assert s.draw_counter == 1000
-    assert s.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
+    assert np.array(coins).tobytes() == np.array(want_coins).tobytes()
+    assert all(type(coin) is float for coin in coins)
+    assert s.draw_counter == twin.draw_counter == 2000
+    assert s.standard_normal(4).tobytes() == twin.standard_normal(4).tobytes()
 
 
 @pytest.mark.parametrize("scale", [1.0, 33.3, 0.004, 1e-9, 0.0])
@@ -241,10 +247,14 @@ def test_draw_arguments_checked_before_drawing():
     # numpy's own refusals
     with pytest.raises(ValueError):
         s.standard_normal(-1)
-    with pytest.raises(ValueError):
-        s.standard_normal(3, out=np.empty(4))
+    # a row that is not one float64 block: the wrong dtype, a strided row
+    # (each other entry of a longer one) and a column of a matrix
     with pytest.raises(TypeError):
-        s.standard_normal(out=np.empty(3, dtype=np.float32))
+        s.normals_then_uniform(np.empty(3, dtype=np.float32))
+    with pytest.raises(ValueError):
+        s.normals_then_uniform(np.empty(8)[::2])
+    with pytest.raises(ValueError):
+        s.normals_then_uniform(np.empty((3, 4))[:, 0])
     with pytest.raises(ValueError):
         s.integers(5, 5)
     with pytest.raises(ValueError):

@@ -68,6 +68,31 @@ def head_grads_for(rng, n_agents, n=None):
     return {h: rng.standard_normal((*shape, spec[0])) for h, spec in HEADS.items()}
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3), (2, 1)], ids=["2-D", "3-D", "4-D", "4-D one sample"])
+@pytest.mark.parametrize(
+    "agents", [[4, 0, 2], [3], np.array([1, 3]), np.array([2, 4, 1, 0, 3])], ids=["list", "one", "array", "all"]
+)
+def test_subset_forward_is_the_full_passes_rows_bit_for_bit(lead, agents):
+    # a subset reads each agent's weights in place, one matmul per agent and
+    # layer; the full pass runs each layer as one batched matmul
+    net = make_net(5, seed=21)
+    x = derive_stream(22, "x").standard_normal((5, *lead, INPUT_DIM))
+    full, full_cache = net.forward(x)
+    sub, sub_cache = net.forward(x[agents], agents)
+    assert sub.keys() == full.keys() == HEADS.keys()
+    for name in HEADS:
+        assert same_bits(sub[name], full[name][agents]), name
+    assert len(sub_cache["acts"]) == len(full_cache["acts"]) == len(HIDDEN) + 1
+    for layer, (s, f) in enumerate(zip(sub_cache["acts"], full_cache["acts"])):
+        assert same_bits(s, f[agents]), layer
+    assert sub_cache["squeeze"] == full_cache["squeeze"] == (lead == ())
+    assert sub_cache["agents"] is agents
+
+
 class TestApplyGradients:
     def test_matches_dense_reference(self):
         net = make_net(3, seed=4)
