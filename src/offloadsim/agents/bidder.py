@@ -33,8 +33,8 @@ stages:
    element. Only then does each agent draw, in a pass of its own and one
    `RngStream.normals_then_uniform` call per agent: the noise vector
    straight into its row of the round's noise array, then the eta coin.
-   One `FeatureCodec.encode` call writes every agent's new
-   step into a fresh array, which is copied into the window.
+   One `FeatureCodec.encode` call writes every agent's new step into a
+   fresh array, which is copied into the window.
 2. The batched learner step. While learning, `ActorCriticPool.td_step`
    first steps every agent's critic on last round's transition, and the
    actor of each agent that executed its own sample last round. Then each

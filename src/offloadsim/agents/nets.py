@@ -15,18 +15,19 @@ x dz^T, and `apply_gradients` uses the per-example identity
 clip norm and adds the clipped step as a rank-1 update. The minibatch
 optimizer (`AdamState`) builds dense gradients with `dense_gradients`.
 
-A pass may run for a subset of the agents (`forward`'s `agents`, which
-the cache records), and `backward` and `apply_gradients` then read and
-step only those agents. For an index list `forward` copies no weight: it
-runs one matmul per agent and layer on a view of that agent's weights,
-while a slice runs each layer as one batched matmul. The actor's pass holds only the agents that
-executed its sample (see `ActorCriticPool.update`), so every row given to
-`apply_gradients` is meant to step. The input layer W0 is fed by the
-caller's input, a zero-padded window that is mostly 0.0, so its weight step
-is added only at the (agent, input row) pairs where s x_i is nonzero. Every
-deeper layer and head is fed by tanh activations, which are almost never
-exactly zero, so its weight step is added densely over the given agents,
-as one (agent, in, out) outer product of s x and dz; the biases too.
+A pass may run for a subset of the agents (`forward`'s `agents`, which the
+cache records), and `backward` and `apply_gradients` then read and step
+only those agents. For an index list `forward` copies no weight: it runs
+one matmul per agent and layer on a view of that agent's weights, while a
+slice runs each layer as one batched matmul. The actor's pass holds only
+the agents that executed its sample (see `ActorCriticPool.update`), so
+every row given to `apply_gradients` is meant to step. The input layer W0
+is fed by the caller's input, a zero-padded window that is mostly 0.0, so
+its weight step is added only at the (agent, input row) pairs where s x_i
+is nonzero. Every deeper layer and head is fed by tanh activations, which
+are almost never exactly zero, so its weight step is added densely over
+the given agents, as one (agent, in, out) outer product of s x and dz; the
+biases too.
 
 Both are bit-identical to the dense step over every agent and row. The
 added entries are the same two products, s x_i first, then times dz_j.

@@ -119,7 +119,8 @@ class RngStream:
     def normals_then_uniform(self, out: np.ndarray) -> float:
         """Standard normals written into the float64 array `out`, then one
         uniform in [0, 1): the two draws of `standard_normal(out.shape)` and
-        `uniform()`, in that order, in one call."""
+        `uniform()`, in that order, in one call. `Generator.random()` is
+        `uniform()`'s draw, since its affine map is the identity on [0, 1)."""
         self._gen.standard_normal(out=out)
         self.draw_counter += 2
         return self._gen.random()
