@@ -346,11 +346,14 @@ class LearningFleet:
     def _fractions(self, zeta_raw: np.ndarray, budgets: np.ndarray) -> np.ndarray:
         """Executed fractions of raw samples (n, 2K) of agents with budgets
         (n,): a sigmoid on each backoff component, and each price clipped to
-        [0, budget] and then divided by the budget."""
+        [0, budget] and then divided by the budget. The clip is spelled
+        minimum(maximum(z, 0.0), budget), bit-identical to np.clip and
+        cheaper with a broadcast budget column; maximum(z, 0.0), not
+        maximum(0.0, z), so that -0.0 clips to +0.0 as np.clip does."""
         budgets = budgets[:, None]
         out = np.empty_like(zeta_raw)
         out[:, : self.k] = sigmoid(zeta_raw[:, : self.k])
-        out[:, self.k :] = np.clip(zeta_raw[:, self.k :], 0.0, budgets) / budgets
+        out[:, self.k :] = np.minimum(np.maximum(zeta_raw[:, self.k :], 0.0), budgets) / budgets
         return out
 
     def _directives(self, fractions, deciding, pending) -> list[dict[str, tuple]]:

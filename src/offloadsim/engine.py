@@ -6,6 +6,14 @@ Time is an integer count of milliseconds. Events dequeue in (time, seq)
 order, where seq is the insertion counter, so replays are bit-identical
 for a fixed configuration and root seed.
 
+The queue is bucketed by time, a calendar queue keyed by the integer-ms
+clock (Brown, "Calendar queues", CACM 31(10), 1988): a dict maps each
+pending time to a list of its events, and a heap holds the distinct times.
+Many events share a millisecond, so the heap work is paid per distinct
+time, not per event. The order is still (time, seq): the heap yields the
+times in order, and seq rises with every schedule call, so appending keeps
+each list in seq order.
+
 `EventKind` hashes by identity. `Enum.__hash__` hashes the member name in
 Python code, and the handler lookup of every dispatched event paid for it.
 Enum members are singletons, so identity is equality for them, and member
@@ -198,12 +206,20 @@ class Simulator:
     Handlers are registered per event kind and invoked in strict (time, seq)
     order. The loop records nothing itself: handlers add the effect rows a
     run keeps via sim.trace.record.
+
+    `run_until` dispatches the earliest time's list in place. An event that
+    a handler schedules at the current time joins the end of that list and
+    runs in the same call; one at a later time gets its own list. If a
+    handler raises, the raising event and every event dispatched before it
+    are gone, the rest stay queued, and `clock` is the raising event's time,
+    so the next `run_until` goes on with the event after it.
     """
 
     def __init__(self, trace: Optional[TraceRecorder] = None):
         self.clock: SimTime = 0
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        self._heap: list[tuple[int, int, Event]] = []
+        self._buckets: dict[SimTime, list[Event]] = {}  # pending events of each time, in seq order
+        self._times: list[SimTime] = []  # heap of the keys of _buckets
         self._seq = 0
         self._handlers: dict[EventKind, Callable[["Simulator", Event], None]] = {}
         self._last_key = (-1, -1)
@@ -212,25 +228,40 @@ class Simulator:
         self._handlers[kind] = handler
 
     def schedule(self, time: SimTime, kind: EventKind, **payload) -> Event:
+        event = Event(time, kind, payload, self._seq)  # refuses a bad time or kind first
         if time < self.clock:
             raise PastEventError(f"cannot schedule {kind.value} at t={time} before clock t={self.clock}")
-        event = Event(time, kind, payload, self._seq)
         self._seq += 1
-        heapq.heappush(self._heap, (event.time, event.seq, event))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [event]
+            heapq.heappush(self._times, time)
+        else:
+            bucket.append(event)
         return event
 
     def run_until(self, t_end: SimTime):
         """Process all events with time <= t_end in order; clock ends at t_end."""
+        if type(t_end) is not int:  # a bool is not a time
+            raise ValueError(f"t_end must be an int, got {t_end!r}")
         if t_end < self.clock:
             raise PastEventError(f"t_end={t_end} is before clock t={self.clock}")
-        heap, handlers = self._heap, self._handlers
-        while heap and heap[0][0] <= t_end:
-            time, seq, event = heapq.heappop(heap)
-            key = (time, seq)
-            assert key > self._last_key, f"event order violated: {key} after {self._last_key}"
-            self._last_key = key
+        times, buckets, handlers = self._times, self._buckets, self._handlers
+        while times and times[0] <= t_end:
+            time = times[0]
+            bucket = buckets[time]
             self.clock = time
-            handler = handlers.get(event.kind)
-            if handler is not None:
-                handler(self, event)
+            try:
+                for event in bucket:  # sees the events handlers append to it
+                    key = (time, event.seq)
+                    assert key > self._last_key, f"event order violated: {key} after {self._last_key}"
+                    self._last_key = key
+                    handler = handlers.get(event.kind)
+                    if handler is not None:
+                        handler(self, event)
+            except BaseException:
+                del bucket[: bucket.index(event) + 1]
+                raise
+            heapq.heappop(times)
+            del buckets[time]
         self.clock = t_end

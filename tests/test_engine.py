@@ -59,6 +59,110 @@ def test_schedule_rejects_non_integer_time():
     assert seen == []
 
 
+def test_schedule_refuses_a_bad_kind_before_the_past_check():
+    sim = Simulator()
+    seen = collect(sim)
+    sim.run_until(4)
+    with pytest.raises(ValueError, match="kind") as refused:
+        sim.schedule(2, "ServiceArrival")
+    assert type(refused.value) is ValueError  # not the PastEventError of a valid event
+    after = sim.schedule(5, EventKind.SERVICE_ARRIVAL)
+    assert after.seq == 0  # the refused call took no seq
+    sim.run_until(10)
+    assert seen == [(5, 0, EventKind.SERVICE_ARRIVAL)]
+
+
+@pytest.mark.parametrize("time", [None, "3", 3.0, True, -1])
+def test_schedule_refuses_a_time_that_is_not_a_non_negative_int(time):
+    sim = Simulator()
+    seen = collect(sim)
+    with pytest.raises(ValueError, match="time"):
+        sim.schedule(time, EventKind.SERVICE_ARRIVAL)
+    assert sim.schedule(3, EventKind.SERVICE_ARRIVAL).seq == 0
+    sim.run_until(10)
+    assert seen == [(3, 0, EventKind.SERVICE_ARRIVAL)]
+
+
+@pytest.mark.parametrize("t_end", [5.5, 6.0, True, None, "6"])
+def test_run_until_refuses_an_end_that_is_not_an_int(t_end):
+    sim = Simulator()
+    seen = collect(sim)
+    sim.schedule(3, EventKind.SERVICE_ARRIVAL)
+    sim.run_until(2)
+    with pytest.raises(ValueError, match="t_end"):
+        sim.run_until(t_end)
+    assert sim.clock == 2 and seen == []  # neither the clock nor the queue moved
+    sim.run_until(6)
+    assert sim.clock == 6 and [t for t, _, _ in seen] == [3]
+
+
+def test_a_raising_handler_leaves_the_rest_queued():
+    sim = Simulator()
+    seen = []
+
+    def handler(s, e):
+        seen.append(e.payload["tag"])
+        if e.payload["tag"] == "b":
+            raise RuntimeError("handler failed")
+
+    sim.on(EventKind.SERVICE_ARRIVAL, handler)
+    for tag in "abc":
+        sim.schedule(7, EventKind.SERVICE_ARRIVAL, tag=tag)
+    sim.schedule(9, EventKind.SERVICE_ARRIVAL, tag="d")
+    with pytest.raises(RuntimeError):
+        sim.run_until(10)
+    assert sim.clock == 7
+    assert seen == ["a", "b"]
+    sim.run_until(10)
+    assert seen == ["a", "b", "c", "d"]
+    assert sim.clock == 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    initial=st.lists(st.integers(0, 12), max_size=25),
+    cascade=st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=40),
+    calls=st.lists(
+        st.tuples(st.integers(0, 6), st.lists(st.integers(0, 3), max_size=3)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_dispatch_order_is_sorted_time_seq_across_calls(initial, cascade, calls):
+    # Handlers schedule at the current time and later; between calls events
+    # are scheduled at the clock and later. After each run_until(t) the
+    # dispatched keys are every scheduled key with time <= t, sorted, where
+    # a key is (time, the count of schedule calls before it).
+    sim = Simulator()
+    kinds = list(EventKind)
+    keys, dispatched = [], []
+
+    def schedule(time):
+        event = sim.schedule(time, kinds[len(keys) % len(kinds)])
+        assert event.seq == len(keys)
+        keys.append((time, len(keys)))
+
+    def handler(s, e):
+        assert s.clock == e.time
+        dispatched.append((e.time, e.seq))
+        i = len(dispatched) - 1
+        for offset in cascade[i] if i < len(cascade) else ():
+            schedule(s.clock + offset)
+
+    for kind in kinds:
+        sim.on(kind, handler)
+    for time in initial:
+        schedule(time)
+    t_end = 0
+    for step, offsets in calls:
+        t_end += step
+        sim.run_until(t_end)
+        assert sim.clock == t_end
+        assert dispatched == sorted(key for key in keys if key[0] <= t_end)
+        for offset in offsets:
+            schedule(t_end + offset)
+
+
 def test_run_until_empty_queue_advances_clock():
     sim = Simulator(trace=TraceRecorder())
     sim.run_until(100)

@@ -810,6 +810,32 @@ class TestActionMap:
         assert out[1, 2] == 0.25
         assert out[1, 3] == 1.0
 
+    def test_price_clip_is_np_clip_bit_for_bit(self):
+        # every price column against np.clip(z, 0, budget) / budget, sign bit
+        # and NaN included: -0.0 must clip to +0.0, as np.clip clips it
+        f = fleet()
+        k = f.k
+        tiny = np.finfo(float).smallest_subnormal
+        budgets = np.array([80.0, 80.0, 80.0, 80.0, 3.5, 3.5, 1e-300, tiny])
+        prices = np.array(
+            [
+                [-0.0, 0.0],
+                [-1.0, -tiny],
+                [80.0, 80.0000001],
+                [500.0, tiny],
+                [3.5, np.nextafter(3.5, 0.0)],
+                [np.inf, -np.inf],
+                [np.nan, 1e-300],
+                [tiny, 2 * tiny],
+            ]
+        )
+        raw = np.hstack([np.zeros((len(budgets), k)), prices])
+        out = f._fractions(raw, budgets)
+        column = budgets[:, None]
+        want = np.clip(prices, 0.0, column) / column
+        assert out[:, k:].tobytes() == want.tobytes()
+        assert not np.signbit(out[0, k])
+
 
 class TestBackoffSemantics:
     def test_backoff_duration_linear_in_component(self):
