@@ -25,7 +25,8 @@ stages:
 
 1. One pass over every agent checks the input and scores last round's
    actions of each agent that is not idle: there must be one feedback and
-   one pending entry per agent, the codec must know every pending and
+   one pending entry per agent, the bidder count finite and >= 0, the
+   round phase in [0, 1), the codec must know every pending and
    feedback price type, and each pending work must be finite and > 0 and
    each deadline finite and >= 0. The pass notes each such agent's
    request and last prices. Idle agents' rewards are written in bulk
@@ -227,7 +228,10 @@ class LearningFleet:
         """Stop all learning; keep acting with the mixing weight fixed at its
         current value. Drops what acting never reads: the critic, the
         behaviour memory and its Adam moments. The behaviour net stays, for
-        the behavioural predictions of a mixing weight below 1."""
+        the behavioural predictions of a mixing weight below 1. A fleet
+        frozen already keeps the weight it was frozen with."""
+        if self.frozen_eta is not None:
+            return
         self.frozen_eta = self.hyper.eta(self.t)
         self._prev = None  # no TD step will score it
         self._release_training()
@@ -262,6 +266,10 @@ class LearningFleet:
         {type: ("submit", price) | ("backoff", duration_ms)} for pending types."""
         # 1. check the input, score the agents that are not idle, draw for all, then encode
         _require_one_per_agent(self.B, feedbacks, pending)
+        if not 0 <= n_present < math.inf:
+            raise ValueError(f"n_present must be finite and >= 0, got {n_present}")
+        if not 0.0 <= phase < 1.0:
+            raise ValueError(f"phase must be in [0, 1), got {phase}")
         learning = self.frozen_eta is None
         eta = self.hyper.eta(self.t) if learning else self.frozen_eta
         known = self.codec.index.keys()

@@ -67,7 +67,7 @@ class FeatureCodec:
         env: tuple[float, float, float],
         utilities: np.ndarray,
         active: Iterable[tuple[int, Mapping[str, tuple[float, float]], Mapping[str, float]]],
-    ) -> np.ndarray:
+    ):
         """Write the step of every row of out (n, step_dim): env is (bidder
         count, beta, phase in [0,1)), utilities (n,) the previous round's
         rewards. Rows without an entry in active get no request and no
@@ -92,4 +92,3 @@ class FeatureCodec:
                 i = self.index[type_id]
                 step[3 * k + i] = price / self.price_max
                 step[4 * k + i] = 1.0
-        return out

@@ -23,11 +23,12 @@ slice runs each layer as one batched matmul. The actor's pass holds only
 the agents that executed its sample (see `ActorCriticPool.update`), so
 every row given to `apply_gradients` is meant to step. The input layer W0
 is fed by the caller's input, a zero-padded window that is mostly 0.0, so
-its weight step is added only at the (agent, input row) pairs where s x_i
-is nonzero. Every deeper layer and head is fed by tanh activations, which
-are almost never exactly zero, so its weight step is added densely over
-the given agents, as one (agent, in, out) outer product of s x and dz; the
-biases too.
+its weight step is one indexed add at the (agent, input row) pairs where
+s x_i is nonzero, w[a, i] += (s x_i) dz, which steps the weights in place
+whatever their memory layout. Every deeper layer and head is fed by tanh
+activations, which are almost never exactly zero, so its weight step is
+added densely over the given agents, as one (agent, in, out) outer
+product of s x and dz; the biases too.
 
 Both are bit-identical to the dense step over every agent and row. The
 added entries are the same two products, s x_i first, then times dz_j.
@@ -232,15 +233,12 @@ class StackedMlp:
             sx = s * x
             w = self.params[w_name]
             if w_name == "W0":  # the caller's input, mostly zero padding
-                n_in = sx.shape[1]
-                k = np.flatnonzero(sx)  # entry k of sx is factor row k // n_in, input row k % n_in
-                r = k // n_in
-                rank1 = dz[r]
-                rank1 *= sx.ravel()[k, None]
-                rows = w.reshape(-1, w.shape[-1])  # row a * n_in + i is agent a's input row i
-                rows[k + (ids[r] - r) * n_in] += rank1
-                if not np.may_share_memory(rows, w):  # a layout the reshape had to copy
-                    w[...] = rows.reshape(w.shape)
+                # the nonzero entries (r, i) of sx, factor row r being agent
+                # ids[r]; flatnonzero and divmod cost less than a 2-D nonzero
+                r, i = np.divmod(np.flatnonzero(sx), sx.shape[1])
+                step = dz[r]
+                step *= sx[r, i, None]  # in place: one (nonzero, out) temporary fewer
+                w[ids[r], i] += step
             else:  # tanh activations, dense
                 w[agents] += np.einsum("bi,bj->bij", sx, dz)
             self.params["b" + w_name[1:]][agents] += s * dz

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine import left_sum
+
 
 @dataclass
 class AgentConfig:
@@ -82,9 +84,9 @@ def utility_per_type(x, v, p, c, q, submitted: bool):
 
 
 def utility_total(per_type_utilities, beta: float, w):
-    """Round utility: sum over types plus w * (1 - beta). With no terms and
-    a (B,) array w it gives B agents' utilities of an idle round, by the
-    same two operations per element."""
+    """Round utility: the per-type terms added left to right, plus
+    w * (1 - beta). With no terms and a (B,) array w it gives B agents'
+    utilities of an idle round, by the same two operations per element."""
     if not (0.0 <= beta <= 1.0):
         raise ValueError("beta must be in [0,1]")
-    return sum(per_type_utilities) + w * (1.0 - beta)
+    return left_sum(per_type_utilities) + w * (1.0 - beta)

@@ -100,15 +100,14 @@ def clear_auction(
         threshold = prices[n - 1]
         outright = [b for b in type_bids if b.price > threshold]
         tied = [b for b in type_bids if b.price == threshold]
-        remaining = n - len(outright)
+        remaining = n - len(outright)  # > 0: at most n - 1 prices lie above prices[n - 1]
         chosen = set(b.bidder_id for b in outright)
-        if remaining > 0:
-            if len(tied) > remaining:
-                order = rng.permutation(len(tied))
-                for i in order[:remaining]:
-                    chosen.add(tied[int(i)].bidder_id)
-            else:
-                chosen.update(b.bidder_id for b in tied)
+        if len(tied) > remaining:
+            order = rng.permutation(len(tied))
+            for i in order[:remaining]:
+                chosen.add(tied[int(i)].bidder_id)
+        else:
+            chosen.update(b.bidder_id for b in tied)
         winners[service_type] = chosen
 
     if roster is None:

@@ -186,7 +186,7 @@ def _expected_round_utilities(game: StaticGame, actions) -> list[float]:
             for i, _ in submitted:
                 win_prob[i, j] = 1.0
             continue
-        payment[j] = prices[n] if n < len(prices) else 0.0
+        payment[j] = prices[n]
         if n == 0:
             continue
         boundary = prices[n - 1]
@@ -473,7 +473,6 @@ def pareto_fairness_check(
     rule_assign = np.asarray(rule.allocates_to_first(v1, v2))
     achieved, achieved_ratio = _allocation_stats(rule_assign, omega1, omega2)
     degenerate = math.isnan(achieved_ratio)
-    target = rule.gamma if not degenerate else math.nan
 
     slopes = np.linspace(0.25, 4.0, SLOPE_GRID)
     spread = max(v2.max() - v2.min(), v1.max() - v1.min(), 1.0)
@@ -492,7 +491,7 @@ def pareto_fairness_check(
             continue
         if math.isnan(ratio):
             continue
-        if abs(ratio - target) <= ratio_tol * max(1.0, abs(target)):
+        if abs(ratio - rule.gamma) <= ratio_tol * max(1.0, abs(rule.gamma)):
             feasible += 1
             best = max(best, w)
     if feasible == 0:

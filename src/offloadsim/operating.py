@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .auction import AuctionOutcome, Bid, clear_auction
-from .engine import RngStream, SimTime, require_count
+from .engine import RngStream, SimTime, left_sum, require_count
 
 
 @dataclass
@@ -48,10 +48,8 @@ class ExecutionJob:
     service_type: str
     task_units: tuple[float, ...]  # nominal per-task work
     deadline_abs: SimTime
-    started_at: Optional[SimTime] = None
     completes_at: Optional[SimTime] = None
     observed_units: float = 0.0
-    done: bool = False
 
 
 class ComputingSite:
@@ -107,8 +105,12 @@ class ComputingSite:
         return self.busy_units / self.capacity
 
     def accept(self, job: ExecutionJob, now: SimTime) -> list[ExecutionJob]:
-        """Take on an admitted request; returns jobs that started right away."""
-        self.queue[job.request_key] = job
+        """Take on an admitted request; returns jobs that started right away.
+        A request key the site already holds, queued or running, is refused."""
+        key = job.request_key
+        if key in self.queue or key in self.running:
+            raise ValueError(f"site {self.site_id} already holds request {key!r}")
+        self.queue[key] = job
         return self._fill_servers(now)
 
     def _fill_servers(self, now: SimTime) -> list[ExecutionJob]:
@@ -128,7 +130,6 @@ class ComputingSite:
                 actual *= max(0.05, 1.0 + self.rng.normal(0.0, self.sigma_work))
             observed += actual
             total += max(1, math.ceil(actual))
-        job.started_at = now
         job.completes_at = now + total
         job.observed_units = observed
         self.running[job.request_key] = job
@@ -139,21 +140,15 @@ class ComputingSite:
         if job is None or job.completes_at != now:
             return None, []
         del self.running[request_key]
-        job.done = True
         self.update_service_estimate(job.service_type, job.observed_units)
         return job, self._fill_servers(now)
 
     def drop(self, request_key, now: SimTime) -> tuple[bool, list[ExecutionJob]]:
-        """Deadline drop: abandon the request wherever it is."""
-        job = self.running.pop(request_key, None)
-        if job is not None:
-            job.done = True
+        """Deadline drop: abandon the request wherever it is. Returns whether
+        the site held it, and the jobs that started in its place."""
+        if self.running.pop(request_key, None) is not None:
             return True, self._fill_servers(now)
-        job = self.queue.pop(request_key, None)
-        if job is not None:
-            job.done = True
-            return True, []
-        return False, []
+        return self.queue.pop(request_key, None) is not None, []
 
     # -- learned estimates and reports --------------------------------------
 
@@ -218,10 +213,7 @@ class AdmissionController:
         belief.measured_at = report.measured_at
         belief.pending = [(t, u) for t, u in belief.pending if t > report.measured_at]
         # a left-to-right fold, like note_assignment's running additions
-        # (sum() compensates its rounding from Python 3.12 on)
-        belief.pending_sum = 0.0
-        for _, units in belief.pending:
-            belief.pending_sum += units
+        belief.pending_sum = left_sum(u for _, u in belief.pending)
 
     def note_assignment(self, site_id: str, now: SimTime, estimate: float):
         belief = self.beliefs[site_id]
@@ -234,8 +226,8 @@ class AdmissionController:
 
     def believed_beta(self) -> float:
         """Capacity-weighted mean utilization over the latest arrived reports."""
-        total = sum(s.capacity for s in self.sites.values())
-        return sum(self.sites[sid].capacity * b.utilization for sid, b in self.beliefs.items()) / total
+        total = left_sum(s.capacity for s in self.sites.values())
+        return left_sum(self.sites[sid].capacity * b.utilization for sid, b in self.beliefs.items()) / total
 
     # -- service-demand estimates -------------------------------------------
 
@@ -259,7 +251,7 @@ class AdmissionController:
         over K types can reach K times the free capacity; `decide_round` then
         rejects the winners that no longer fit (most winners on a busy round).
         """
-        free_total = sum(self.believed_free(sid) for sid in self.sites)
+        free_total = left_sum(self.believed_free(sid) for sid in self.sites)
         slots = {}
         for service_type, estimate in demand_estimates.items():
             if not 0 < estimate < math.inf:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
-from .engine import RngStream, require_count
+from .engine import RngStream, left_sum, require_count
 
 MMPP_EPOCH_MS = 1000  # regime switching is evaluated once per simulated second
 ARRIVAL_HORIZON_MS = 1e9  # cap on an interarrival gap; a vanishing rate gets it without a draw
@@ -46,7 +46,7 @@ class ServiceTypeSpec:
 
     @cached_property
     def total_units(self) -> float:
-        return sum(t.resource_units for t in self.task_chain)
+        return left_sum(t.resource_units for t in self.task_chain)
 
 
 def normalize_catalog(catalog: Sequence[ServiceTypeSpec]) -> list[ServiceTypeSpec]:
@@ -64,7 +64,7 @@ def normalize_catalog(catalog: Sequence[ServiceTypeSpec]) -> list[ServiceTypeSpe
         if s.type_id in seen:
             raise ValueError(f"service type {s.type_id} appears twice in the catalog")
         seen.add(s.type_id)
-    total = sum(s.probability for s in catalog)
+    total = left_sum(s.probability for s in catalog)
     if total <= 0:
         raise ValueError("catalog probabilities must have a positive sum")
     return [replace(s, probability=s.probability / total) for s in catalog]

@@ -22,7 +22,8 @@ def encode_one(c, requests=None, env=(4.0, 0.5, 0.25), prices_prev=None, utility
     requests = {"F1-300": (3.0, 150.0)} if requests is None else requests
     prices_prev = {"F1-300": 2.0} if prices_prev is None else prices_prev
     out = np.full((1, c.step_dim), np.nan)
-    return c.encode(out, env, np.array([utility_prev]), [(0, requests, prices_prev)])[0]
+    c.encode(out, env, np.array([utility_prev]), [(0, requests, prices_prev)])
+    return out[0]
 
 
 class TestEncoding:

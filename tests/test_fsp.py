@@ -236,6 +236,10 @@ class TestAgentConfig:
 BAD_REQUESTS = {f"work-{work}": (work, 9.0) for work in (math.nan, math.inf, 0.0, -1.0)} | {
     f"deadline-{deadline}": (1.0, deadline) for deadline in (math.nan, math.inf, -1.0)
 }
+# (n_present, phase) of a round; the codec documents the phase as in [0, 1)
+BAD_ENVS = {f"n_present-{n}": (n, 0.2) for n in (math.nan, math.inf, -5)} | {
+    f"phase-{phase}": (2, phase) for phase in (math.nan, math.inf, 1.0, -0.1)
+}
 
 
 class TestLearningFleet:
@@ -422,21 +426,41 @@ class TestLearningFleet:
         assert trainings == [(3, [False, False]), (6, [False, True]), (9, [False, True]), (12, [True, True])]
 
     @pytest.mark.parametrize(
-        "feedbacks, pending, match",
+        "feedbacks, pending, env, match",
         [
-            ([None, None], pending_one(3), r"per agent \(2\), got 2 and 3"),
-            ([None, None], pending_one(1), r"per agent \(2\), got 2 and 1"),
-            ([None], pending_one(2), r"per agent \(2\), got 1 and 2"),
-            ([None, None], [{"Z": (3.0, 200.0)}, {}], r"m0 has pending types the codec does not know: \['Z'\]"),
-            ([None, None], [{"F1-300": (3.0, 200.0)}, {"F1-50": (1.0, 9.0), "Z": (3.0, 200.0)}], r"m1 .*\['Z'\]"),
+            ([None, None], pending_one(3), (2, 0.2), r"per agent \(2\), got 2 and 3"),
+            ([None, None], pending_one(1), (2, 0.2), r"per agent \(2\), got 2 and 1"),
+            ([None], pending_one(2), (2, 0.2), r"per agent \(2\), got 1 and 2"),
+            (
+                [None, None],
+                [{"Z": (3.0, 200.0)}, {}],
+                (2, 0.2),
+                r"m0 has pending types the codec does not know: \['Z'\]",
+            ),
+            (
+                [None, None],
+                [{"F1-300": (3.0, 200.0)}, {"F1-50": (1.0, 9.0), "Z": (3.0, 200.0)}],
+                (2, 0.2),
+                r"m1 .*\['Z'\]",
+            ),
             (
                 [None, FeedbackSignal("m1", {"Z": 1}, {"Z": 5.0}, 0.3)],
                 pending_one(),
+                (2, 0.2),
                 r"m1 has feedback types the codec does not know: \['Z'\]",
             ),
             *[
-                ([None, None], [pending_one(1)[0], {"F1-50": request}], r"agent m1 has pending type F1-50 with work")
+                (
+                    [None, None],
+                    [pending_one(1)[0], {"F1-50": request}],
+                    (2, 0.2),
+                    r"agent m1 has pending type F1-50 with work",
+                )
                 for request in BAD_REQUESTS.values()
+            ],
+            *[
+                ([None, None], pending_one(), env, "n_present must be" if name.startswith("n_") else "phase must be")
+                for name, env in BAD_ENVS.items()
             ],
         ],
         ids=[
@@ -447,9 +471,10 @@ class TestLearningFleet:
             "unknown-type-later",
             "unknown-price",
             *BAD_REQUESTS,
+            *BAD_ENVS,
         ],
     )
-    def test_refused_round_draws_and_writes_nothing(self, feedbacks, pending, match):
+    def test_refused_round_draws_and_writes_nothing(self, feedbacks, pending, env, match):
         # the refused round leaves the streams, t and the window as they
         # were, so the next rounds match those of a twin that never saw it
         f, twin = fleet(seed=3), fleet(seed=3)
@@ -459,8 +484,9 @@ class TestLearningFleet:
         streams = [s._gen.bit_generator.state for s in f.act_streams]
         counters = [s.draw_counter for s in f.act_streams]
         t, history = f.t, f.history.copy()
+        n_present, phase = env
         with pytest.raises(ValueError, match=match):
-            f.act(feedbacks, pending, 2, 0.3, 0.2)
+            f.act(feedbacks, pending, n_present, 0.3, phase)
         assert [s._gen.bit_generator.state for s in f.act_streams] == streams
         assert [s.draw_counter for s in f.act_streams] == counters
         assert f.t == t
@@ -481,6 +507,23 @@ class TestLearningFleet:
         for _ in range(3):
             f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
         assert np.array_equal(f.pool.actor.flat_view(0), before)
+
+    def test_second_freeze_keeps_the_frozen_weight(self):
+        # frozen at t = 1 with eta 1; a second freeze 50 rounds on must not
+        # recompute the weight at t = 51, which would change the policy mix
+        f, twin = fleet(seed=5), fleet(seed=5)
+        for g in (f, twin):
+            g.freeze()
+        for _ in range(50):
+            assert f.act(self.feedback(), pending_one(), 2, 0.3, 0.0) == twin.act(
+                self.feedback(), pending_one(), 2, 0.3, 0.0
+            )
+        f.freeze()
+        assert f.frozen_eta == twin.frozen_eta == 1.0
+        for _ in range(5):
+            assert f.act(self.feedback(), pending_one(), 2, 0.3, 0.0) == twin.act(
+                self.feedback(), pending_one(), 2, 0.3, 0.0
+            )
 
 
 def mixed_pending(rng, r, n):

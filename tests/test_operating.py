@@ -109,6 +109,22 @@ class TestExecution:
         (j,) = site.accept(job("r1", (2.4,)), now=0)
         assert j.completes_at == 3
 
+    @pytest.mark.parametrize("capacity, keys", [(2, ["K"]), (1, ["r0", "K"])], ids=["running", "queued"])
+    def test_accept_refuses_a_key_it_holds(self, capacity, keys):
+        # a second job under K would replace the first, whose completion
+        # would then find nothing to finish: the site would lose a job
+        site = make_site(capacity=capacity)
+        for key in keys:
+            site.accept(job(key, (3.0,)), now=0)
+        held = [(d, dict(d)) for d in (site.running, site.queue)]
+        first = site.running.get("K") or site.queue["K"]
+        with pytest.raises(ValueError, match="site edge already holds request 'K'"):
+            site.accept(job("K", (5.0,)), now=1)
+        assert all(d.keys() == before.keys() and all(d[k] is before[k] for k in d) for d, before in held)
+        if capacity == 1:
+            site.finish("r0", 3)
+        assert site.finish("K", first.completes_at) == (first, [])
+
 
 LIFECYCLE_OPS = st.tuples(st.sampled_from(["accept", "advance", "finish", "drop"]), st.integers(0, 15), st.integers(0, 10))
 
@@ -124,7 +140,8 @@ def test_site_job_lifecycle(capacity, sigma_work, ops):
 
     "advance" completes the running job that is due first, as the event
     loop would; "finish" and "drop" target any job ever accepted, done or
-    not. A job is ended by exactly one successful finish or drop.
+    not. A job is ended by exactly one successful finish or drop, and a job
+    is live while the site holds it, queued or running.
     """
     site = make_site(capacity=capacity, sigma_work=sigma_work)
     jobs: list[ExecutionJob] = []
@@ -134,16 +151,20 @@ def test_site_job_lifecycle(capacity, sigma_work, ops):
     def next_due():
         return min(site.running.values(), key=lambda j: (j.completes_at, j.request_key), default=None)
 
+    def held(j):
+        return j.request_key in site.running or j.request_key in site.queue
+
     def check_started(started):
-        for j in started:
-            assert j.started_at == now and not j.done and site.running[j.request_key] is j
+        for j in started:  # each task takes at least 1 ms
+            assert site.running[j.request_key] is j and j.request_key not in site.queue
+            assert j.completes_at >= now + len(j.task_units)
 
     def advance():
         nonlocal now
         due = next_due()
         now = due.completes_at
         done, started = site.finish(due.request_key, now)
-        assert done is due and done.done
+        assert done is due and not held(due)
         ends[due.request_key] = ends.get(due.request_key, 0) + 1
         check_started(started)
 
@@ -160,13 +181,13 @@ def test_site_job_lifecycle(capacity, sigma_work, ops):
         else:
             target = jobs[pick % len(jobs)]
             key = target.request_key
-            was_done = target.done
+            was_done = not held(target)
             busy = site.busy_units
             if op == "finish":
                 due_now = key in site.running and target.completes_at == now
                 done, started = site.finish(key, now)
                 if due_now:
-                    assert done is target and target.done
+                    assert done is target and not held(target)
                     ends[key] = ends.get(key, 0) + 1
                     check_started(started)
                 else:  # done already, queued, or not due yet
@@ -176,18 +197,18 @@ def test_site_job_lifecycle(capacity, sigma_work, ops):
                 if was_done:
                     assert (dropped, started) == (False, [])
                 else:
-                    assert dropped and target.done
+                    assert dropped and not held(target)
                     ends[key] = ends.get(key, 0) + 1
                     check_started(started)
             if was_done:
                 assert site.busy_units == busy
         assert site.busy_units <= site.servers
-        assert all(ends.get(j.request_key, 0) == int(j.done) for j in jobs)
+        assert all(ends.get(j.request_key, 0) == int(not held(j)) for j in jobs)
 
     while site.running:
         advance()
         assert site.busy_units <= site.servers
-    assert all(j.done and ends[j.request_key] == 1 for j in jobs)
+    assert not site.queue and all(ends[j.request_key] == 1 for j in jobs)
 
 
 class TestEstimates:
