@@ -400,12 +400,9 @@ class PassiveFleet:
 
     def act(self, feedbacks, pending, n_present, beta, phase) -> list[dict[str, tuple]]:
         _require_one_per_agent(self.B, feedbacks, pending)
-        directives = []
-        for b, config in enumerate(self.configs):
-            directives.append(
-                {
-                    service_type: (SUBMIT, valuation(work, config))
-                    for service_type, (work, _deadline) in pending[b].items()
-                }
-            )
-        return directives
+        return [
+            {service_type: (SUBMIT, valuation(work, config)) for service_type, (work, _deadline) in requests.items()}
+            if requests
+            else {}
+            for config, requests in zip(self.configs, pending)
+        ]

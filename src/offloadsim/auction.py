@@ -21,7 +21,7 @@ class UnknownBidderError(KeyError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Bid:
     bidder_id: str
     service_type: str
@@ -80,8 +80,16 @@ def clear_auction(
         if key in seen:
             raise DuplicateBidError(f"bidder {bid.bidder_id} bid twice for {bid.service_type}")
         seen.add(key)
-        by_type.setdefault(bid.service_type, []).append(bid)
-        participants.setdefault(bid.bidder_id, []).append(bid.service_type)
+        type_bids = by_type.get(bid.service_type)
+        if type_bids is None:
+            by_type[bid.service_type] = [bid]
+        else:
+            type_bids.append(bid)
+        bid_types = participants.get(bid.bidder_id)
+        if bid_types is None:
+            participants[bid.bidder_id] = [bid.service_type]
+        else:
+            bid_types.append(bid.service_type)
 
     winners: dict[str, set[str]] = {}
     payments: dict[str, float] = {}
@@ -131,10 +139,11 @@ def feedback_for(outcome: AuctionOutcome, bidder_id: str, utilization_report: fl
     """
     if bidder_id not in outcome.roster:
         raise UnknownBidderError(bidder_id)
+    winners = outcome.winners
+    payments = outcome.payment_vector
     outcomes: dict[str, int] = {}
     prices: dict[str, float] = {}
     for service_type in outcome.participants.get(bidder_id, ()):
-        won = bidder_id in outcome.winners.get(service_type, ())
-        outcomes[service_type] = 1 if won else 0
-        prices[service_type] = outcome.payment_vector.get(service_type, 0.0)
-    return FeedbackSignal(bidder_id=bidder_id, outcomes=outcomes, prices=prices, beta=utilization_report)
+        outcomes[service_type] = 1 if bidder_id in winners.get(service_type, ()) else 0
+        prices[service_type] = payments.get(service_type, 0.0)
+    return FeedbackSignal(bidder_id, outcomes, prices, utilization_report)

@@ -15,6 +15,12 @@ time, not per event. The order is still (time, seq): the heap yields the
 times in order, and seq rises with every schedule call, so appending keeps
 each list in seq order.
 
+`Simulator.schedule` is the one home of the event checks: it refuses a
+time that is not a non-negative int and a kind that is not an `EventKind`,
+then a time before the clock, and only then builds the `Event`, a slotted
+record whose `__init__` only assigns. A refused call queues nothing and
+takes no seq.
+
 `EventKind` hashes by identity. `Enum.__hash__` hashes the member name in
 Python code, and the handler lookup of every dispatched event paid for it.
 Enum members are singletons, so identity is equality for them, and member
@@ -67,13 +73,11 @@ class PastEventError(ValueError):
 
 
 class Event:
+    """A queued event: a record that `Simulator.schedule` builds after its checks."""
+
     __slots__ = ("time", "kind", "payload", "seq")
 
     def __init__(self, time: SimTime, kind: EventKind, payload: dict, seq: int):
-        if type(time) is not int or time < 0:  # a bool is not a time
-            raise ValueError(f"event time must be a non-negative int, got {time!r}")
-        if not isinstance(kind, EventKind):
-            raise ValueError(f"event kind must be an EventKind, got {kind!r}")
         self.time = time
         self.kind = kind
         self.payload = payload
@@ -107,6 +111,9 @@ class RngStream:
     # checks, raised as ValueError.
 
     def uniform(self, low=0.0, high=1.0):
+        if low == 0.0 and high == 1.0:  # the map is the identity on [0, 1)
+            self.draw_counter += 1
+            return self._gen.random()
         if not 0.0 <= high - low < math.inf:
             raise ValueError(f"uniform needs finite high >= low, got [{low}, {high})")
         self.draw_counter += 1
@@ -236,9 +243,13 @@ class Simulator:
         self._handlers[kind] = handler
 
     def schedule(self, time: SimTime, kind: EventKind, **payload) -> Event:
-        event = Event(time, kind, payload, self._seq)  # refuses a bad time or kind first
+        if type(time) is not int or time < 0:  # a bool is not a time
+            raise ValueError(f"event time must be a non-negative int, got {time!r}")
+        if not isinstance(kind, EventKind):
+            raise ValueError(f"event kind must be an EventKind, got {kind!r}")
         if time < self.clock:
             raise PastEventError(f"cannot schedule {kind.value} at t={time} before clock t={self.clock}")
+        event = Event(time, kind, payload, self._seq)
         self._seq += 1
         bucket = self._buckets.get(time)
         if bucket is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 from .auction import AuctionOutcome, Bid, clear_auction
@@ -33,7 +34,7 @@ class UtilizationReport:
             raise ValueError("reported utilization must be clamped to [0,1]")
 
 
-@dataclass
+@dataclass(slots=True)
 class AdmissionDecision:
     bid: Bid
     admitted: bool
@@ -205,8 +206,14 @@ class AdmissionController:
 
     # -- belief maintenance --------------------------------------------------
 
+    def _belief(self, site_id: str) -> _SiteBelief:
+        try:
+            return self.beliefs[site_id]
+        except KeyError:
+            raise ValueError(f"unknown site {site_id!r}") from None
+
     def on_report(self, report: UtilizationReport):
-        belief = self.beliefs[report.site_id]
+        belief = self._belief(report.site_id)
         if report.measured_at < belief.measured_at:
             return  # out-of-order stale report
         belief.utilization = report.utilization
@@ -216,7 +223,7 @@ class AdmissionController:
         belief.pending_sum = left_sum(u for _, u in belief.pending)
 
     def note_assignment(self, site_id: str, now: SimTime, estimate: float):
-        belief = self.beliefs[site_id]
+        belief = self._belief(site_id)
         belief.pending.append((now, estimate))
         belief.pending_sum += estimate
 
@@ -334,13 +341,10 @@ def admit(
     """
     if outcome is None:
         outcome = clear_auction(ordered_bids, slots, rng)
-    # sorting is stable under reverse=True too, so equal prices keep submission order
-    order = sorted(range(len(ordered_bids)), key=[b.price for b in ordered_bids].__getitem__, reverse=True)
+    winners = outcome.winners
     decisions = []
-    for i in order:
-        bid = ordered_bids[i]
-        won = bid.bidder_id in outcome.winners.get(bid.service_type, ())
-        decisions.append(
-            AdmissionDecision(bid=bid, admitted=won, assigned_site=None, reason="Won" if won else "NoSlot")
-        )
+    # sorting is stable under reverse=True too, so equal prices keep submission order
+    for bid in sorted(ordered_bids, key=attrgetter("price"), reverse=True):
+        won = bid.bidder_id in winners.get(bid.service_type, ())
+        decisions.append(AdmissionDecision(bid, won, None, "Won" if won else "NoSlot"))
     return decisions

@@ -1,5 +1,13 @@
 """Service-request workload: the service-type catalog and two-state
 modulated Poisson arrivals.
+
+An `MmppState` keeps its offset into the current regime epoch in
+[0, MMPP_EPOCH_MS). Most gaps end inside the epoch they start in, and
+`mmpp_next_arrival` then stores the gap's end as the new offset and
+returns: with no epoch crossed, offset + gap - 0 * MMPP_EPOCH_MS is that
+end, bit for bit, so the fast path is the general one's result. It relies
+on the range: an offset below 0 would have to be moved forward a whole
+epoch, and `MmppState` refuses one outside it.
 """
 from __future__ import annotations
 
@@ -98,9 +106,11 @@ class MmppState:
     lambda_low: float
     p_high: float
     p_low: float
-    ms_into_epoch: float = 0.0
+    ms_into_epoch: float = 0.0  # in [0, MMPP_EPOCH_MS)
 
     def __post_init__(self):
+        if not 0.0 <= self.ms_into_epoch < MMPP_EPOCH_MS:
+            raise ValueError(f"ms_into_epoch must be in [0, {MMPP_EPOCH_MS}), got {self.ms_into_epoch}")
         if not (0 <= self.lambda_low < self.lambda_high < math.inf):
             raise ValueError(f"need 0 <= lambda_low < lambda_high < inf, got {self.lambda_low}, {self.lambda_high}")
         if not (0 <= self.p_high <= 1 and 0 <= self.p_low <= 1):
@@ -132,12 +142,15 @@ def mmpp_next_arrival(state: MmppState, rng: RngStream) -> tuple[float, MmppStat
     A gap is capped at ARRIVAL_HORIZON_MS, and a rate at or below its
     inverse yields that gap without a draw instead of a division by zero.
     """
-    rate = state.rate
+    rate = state.lambda_high if state.regime == "High" else state.lambda_low  # `state.rate`, read inline
     if rate <= 1.0 / ARRIVAL_HORIZON_MS:
         gap = ARRIVAL_HORIZON_MS
     else:
         gap = min(rng.exponential(1.0 / rate), ARRIVAL_HORIZON_MS)
     elapsed = state.ms_into_epoch + gap
+    if elapsed < MMPP_EPOCH_MS:  # no epoch boundary crossed
+        state.ms_into_epoch = elapsed
+        return gap, state
     crossings = int(elapsed // MMPP_EPOCH_MS)
     for _ in range(crossings):
         mmpp_step_epoch(state, rng)

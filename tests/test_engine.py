@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from offloadsim import operating, workload
 from offloadsim.agents import utility
 from offloadsim.engine import (
-    Event,
     EventKind,
     PastEventError,
     Simulator,
@@ -204,12 +204,19 @@ def test_clock_monotone_across_run_until_calls():
 
 
 def test_event_payload_validation():
-    with pytest.raises(ValueError):
-        Event(-1, EventKind.SERVICE_ARRIVAL, {}, 0)
-    with pytest.raises(ValueError):
-        Event(True, EventKind.SERVICE_ARRIVAL, {}, 0)  # a bool is not a time, as it is not a count
-    with pytest.raises(ValueError):
-        Event(0, "ServiceArrival", {}, 0)
+    for time, kind in [
+        (-1, EventKind.SERVICE_ARRIVAL),
+        (True, EventKind.SERVICE_ARRIVAL),  # a bool is not a time, as it is not a count
+        (2.5, EventKind.SERVICE_ARRIVAL),
+        (5, "ServiceArrival"),
+    ]:
+        sim = Simulator()
+        sim.run_until(10)  # every refused time is before the clock too
+        with pytest.raises(ValueError) as refused:
+            sim.schedule(time, kind)
+        assert type(refused.value) is ValueError  # refused before the past-time check
+        assert sim._buckets == {} and sim._times == []
+        assert sim.schedule(10, EventKind.SERVICE_ARRIVAL).seq == 0  # the refused call took no seq
 
 
 def drive_seeded_run(seed):
@@ -298,6 +305,31 @@ def test_uniform_is_generator_uniform_bit_for_bit(low, high):
     want = [ref.uniform(low, high) for _ in range(10_000)]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert s.draw_counter == 10_000
+
+
+def test_default_uniform_is_generator_random_bit_for_bit():
+    s = derive_stream(5, "draws")
+    ref = twin_generator(s)
+    got = [s.uniform() for _ in range(10_000)]
+    want = [ref.random() for _ in range(10_000)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert s.draw_counter == 10_000
+    # any other range still maps its draws
+    mapped = [s.uniform(2.0, 5.0) for _ in range(1_000)]
+    assert mapped == [2.0 + 3.0 * ref.random() for _ in range(1_000)]
+    assert s.draw_counter == 11_000
+
+
+@pytest.mark.parametrize(
+    "low, high", [(5.0, 2.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)]
+)
+def test_uniform_refuses_a_bad_range(low, high):
+    s = derive_stream(5, "draws")
+    ref = twin_generator(s)
+    with pytest.raises(ValueError, match="uniform needs"):
+        s.uniform(low, high)
+    assert s.draw_counter == 0
+    assert s.uniform() == ref.random()  # nothing was drawn
 
 
 @pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (100, 5), (0.0, 0.3), (-2.5, 1e-3), (7.0, 0.0)])

@@ -338,6 +338,32 @@ class TestSlots:
         assert aca.believed_free("edge") == 15.0
 
 
+class TestUnknownSite:
+    def controller(self):
+        aca = AdmissionController([make_site("edge", 30.0)])
+        aca.on_report(report("edge", 0, 0.5))
+        aca.note_assignment("edge", 1, 3.0)
+        return aca
+
+    def belief(self, aca):
+        b = aca.beliefs["edge"]
+        return (b.utilization, b.measured_at, list(b.pending), b.pending_sum, set(aca.beliefs))
+
+    def test_report_from_an_unknown_site_rejected(self):
+        aca = self.controller()
+        before = self.belief(aca)
+        with pytest.raises(ValueError, match="'zz'"):
+            aca.on_report(report("zz", 2, 0.1))
+        assert self.belief(aca) == before
+
+    def test_assignment_to_an_unknown_site_rejected(self):
+        aca = self.controller()
+        before = self.belief(aca)
+        with pytest.raises(ValueError, match="'zz'"):
+            aca.note_assignment("zz", 2, 3.0)
+        assert self.belief(aca) == before
+
+
 class TestAdmit:
     def bids(self, prices, service_type="F1"):
         return [Bid(f"m{i}", service_type, p, 3.0, 300) for i, p in enumerate(prices)]
@@ -374,6 +400,12 @@ def test_admit_orders_by_price_then_submission(bids, slots):
     price = [b.price for b in ordered]
     want = sorted(range(len(ordered)), key=lambda i: (-price[i], i))
     assert [d.bid.bidder_id for d in decisions] == [f"m{i}" for i in want]
+    # every field of every decision, the bid itself included, against a clearing on a twin stream
+    outcome = clear_auction(ordered, slots, derive_stream(1, "auction"))
+    for d, i in zip(decisions, want):
+        won = ordered[i].bidder_id in outcome.winners.get(ordered[i].service_type, ())
+        assert d.bid is ordered[i]
+        assert (d.admitted, d.assigned_site, d.reason) == (won, None, "Won" if won else "NoSlot")
 
 
 class TestAssignment:

@@ -15,9 +15,12 @@ the learners' 8-step observation window.
 
 A traced run wraps the learner's entry points (`pool.update`,
 `behavior.store`, `behavior.train_step` among them) in timing spans, and
-fails `correct` when its digest differs from the untraced pass's. Both
-fsp workloads run traced: fsp-train, and fsp-eval, whose frozen fleet never
-draws the critic or the behaviour model that some of those spans wrap.
+fails `correct` when its digest differs from the untraced pass's. All three
+workloads run traced: fsp-train, fsp-eval, whose frozen fleet never draws
+the critic or the behaviour model that some of those spans wrap, and crowd,
+whose spans wrap the engine's `schedule`, the workload's sampling and
+arrivals, the clearing, the feedback, the passive fleet's `act` and
+`decide_round`.
 """
 import json
 import re
@@ -79,3 +82,7 @@ def test_traced_fsp_train_run_matches_the_untraced_digest():
 def test_traced_fsp_eval_run_matches_the_untraced_digest():
     # the spans wrap the behaviour model of a frozen fleet that never draws it
     assert replay_digests("fsp-eval", 0.1, trace=1) == [PINNED_DIGESTS["fsp-eval"]] * 2
+
+
+def test_traced_crowd_run_matches_the_untraced_digest():
+    assert replay_digests("crowd", 0.1, trace=1) == [PINNED_DIGESTS["crowd"]] * 2

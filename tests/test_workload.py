@@ -3,6 +3,8 @@ from dataclasses import replace
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from offloadsim.engine import derive_stream
@@ -100,6 +102,63 @@ class TestMmpp:
         # every gap would be 0.0: the next arrival would never leave its millisecond
         with pytest.raises(ValueError, match="lambda_high"):
             high_regime_state(lambda_high=math.inf)
+
+    @pytest.mark.parametrize("offset", [-5000.0, -0.5, 1000.0, 2500.0, math.nan, math.inf, -math.inf])
+    def test_offset_outside_the_epoch_rejected(self, offset):
+        with pytest.raises(ValueError, match="ms_into_epoch"):
+            high_regime_state(ms_into_epoch=offset)
+
+    def test_offset_range_bounds(self):
+        assert high_regime_state(ms_into_epoch=0.0).ms_into_epoch == 0.0
+        assert high_regime_state(ms_into_epoch=999.999).ms_into_epoch == 999.999
+
+
+def general_next_arrival(state, rng):
+    """mmpp_next_arrival without its fast path: the rate through the
+    property, the cap by `min`, and the crossings loop run even when it
+    crosses nothing."""
+    rate = state.rate
+    if rate <= 1.0 / ARRIVAL_HORIZON_MS:
+        gap = ARRIVAL_HORIZON_MS
+    else:
+        gap = min(rng.exponential(1.0 / rate), ARRIVAL_HORIZON_MS)
+    elapsed = state.ms_into_epoch + gap
+    crossings = int(elapsed // MMPP_EPOCH_MS)
+    for _ in range(crossings):
+        mmpp_step_epoch(state, rng)
+    state.ms_into_epoch = elapsed - crossings * MMPP_EPOCH_MS
+    return gap
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lambda_high=st.floats(1e-3, 0.5),
+    low_share=st.floats(0.05, 0.99),  # a mean Low gap of up to 20 epochs; the vanishing rates are examples
+    p_high=st.floats(0.0, 1.0),
+    p_low=st.floats(0.0, 1.0),
+    regime=st.sampled_from(["High", "Low"]),
+    offset=st.floats(0.0, MMPP_EPOCH_MS, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+    arrivals=st.integers(1, 40),
+)
+# a vanishing Low rate: the capped gap without a draw, then a million epoch draws
+@example(lambda_high=1e-3, low_share=0.0, p_high=0.0, p_low=0.0, regime="Low", offset=0.0, seed=3, arrivals=1)
+# a Low rate just above the cap's inverse: seed 0's first exponential draw exceeds the cap, so min caps it
+@example(lambda_high=1e-3, low_share=1.2e-6, p_high=0.0, p_low=0.5, regime="Low", offset=640.5, seed=0, arrivals=1)
+def test_next_arrival_matches_the_general_step(
+    lambda_high, low_share, p_high, p_low, regime, offset, seed, arrivals
+):
+    def fresh():
+        return MmppState(regime, lambda_high, lambda_high * low_share, p_high, p_low, offset)
+
+    ref, state = fresh(), fresh()
+    ref_rng, rng = derive_stream(seed, "mmpp"), derive_stream(seed, "mmpp")
+    for _ in range(arrivals):
+        ref_gap = general_next_arrival(ref, ref_rng)
+        gap, advanced = mmpp_next_arrival(state, rng)
+        assert advanced is state
+        assert (gap, state.regime, state.ms_into_epoch) == (ref_gap, ref.regime, ref.ms_into_epoch)
+        assert rng.draw_counter == ref_rng.draw_counter
 
 
 class TestCatalog:
