@@ -203,6 +203,8 @@ class LearningFleet:
         # Per agent, every step twice: round r's at slots r % window and
         # r % window + window, so the last `window` steps lie in one slice.
         self._windows = np.zeros((self.B, 2 * codec.window, codec.step_dim))
+        self._read_only_windows = self._windows.view()  # what `history` slices
+        self._read_only_windows.flags.writeable = False
         self._newest = codec.window - 1  # the slot of the newest step below `window`
         self.t = 1
         self.frozen_eta: Optional[float] = None  # the fixed mixing weight once frozen; None while learning
@@ -216,11 +218,11 @@ class LearningFleet:
 
     @property
     def history(self) -> np.ndarray:
-        """Per agent, the last `window` steps, the oldest first: a view of
-        shape (B, window, step_dim), to be read only, since a write would
-        reach one of a step's two copies."""
+        """Per agent, the last `window` steps, the oldest first: a read-only
+        view of shape (B, window, step_dim), since a write would reach only
+        one of a step's two copies."""
         start = self._newest + 1
-        return self._windows[:, start : start + self.codec.window]
+        return self._read_only_windows[:, start : start + self.codec.window]
 
     # -- mode switches ---------------------------------------------------------
 

@@ -10,7 +10,7 @@ deferred; the round total adds the weighted idle-capacity term.
 `utility_per_type` and `utility_total` are the only code that computes a
 bidder's round payoff. Every caller composes it through them:
 `LearningFleet.act` rewards the learners with one term per submitted and
-per deferred type; `gametheory._expected_round_utilities` takes each term in
+per deferred type; `gametheory.expected_round_utilities` takes each term in
 expectation over the win probability and totals with `utility_total`;
 `gametheory.uncontended_utility` scores each demanded type at final price 0;
 and `gametheory.best_response_curve` evaluates the rule elementwise over

@@ -70,26 +70,24 @@ def clear_auction(
     Winners per type are the n_k highest prices; when several bids tie at the
     boundary price the remaining slots go to a uniform random subset of them.
     The payment is the (n_k+1)-th highest submitted price, or 0 when there
-    were no more than n_k bids.
+    were no more than n_k bids. A repeated (bidder, type) bid is found in the
+    bidder's `participants` list and refused with `DuplicateBidError`.
     """
     by_type: dict[str, list[Bid]] = {}
-    seen: set[tuple[str, str]] = set()
     participants: dict[str, list[str]] = {}
     for bid in bids:
-        key = (bid.bidder_id, bid.service_type)
-        if key in seen:
+        bid_types = participants.get(bid.bidder_id)
+        if bid_types is None:
+            participants[bid.bidder_id] = [bid.service_type]
+        elif bid.service_type in bid_types:
             raise DuplicateBidError(f"bidder {bid.bidder_id} bid twice for {bid.service_type}")
-        seen.add(key)
+        else:
+            bid_types.append(bid.service_type)
         type_bids = by_type.get(bid.service_type)
         if type_bids is None:
             by_type[bid.service_type] = [bid]
         else:
             type_bids.append(bid)
-        bid_types = participants.get(bid.bidder_id)
-        if bid_types is None:
-            participants[bid.bidder_id] = [bid.service_type]
-        else:
-            bid_types.append(bid.service_type)
 
     winners: dict[str, set[str]] = {}
     payments: dict[str, float] = {}

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .agents.utility import utility_per_type, utility_total
+from .engine import left_sum
 
 IDENTITY_TOL = 1e-9
 NE_TOL = 1e-12  # a deviation must gain more than this to break an equilibrium
@@ -99,13 +100,13 @@ def potential_value(game: StaticGame, profile) -> float:
     """phi = sum q - sum alpha*q + W * (1 - sum alpha.omega / C)."""
     types = game.type_ids
     alphas = _as_alpha_matrix(game, profile)
-    total_q = sum(p.backoff_rewards.get(t, 0.0) for p in game.players for t in types)
-    chosen_q = sum(
+    total_q = left_sum(p.backoff_rewards.get(t, 0.0) for p in game.players for t in types)
+    chosen_q = left_sum(
         alphas[i, j] * p.backoff_rewards.get(t, 0.0)
         for i, p in enumerate(game.players)
         for j, t in enumerate(types)
     )
-    load = sum(
+    load = left_sum(
         alphas[i, j] * p.work.get(t, 0.0)
         for i, p in enumerate(game.players)
         for j, t in enumerate(types)
@@ -135,12 +136,12 @@ def uncontended_utility(game: StaticGame, profile, player: int) -> float:
         alpha = alphas[player, j]
         won = utility_per_type(1, v, 0.0, c, q, True)  # every submitted bid wins
         terms.append(alpha * won + (1.0 - alpha) * utility_per_type(0, v, 0.0, c, q, False))
-    load = sum(
+    load = left_sum(
         alphas[i, j] * other.work.get(t, 0.0)
         for i, other in enumerate(game.players)
         for j, t in enumerate(types)
     )
-    return sum(terms) + game.utilization_weight * (1.0 - load / game.capacity)
+    return left_sum(terms) + game.utilization_weight * (1.0 - load / game.capacity)
 
 
 def _potential_residual(game: StaticGame, profile, player: int, new_alpha) -> float:
@@ -160,7 +161,7 @@ def check_potential_identity(game: StaticGame, profile, player: int, new_alpha) 
 # -- pure-equilibrium enumeration ------------------------------------------------
 
 
-def _expected_round_utilities(game: StaticGame, actions) -> list[float]:
+def expected_round_utilities(game: StaticGame, actions) -> list[float]:
     """Expected utility per player for one joint action.
 
     actions[i] = (alpha_vec, price_vec) over game.type_ids. Tie breaks at the
@@ -198,7 +199,7 @@ def _expected_round_utilities(game: StaticGame, actions) -> list[float]:
         for i, _ in tied:
             win_prob[i, j] = leftover / len(tied)
 
-    expected_load = sum(
+    expected_load = left_sum(
         win_prob[i, j] * game.players[i].work.get(t, 0.0)
         for i in range(n_players)
         for j, t in enumerate(types)
@@ -246,7 +247,7 @@ def enumerate_pure_ne(game: StaticGame) -> list[tuple]:
 
     def utilities(profile):
         if profile not in cache:
-            cache[profile] = _expected_round_utilities(game, profile)
+            cache[profile] = expected_round_utilities(game, profile)
         return cache[profile]
 
     equilibria = []

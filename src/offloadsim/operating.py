@@ -1,5 +1,6 @@
-"""Operating side: admission control and assignment over delayed, noisy
-site state, plus the computing sites that execute task chains.
+"""Operating side: admission and assignment in one pass over a round's bids
+(`AdmissionController.decide_round`) on delayed, noisy site state, plus the
+computing sites that execute task chains.
 
 Sites run each admitted request on one resource unit at unit rate (a task of
 w units completes in w ms) and hold excess admissions in a FIFO queue, so a
@@ -189,8 +190,9 @@ class _SiteBelief:
 
 
 class AdmissionController:
-    """Orders and admits bids, prices sites by believed load, assigns
-    admitted requests to the cheapest feasible site."""
+    """Prices sites by believed load and decides each round's bids in one
+    pass: the clearing's losers are turned away, and each winner goes to the
+    cheapest feasible site or is rejected."""
 
     GAMMA_PRICE = 2.0  # a site's price is its believed utilization to this power
 
@@ -283,10 +285,17 @@ class AdmissionController:
     ) -> list[AdmissionDecision]:
         """Admission plus assignment for one round.
 
-        Winners are walked in priority order and placed on the cheapest
-        believed-feasible site, the lowest site id on equal prices, each
-        placement shrinking the believed free capacity; winners that no
-        longer fit anywhere are Rejected.
+        The top n_k bids of each type win the clearing `outcome` (cleared here
+        from `slots` and `rng` when none is given); the rest are turned away
+        as NoSlot. Decisions come back in priority order (price descending,
+        submission order within equal prices), so constant-priority bidders
+        see first-in, first-out handling. Boundary ties for the last slot of a
+        type are resolved by the clearing's uniform random draw.
+
+        Winners are placed in that order on the cheapest believed-feasible
+        site, the lowest site id on equal prices, each placement shrinking
+        the believed free capacity; winners that no longer fit anywhere are
+        Rejected.
 
         Within the call no report arrives and no price changes, and only a
         placement changes a belief: it adds a positive estimate to the pending
@@ -297,15 +306,19 @@ class AdmissionController:
         every later estimate at least as large: those winners are Rejected
         without scanning the sites, with the same result as a scan.
         """
-        decisions = admit(ordered_bids, slots, rng, outcome)
+        if outcome is None:
+            outcome = clear_auction(ordered_bids, slots, rng)
+        winners = outcome.winners
         site_order = self.site_order
         free = [self.believed_free(sid) for sid in site_order]
         prices = [self.prices[sid] for sid in site_order]
         unfit = math.inf  # smallest estimate that fitted on no site this round
-        for decision in decisions:
-            if not decision.admitted:
+        decisions = []
+        # sorting is stable under reverse=True too, so equal prices keep submission order
+        for bid in sorted(ordered_bids, key=attrgetter("price"), reverse=True):
+            if bid.bidder_id not in winners.get(bid.service_type, ()):
+                decisions.append(AdmissionDecision(bid, False, None, "NoSlot"))
                 continue
-            bid = decision.bid
             estimate = demand_estimates.get(bid.service_type, bid.resource_estimate)
             if not 0 < estimate < math.inf:
                 raise ValueError(f"estimate for {bid.service_type} must be finite and positive, got {estimate}")
@@ -318,33 +331,9 @@ class AdmissionController:
                     sid = site_order[best]
                     self.note_assignment(sid, now, estimate)
                     free[best] = self.believed_free(sid)
-                    decision.assigned_site = sid
+                    decisions.append(AdmissionDecision(bid, True, sid, "Won"))
                     continue
                 unfit = estimate
-            decision.admitted = False
-            decision.reason = "Rejected"
+            decisions.append(AdmissionDecision(bid, False, None, "Rejected"))
         return decisions
 
-
-def admit(
-    ordered_bids: Sequence[Bid],
-    slots: Mapping[str, int],
-    rng: RngStream,
-    outcome: Optional[AuctionOutcome] = None,
-) -> list[AdmissionDecision]:
-    """Admit the top n_k bids of each type; the rest are turned away.
-
-    Decisions come back in priority order (price descending, submission
-    order within equal prices), so constant-priority bidders see first-in,
-    first-out handling. Boundary ties for the last slot of a type are
-    resolved by the clearing's uniform random draw.
-    """
-    if outcome is None:
-        outcome = clear_auction(ordered_bids, slots, rng)
-    winners = outcome.winners
-    decisions = []
-    # sorting is stable under reverse=True too, so equal prices keep submission order
-    for bid in sorted(ordered_bids, key=attrgetter("price"), reverse=True):
-        won = bid.bidder_id in winners.get(bid.service_type, ())
-        decisions.append(AdmissionDecision(bid, won, None, "Won" if won else "NoSlot"))
-    return decisions

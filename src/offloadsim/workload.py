@@ -82,8 +82,6 @@ def sample_service_request(catalog: Sequence[ServiceTypeSpec], rng: RngStream) -
     """Draw a service type with the catalog's probabilities."""
     if not catalog:
         raise EmptyCatalogError("catalog is empty")
-    if len(catalog) == 1:
-        return catalog[0]
     u = rng.uniform()
     acc = 0.0
     for spec in catalog:
@@ -118,10 +116,6 @@ class MmppState:
         if self.regime not in ("High", "Low"):
             raise ValueError(f"unknown regime {self.regime!r}")
 
-    @property
-    def rate(self) -> float:
-        return self.lambda_high if self.regime == "High" else self.lambda_low
-
 
 def mmpp_step_epoch(state: MmppState, rng: RngStream) -> MmppState:
     """Advance one regime epoch in place: switch with the current regime's
@@ -142,7 +136,7 @@ def mmpp_next_arrival(state: MmppState, rng: RngStream) -> tuple[float, MmppStat
     A gap is capped at ARRIVAL_HORIZON_MS, and a rate at or below its
     inverse yields that gap without a draw instead of a division by zero.
     """
-    rate = state.lambda_high if state.regime == "High" else state.lambda_low  # `state.rate`, read inline
+    rate = state.lambda_high if state.regime == "High" else state.lambda_low
     if rate <= 1.0 / ARRIVAL_HORIZON_MS:
         gap = ARRIVAL_HORIZON_MS
     else:

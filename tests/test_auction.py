@@ -81,6 +81,10 @@ class TestClearing:
         with pytest.raises(ValueError, match="price"):
             bid("B", bad)
 
+    def test_negative_rebid_count_rejected(self):
+        with pytest.raises(ValueError, match="rebid_count"):
+            Bid("B", "F1", 1.0, 3.0, 300, rebid_count=-1)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
     def test_bad_resource_estimate_rejected(self, bad):
         with pytest.raises(ValueError, match="resource_estimate"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from offloadsim import operating, workload
+from offloadsim import gametheory, operating, workload
 from offloadsim.agents import utility
 from offloadsim.engine import (
     EventKind,
@@ -256,6 +256,13 @@ def test_trace_csv_round_trip(tmp_path):
     assert TraceRecorder.read_csv(path) == sim.trace.rows
 
 
+def test_trace_csv_with_a_wrong_header_rejected(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("time,kind,entity,extra\n1,k,e,{}\n")
+    with pytest.raises(ValueError, match="unexpected trace header"):
+        TraceRecorder.read_csv(path)
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(attrs=st.dictionaries(st.text(), st.text(), max_size=6))
 @example(attrs={"time": "1", "kind": "k", "entity": "e", "self": "s", "": "\r\n,\""})
@@ -425,7 +432,7 @@ def test_left_sum_is_the_left_fold_from_int_zero():
 def test_replayed_totals_do_not_depend_on_builtin_sum(monkeypatch):
     # every module a replay sums in sees a compensated built-in sum(), as on
     # Python 3.12; each total must still be the left fold
-    for module in (operating, workload, utility):
+    for module in (operating, workload, utility, gametheory):
         monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
 
     sites = [operating.ComputingSite(f"s{j}", 1.0, derive_stream(1, f"site/s{j}")) for j in range(3)]
@@ -453,3 +460,8 @@ def test_replayed_totals_do_not_depend_on_builtin_sum(monkeypatch):
     assert workload.ServiceTypeSpec("F", tasks, 100, 1.0).total_units == left_sum(TINY)
     catalog = [workload.ServiceTypeSpec(f"F{i}", tasks[:1], 100, p) for i, p in enumerate(TINY)]
     assert [s.probability for s in workload.normalize_catalog(catalog)] == TINY
+
+    # the static-game oracles too: every player defers, so phi is the sum of the rewards
+    players = [gametheory.StaticPlayer({"F": q}, {"F": 1.0}, {"F": 1.0}, 0.0, 1.0) for q in TINY]
+    game = gametheory.StaticGame(players, capacity=10.0, utilization_weight=0.0)
+    assert gametheory.potential_value(game, [(0.0,)] * 3) == left_sum(TINY)

@@ -148,6 +148,14 @@ class TestWindow:
         assert np.all(data[:-1] == 0.0)
         assert data[-1].any()
 
+    def test_history_is_read_only(self):
+        f = self.fleet(3)
+        f.act([None], [{"F1-300": (3.0, 150.0)}], n_present=4, beta=0.5, phase=0.25)
+        before = f.history.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            f.history[0, -1, 0] = 7.0
+        assert f.history.tobytes() == before.tobytes()
+
     def test_window_shifts_one_step_per_push(self):
         # past several wraps of the window, after every push: each agent's
         # whole window is its last 3 steps oldest first, zero padded while

@@ -24,7 +24,7 @@ from offloadsim.gametheory import (
     potential_identity_sweep,
     random_uncontended_game,
     uncontended_utility,
-    _expected_round_utilities,
+    expected_round_utilities,
 )
 from oracles import enumerate_best_responses
 
@@ -148,7 +148,7 @@ class TestEquilibriumEnumeration:
                 players, capacity=10.0, utilization_weight=1.0, price_levels=(0.0, 2.0, 4.0, 6.0), slots={"T": 1}
             )
         spaces = [player_action_space(game, i) for i in range(len(game.players))]
-        payoffs = {profile: _expected_round_utilities(game, profile) for profile in itertools.product(*spaces)}
+        payoffs = {profile: expected_round_utilities(game, profile) for profile in itertools.product(*spaces)}
         ne = enumerate_pure_ne(game)
         assert ne
         assert set(ne) == set(enumerate_best_responses(payoffs))
@@ -162,7 +162,7 @@ class TestEquilibriumEnumeration:
         ]
         game = StaticGame(players, capacity=100.0, utilization_weight=0.0, slots={"T": 1})
         actions = (((1.0,), (5.0,)), ((1.0,), (4.0,)), ((1.0,), (3.0,)))
-        utils = _expected_round_utilities(game, actions)
+        utils = expected_round_utilities(game, actions)
         rng = derive_stream(0, "auction")
         outcome = clear_auction(
             [Bid(f"m{i}", "T", float(actions[i][1][0]), 2.0, 100) for i in range(3)], {"T": 1}, rng

@@ -11,7 +11,6 @@ from offloadsim.operating import (
     ComputingSite,
     ExecutionJob,
     UtilizationReport,
-    admit,
 )
 
 
@@ -229,6 +228,15 @@ class TestEstimates:
         site.update_service_estimate("F2", 40.0)
         assert site.estimates["F2"] == pytest.approx(31.0)
 
+    def test_type_estimate_is_capacity_weighted(self):
+        # only the sites that have run the type count, each by its capacity
+        small, large, idle = make_site("a", 2.0), make_site("b", 6.0), make_site("c", 30.0)
+        small.update_service_estimate("F2", 10.0)
+        large.update_service_estimate("F2", 30.0)
+        aca = AdmissionController([small, large, idle])
+        assert aca.type_estimate("F2", fallback=99.0) == (2.0 * 10.0 + 6.0 * 30.0) / 8.0
+        assert aca.type_estimate("F1", fallback=99.0) == 99.0  # no site has run F1 yet
+
     def test_rejects_nonpositive(self):
         # a NaN estimate would surface only later, in compute_slots
         site = make_site()
@@ -286,11 +294,20 @@ class TestReports:
         with pytest.raises(ValueError):
             UtilizationReport("edge", 10, 5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("util", [1.5, -0.1])
+    def test_unclamped_utilization_rejected(self, util):
+        with pytest.raises(ValueError, match="clamped"):
+            UtilizationReport("edge", 0, 0, util, 0.5)
+
 
 class TestSlots:
     def controller(self, capacities=(30.0, 30.0)):
         sites = [make_site("edge", capacities[0]), make_site("remote", capacities[1])]
         return AdmissionController(sites)
+
+    def test_no_site_rejected(self):
+        with pytest.raises(ValueError, match="at least one computing site"):
+            AdmissionController([])
 
     def test_repeated_site_id_rejected(self):
         # the later site would silently replace the earlier one
@@ -364,24 +381,32 @@ class TestUnknownSite:
         assert self.belief(aca) == before
 
 
+def admit_on_roomy_site(ordered, slots, rng, outcome=None):
+    """`decide_round` on one idle site with room for every winner, so each
+    winner is Won on that site and only the clearing decides the rest."""
+    aca = AdmissionController([make_site("edge", 1000.0)])
+    return aca.decide_round(ordered, slots, rng, {}, now=0, outcome=outcome)
+
+
 class TestAdmit:
     def bids(self, prices, service_type="F1"):
         return [Bid(f"m{i}", service_type, p, 3.0, 300) for i, p in enumerate(prices)]
 
     def test_top_slot_admitted(self):
         rng = derive_stream(1, "auction")
-        decisions = admit(self.bids([5.0, 3.0, 2.0]), {"F1": 1}, rng)
+        decisions = admit_on_roomy_site(self.bids([5.0, 3.0, 2.0]), {"F1": 1}, rng)
         assert [d.reason for d in decisions] == ["Won", "NoSlot", "NoSlot"]
+        assert [d.assigned_site for d in decisions] == ["edge", None, None]
 
     def test_constant_priority_is_fifo(self):
         rng = derive_stream(1, "auction")
-        decisions = admit(self.bids([4.0, 4.0, 4.0]), {"F1": 3}, rng)
+        decisions = admit_on_roomy_site(self.bids([4.0, 4.0, 4.0]), {"F1": 3}, rng)
         assert [d.bid.bidder_id for d in decisions] == ["m0", "m1", "m2"]
-        assert all(d.admitted for d in decisions)
+        assert all(d.admitted and d.assigned_site == "edge" for d in decisions)
 
     def test_spare_slots(self):
         rng = derive_stream(1, "auction")
-        decisions = admit(self.bids([5.0, 3.0]), {"F1": 5}, rng)
+        decisions = admit_on_roomy_site(self.bids([5.0, 3.0]), {"F1": 5}, rng)
         assert all(d.reason == "Won" for d in decisions)
 
 
@@ -396,7 +421,7 @@ TIED_PRICES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 5.0]), st.floats(0
 )
 def test_admit_orders_by_price_then_submission(bids, slots):
     ordered = [Bid(f"m{i}", t, price, 3.0, 300) for i, (t, price) in enumerate(bids)]
-    decisions = admit(ordered, slots, derive_stream(1, "auction"))
+    decisions = admit_on_roomy_site(ordered, slots, derive_stream(1, "auction"))
     price = [b.price for b in ordered]
     want = sorted(range(len(ordered)), key=lambda i: (-price[i], i))
     assert [d.bid.bidder_id for d in decisions] == [f"m{i}" for i in want]
@@ -405,7 +430,7 @@ def test_admit_orders_by_price_then_submission(bids, slots):
     for d, i in zip(decisions, want):
         won = ordered[i].bidder_id in outcome.winners.get(ordered[i].service_type, ())
         assert d.bid is ordered[i]
-        assert (d.admitted, d.assigned_site, d.reason) == (won, None, "Won" if won else "NoSlot")
+        assert (d.admitted, d.assigned_site, d.reason) == ((True, "edge", "Won") if won else (False, None, "NoSlot"))
 
 
 class TestAssignment:
@@ -542,7 +567,10 @@ def test_belief_and_decide_round_match_naive_reference(capacities, ops, prices, 
     ordered = [Bid(f"m{i}", t, price, units, 300) for i, (t, price, units) in enumerate(bids)]
     rng = derive_stream(1, "auction")
     outcome = clear_auction(ordered, slots, rng)
-    winners = [d.bid for d in admit(ordered, slots, rng, outcome) if d.admitted]
+    # winners in priority order: price descending, submission order within a price
+    winners = [
+        b for b in sorted(ordered, key=lambda b: -b.price) if b.bidder_id in outcome.winners.get(b.service_type, ())
+    ]
     want_sites, want_pending = reference_assign(
         winners,
         estimates,

@@ -29,6 +29,12 @@ def test_nonfinite_payoff_parameter_rejected(field, bad):
         config(**{field: bad})
 
 
+@pytest.mark.parametrize("field", ["lost_bid_cost", "utilization_weight"])
+def test_negative_cost_or_weight_rejected(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+        config(**{field: -0.5})
+
+
 class TestValuation:
     def test_linear_map(self):
         assert valuation(3.0, config()) == 3.0
@@ -178,7 +184,7 @@ class TestOneHome:
         assert calls == [("per_type", True)] * 3  # one call over the whole grid per valuation
 
     def test_expected_round_utilities(self, calls):
-        gametheory._expected_round_utilities(self.game(), (((1.0,), (4.0,)), ((0.0,), (0.0,))))
+        gametheory.expected_round_utilities(self.game(), (((1.0,), (4.0,)), ((0.0,), (0.0,))))
         # per player: the won and the lost payoff of its one type, then its total
         submitter, deferrer = [("per_type", True)] * 2, [("per_type", False)] * 2
         assert calls == submitter + [("total", None)] + deferrer + [("total", None)]

@@ -71,7 +71,8 @@ class TestMmpp:
     def test_in_place_step_matches_copying_reference(self):
         def reference_next_arrival(state, rng):
             """The MMPP step with a fresh state per change, via `replace`."""
-            gap = min(rng.exponential(1.0 / state.rate), 1e9)
+            rate = state.lambda_high if state.regime == "High" else state.lambda_low
+            gap = min(rng.exponential(1.0 / rate), 1e9)
             elapsed = state.ms_into_epoch + gap
             crossings = int(elapsed // MMPP_EPOCH_MS)
             for _ in range(crossings):
@@ -94,6 +95,11 @@ class TestMmpp:
         assert rng.draw_counter == ref_rng.draw_counter
         assert mmpp_step_epoch(state, rng) is state
 
+    @pytest.mark.parametrize("field, value, match", [("p_high", 1.5, "switch probabilities"), ("regime", "Mid", "regime")])
+    def test_bad_switch_probability_or_regime_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            high_regime_state(**{field: value})
+
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
             MmppState("High", lambda_high=0.1, lambda_low=0.2, p_high=0.5, p_low=0.5)
@@ -114,10 +120,9 @@ class TestMmpp:
 
 
 def general_next_arrival(state, rng):
-    """mmpp_next_arrival without its fast path: the rate through the
-    property, the cap by `min`, and the crossings loop run even when it
-    crosses nothing."""
-    rate = state.rate
+    """mmpp_next_arrival without its fast path: the cap by `min`, and the
+    crossings loop run even when it crosses nothing."""
+    rate = state.lambda_high if state.regime == "High" else state.lambda_low
     if rate <= 1.0 / ARRIVAL_HORIZON_MS:
         gap = ARRIVAL_HORIZON_MS
     else:
@@ -174,9 +179,21 @@ class TestCatalog:
         assert abs(hits / n - 0.1875) < 0.01
 
     def test_single_entry_catalog(self):
+        # the one spec comes from the same draw and loop as any other catalog
         catalog = [ServiceTypeSpec("only", (TaskSpec("F1", 3.0),), 300, 1.0)]
         rng = derive_stream(5, "catalog")
-        assert sample_service_request(catalog, rng).type_id == "only"
+        for calls in range(1, 4):
+            assert sample_service_request(catalog, rng) is catalog[0]
+            assert rng.draw_counter == calls
+
+    def test_shares_below_one_fall_through_to_the_last_spec(self):
+        # every draw lies above the 1e-9 total, so the loop ends without a pick
+        catalog = [
+            ServiceTypeSpec("a", (TaskSpec("F1", 3.0),), 300, 0.5e-9),
+            ServiceTypeSpec("b", (TaskSpec("F1", 3.0),), 300, 0.5e-9),
+        ]
+        rng = derive_stream(5, "catalog")
+        assert [sample_service_request(catalog, rng).type_id for _ in range(20)] == ["b"] * 20
 
     def test_task_units(self):
         catalog = synthetic_catalog()
@@ -222,6 +239,15 @@ class TestCatalog:
         # arrival, as a non-integer event time; True was taken as 1 ms
         with pytest.raises(ValueError, match="F1-300: deadline_ms must be an integer >= 1"):
             ServiceTypeSpec("F1-300", (TaskSpec("F1", 3.0),), deadline, 1.0)
+
+    def test_empty_task_chain_rejected(self):
+        with pytest.raises(ValueError, match="task_chain must be non-empty"):
+            ServiceTypeSpec("F1-300", (), 300, 1.0)
+
+    def test_all_zero_shares_rejected(self):
+        catalog = [ServiceTypeSpec(t, (TaskSpec("F1", 3.0),), 300, 0.0) for t in "XY"]
+        with pytest.raises(ValueError, match="positive sum"):
+            normalize_catalog(catalog)
 
     def test_repeated_type_id_rejected(self):
         # a driver keyed by type would silently merge the two types' queues
