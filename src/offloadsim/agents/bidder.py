@@ -393,7 +393,8 @@ class LearningFleet:
 
 class PassiveFleet:
     """Non-learning baseline: every pending request is submitted right away
-    at its valuation, a constant priority."""
+    at its valuation v, a constant priority. With c > 0 and v < budget that
+    is not the dominant bid min(v + c, budget) of `utility_per_type`."""
 
     def __init__(self, configs: Sequence[AgentConfig]):
         _require_roster(configs)

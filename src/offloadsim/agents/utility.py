@@ -12,16 +12,13 @@ bidder's round payoff. Every caller composes it through them:
 `LearningFleet.act` rewards the learners with one term per submitted and
 per deferred type; `gametheory.expected_round_utilities` takes each term in
 expectation over the win probability and totals with `utility_total`;
-`gametheory.uncontended_utility` scores each demanded type at final price 0;
-and `gametheory.best_response_curve` evaluates the rule elementwise over
-its bid x opponent-draw grid.
+and `gametheory.uncontended_utility` scores each demanded type at final
+price 0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..engine import left_sum
 
@@ -59,8 +56,7 @@ def valuation(resource_estimate: float, config: AgentConfig) -> float:
 
 
 def utility_per_type(x, v, p, c, q, submitted: bool):
-    """One service type's round utility, elementwise over arrays of x, v,
-    p and c as over scalars.
+    """One service type's round utility.
 
     Submitted: the win/lose payoff x*(v-p) - (1-x)*c, minus v again whenever
     the final price was zero. For a free win that removes the gain, since an
@@ -70,13 +66,17 @@ def utility_per_type(x, v, p, c, q, submitted: bool):
     case, and the learners' reward design (ROADMAP, direction 2) decides it.
     Deferred: the backoff reward q.
 
-    An x outside {0, 1} is refused: a scalar by two comparisons, an array
-    elementwise.
+    Under the (n+1)-th price rule, b* = min(v + c, budget) is a weakly
+    dominant bid: a winner's price p is set by the rivals, and a win scores
+    v - p (0 at p = 0) against -c for a loss, so winning pays iff p <= v + c.
+    The -v on a loss at price 0 never touches b* > 0, since a losing bid
+    meets a price of at least itself. That is this payoff's claim only: the
+    round total's idle-capacity term also sees the load of a rival the win
+    displaces, so even min(v + c - W*omega/C, budget) is not dominant there.
+
+    An x outside {0, 1} is refused.
     """
-    if isinstance(x, np.ndarray):
-        if np.count_nonzero(x * (1 - x)):
-            raise ValueError("bidding outcome x must be 0 or 1")
-    elif x != 0 and x != 1:
+    if x != 0 and x != 1:
         raise ValueError("bidding outcome x must be 0 or 1")
     if not submitted:
         return q

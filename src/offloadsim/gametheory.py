@@ -3,20 +3,21 @@
 Verifies, on small instances, the claims the simulator's mechanism rests
 on: the uncontended game is an exact potential game (unilateral utility
 differences equal potential differences), clearing admits pure equilibria
-found by brute-force enumeration, best responses against a linear opponent
-are linear in the interior, and the induced allocation rule is welfare
-optimal under a fairness ratio constraint.
+found by brute-force enumeration, and the induced allocation rule is welfare
+optimal under a fairness ratio constraint. The one-round dominant bid
+min(v + c, budget) (`utility_per_type`) is tested in
+`tests/test_gametheory.py::TestDominantBid`.
 
 Everything here is deterministic: expected utilities integrate tie breaks
-and opponent valuations by direct weighting and quadrature, never by Monte
-Carlo, so oracle results are seed independent.
+by direct weighting, never by Monte Carlo, so oracle results are seed
+independent.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -267,78 +268,6 @@ def enumerate_pure_ne(game: StaticGame) -> list[tuple]:
         if stable:
             equilibria.append(profile)
     return equilibria
-
-
-# -- best-response curve (two bidders, one commodity) ------------------------------
-
-
-@dataclass
-class LinearOpponent:
-    """Increasing linear bid strategy over a uniform valuation range."""
-
-    v_low: float
-    v_high: float
-    bid_low: float  # f(v_low)
-    bid_high: float  # f(v_high)
-
-    def bids(self, quad_points: int) -> np.ndarray:
-        # midpoint rule keeps quadrature nodes off the price grid
-        h = (self.v_high - self.v_low) / quad_points
-        v = self.v_low + h * (np.arange(quad_points) + 0.5)
-        if self.v_high == self.v_low:
-            return np.full(quad_points, self.bid_low)
-        frac = (v - self.v_low) / (self.v_high - self.v_low)
-        return self.bid_low + frac * (self.bid_high - self.bid_low)
-
-
-def best_response_curve(
-    opponent: LinearOpponent,
-    valuation_grid: Sequence[float],
-    price_grid: Sequence[float],
-    lost_bid_cost: float = 0.0,
-    budget: float = math.inf,
-    quad_points: int = 4001,
-) -> list[tuple[float, float]]:
-    """Grid argmax bid for each own valuation against the linear opponent.
-
-    Each (bid b, opponent draw) cell is scored with `utility_per_type`,
-    evaluated over the whole grid at once: win against opponent bids below
-    b and pay the opponent's bid (the second price); otherwise lose, pay the
-    lost-bid cost, and the final price is your own bid. Expectation by
-    midpoint quadrature over the opponent's uniform valuation draw; argmax
-    ties resolve to the lowest price.
-    """
-    opp_bids = opponent.bids(quad_points)
-    prices = np.array([p for p in price_grid if p <= budget])
-    if prices.size == 0:
-        raise ValueError("price grid is empty after the budget cap")
-    win = prices[:, None] > opp_bids[None, :]  # (P, Q)
-    final_price = np.where(win, opp_bids[None, :], prices[:, None])
-    x = win.astype(float)  # float arithmetic throughout, without a bool-to-float cast per valuation
-    curve = []
-    for v in valuation_grid:
-        expected = utility_per_type(x, v, final_price, lost_bid_cost, 0.0, True).mean(axis=1)
-        best = int(np.argmax(expected))
-        curve.append((float(v), float(prices[best])))
-    return curve
-
-
-def linear_fit_interior(
-    curve: Sequence[tuple[float, float]], bid_low: float, bid_high: float, margin: float = 0.0
-) -> tuple[float, float, float, int]:
-    """Least-squares line through the curve points strictly inside the
-    opponent's bid range; returns (slope, intercept, r_squared, n_points)."""
-    pts = [(v, b) for v, b in curve if bid_low + margin < b < bid_high - margin]
-    if len(pts) < 3:
-        return math.nan, math.nan, math.nan, len(pts)
-    v = np.array([p[0] for p in pts])
-    b = np.array([p[1] for p in pts])
-    slope, intercept = np.polyfit(v, b, 1)
-    fitted = slope * v + intercept
-    ss_res = float(((b - fitted) ** 2).sum())
-    ss_tot = float(((b - b.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2, len(pts)
 
 
 # -- fairness-constrained allocation check -----------------------------------------

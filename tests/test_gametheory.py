@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from offloadsim.agents import utility_per_type
 from offloadsim.auction import Bid, clear_auction
@@ -10,14 +12,11 @@ from offloadsim.engine import derive_stream
 from offloadsim.gametheory import (
     AllocationRule,
     InfeasibleFairnessError,
-    LinearOpponent,
     StaticGame,
     StaticPlayer,
     TooLargeError,
-    best_response_curve,
     check_potential_identity,
     enumerate_pure_ne,
-    linear_fit_interior,
     player_action_space,
     pareto_fairness_check,
     potential_value,
@@ -26,7 +25,7 @@ from offloadsim.gametheory import (
     uncontended_utility,
     expected_round_utilities,
 )
-from oracles import enumerate_best_responses
+from oracles import brute_force_clear, enumerate_best_responses
 
 
 def two_player_game(q=1.0, w=1.0, capacity=10.0, omega=2.0):
@@ -54,6 +53,30 @@ def test_values_missing_a_demanded_type_rejected():
     # the utilities read a value for every type in work; a missing one used to raise a bare KeyError there
     with pytest.raises(ValueError, match=r"no values for types in work: \['U', 'V'\]"):
         StaticPlayer({"T": 1.0}, {"T": 2.0, "U": 1.0, "V": 1.0}, {"T": 3.0}, 0.5, 10.0)
+
+
+@st.composite
+def uncontended_games_with_any_reward(draw):
+    """A small everything-admitted game whose deferral rewards q lie in
+    (-2, 2). The capacity is at least the total work, so beta never clamps,
+    and no (player, type) pair is within 1e-6 of indifference, -q = W*omega/C."""
+    types = [f"T{j}" for j in range(draw(st.integers(1, 2)))]
+    players = [
+        StaticPlayer(
+            backoff_rewards={t: draw(st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)) for t in types},
+            work={t: draw(st.floats(0.5, 5.0)) for t in types},
+            values={t: draw(st.floats(1.0, 5.0)) for t in types},
+            lost_bid_cost=draw(st.floats(0.0, 1.0)),
+            budget=10.0,
+        )
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+    capacity = sum(p.work[t] for p in players for t in types) * draw(st.floats(1.0, 4.0))
+    w = draw(st.floats(0.0, 3.0))
+    for p in players:
+        for t in types:
+            assume(abs(-p.backoff_rewards[t] - w * p.work[t] / capacity) >= 1e-6)
+    return StaticGame(players, capacity=capacity, utilization_weight=w)
 
 
 class TestPotential:
@@ -84,6 +107,23 @@ class TestPotential:
         residuals = potential_identity_sweep(200, rng)
         assert len(residuals) == 200
         assert max(residuals) <= 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(game=uncontended_games_with_any_reward(), data=st.data())
+    def test_maximizer_submits_exactly_the_pairs_that_gain(self, game, data):
+        types, n = game.type_ids, len(game.players)
+        alphas = st.tuples(*[st.sampled_from((0.0, 1.0))] * len(types))
+        profile = data.draw(st.tuples(*[alphas] * n))
+        assert check_potential_identity(game, profile, data.draw(st.integers(0, n - 1)), data.draw(alphas))
+        # submitting one (player, type) pair moves the potential by -q - W*omega/C
+        gains = tuple(
+            tuple(float(-p.backoff_rewards[t] > game.utilization_weight * p.work[t] / game.capacity) for t in types)
+            for p in game.players
+        )
+        profiles = itertools.product(itertools.product((0.0, 1.0), repeat=len(types)), repeat=n)
+        best = max(profiles, key=lambda pr: potential_value(game, pr))
+        assert best == gains
+        assert best in {tuple(chosen for chosen, _prices in ne) for ne in enumerate_pure_ne(game)}
 
 
 class TestEquilibriumEnumeration:
@@ -174,69 +214,82 @@ class TestEquilibriumEnumeration:
         assert utils[2] == pytest.approx(-0.5)
 
 
-class TestBestResponse:
-    def test_costless_second_price_is_truthful(self):
-        opponent = LinearOpponent(0.0, 10.0, 0.0, 10.0)
-        v_grid = np.linspace(0.0, 10.0, 50)
-        p_grid = np.linspace(0.0, 10.0, 201)
-        curve = best_response_curve(opponent, v_grid, p_grid, lost_bid_cost=0.0)
-        step = p_grid[1] - p_grid[0]
-        for v, b in curve:
-            assert abs(b - v) <= step + 1e-12
+BID_STEP = 0.5  # rivals bid on this grid, so ties at the slot boundary are common
+GRID_BIDS = st.integers(0, 40).map(lambda k: k * BID_STEP)  # [0, 20]
 
-    def test_lost_bid_cost_pushes_bids_up(self):
-        opponent = LinearOpponent(0.0, 10.0, 0.0, 10.0)
-        v_grid = np.linspace(1.0, 8.0, 30)
-        p_grid = np.linspace(0.0, 12.0, 241)
-        curve = best_response_curve(opponent, v_grid, p_grid, lost_bid_cost=0.8)
-        step = p_grid[1] - p_grid[0]
-        bids = [b for _, b in curve]
-        assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(bids, bids[1:]))  # monotone
-        for v, b in curve:
-            assert b >= v - step - 1e-12  # never below truthful
 
-    def test_interior_is_linear(self):
-        opponent = LinearOpponent(0.0, 10.0, 2.0, 9.0)
-        v_grid = np.linspace(0.0, 10.0, 60)
-        p_grid = np.linspace(0.0, 12.0, 301)
-        curve = best_response_curve(opponent, v_grid, p_grid, lost_bid_cost=0.7)
-        slope, intercept, r2, n = linear_fit_interior(curve, 2.0, 9.0, margin=0.2)
-        assert n >= 10
-        assert r2 >= 0.99
-        # uniform opponent valuations make the interior response v + c
-        assert slope == pytest.approx(1.0, abs=0.05)
-        assert intercept == pytest.approx(0.7, abs=0.15)
+def expected_bid_payoff(bid, rivals, slots, v, c):
+    """(E u, win probability, payment) of bidding `bid` for one type against
+    the rivals' bids, scored exactly from the reference clearer: an outright
+    winner wins, a tied bidder wins with probability tied slots / tied bidders."""
+    entries = [("me", bid)] + [(f"r{i}", r) for i, r in enumerate(rivals)]
+    outright, tied, tied_slots, pay = brute_force_clear({"T": entries}, {"T": slots})["T"]
+    if "me" in outright:
+        p_win = 1.0
+    elif "me" in tied:
+        p_win = tied_slots / len(tied)
+    else:
+        p_win = 0.0
+    won, lost = utility_per_type(1, v, pay, c, 0.0, True), utility_per_type(0, v, pay, c, 0.0, True)
+    return p_win * won + (1.0 - p_win) * lost, p_win, pay
 
-    def test_budget_caps_the_grid(self):
-        opponent = LinearOpponent(0.0, 10.0, 0.0, 10.0)
-        curve = best_response_curve(
-            opponent, [9.0], np.linspace(0, 12, 121), lost_bid_cost=2.0, budget=5.0
-        )
-        assert curve[0][1] <= 5.0
 
-    def test_free_final_price_scores_as_utility_per_type(self):
-        # a losing bid of 0 leaves a final price of 0, which utility_per_type
-        # charges v for; the cheapest bid that avoids it is 1
-        opponent = LinearOpponent(0.0, 1.0, 5.0, 5.0)
-        curve = best_response_curve(opponent, [1.0], [0.0, 1.0, 2.0, 6.0], lost_bid_cost=0.0)
-        assert curve == [(1.0, 1.0)]
-        scores = [utility_per_type(int(b > 5.0), 1.0, 5.0 if b > 5.0 else b, 0.0, 0.0, True) for b in (0, 1, 2, 6)]
-        assert scores == [-1.0, 0.0, 0.0, -4.0]
+@st.composite
+def bid_profiles(draw):
+    """(slots, rivals' bids, budget, v, c): v in (0, budget] and c >= 0, each
+    often on the bid grid. Some rivals bid v + k*c/4 for k in 1..4: in that
+    window a bid below v + c loses a win that pays."""
+    slots = draw(st.integers(1, 3))
+    v = draw(st.one_of(st.integers(1, 40).map(lambda k: k * BID_STEP), st.floats(0.0, 20.0, exclude_min=True)))
+    budget = max(v, draw(st.one_of(st.sampled_from([10.0, 15.0, 20.0]), st.floats(BID_STEP, 20.0))))
+    c = draw(st.one_of(st.just(0.0), st.integers(0, 20).map(lambda k: k * BID_STEP), st.floats(0.0, 10.0)))
+    near_target = st.integers(1, 4).map(lambda k: v + k * c / 4)
+    rivals = draw(st.lists(st.one_of(GRID_BIDS, near_target), min_size=1, max_size=4))
+    return slots, rivals, budget, v, c
 
-    @pytest.mark.parametrize("c", [0.0, 0.7])
-    def test_chosen_price_maximizes_mean_utility_per_type(self, c):
-        # best_response_curve scores the whole grid in one array call; cell
-        # by cell, its argmax must be an argmax of the mean scalar payoff
-        opponent = LinearOpponent(0.0, 10.0, 2.0, 9.0)
-        opp_bids = opponent.bids(41)
-        prices = np.linspace(0.0, 12.0, 8)
-        curve = best_response_curve(opponent, np.linspace(1.0, 9.0, 5), prices, lost_bid_cost=c, quad_points=41)
-        for v, chosen in curve:
-            means = {
-                float(b): np.mean([utility_per_type(int(b > o), v, o if b > o else b, c, 0.0, True) for o in opp_bids])
-                for b in prices
-            }
-            assert means[chosen] >= max(means.values()) - 1e-12, (v, chosen, means)
+
+class TestDominantBid:
+    """b* = min(v + c, budget) is weakly dominant for utility_per_type in one
+    round of one type's (n+1)-th price auction (Vickrey, J. Finance 16(1),
+    1961, for unit demand, shifted by the lost-bid cost)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(profile=bid_profiles())
+    # a losing bid of 0 meets final price 0 and scores -c - v; b* = 1 does not
+    @example(profile=(1, [5.0], 6.0, 1.0, 0.0))
+    def test_no_bid_in_budget_beats_the_dominant_bid(self, profile):
+        slots, rivals, budget, v, c = profile
+        best = min(v + c, budget)  # b*
+        best_u, best_win, best_pay = expected_bid_payoff(best, rivals, slots, v, c)
+        assert best_win == 1.0 or best_pay > 0.0  # b* > 0 never loses at price 0
+        bids = [k * BID_STEP for k in range(int(budget / BID_STEP) + 1)] + [budget]
+        for b in bids:
+            u, p_win, pay = expected_bid_payoff(b, rivals, slots, v, c)
+            if p_win == 0.0 and pay == 0.0:
+                assert u == -c - v
+            assert best_u >= u - 1e-12, (b, u, best, best_u)
+
+    @pytest.mark.parametrize(
+        "rivals, truthful_u, above_u",
+        [([20.0, 20.0, 20.0], -0.75, 0.0), ([20.5], -1.0, -0.5)],
+    )
+    def test_truthful_bid_is_not_dominant_with_a_lost_bid_cost(self, rivals, truthful_u, above_u):
+        # v = 20, c = 1, one slot: a win at any price below v + c beats a loss
+        assert expected_bid_payoff(20.0, rivals, 1, 20.0, 1.0)[0] == truthful_u
+        assert expected_bid_payoff(30.0, rivals, 1, 20.0, 1.0)[0] == above_u
+
+    def test_shifted_bid_is_not_dominant_in_the_static_game(self):
+        # The round total also counts the idle capacity. A win adds the own
+        # work 10 but displaces the rival's 20, so the bid shifted by the own
+        # won load, v + c - W*omega/C = 18, loses to a bid that wins.
+        me = StaticPlayer({"T": 0.0}, {"T": 10.0}, {"T": 20.0}, lost_bid_cost=0.0, budget=100.0)
+        rival = StaticPlayer({"T": 0.0}, {"T": 20.0}, {"T": 20.0}, lost_bid_cost=0.0, budget=100.0)
+        game = StaticGame([me, rival], capacity=100.0, utilization_weight=20.0, slots={"T": 1})
+        shifted = 20.0 + 0.0 - 20.0 * 10.0 / 100.0
+        scores = {
+            bid: expected_round_utilities(game, (((1.0,), (bid,)), ((1.0,), (20.0,))))[0] for bid in (shifted, 20.5)
+        }
+        assert scores == {18.0: 16.0, 20.5: 18.0}
 
 
 class TestWelfare:

@@ -7,7 +7,6 @@ from offloadsim import gametheory
 from offloadsim.agents import AgentConfig, FeatureCodec, LearningFleet, utility_per_type, utility_total, valuation
 from offloadsim.agents import bidder
 from offloadsim.auction import FeedbackSignal
-from offloadsim.engine import derive_stream
 
 
 def config(**kw):
@@ -97,22 +96,6 @@ class TestPerTypeUtility:
         with pytest.raises(ValueError):
             utility_per_type(2, 10.0, 0.0, 1.0, 0.5, submitted=True)
 
-    def test_arrays_match_scalars_elementwise(self):
-        # the static-game oracles score a whole grid of outcomes and prices
-        # in one call; each element must be the scalar rule's, bit for bit
-        rng = derive_stream(7, "payoff")
-        n = 400
-        x = rng.integer_array(0, 2, n)
-        v = 1.0 + 9.0 * np.abs(rng.standard_normal(n))
-        p = np.where(rng.integer_array(0, 4, n) == 0, 0.0, 5.0 * rng.standard_normal(n))
-        c = np.abs(rng.standard_normal(n))
-        scalars = np.array(
-            [utility_per_type(int(x[i]), float(v[i]), float(p[i]), float(c[i]), 0.5, True) for i in range(n)]
-        )
-        assert utility_per_type(x, v, p, c, 0.5, True).tobytes() == scalars.tobytes()
-        assert utility_per_type(x.astype(bool), v, p, c, 0.5, True).tobytes() == scalars.tobytes()
-        assert (p == 0.0).any() and (x == 0).any() and (x == 1).any()
-
     @pytest.mark.parametrize("bad", [2, 0.5, -1, float("nan"), np.float64(0.5), np.int64(2)])
     @pytest.mark.parametrize("submitted", [True, False])
     def test_scalar_invalid_outcome_rejected(self, bad, submitted):
@@ -122,13 +105,6 @@ class TestPerTypeUtility:
     @pytest.mark.parametrize("x", [0, 1, 0.0, 1.0, True, False, np.float64(1.0), np.int64(0), np.bool_(True)])
     def test_scalar_outcomes_in_zero_one_accepted(self, x):
         assert utility_per_type(x, 10.0, 4.0, 1.0, 0.5, True) == (6.0 if x else -1.0)
-
-    @pytest.mark.parametrize("bad", [2, 0.5, -1, float("nan")])
-    @pytest.mark.parametrize("submitted", [True, False])
-    def test_array_with_invalid_outcome_rejected(self, bad, submitted):
-        x = np.array([0, 1, bad, 1])
-        with pytest.raises(ValueError, match="outcome x"):
-            utility_per_type(x, 10.0, np.full(4, 3.0), 1.0, 0.5, submitted)
 
 
 class TestTotalUtility:
@@ -177,11 +153,6 @@ class TestOneHome:
     def game():
         players = [gametheory.StaticPlayer({"T": 0.2}, {"T": 2.0}, {"T": v}, 0.5, 10.0) for v in (6.0, 5.0)]
         return gametheory.StaticGame(players, capacity=10.0, utilization_weight=1.0, slots={"T": 1})
-
-    def test_best_response_curve(self, calls):
-        opponent = gametheory.LinearOpponent(0.0, 10.0, 2.0, 9.0)
-        gametheory.best_response_curve(opponent, [1.0, 4.0, 7.0], [0.0, 3.0, 6.0, 9.0], quad_points=21)
-        assert calls == [("per_type", True)] * 3  # one call over the whole grid per valuation
 
     def test_expected_round_utilities(self, calls):
         gametheory.expected_round_utilities(self.game(), (((1.0,), (4.0,)), ((0.0,), (0.0,))))
