@@ -11,9 +11,9 @@ deferred; the round total adds the weighted idle-capacity term.
 bidder's round payoff. Every caller composes it through them:
 `LearningFleet.act` rewards the learners with one term per submitted and
 per deferred type; `gametheory.expected_round_utilities` takes each term in
-expectation over the win probability and totals with `utility_total`;
-and `gametheory.uncontended_utility` scores each demanded type at final
-price 0.
+expectation over the win probability and totals with `utility_total`. So
+every round total of the static oracles reaches `utility_total`, the
+potential identity's (`gametheory.check_potential_identity`) included.
 """
 from __future__ import annotations
 

@@ -148,11 +148,6 @@ class RngStream:
         self.draw_counter += 2
         return self._gen.random()
 
-    def integers(self, low, high):
-        value = int(self._gen.integers(low, high))
-        self.draw_counter += 1
-        return value
-
     def integer_array(self, low, high, size) -> np.ndarray:
         draws = self._gen.integers(low, high, size=size)
         self.draw_counter += 1

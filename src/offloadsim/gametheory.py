@@ -4,7 +4,10 @@ Verifies, on small instances, the claims the simulator's mechanism rests
 on: the uncontended game is an exact potential game (unilateral utility
 differences equal potential differences), clearing admits pure equilibria
 found by brute-force enumeration, and the induced allocation rule is welfare
-optimal under a fairness ratio constraint. The one-round dominant bid
+optimal under a fairness ratio constraint. The potential identity is checked
+on the learners' own round total, `expected_round_utilities` through
+`utility_total`, in the uncontended reduction: no slot limit, and a capacity
+at least the total work, so beta never clamps. The one-round dominant bid
 min(v + c, budget) (`utility_per_type`) is tested in
 `tests/test_gametheory.py::TestDominantBid`.
 
@@ -66,15 +69,14 @@ class StaticGame:
     players: list[StaticPlayer]
     capacity: float
     utilization_weight: float
-    alpha_levels: tuple[float, ...] = (0.0, 1.0)
     price_levels: tuple[float, ...] = (0.0,)
     slots: Optional[dict[str, int]] = None  # None: every submitted bid is accepted
 
     def __post_init__(self):
         if not 0 < self.capacity < math.inf:
             raise ValueError(f"capacity must be finite and positive, got {self.capacity}")
-        if not self.alpha_levels or not self.price_levels:
-            raise ValueError("action grids must be non-empty")
+        if not self.price_levels:
+            raise ValueError("the price grid must be non-empty")
 
     @property
     def type_ids(self) -> tuple[str, ...]:
@@ -115,48 +117,34 @@ def potential_value(game: StaticGame, profile) -> float:
     return total_q - chosen_q + game.utilization_weight * (1.0 - load / game.capacity)
 
 
-def uncontended_utility(game: StaticGame, profile, player: int) -> float:
-    """Player utility in the all-bids-accepted reduction.
+def check_potential_identity(game: StaticGame, profile, player: int, new_alpha) -> bool:
+    """Does the deviating player's round utility change equal the potential change?
 
-    Every submitted bid wins at final price 0, so each demanded type scores
-    alpha * u(won at price 0) + (1 - alpha) * u(deferred) with
-    `utility_per_type`. The idle-capacity term W * (1 - load / C) is added
-    unclamped rather than through `utility_total`, which refuses a
-    utilization above 1: random games overload capacity when everyone
-    submits. The term is common to all players, so it cancels in the
-    potential identity, and the identity cannot see a change to it.
+    Both profiles are scored with `expected_round_utilities`, each alpha
+    padded with price 0: with no slot limit every submitted bid wins free,
+    and the round total goes through `utility_total`. The identity holds
+    only in that uncontended reduction, so a game with slots, an alpha
+    outside {0, 1}, or a total work above capacity (where beta clamps) is
+    refused.
     """
-    types = game.type_ids
-    alphas = _as_alpha_matrix(game, profile)
-    p = game.players[player]
-    terms = []
-    for j, t in enumerate(types):
-        if t not in p.work:
-            continue
-        v, c, q = p.values[t], p.lost_bid_cost, p.backoff_rewards.get(t, 0.0)
-        alpha = alphas[player, j]
-        won = utility_per_type(1, v, 0.0, c, q, True)  # every submitted bid wins
-        terms.append(alpha * won + (1.0 - alpha) * utility_per_type(0, v, 0.0, c, q, False))
-    load = left_sum(
-        alphas[i, j] * other.work.get(t, 0.0)
-        for i, other in enumerate(game.players)
-        for j, t in enumerate(types)
-    )
-    return left_sum(terms) + game.utilization_weight * (1.0 - load / game.capacity)
-
-
-def _potential_residual(game: StaticGame, profile, player: int, new_alpha) -> float:
-    """|utility change - potential change| for one unilateral deviation."""
+    if game.slots is not None:
+        raise ValueError(f"slots {game.slots} set: the identity holds only with every bid accepted")
+    for alpha in itertools.chain(*profile, new_alpha):
+        if alpha != 0 and alpha != 1:
+            raise ValueError(f"alpha {alpha} is not 0 or 1")
+    total_work = left_sum(p.work.get(t, 0.0) for p in game.players for t in game.type_ids)
+    if total_work > game.capacity:
+        raise ValueError(f"total work {total_work} is above capacity {game.capacity}, where beta clamps")
     deviated = list(profile)
     deviated[player] = new_alpha
-    du = uncontended_utility(game, deviated, player) - uncontended_utility(game, profile, player)
+    prices = (0.0,) * len(game.type_ids)
+
+    def utility(alphas):
+        return expected_round_utilities(game, [(a, prices) for a in alphas])[player]
+
+    du = utility(deviated) - utility(profile)
     dphi = potential_value(game, deviated) - potential_value(game, profile)
-    return abs(du - dphi)
-
-
-def check_potential_identity(game: StaticGame, profile, player: int, new_alpha) -> bool:
-    """Does the deviating player's utility change equal the potential change?"""
-    return _potential_residual(game, profile, player, new_alpha) <= IDENTITY_TOL
+    return abs(du - dphi) <= IDENTITY_TOL
 
 
 # -- pure-equilibrium enumeration ------------------------------------------------
@@ -227,7 +215,7 @@ def expected_round_utilities(game: StaticGame, actions) -> list[float]:
 def player_action_space(game: StaticGame, player: int) -> list[tuple[tuple, tuple]]:
     types = game.type_ids
     demanded = [t in game.players[player].work for t in types]
-    alpha_choices = [game.alpha_levels if d else (0.0,) for d in demanded]
+    alpha_choices = [(0.0, 1.0) if d else (0.0,) for d in demanded]
     price_levels = tuple(p for p in game.price_levels if p <= game.players[player].budget)
     price_choices = [price_levels if d else (0.0,) for d in demanded]
     space = []
@@ -434,43 +422,3 @@ def pareto_fairness_check(
         feasible_candidates=feasible,
         passed=passed,
     )
-
-
-# -- randomized sweeps ----------------------------------------------------------------
-
-
-def random_uncontended_game(rng) -> StaticGame:
-    """Small random game in the everything-admitted regime."""
-    n_players = 2 + rng.integers(0, 3)
-    n_types = 1 + rng.integers(0, 3)
-    types = [f"T{j}" for j in range(n_types)]
-    players = []
-    for _ in range(n_players):
-        players.append(
-            StaticPlayer(
-                backoff_rewards={t: rng.uniform(0.05, 2.0) for t in types},
-                work={t: rng.uniform(0.5, 5.0) for t in types},
-                values={t: rng.uniform(1.0, 5.0) for t in types},
-                lost_bid_cost=rng.uniform(0.0, 1.0),
-                budget=10.0,
-            )
-        )
-    capacity = rng.uniform(10.0, 60.0)
-    w = rng.uniform(0.1, 3.0)
-    return StaticGame(players=players, capacity=capacity, utilization_weight=w)
-
-
-def potential_identity_sweep(n_games: int, rng) -> list[float]:
-    """Potential-identity residuals of one random unilateral deviation in
-    each of n_games random uncontended games."""
-    residuals = []
-    for _ in range(n_games):
-        game = random_uncontended_game(rng)
-        types = game.type_ids
-        profile = tuple(
-            tuple(float(rng.uniform() < 0.5) for _ in types) for _ in game.players
-        )
-        player = rng.integers(0, len(game.players))
-        new_alpha = tuple(float(rng.uniform() < 0.5) for _ in types)
-        residuals.append(_potential_residual(game, profile, player, new_alpha))
-    return residuals

@@ -135,9 +135,9 @@ class TestOracleEquivalence:
         rng_case = derive_stream(17, "caser")
         grid = [1.0, 2.0, 3.0, 4.0]
         for _ in range(200):
-            prices = {f"m{b}": {"F1": grid[rng_case.integers(0, 4)]} for b in range(4)}
+            prices = {f"m{b}": {"F1": grid[rng_case.integer_array(0, 4, None)]} for b in range(4)}
             slots = {"F1": 2}
-            seed = rng_case.integers(0, 10_000)
+            seed = int(rng_case.integer_array(0, 10_000, None))
             out = clear_auction(
                 [bid(b, p["F1"]) for b, p in prices.items()], slots, derive_stream(seed, "auction")
             )

@@ -400,8 +400,6 @@ def test_draw_arguments_checked_before_drawing():
     with pytest.raises(ValueError):
         s.normals_then_uniform(np.empty((3, 4))[:, 0])
     with pytest.raises(ValueError):
-        s.integers(5, 5)
-    with pytest.raises(ValueError):
         s.integer_array(3, 1, 4)
     assert s.draw_counter == 0
     assert s.uniform() == twin_generator(derive_stream(5, "draws")).uniform()

@@ -370,7 +370,7 @@ class TestLearningFleet:
         feedback = [[None] * n for _ in fleets]  # per fleet, indexed by agent
         for r in range(120):
             pending = [
-                {t: (1.0 + rng.integers(0, 30), 200.0) for t in ("F1-300", "F1-50") if rng.uniform() < 0.4}
+                {t: (1.0 + int(rng.integer_array(0, 30, None)), 200.0) for t in ("F1-300", "F1-50") if rng.uniform() < 0.4}
                 for _ in range(n)
             ]
             by_agent = []
@@ -541,7 +541,7 @@ def mixed_pending(rng, r, n):
     pending = [{} for _ in range(n)]
     for b in deciding:
         types = [t for t in ("F1-300", "F1-50") if rng.uniform() < 0.6] or ["F1-50"]
-        pending[b] = {t: (1.0 + rng.integers(0, 30), 200.0) for t in types}
+        pending[b] = {t: (1.0 + int(rng.integer_array(0, 30, None)), 200.0) for t in types}
     return pending
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from offloadsim.agents import utility_per_type
 from offloadsim.auction import Bid, clear_auction
-from offloadsim.engine import derive_stream
+from offloadsim.engine import derive_stream, left_sum
 from offloadsim.gametheory import (
     AllocationRule,
     InfeasibleFairnessError,
@@ -20,9 +20,6 @@ from offloadsim.gametheory import (
     player_action_space,
     pareto_fairness_check,
     potential_value,
-    potential_identity_sweep,
-    random_uncontended_game,
-    uncontended_utility,
     expected_round_utilities,
 )
 from oracles import brute_force_clear, enumerate_best_responses
@@ -71,7 +68,7 @@ def uncontended_games_with_any_reward(draw):
         )
         for _ in range(draw(st.integers(2, 3)))
     ]
-    capacity = sum(p.work[t] for p in players for t in types) * draw(st.floats(1.0, 4.0))
+    capacity = left_sum(p.work[t] for p in players for t in types) * draw(st.floats(1.0, 4.0))
     w = draw(st.floats(0.0, 3.0))
     for p in players:
         for t in types:
@@ -95,18 +92,34 @@ class TestPotential:
     def test_unilateral_deviation_matches_potential(self):
         game = two_player_game()
         assert check_potential_identity(game, ((1.0,), (1.0,)), 0, (0.0,))
-        du = uncontended_utility(game, ((0.0,), (1.0,)), 0) - uncontended_utility(game, ((1.0,), (1.0,)), 0)
+        free = (0.0,)  # no slot limit: a submitted bid wins at price 0
+        deferred, submitted = ((0.0,), free), ((1.0,), free)
+        du = (
+            expected_round_utilities(game, (deferred, submitted))[0]
+            - expected_round_utilities(game, (submitted, submitted))[0]
+        )
         assert du == pytest.approx(1.2)
 
     def test_identity_deviation(self):
         game = two_player_game()
         assert check_potential_identity(game, ((1.0,), (1.0,)), 0, (1.0,))
 
-    def test_randomized_sweep(self):
-        rng = derive_stream(42, "games")
-        residuals = potential_identity_sweep(200, rng)
-        assert len(residuals) == 200
-        assert max(residuals) <= 1e-9
+    @pytest.mark.parametrize(
+        "slots, capacity, profile, new_alpha, match",
+        [
+            ({"T": 2}, 10.0, ((1.0,), (1.0,)), (0.0,), "slots"),
+            (None, 10.0, ((0.5,), (1.0,)), (0.0,), "alpha 0.5"),
+            (None, 10.0, ((1.0,), (1.0,)), (2.0,), "alpha 2.0"),
+            (None, 3.0, ((1.0,), (1.0,)), (0.0,), "total work 4.0 is above capacity 3.0"),
+        ],
+    )
+    def test_game_outside_the_uncontended_reduction_refused(self, slots, capacity, profile, new_alpha, match):
+        # with slots a bid can lose, an alpha outside {0, 1} is no action, and
+        # above capacity beta clamps: the identity need not hold in any of them
+        game = two_player_game(capacity=capacity)
+        game.slots = slots
+        with pytest.raises(ValueError, match=match):
+            check_potential_identity(game, profile, 0, new_alpha)
 
     @settings(max_examples=30, deadline=None)
     @given(game=uncontended_games_with_any_reward(), data=st.data())
@@ -140,11 +153,7 @@ class TestEquilibriumEnumeration:
         game = StaticGame([player], capacity=10.0, utilization_weight=1.0)
         ne = enumerate_pure_ne(game)
         space = [((0.0,), (0.0,)), ((1.0,), (0.0,))]
-        utils = {}
-        for action in space:
-            others = ()
-            profile = (action,) + others
-            utils[action] = uncontended_utility(game, (action[0],), 0)
+        utils = {action: expected_round_utilities(game, (action,))[0] for action in space}
         best_action = max(utils, key=utils.get)
         assert len(ne) >= 1
         assert all(profile[0] == best_action for profile in ne)
@@ -171,7 +180,6 @@ class TestEquilibriumEnumeration:
             players,
             capacity=10.0,
             utilization_weight=1.0,
-            alpha_levels=(0.0, 1.0),
             price_levels=tuple(np.linspace(0, 10, 8)),
         )
         with pytest.raises(TooLargeError):
@@ -303,10 +311,10 @@ class TestWelfare:
         # with everyone bidding v + c, the top-slot winners are the top values
         rng_case = derive_stream(77, "case")
         for _ in range(50):
-            n = 3 + rng_case.integers(0, 3)
+            n = 3 + int(rng_case.integer_array(0, 3, None))
             values = {f"m{i}": round(rng_case.uniform(1, 10), 3) for i in range(n)}
             c = 0.5
-            slots = 1 + rng_case.integers(0, 2)
+            slots = 1 + int(rng_case.integer_array(0, 2, None))
             out = self.outcome({b: v + c for b, v in values.items()}, slots=slots)
             winners = out.winners["T"]
             achieved = sum(sorted((values[b] for b in winners), reverse=True))

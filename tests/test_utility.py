@@ -130,7 +130,8 @@ class TestTotalUtility:
 class TestOneHome:
     """utility_per_type and utility_total are the only code that computes a
     bidder's payoff: every caller reaches them, looked up where that caller
-    looks them up, instead of restating them."""
+    looks them up, instead of restating them. The static oracles reach
+    utility_total for every round total, the potential identity's too."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -160,11 +161,15 @@ class TestOneHome:
         submitter, deferrer = [("per_type", True)] * 2, [("per_type", False)] * 2
         assert calls == submitter + [("total", None)] + deferrer + [("total", None)]
 
-    def test_uncontended_utility(self, calls):
-        gametheory.uncontended_utility(self.game(), ((1.0,), (0.0,)), 0)
-        # a submitted and a deferred score of its one type; the idle-capacity
-        # term is added unclamped, outside utility_total
-        assert calls == [("per_type", True), ("per_type", False)]
+    def test_potential_identity(self, calls):
+        game = self.game()
+        game.slots = None  # the identity's uncontended reduction
+        gametheory.check_potential_identity(game, ((1.0,), (0.0,)), 0, (0.0,))
+        # the deviated profile, where both defer, then the given one: per
+        # player the won and the lost payoff of its one type, then its total
+        submitter = [("per_type", True)] * 2 + [("total", None)]
+        deferrer = [("per_type", False)] * 2 + [("total", None)]
+        assert calls == deferrer + deferrer + submitter + deferrer
 
     def test_fleet_scores_each_submitted_and_deferred_type_once(self, calls):
         codec = FeatureCodec(
