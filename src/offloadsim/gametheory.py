@@ -11,6 +11,13 @@ at least the total work, so beta never clamps. The one-round dominant bid
 min(v + c, budget) (`utility_per_type`) is tested in
 `tests/test_gametheory.py::TestDominantBid`.
 
+A static action gives each of `StaticGame.type_ids`, in order, either None
+(defer) or the price the player bids (submit); an undemanded type is always
+None. A profile is one action per player. The potential, the payoffs and
+the equilibrium search all take this one form, each equilibrium is listed
+once, and a malformed action raises a ValueError naming the player, the
+type and the value.
+
 Everything here is deterministic: expected utilities integrate tie breaks
 by direct weighting, never by Monte Carlo, so oracle results are seed
 independent.
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,61 +96,59 @@ class StaticGame:
         return tuple(sorted(seen))
 
 
+# -- static actions ---------------------------------------------------------------
+
+
+def _check_profile(game: StaticGame, profile) -> None:
+    """Refuse a profile that is not one static action per player (module docstring)."""
+    types = game.type_ids
+    if len(profile) != len(game.players):
+        raise ValueError(f"{len(profile)} actions for {len(game.players)} players")
+    for i, (player, action) in enumerate(zip(game.players, profile)):
+        if len(action) != len(types):
+            raise ValueError(f"player {i}: {action!r} has {len(action)} entries for types {types}")
+        for t, price in zip(types, action):
+            if price is None:
+                continue
+            if t not in player.work:
+                raise ValueError(f"player {i}, type {t}: {price!r} bid for a type the player does not demand")
+            if not isinstance(price, numbers.Real) or not 0.0 <= price <= player.budget:
+                raise ValueError(f"player {i}, type {t}: {price!r} is neither None nor a price in [0, {player.budget}]")
+
+
 # -- potential function (uncontended case) -------------------------------------
 
 
-def _as_alpha_matrix(game: StaticGame, profile) -> np.ndarray:
-    """The (players, types) alphas of a profile given as one sequence per player, in type_ids order."""
-    out = np.zeros((len(game.players), len(game.type_ids)))
-    for i, per_player in enumerate(profile):
-        out[i] = per_player[: out.shape[1]]
-    return out
-
-
 def potential_value(game: StaticGame, profile) -> float:
-    """phi = sum q - sum alpha*q + W * (1 - sum alpha.omega / C)."""
+    """phi = sum q - sum of q submitted + W * (1 - sum of omega submitted / C)."""
+    _check_profile(game, profile)
     types = game.type_ids
-    alphas = _as_alpha_matrix(game, profile)
+    submitted = [
+        (p, t) for p, action in zip(game.players, profile) for t, price in zip(types, action) if price is not None
+    ]
     total_q = left_sum(p.backoff_rewards.get(t, 0.0) for p in game.players for t in types)
-    chosen_q = left_sum(
-        alphas[i, j] * p.backoff_rewards.get(t, 0.0)
-        for i, p in enumerate(game.players)
-        for j, t in enumerate(types)
-    )
-    load = left_sum(
-        alphas[i, j] * p.work.get(t, 0.0)
-        for i, p in enumerate(game.players)
-        for j, t in enumerate(types)
-    )
+    chosen_q = left_sum(p.backoff_rewards.get(t, 0.0) for p, t in submitted)
+    load = left_sum(p.work[t] for p, t in submitted)
     return total_q - chosen_q + game.utilization_weight * (1.0 - load / game.capacity)
 
 
-def check_potential_identity(game: StaticGame, profile, player: int, new_alpha) -> bool:
+def check_potential_identity(game: StaticGame, profile, player: int, new_action) -> bool:
     """Does the deviating player's round utility change equal the potential change?
 
-    Both profiles are scored with `expected_round_utilities`, each alpha
-    padded with price 0: with no slot limit every submitted bid wins free,
-    and the round total goes through `utility_total`. The identity holds
-    only in that uncontended reduction, so a game with slots, an alpha
-    outside {0, 1}, or a total work above capacity (where beta clamps) is
-    refused.
+    Both profiles are scored with `expected_round_utilities`: with no slot
+    limit every submitted bid wins at price 0, whatever it bids, and the
+    round total goes through `utility_total`. The identity holds only in
+    that uncontended reduction, so a game with slots or a total work above
+    capacity (where beta clamps) is refused.
     """
     if game.slots is not None:
         raise ValueError(f"slots {game.slots} set: the identity holds only with every bid accepted")
-    for alpha in itertools.chain(*profile, new_alpha):
-        if alpha != 0 and alpha != 1:
-            raise ValueError(f"alpha {alpha} is not 0 or 1")
     total_work = left_sum(p.work.get(t, 0.0) for p in game.players for t in game.type_ids)
     if total_work > game.capacity:
         raise ValueError(f"total work {total_work} is above capacity {game.capacity}, where beta clamps")
     deviated = list(profile)
-    deviated[player] = new_alpha
-    prices = (0.0,) * len(game.type_ids)
-
-    def utility(alphas):
-        return expected_round_utilities(game, [(a, prices) for a in alphas])[player]
-
-    du = utility(deviated) - utility(profile)
+    deviated[player] = new_action
+    du = expected_round_utilities(game, deviated)[player] - expected_round_utilities(game, profile)[player]
     dphi = potential_value(game, deviated) - potential_value(game, profile)
     return abs(du - dphi) <= IDENTITY_TOL
 
@@ -151,23 +157,20 @@ def check_potential_identity(game: StaticGame, profile, player: int, new_alpha) 
 
 
 def expected_round_utilities(game: StaticGame, actions) -> list[float]:
-    """Expected utility per player for one joint action.
+    """Expected utility per player for one profile of static actions.
 
-    actions[i] = (alpha_vec, price_vec) over game.type_ids. Tie breaks at the
-    slot boundary are integrated exactly (each tied bidder wins the leftover
-    slots with equal probability). The per-type payoff is the learners' own,
-    utility_per_type, taken in expectation over the win probability.
+    Tie breaks at the slot boundary are integrated exactly (each tied bidder
+    wins the leftover slots with equal probability). The per-type payoff is
+    the learners' own, utility_per_type, taken in expectation over the win
+    probability.
     """
+    _check_profile(game, actions)
     types = game.type_ids
     n_players = len(game.players)
     win_prob = np.zeros((n_players, len(types)))
     payment = np.zeros(len(types))
     for j, t in enumerate(types):
-        submitted = [
-            (i, actions[i][1][j])
-            for i in range(n_players)
-            if t in game.players[i].work and actions[i][0][j] >= 0.5
-        ]
+        submitted = [(i, action[j]) for i, action in enumerate(actions) if action[j] is not None]
         if not submitted:
             continue
         n = len(submitted) if game.slots is None else game.slots.get(t, 0)
@@ -203,7 +206,7 @@ def expected_round_utilities(game: StaticGame, actions) -> list[float]:
                 continue
             v, p, c = player.values[t], float(payment[j]), player.lost_bid_cost
             q = player.backoff_rewards.get(t, 0.0)
-            submitted = actions[i][0][j] >= 0.5
+            submitted = actions[i][j] is not None
             pr_win = win_prob[i, j]  # 0 for a deferred bid, whose payoff is q either way
             won = utility_per_type(1, v, p, c, q, submitted)
             lost = utility_per_type(0, v, p, c, q, submitted)
@@ -212,22 +215,18 @@ def expected_round_utilities(game: StaticGame, actions) -> list[float]:
     return utilities
 
 
-def player_action_space(game: StaticGame, player: int) -> list[tuple[tuple, tuple]]:
-    types = game.type_ids
-    demanded = [t in game.players[player].work for t in types]
-    alpha_choices = [(0.0, 1.0) if d else (0.0,) for d in demanded]
-    price_levels = tuple(p for p in game.price_levels if p <= game.players[player].budget)
-    price_choices = [price_levels if d else (0.0,) for d in demanded]
-    space = []
-    for alphas in itertools.product(*alpha_choices):
-        for prices in itertools.product(*price_choices):
-            space.append((alphas, prices))
-    return space
+def player_action_space(game: StaticGame, player: int) -> list[tuple]:
+    """The player's static actions: per demanded type None (defer) or a grid
+    price within its budget, and None for every other type. A deferral
+    carries no price, so each is listed once."""
+    p = game.players[player]
+    prices = tuple(pr for pr in game.price_levels if pr <= p.budget)
+    return list(itertools.product(*[(None, *prices) if t in p.work else (None,) for t in game.type_ids]))
 
 
 def enumerate_pure_ne(game: StaticGame) -> list[tuple]:
-    """All joint grid actions from which no unilateral deviation gains more
-    than NE_TOL."""
+    """Every profile of `player_action_space` actions from which no unilateral
+    deviation gains more than NE_TOL. Each equilibrium is listed once."""
     spaces = [player_action_space(game, i) for i in range(len(game.players))]
     total = math.prod(len(s) for s in spaces)
     if total > 1_000_000:
@@ -242,18 +241,12 @@ def enumerate_pure_ne(game: StaticGame) -> list[tuple]:
     equilibria = []
     for profile in itertools.product(*spaces):
         base = utilities(profile)
-        stable = True
-        for i, space in enumerate(spaces):
-            for alt in space:
-                if alt == profile[i]:
-                    continue
-                deviated = profile[:i] + (alt,) + profile[i + 1 :]
-                if utilities(deviated)[i] > base[i] + NE_TOL:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
+        if not any(
+            utilities(profile[:i] + (alt,) + profile[i + 1 :])[i] > base[i] + NE_TOL
+            for i, space in enumerate(spaces)
+            for alt in space
+            if alt != profile[i]
+        ):
             equilibria.append(profile)
     return equilibria
 

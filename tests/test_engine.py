@@ -462,4 +462,4 @@ def test_replayed_totals_do_not_depend_on_builtin_sum(monkeypatch):
     # the static-game oracles too: every player defers, so phi is the sum of the rewards
     players = [gametheory.StaticPlayer({"F": q}, {"F": 1.0}, {"F": 1.0}, 0.0, 1.0) for q in TINY]
     game = gametheory.StaticGame(players, capacity=10.0, utilization_weight=0.0)
-    assert gametheory.potential_value(game, [(0.0,)] * 3) == left_sum(TINY)
+    assert gametheory.potential_value(game, [(None,)] * 3) == left_sum(TINY)

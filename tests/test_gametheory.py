@@ -52,6 +52,38 @@ def test_values_missing_a_demanded_type_rejected():
         StaticPlayer({"T": 1.0}, {"T": 2.0, "U": 1.0, "V": 1.0}, {"T": 3.0}, 0.5, 10.0)
 
 
+def two_type_game():
+    # player 0 demands T and U, player 1 only T
+    players = [
+        StaticPlayer({"T": 1.0, "U": 1.0}, {"T": 2.0, "U": 2.0}, {"T": 3.0, "U": 3.0}, 0.5, 10.0),
+        StaticPlayer({"T": 1.0}, {"T": 2.0}, {"T": 3.0}, 0.5, 10.0),
+    ]
+    return StaticGame(players, capacity=10.0, utilization_weight=1.0, slots={"T": 1, "U": 1})
+
+
+MALFORMED = {
+    "three-entries": (((0.0, None, 0.0), (None, None)), r"player 0: \(0.0, None, 0.0\) has 3 entries"),
+    "missing-player": (((0.0, None),), "1 actions for 2 players"),
+    "nan": (((math.nan, None), (5.0, None)), "player 0, type T: nan is neither None nor a price"),
+    "negative": (((None, None), (-3.0, None)), r"player 1, type T: -3.0 .* in \[0, 10.0\]"),
+    "above-budget": (((500.0, None), (None, None)), r"player 0, type T: 500.0 .* in \[0, 10.0\]"),
+    # an (alpha vector, price vector) pair, where alpha 0.5 once counted as
+    # half a submission in the potential and a whole one in the payoffs
+    "alpha-pair": ((((0.5, 1.0), (0.0, 0.0)), (None, None)), r"player 0, type T: \(0.5, 1.0\) is neither"),
+    "undemanded": (((None, None), (None, 4.0)), "player 1, type U: 4.0 bid for a type the player does not demand"),
+}
+
+
+@pytest.mark.parametrize("profile, match", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_action_refused(profile, match):
+    # the potential and the payoffs read one action form and refuse the same profiles
+    game = two_type_game()
+    with pytest.raises(ValueError, match=match):
+        potential_value(game, profile)
+    with pytest.raises(ValueError, match=match):
+        expected_round_utilities(game, profile)
+
+
 @st.composite
 def uncontended_games_with_any_reward(draw):
     """A small everything-admitted game whose deferral rewards q lie in
@@ -79,21 +111,20 @@ def uncontended_games_with_any_reward(draw):
 class TestPotential:
     def test_all_backed_off(self):
         game = two_player_game()
-        assert potential_value(game, ((0.0,), (0.0,))) == pytest.approx(2.0 + 1.0)
+        assert potential_value(game, ((None,), (None,))) == pytest.approx(2.0 + 1.0)
 
     def test_both_submit(self):
         game = two_player_game()
-        assert potential_value(game, ((1.0,), (1.0,))) == pytest.approx(0.6)
+        assert potential_value(game, ((0.0,), (0.0,))) == pytest.approx(0.6)
 
     def test_one_submits(self):
         game = two_player_game()
-        assert potential_value(game, ((0.0,), (1.0,))) == pytest.approx(1.8)
+        assert potential_value(game, ((None,), (0.0,))) == pytest.approx(1.8)
 
     def test_unilateral_deviation_matches_potential(self):
         game = two_player_game()
-        assert check_potential_identity(game, ((1.0,), (1.0,)), 0, (0.0,))
-        free = (0.0,)  # no slot limit: a submitted bid wins at price 0
-        deferred, submitted = ((0.0,), free), ((1.0,), free)
+        assert check_potential_identity(game, ((0.0,), (0.0,)), 0, (None,))
+        deferred, submitted = (None,), (0.0,)  # no slot limit: a submitted bid wins at price 0
         du = (
             expected_round_utilities(game, (deferred, submitted))[0]
             - expected_round_utilities(game, (submitted, submitted))[0]
@@ -102,57 +133,57 @@ class TestPotential:
 
     def test_identity_deviation(self):
         game = two_player_game()
-        assert check_potential_identity(game, ((1.0,), (1.0,)), 0, (1.0,))
+        assert check_potential_identity(game, ((0.0,), (0.0,)), 0, (0.0,))
 
     @pytest.mark.parametrize(
-        "slots, capacity, profile, new_alpha, match",
+        "slots, capacity, profile, new_action, match",
         [
-            ({"T": 2}, 10.0, ((1.0,), (1.0,)), (0.0,), "slots"),
-            (None, 10.0, ((0.5,), (1.0,)), (0.0,), "alpha 0.5"),
-            (None, 10.0, ((1.0,), (1.0,)), (2.0,), "alpha 2.0"),
-            (None, 3.0, ((1.0,), (1.0,)), (0.0,), "total work 4.0 is above capacity 3.0"),
+            ({"T": 2}, 10.0, ((0.0,), (0.0,)), (None,), "slots"),
+            (None, 10.0, ((0.0,), (0.0,)), ((0.0,), (0.0,)), "player 0: .* has 2 entries for types"),
+            (None, 3.0, ((0.0,), (0.0,)), (None,), "total work 4.0 is above capacity 3.0"),
         ],
     )
-    def test_game_outside_the_uncontended_reduction_refused(self, slots, capacity, profile, new_alpha, match):
-        # with slots a bid can lose, an alpha outside {0, 1} is no action, and
-        # above capacity beta clamps: the identity need not hold in any of them
+    def test_game_outside_the_uncontended_reduction_refused(self, slots, capacity, profile, new_action, match):
+        # with slots a bid can lose, an (alpha, price) pair is no static
+        # action, and above capacity beta clamps: the identity need not hold
         game = two_player_game(capacity=capacity)
         game.slots = slots
         with pytest.raises(ValueError, match=match):
-            check_potential_identity(game, profile, 0, new_alpha)
+            check_potential_identity(game, profile, 0, new_action)
 
     @settings(max_examples=30, deadline=None)
     @given(game=uncontended_games_with_any_reward(), data=st.data())
     def test_maximizer_submits_exactly_the_pairs_that_gain(self, game, data):
         types, n = game.type_ids, len(game.players)
-        alphas = st.tuples(*[st.sampled_from((0.0, 1.0))] * len(types))
-        profile = data.draw(st.tuples(*[alphas] * n))
-        assert check_potential_identity(game, profile, data.draw(st.integers(0, n - 1)), data.draw(alphas))
+        actions = st.tuples(*[st.sampled_from((None, 0.0))] * len(types))
+        profile = data.draw(st.tuples(*[actions] * n))
+        assert check_potential_identity(game, profile, data.draw(st.integers(0, n - 1)), data.draw(actions))
         # submitting one (player, type) pair moves the potential by -q - W*omega/C
         gains = tuple(
-            tuple(float(-p.backoff_rewards[t] > game.utilization_weight * p.work[t] / game.capacity) for t in types)
+            tuple(
+                0.0 if -p.backoff_rewards[t] > game.utilization_weight * p.work[t] / game.capacity else None
+                for t in types
+            )
             for p in game.players
         )
-        profiles = itertools.product(itertools.product((0.0, 1.0), repeat=len(types)), repeat=n)
+        profiles = itertools.product(itertools.product((None, 0.0), repeat=len(types)), repeat=n)
         best = max(profiles, key=lambda pr: potential_value(game, pr))
         assert best == gains
-        assert best in {tuple(chosen for chosen, _prices in ne) for ne in enumerate_pure_ne(game)}
+        assert best in enumerate_pure_ne(game)
 
 
 class TestEquilibriumEnumeration:
     def test_potential_maximizer_is_equilibrium(self):
         game = two_player_game()
-        profiles = list(itertools.product([(0.0,), (1.0,)], repeat=2))
+        profiles = list(itertools.product([(None,), (0.0,)], repeat=2))
         best = max(profiles, key=lambda pr: potential_value(game, pr))
-        ne = enumerate_pure_ne(game)
-        ne_alphas = {tuple(a for a, _ in profile) for profile in ne}
-        assert tuple(best) in ne_alphas
+        assert best in enumerate_pure_ne(game)
 
     def test_single_player_argmax(self):
         player = StaticPlayer({"T": 0.3}, {"T": 2.0}, {"T": 3.0}, 0.5, 10.0)
         game = StaticGame([player], capacity=10.0, utilization_weight=1.0)
         ne = enumerate_pure_ne(game)
-        space = [((0.0,), (0.0,)), ((1.0,), (0.0,))]
+        space = [(None,), (0.0,)]
         utils = {action: expected_round_utilities(game, (action,))[0] for action in space}
         best_action = max(utils, key=utils.get)
         assert len(ne) >= 1
@@ -185,21 +216,63 @@ class TestEquilibriumEnumeration:
         with pytest.raises(TooLargeError):
             enumerate_pure_ne(game)
 
+    @staticmethod
+    def assert_matches_naive_oracle(game):
+        # the full payoff table over every joint grid action, searched by the
+        # independent brute-force oracle; each equilibrium is listed once
+        spaces = [player_action_space(game, i) for i in range(len(game.players))]
+        payoffs = {profile: expected_round_utilities(game, profile) for profile in itertools.product(*spaces)}
+        ne = enumerate_pure_ne(game)
+        assert ne
+        assert len(ne) == len(set(ne))
+        assert set(ne) == set(enumerate_best_responses(payoffs))
+
     @pytest.mark.parametrize("contended", [False, True])
     def test_enumeration_matches_naive_oracle(self, contended):
-        # the full payoff table over every joint grid action, searched by the
-        # independent brute-force oracle
         game = two_player_game()
         if contended:
             players = [StaticPlayer({"T": 0.2}, {"T": 2.0}, {"T": v}, 0.5, 10.0) for v in (6.0, 5.0, 4.0)]
             game = StaticGame(
                 players, capacity=10.0, utilization_weight=1.0, price_levels=(0.0, 2.0, 4.0, 6.0), slots={"T": 1}
             )
-        spaces = [player_action_space(game, i) for i in range(len(game.players))]
-        payoffs = {profile: expected_round_utilities(game, profile) for profile in itertools.product(*spaces)}
+        self.assert_matches_naive_oracle(game)
+
+    def test_two_type_enumeration_matches_naive_oracle(self):
+        players = [
+            StaticPlayer({"A": -0.5, "B": -1.0}, {"A": 2.0, "B": 3.0}, {"A": va, "B": vb}, 0.5, 10.0)
+            for va, vb in ((3.0, 5.0), (4.0, 4.0))
+        ]
+        game = StaticGame(
+            players, capacity=10.0, utilization_weight=1.0, price_levels=(0.0, 3.0, 6.0), slots={"A": 1, "B": 1}
+        )
+        # defer or one of 3 prices for each of 2 types: 16 actions a player, 256 profiles
+        assert [len(player_action_space(game, i)) for i in range(2)] == [16, 16]
+        self.assert_matches_naive_oracle(game)
+
+    @pytest.mark.parametrize(
+        "q, w, slots, count, submitters",
+        [
+            *[(0.1, w, slots, 1, {0}) for w in (0.0, 1.0) for slots in (1, 2, None)],
+            (-0.1, 0.0, 1, 2, {1}),
+            (-1.0, 1.0, 1, 10, {1, 2}),
+            (-5.0, 0.0, 1, 8, {2}),
+            (-5.0, 1.0, 1, 8, {2}),
+        ],
+    )
+    def test_sign_of_q_decides_who_submits(self, q, w, slots, count, submitters):
+        # ROADMAP direction 2's game: v = 40, work 40, c = 1, budget 100,
+        # capacity 100, prices 0-50 in steps of 10
+        players = [StaticPlayer({"T": q}, {"T": 40.0}, {"T": 40.0}, 1.0, 100.0) for _ in range(2)]
+        game = StaticGame(
+            players,
+            capacity=100.0,
+            utilization_weight=w,
+            price_levels=tuple(float(p) for p in range(0, 51, 10)),
+            slots=None if slots is None else {"T": slots},
+        )
         ne = enumerate_pure_ne(game)
-        assert ne
-        assert set(ne) == set(enumerate_best_responses(payoffs))
+        assert len(ne) == len(set(ne)) == count
+        assert {sum(price is not None for (price,) in profile) for profile in ne} == submitters
 
     def test_contended_static_clear_matches_auction_module(self):
         # tie-free: the expected-utility clearing must agree with a real clear
@@ -209,11 +282,11 @@ class TestEquilibriumEnumeration:
             StaticPlayer({"T": 0.1}, {"T": 2.0}, {"T": 3.0}, 0.5, 10.0),
         ]
         game = StaticGame(players, capacity=100.0, utilization_weight=0.0, slots={"T": 1})
-        actions = (((1.0,), (5.0,)), ((1.0,), (4.0,)), ((1.0,), (3.0,)))
+        actions = ((5.0,), (4.0,), (3.0,))
         utils = expected_round_utilities(game, actions)
         rng = derive_stream(0, "auction")
         outcome = clear_auction(
-            [Bid(f"m{i}", "T", float(actions[i][1][0]), 2.0, 100) for i in range(3)], {"T": 1}, rng
+            [Bid(f"m{i}", "T", actions[i][0], 2.0, 100) for i in range(3)], {"T": 1}, rng
         )
         assert outcome.winners["T"] == {"m0"}
         assert outcome.payment_vector["T"] == 4.0
@@ -295,7 +368,7 @@ class TestDominantBid:
         game = StaticGame([me, rival], capacity=100.0, utilization_weight=20.0, slots={"T": 1})
         shifted = 20.0 + 0.0 - 20.0 * 10.0 / 100.0
         scores = {
-            bid: expected_round_utilities(game, (((1.0,), (bid,)), ((1.0,), (20.0,))))[0] for bid in (shifted, 20.5)
+            bid: expected_round_utilities(game, ((bid,), (20.0,)))[0] for bid in (shifted, 20.5)
         }
         assert scores == {18.0: 16.0, 20.5: 18.0}
 

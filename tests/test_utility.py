@@ -156,7 +156,7 @@ class TestOneHome:
         return gametheory.StaticGame(players, capacity=10.0, utilization_weight=1.0, slots={"T": 1})
 
     def test_expected_round_utilities(self, calls):
-        gametheory.expected_round_utilities(self.game(), (((1.0,), (4.0,)), ((0.0,), (0.0,))))
+        gametheory.expected_round_utilities(self.game(), ((4.0,), (None,)))
         # per player: the won and the lost payoff of its one type, then its total
         submitter, deferrer = [("per_type", True)] * 2, [("per_type", False)] * 2
         assert calls == submitter + [("total", None)] + deferrer + [("total", None)]
@@ -164,7 +164,7 @@ class TestOneHome:
     def test_potential_identity(self, calls):
         game = self.game()
         game.slots = None  # the identity's uncontended reduction
-        gametheory.check_potential_identity(game, ((1.0,), (0.0,)), 0, (0.0,))
+        gametheory.check_potential_identity(game, ((0.0,), (None,)), 0, (None,))
         # the deviated profile, where both defer, then the given one: per
         # player the won and the lost payoff of its one type, then its total
         submitter = [("per_type", True)] * 2 + [("total", None)]
