@@ -250,14 +250,15 @@ class StackedMlp:
         return np.concatenate([self.params[k][agent].ravel() for k in sorted(self.params)])
 
     def load_flat(self, agent: int, flat: np.ndarray):
+        """Write a `flat_view` vector back; one of the wrong length changes nothing."""
+        blocks = [self.params[k][agent] for k in sorted(self.params)]
+        expected = sum(block.size for block in blocks)
+        if flat.size != expected:
+            raise ValueError(f"parameter vector has {flat.size} entries, expected {expected}")
         offset = 0
-        for k in sorted(self.params):
-            block = self.params[k][agent]
-            n = block.size
-            block[...] = flat[offset : offset + n].reshape(block.shape)
-            offset += n
-        if offset != flat.size:
-            raise ValueError(f"parameter vector has {flat.size} entries, expected {offset}")
+        for block in blocks:
+            block[...] = flat[offset : offset + block.size].reshape(block.shape)
+            offset += block.size
 
 
 def dense_gradients(factors: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:

@@ -3,12 +3,15 @@
 Verifies, on small instances, the claims the simulator's mechanism rests
 on: the uncontended game is an exact potential game (unilateral utility
 differences equal potential differences), clearing admits pure equilibria
-found by brute-force enumeration, and the induced allocation rule is welfare
-optimal under a fairness ratio constraint. The potential identity is checked
-on the learners' own round total, `expected_round_utilities` through
-`utility_total`, in the uncontended reduction: no slot limit, and a capacity
-at least the total work, so beta never clamps. The one-round dominant bid
-min(v + c, budget) (`utility_per_type`) is tested in
+found by brute-force enumeration, and a one-slot auction between two
+bidders with `fair_slopes`' valuation slopes allocates as much resource as
+the best threshold rule that meets the same fairness ratio
+(`pareto_fairness_check`, run on `clear_auction`'s winners in
+`tests/test_gametheory.py::TestFairness`). The potential identity is
+checked on the learners' own round total, `expected_round_utilities`
+through `utility_total`, in the uncontended reduction: no slot limit, and a
+capacity at least the total work, so beta never clamps. The one-round
+dominant bid min(v + c, budget) (`utility_per_type`) is tested in
 `tests/test_gametheory.py::TestDominantBid`.
 
 A static action gives each of `StaticGame.type_ids`, in order, either None
@@ -16,7 +19,8 @@ A static action gives each of `StaticGame.type_ids`, in order, either None
 None. A profile is one action per player. The potential, the payoffs and
 the equilibrium search all take this one form, each equilibrium is listed
 once, and a malformed action raises a ValueError naming the player, the
-type and the value.
+type and the value. `StaticPlayer` and `StaticGame` refuse at construction
+what `AgentConfig`, `valuation`, `Bid` and `clear_auction` refuse.
 
 Everything here is deterministic: expected utilities integrate tie breaks
 by direct weighting, never by Monte Carlo, so oracle results are seed
@@ -40,6 +44,7 @@ NE_TOL = 1e-12  # a deviation must gain more than this to break an equilibrium
 WELFARE_TOL = 0.01  # the fairness check's welfare slack, relative to the best candidate
 SLOPE_GRID = 60  # candidate threshold slopes, from 0.25 to 4
 OFFSET_GRID = 41  # candidate threshold offsets, across the samples' spread
+FAIR_SLOPES_TOL = 1e-12  # the width of fair_slopes' final bisection bracket
 
 
 class TooLargeError(ValueError):
@@ -59,9 +64,20 @@ class StaticPlayer:
     budget: float
 
     def __post_init__(self):
+        # the rules of AgentConfig and valuation
+        if not 0.0 < self.budget < math.inf:
+            raise ValueError(f"budget must be finite and positive, got {self.budget}")
+        if not 0.0 <= self.lost_bid_cost < math.inf:
+            raise ValueError(f"lost_bid_cost must be finite and >= 0, got {self.lost_bid_cost}")
+        for t, q in self.backoff_rewards.items():
+            if not math.isfinite(q):
+                raise ValueError(f"backoff reward for {t} must be finite, got {q}")
+        for t, w in self.work.items():
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"work for {t} must be finite and positive, got {w}")
         for t, v in self.values.items():
-            if v > self.budget + 1e-12:
-                raise ValueError(f"value {v} for {t} exceeds budget {self.budget}")
+            if not 0.0 < v <= self.budget:
+                raise ValueError(f"value {v} for {t} is outside (0, budget {self.budget}]")
         # the utilities read a value for every demanded type
         unvalued = sorted(set(self.work) - set(self.values))
         if unvalued:
@@ -83,8 +99,17 @@ class StaticGame:
     def __post_init__(self):
         if not 0 < self.capacity < math.inf:
             raise ValueError(f"capacity must be finite and positive, got {self.capacity}")
+        if not 0.0 <= self.utilization_weight < math.inf:
+            raise ValueError(f"utilization_weight must be finite and >= 0, got {self.utilization_weight}")
         if not self.price_levels:
             raise ValueError("the price grid must be non-empty")
+        # the rules of a Bid's price and of clear_auction's slot counts
+        for price in self.price_levels:
+            if isinstance(price, bool) or not 0.0 <= price < math.inf:
+                raise ValueError(f"price level {price!r} must be finite and >= 0")
+        for t, n in (self.slots or {}).items():
+            if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
+                raise ValueError(f"slot count for {t} must be an integer >= 0, got {n!r}")
 
     @property
     def type_ids(self) -> tuple[str, ...]:
@@ -112,7 +137,7 @@ def _check_profile(game: StaticGame, profile) -> None:
                 continue
             if t not in player.work:
                 raise ValueError(f"player {i}, type {t}: {price!r} bid for a type the player does not demand")
-            if not isinstance(price, numbers.Real) or not 0.0 <= price <= player.budget:
+            if isinstance(price, bool) or not isinstance(price, numbers.Real) or not 0.0 <= price <= player.budget:
                 raise ValueError(f"player {i}, type {t}: {price!r} is neither None nor a price in [0, {player.budget}]")
 
 
@@ -254,90 +279,53 @@ def enumerate_pure_ne(game: StaticGame) -> list[tuple]:
 # -- fairness-constrained allocation check -----------------------------------------
 
 
-@dataclass
-class AllocationRule:
-    """Linear-form allocation: bidder 1 wins when j1*v1 + d1 >= j2*v2 + d2.
+def _check_fairness_input(gamma, omega1, omega2) -> tuple[np.ndarray, np.ndarray]:
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    omega1 = np.asarray(omega1, dtype=float)
+    omega2 = np.asarray(omega2, dtype=float)
+    if omega1.ndim != 1 or omega1.shape != omega2.shape or omega1.size == 0:
+        raise ValueError(f"need paired, non-empty 1-D samples, got shapes {omega1.shape} and {omega2.shape}")
+    both = np.concatenate([omega1, omega2])
+    if not np.all((both > 0) & (both < math.inf)):
+        raise ValueError("resource amounts must be finite and positive")
+    return omega1, omega2
 
-    gamma is the fairness ratio the rule is meant to hold; lambda_star the
-    multiplier that ties valuations to resource amounts:
-        g1 = (1 + lambda) / j1,        k1 = -d1 / j1
-        g2 = (1 - gamma * lambda) / j2, k2 = -d2 / j2
-    with v_i = g_i * omega_i + k_i.
 
-    This relation makes the rule the pointwise maximiser of the Lagrangian of
+def fair_slopes(gamma: float, omega1, omega2) -> tuple[float, float]:
+    """Valuation slopes (1 + lambda, 1 - gamma*lambda) under which a one-slot
+    auction between two bidders meets the fairness ratio gamma on the samples.
+
+    A bidder values its request at slope * omega (`valuation`, the budget out
+    of reach) and the higher valuation wins, so bidder 1 wins where
+    (1 + lambda)*omega1 >= (1 - gamma*lambda)*omega2. That is the pointwise
+    maximiser of the Lagrangian of
         maximise E[omega1*x + omega2*(1-x)]  s.t.  E[omega1*x] = gamma * E[omega2*(1-x)]
-    where x is 1 where bidder 1 is allocated. So the fairness ratio is the
-    ratio of allocated totals, E[omega1*x] / E[omega2*(1-x)], not the ratio of
-    conditional means. PAPER.md carries only the abstract and does not define
-    the ratio; the multiplier relation is what settles it. Use `for_fairness`
-    to solve lambda_star so that a sample set meets gamma exactly.
+    where x is 1 where bidder 1 is allocated. So the fairness ratio is that of
+    allocated totals, E[omega1*x] / E[omega2*(1-x)], not of conditional means
+    (PAPER.md carries only the abstract, which does not define it). Over
+    lambda in (-1, 1/gamma) both slopes are positive and the ratio rises
+    from 0 to unbounded, so bisection finds the least lambda, to within
+    FAIR_SLOPES_TOL, at which it is at least gamma. On a finite sample the
+    ratio moves in steps, so it meets gamma only to within the last step.
     """
-
-    j1: float
-    d1: float
-    j2: float
-    d2: float
-    gamma: float
-    lambda_star: float
-
-    def __post_init__(self):
-        if self.j1 <= 0 or self.j2 <= 0:
-            raise ValueError("slopes j must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.lambda_star <= -1.0:
-            raise ValueError("need lambda > -1 for positive g1")
-        if 1.0 - self.gamma * self.lambda_star <= 0:
-            raise ValueError("need gamma * lambda < 1 for positive g2")
-
-    @classmethod
-    def for_fairness(cls, j1, d1, j2, d2, gamma, v1_samples, v2_samples) -> "AllocationRule":
-        """The rule on (j, d) whose allocation of the samples meets gamma exactly.
-
-        The assignment depends on (j, d) only, while omega1 scales as
-        1/(1+lambda) and omega2 as 1/(1-gamma*lambda). The ratio is therefore
-        A*(1-gamma*lambda)/(1+lambda) with
-        A = j1*sum_x(v1-k1) / (j2*sum_not_x(v2-k2)), and ratio = gamma solves to
-        lambda* = (A - gamma) / (gamma*(1 + A)), which lies in (-1, 1/gamma).
-        Raises InfeasibleFairnessError when one bidder is never allocated.
-        """
-        v1 = np.asarray(v1_samples, dtype=float)
-        v2 = np.asarray(v2_samples, dtype=float)
-        scaled1 = j1 * v1 + d1  # (1 + lambda) * omega1
-        scaled2 = j2 * v2 + d2  # (1 - gamma * lambda) * omega2
-        if np.any(scaled1 <= 0) or np.any(scaled2 <= 0):
-            raise ValueError("samples imply non-positive resource amounts")
-        to_first = scaled1 >= scaled2
-        if to_first.all() or not to_first.any():
-            raise InfeasibleFairnessError("one bidder is never allocated; no multiplier meets gamma")
-        a = float(scaled1[to_first].sum() / scaled2[~to_first].sum())
-        return cls(j1, d1, j2, d2, gamma, lambda_star=(a - gamma) / (gamma * (1.0 + a)))
-
-    @property
-    def g1(self) -> float:
-        return (1.0 + self.lambda_star) / self.j1
-
-    @property
-    def k1(self) -> float:
-        return -self.d1 / self.j1
-
-    @property
-    def g2(self) -> float:
-        return (1.0 - self.gamma * self.lambda_star) / self.j2
-
-    @property
-    def k2(self) -> float:
-        return -self.d2 / self.j2
-
-    def allocates_to_first(self, v1, v2):
-        return self.j1 * np.asarray(v1) + self.d1 >= self.j2 * np.asarray(v2) + self.d2
+    omega1, omega2 = _check_fairness_input(gamma, omega1, omega2)
+    lo, hi = -1.0, 1.0 / gamma  # the ratio is below gamma at lo and at least gamma at hi
+    while hi - lo > FAIR_SLOPES_TOL:
+        mid = 0.5 * (lo + hi)
+        first = (1.0 + mid) * omega1 >= (1.0 - gamma * mid) * omega2
+        if omega1[first].sum() >= gamma * omega2[~first].sum():
+            hi = mid
+        else:
+            lo = mid
+    return 1.0 + hi, 1.0 - gamma * hi
 
 
 @dataclass
 class FairnessReport:
     achieved_welfare: float
     best_welfare: float
-    achieved_ratio: float  # E[omega1*x] / E[omega2*(1-x)] under the rule; nan if one side is empty
+    achieved_ratio: float  # E[omega1*x] / E[omega2*(1-x)] of the allocation; nan if one side is empty
     feasible_candidates: int
     passed: bool
 
@@ -352,57 +340,45 @@ def _allocation_stats(assign_first: np.ndarray, omega1: np.ndarray, omega2: np.n
     return welfare_value, ratio
 
 
-def pareto_fairness_check(
-    rule: AllocationRule,
-    v1_samples: np.ndarray,
-    v2_samples: np.ndarray,
-    ratio_tol: float = 0.02,
-) -> FairnessReport:
-    """Compare the rule's allocated resource against the best linear
-    threshold rule meeting (approximately) the same fairness ratio.
+def pareto_fairness_check(first_wins, omega1, omega2, gamma: float, ratio_tol: float = 0.02) -> FairnessReport:
+    """Compare an allocation's allocated resource against the best linear
+    threshold rule meeting (approximately) the fairness ratio gamma.
 
-    The ratio of an allocation x is that of allocated totals,
-    E[omega1*x] / E[omega2*(1-x)] (see AllocationRule). The candidate family
-    'first wins when v1 >= s*v2 + o' always includes the rule itself, so
-    best >= achieved; the check passes when the rule is within WELFARE_TOL of
-    the constrained best. The family's grid is SLOPE_GRID slopes by
-    OFFSET_GRID offsets, plus the rule itself.
+    first_wins is the allocation, True where bidder 1 got the pair's slot;
+    the ratio of an allocation x is that of allocated totals,
+    E[omega1*x] / E[omega2*(1-x)] (see `fair_slopes`). The candidates are
+    the allocation itself and the family 'first wins when
+    omega1 >= s*omega2 + o' on a grid of SLOPE_GRID slopes by OFFSET_GRID
+    offsets. Those within the band |ratio - gamma| <= ratio_tol * max(1, gamma)
+    are feasible, and the check passes when the allocation is within
+    WELFARE_TOL of the best feasible one.
 
-    The band lets candidates beat the rule. When the rule meets gamma exactly,
+    The band lets candidates beat the allocation. When the allocation is
+    the Lagrangian maximiser at multiplier lambda and meets gamma exactly,
     Lagrangian sufficiency bounds a candidate x with ratio r_x to a gain of at
-    most lambda* * (gamma - r_x) * E[omega2*(1-x)], that is up to
-    |lambda*| * ratio_tol * max(1, gamma) * E[omega2*(1-x)]. ratio_tol must
-    keep that slack below WELFARE_TOL * best, or a welfare-optimal rule fails.
+    most lambda * (gamma - r_x) * E[omega2*(1-x)], that is up to
+    |lambda| * ratio_tol * max(1, gamma) * E[omega2*(1-x)]. ratio_tol must
+    keep that slack below WELFARE_TOL * best, or a welfare-optimal
+    allocation fails.
     """
-    v1 = np.asarray(v1_samples, dtype=float)
-    v2 = np.asarray(v2_samples, dtype=float)
-    omega1 = (v1 - rule.k1) / rule.g1
-    omega2 = (v2 - rule.k2) / rule.g2
-    if np.any(omega1 <= 0) or np.any(omega2 <= 0):
-        raise ValueError("samples imply non-positive resource amounts")
+    omega1, omega2 = _check_fairness_input(gamma, omega1, omega2)
+    first_wins = np.asarray(first_wins)
+    if first_wins.dtype != bool or first_wins.shape != omega1.shape:
+        raise ValueError(f"need one bool per sample pair, got {first_wins.dtype} of shape {first_wins.shape}")
 
-    rule_assign = np.asarray(rule.allocates_to_first(v1, v2))
-    achieved, achieved_ratio = _allocation_stats(rule_assign, omega1, omega2)
+    achieved, achieved_ratio = _allocation_stats(first_wins, omega1, omega2)
     degenerate = math.isnan(achieved_ratio)
 
     slopes = np.linspace(0.25, 4.0, SLOPE_GRID)
-    spread = max(v2.max() - v2.min(), v1.max() - v1.min(), 1.0)
+    spread = max(omega2.max() - omega2.min(), omega1.max() - omega1.min(), 1.0)
     offsets = np.linspace(-spread, spread, OFFSET_GRID)
-    candidates = [(rule.j2 / rule.j1, (rule.d2 - rule.d1) / rule.j1)]
-    candidates += [(s, o) for s in slopes for o in offsets]
+    candidates = [first_wins] + [omega1 >= s * omega2 + o for s in slopes for o in offsets]
 
     best = -math.inf
     feasible = 0
-    for s, o in candidates:
-        assign = v1 >= s * v2 + o
+    for assign in candidates:
         w, ratio = _allocation_stats(assign, omega1, omega2)
-        if degenerate:
-            feasible += 1
-            best = max(best, w)
-            continue
-        if math.isnan(ratio):
-            continue
-        if abs(ratio - rule.gamma) <= ratio_tol * max(1.0, abs(rule.gamma)):
+        if degenerate or abs(ratio - gamma) <= ratio_tol * max(1.0, gamma):  # False for a nan ratio
             feasible += 1
             best = max(best, w)
     if feasible == 0:

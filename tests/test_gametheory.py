@@ -6,17 +6,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from offloadsim.agents import utility_per_type
+from offloadsim.agents import AgentConfig, PassiveFleet, utility_per_type
 from offloadsim.auction import Bid, clear_auction
 from offloadsim.engine import derive_stream, left_sum
 from offloadsim.gametheory import (
-    AllocationRule,
+    FAIR_SLOPES_TOL,
     InfeasibleFairnessError,
     StaticGame,
     StaticPlayer,
     TooLargeError,
     check_potential_identity,
     enumerate_pure_ne,
+    fair_slopes,
     player_action_space,
     pareto_fairness_check,
     potential_value,
@@ -52,6 +53,41 @@ def test_values_missing_a_demanded_type_rejected():
         StaticPlayer({"T": 1.0}, {"T": 2.0, "U": 1.0, "V": 1.0}, {"T": 3.0}, 0.5, 10.0)
 
 
+def static_player(**fields):
+    defaults = dict(backoff_rewards={"T": 1.0}, work={"T": 2.0}, values={"T": 3.0}, lost_bid_cost=0.5, budget=10.0)
+    return StaticPlayer(**{**defaults, **fields})
+
+
+def static_game(**fields):
+    return StaticGame(**{"players": [static_player()], "capacity": 10.0, "utilization_weight": 1.0, **fields})
+
+
+BAD_STATIC = {
+    "nan-price": (lambda: static_game(price_levels=(0.0, math.nan)), "price level nan must be finite and >= 0"),
+    "negative-price": (lambda: static_game(price_levels=(-1.0, 0.0)), "price level -1.0 must be finite and >= 0"),
+    "bool-price": (lambda: static_game(price_levels=(True,)), "price level True must be"),
+    "slots-minus-one": (lambda: static_game(slots={"T": -1}), "slot count for T must be an integer >= 0, got -1"),
+    "slots-fraction": (lambda: static_game(slots={"T": 1.5}), "slot count for T must be an integer >= 0, got 1.5"),
+    "nan-budget": (lambda: static_player(budget=math.nan), "budget must be finite and positive, got nan"),
+    "negative-budget": (lambda: static_player(budget=-1.0), "budget must be finite and positive, got -1.0"),
+    "zero-value": (lambda: static_player(values={"T": 0.0}), r"value 0.0 for T is outside \(0, budget 10.0\]"),
+    "value-above-budget": (lambda: static_player(values={"T": 11.0}), r"value 11.0 for T is outside \(0, budget 10.0\]"),
+    "zero-work": (lambda: static_player(work={"T": 0.0}), "work for T must be finite and positive, got 0.0"),
+    "negative-lost-bid-cost": (lambda: static_player(lost_bid_cost=-0.1), "lost_bid_cost must be finite and >= 0"),
+    "nan-backoff-reward": (lambda: static_player(backoff_rewards={"T": math.nan}), "backoff reward for T must be finite"),
+    "negative-weight": (lambda: static_game(utilization_weight=-1.0), "utilization_weight must be finite and >= 0"),
+    "nan-weight": (lambda: static_game(utilization_weight=math.nan), "utilization_weight must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("build, match", BAD_STATIC.values(), ids=BAD_STATIC.keys())
+def test_bad_static_input_refused_at_construction(build, match):
+    # the rules of AgentConfig, valuation, Bid and clear_auction; each of
+    # these was accepted, or refused only later or by another error
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def two_type_game():
     # player 0 demands T and U, player 1 only T
     players = [
@@ -71,6 +107,8 @@ MALFORMED = {
     # half a submission in the potential and a whole one in the payoffs
     "alpha-pair": ((((0.5, 1.0), (0.0, 0.0)), (None, None)), r"player 0, type T: \(0.5, 1.0\) is neither"),
     "undemanded": (((None, None), (None, 4.0)), "player 1, type U: 4.0 bid for a type the player does not demand"),
+    # Python counts a bool as an int, so True once scored as a bid of 1.0
+    "bool": (((True, None), (None, None)), "player 0, type T: True is neither None nor a price"),
 }
 
 
@@ -395,51 +433,107 @@ class TestWelfare:
             assert achieved == pytest.approx(best)
 
 
+def fairness_samples():
+    """400 resource amounts per bidder from U(1, 5), omega1's then omega2's;
+    the seed was fixed before the first run."""
+    rng = derive_stream(1, "fair")
+    omega1 = np.array([rng.uniform(1.0, 5.0) for _ in range(400)])
+    omega2 = np.array([rng.uniform(1.0, 5.0) for _ in range(400)])
+    return omega1, omega2
+
+
+def allocated_ratio(first_wins, omega1, omega2):
+    return omega1[first_wins].sum() / omega2[~first_wins].sum()
+
+
+def ratio_at(slopes, omega1, omega2):
+    # bidder 1 wins where its valuation is at least bidder 2's
+    return allocated_ratio(slopes[0] * omega1 >= slopes[1] * omega2, omega1, omega2)
+
+
+RATIO_TOL = 0.02
+
+
 class TestFairness:
-    def test_symmetric_rule_matches_brute_force(self):
-        grid = np.linspace(1.0, 5.0, 30)
-        v1, v2 = np.meshgrid(grid, grid)
-        # ties on the diagonal go to bidder 1, so gamma = 1 needs lambda* > 0
-        rule = AllocationRule.for_fairness(1.0, 0.0, 1.0, 0.0, 1.0, v1.ravel(), v2.ravel())
-        assert rule.lambda_star == pytest.approx(0.0271, abs=1e-4)
-        report = pareto_fairness_check(rule, v1.ravel(), v2.ravel())
-        assert report.passed
-        assert report.achieved_welfare == pytest.approx(report.best_welfare, rel=1e-9)
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_auction_at_fair_slopes_meets_gamma_welfare_optimally(self, gamma):
+        # two passive bidders bid their valuations slope * omega for one slot
+        omega1, omega2 = fairness_samples()
+        slopes = fair_slopes(gamma, omega1, omega2)
+        budget = 100.0
+        assert budget >= max(slopes[0] * omega1.max(), slopes[1] * omega2.max())  # the cap is out of reach
+        fleet = PassiveFleet([AgentConfig(f"m{i}", budget, valuation_slope=s) for i, s in enumerate(slopes)])
+        rng = derive_stream(1, "auction")
+        first_wins = []
+        for pair in zip(omega1, omega2):
+            directives = fleet.act([None, None], [{"T": (w, 100.0)} for w in pair], 2, 0.0, 0.0)
+            bids = [Bid(f"m{i}", "T", d["T"][1], w, 100) for i, (d, w) in enumerate(zip(directives, pair))]
+            assert bids[0].price != bids[1].price  # no tie, so no draw decides a winner
+            first_wins.append("m0" in clear_auction(bids, {"T": 1}, rng).winners["T"])
+        first_wins = np.array(first_wins)
+        ratio = allocated_ratio(first_wins, omega1, omega2)
+        assert abs(ratio - gamma) <= RATIO_TOL * max(1.0, gamma)
+        report = pareto_fairness_check(first_wins, omega1, omega2, gamma, ratio_tol=RATIO_TOL)
+        assert report.achieved_ratio == ratio
+        assert report.passed, report
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_fair_slopes_are_the_least_that_meet_gamma(self, gamma):
+        omega1, omega2 = fairness_samples()
+        s1, s2 = fair_slopes(gamma, omega1, omega2)
+        lam = s1 - 1.0
+        assert s1 > 0 and s2 > 0
+        assert s2 == pytest.approx(1.0 - gamma * lam, abs=1e-15)
+        assert ratio_at((s1, s2), omega1, omega2) >= gamma
+        # the final bisection bracket is at most FAIR_SLOPES_TOL wide
+        lower = lam - FAIR_SLOPES_TOL
+        assert ratio_at((1.0 + lower, 1.0 - gamma * lower), omega1, omega2) < gamma
+
+    @pytest.mark.parametrize(
+        "gamma, omega1, omega2, match",
+        [
+            (1.0, [1.0, 2.0], [1.0], "paired, non-empty"),
+            (1.0, [], [], "paired, non-empty"),
+            (1.0, [1.0, 0.0], [1.0, 1.0], "finite and positive"),
+            (1.0, [1.0, 1.0], [-1.0, 1.0], "finite and positive"),
+            (1.0, [1.0, math.inf], [1.0, 1.0], "finite and positive"),
+            (1.0, [1.0, 1.0], [math.nan, 1.0], "finite and positive"),
+            *[(gamma, [1.0], [1.0], "gamma must be finite and positive") for gamma in (0.0, -1.0, math.inf, math.nan)],
+        ],
+    )
+    def test_fair_slopes_refuses_bad_input(self, gamma, omega1, omega2, match):
+        with pytest.raises(ValueError, match=match):
+            fair_slopes(gamma, omega1, omega2)
+
+    @pytest.mark.parametrize(
+        "first_wins, gamma, match",
+        [([1, 0], 1.0, "one bool per sample pair"), ([True], 1.0, "one bool per sample pair"), ([True, False], 0.0, "gamma")],
+    )
+    def test_check_refuses_bad_input(self, first_wins, gamma, match):
+        with pytest.raises(ValueError, match=match):
+            pareto_fairness_check(first_wins, [1.0, 2.0], [2.0, 1.0], gamma)
 
     def test_single_sample_degenerate(self):
-        rule = AllocationRule(1.0, 0.0, 1.0, 0.0, gamma=1.0, lambda_star=0.0)
-        report = pareto_fairness_check(rule, np.array([4.0]), np.array([2.0]))
+        report = pareto_fairness_check(np.array([True]), np.array([4.0]), np.array([2.0]), gamma=1.0)
         assert report.passed
         assert report.achieved_welfare == report.best_welfare
 
     def test_random_instances_stay_within_one_percent(self):
         rng = derive_stream(5, "fairness")
         for _ in range(20):
-            rng.uniform(0.0, 0.6)  # former random lambda draw, kept so the instances stay the same
             gamma = rng.uniform(0.6, 1.5)
-            j1, d1 = rng.uniform(0.6, 1.6), rng.uniform(0.0, 1.0)
-            j2, d2 = rng.uniform(0.6, 1.6), rng.uniform(0.0, 1.0)
-            k1, k2 = -d1 / j1, -d2 / j2
-            g1 = np.linspace(k1 + 0.5, k1 + 5.0, 40)
-            g2 = np.linspace(k2 + 0.5, k2 + 5.0, 40)
-            v1, v2 = np.meshgrid(g1, g2)
-            rule = AllocationRule.for_fairness(j1, d1, j2, d2, gamma, v1.ravel(), v2.ravel())
-            report = pareto_fairness_check(rule, v1.ravel(), v2.ravel())
-            assert report.achieved_ratio == pytest.approx(gamma, rel=1e-12)
-            # the rule itself is candidate 0; at least one other must share the band
+            omega1 = np.array([rng.uniform(0.5, 5.0) for _ in range(400)])
+            omega2 = np.array([rng.uniform(0.5, 5.0) for _ in range(400)])
+            slopes = fair_slopes(gamma, omega1, omega2)
+            first_wins = slopes[0] * omega1 >= slopes[1] * omega2
+            report = pareto_fairness_check(first_wins, omega1, omega2, gamma, ratio_tol=RATIO_TOL)
+            assert abs(report.achieved_ratio - gamma) <= RATIO_TOL * max(1.0, gamma)
+            # the allocation itself is one candidate; at least one other must share the band
             assert report.feasible_candidates >= 2
             assert report.passed, report
 
-    def test_multiplier_must_keep_g1_positive(self):
-        with pytest.raises(ValueError, match="lambda > -1"):
-            AllocationRule(1.0, 0.0, 1.0, 0.0, gamma=1.0, lambda_star=-1.0)
-
     def test_infeasible_band_raises(self):
-        rule = AllocationRule(1.0, 0.0, 1.0, 0.0, gamma=1.0, lambda_star=0.0)
         grid = np.linspace(1.0, 5.0, 10)
-        v1, v2 = np.meshgrid(grid, grid)
+        omega1, omega2 = (g.ravel() for g in np.meshgrid(grid, grid))
         with pytest.raises(InfeasibleFairnessError):
-            pareto_fairness_check(rule, v1.ravel(), v2.ravel(), ratio_tol=-1.0)
-        # d1 = 10 hands every sample to bidder 1, so no multiplier meets gamma
-        with pytest.raises(InfeasibleFairnessError):
-            AllocationRule.for_fairness(1.0, 10.0, 1.0, 0.0, 1.0, v1.ravel(), v2.ravel())
+            pareto_fairness_check(omega1 >= omega2, omega1, omega2, gamma=1.0, ratio_tol=-1.0)

@@ -412,3 +412,16 @@ def test_weights_are_scaled_normal_draws_from_each_agents_stream():
             assert np.array_equal(net.params[f"b_{name}"][b], np.full(out_dim, bias_init)), (b, name)
         for i in range(len(HIDDEN)):
             assert np.array_equal(net.params[f"b{i}"][b], np.zeros(HIDDEN[i])), (b, i)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_wrong_length_vector_leaves_the_net_unchanged(extra):
+    # the length used to be checked only after every block was written
+    net = make_net(2, seed=21)
+    before = net.flat_view(1)
+    flat = derive_stream(22, "flat").standard_normal(before.size + extra)
+    with pytest.raises(ValueError, match=f"has {before.size + extra} entries, expected {before.size}"):
+        net.load_flat(1, flat)
+    assert np.array_equal(net.flat_view(1), before)
+    net.load_flat(1, flat[: before.size] if extra > 0 else np.append(flat, 0.0))
+    assert not np.array_equal(net.flat_view(1), before)
