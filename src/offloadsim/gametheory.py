@@ -55,7 +55,7 @@ class InfeasibleFairnessError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class StaticPlayer:
     backoff_rewards: dict[str, float]  # per service type
     work: dict[str, float]
@@ -88,7 +88,7 @@ class StaticPlayer:
             raise ValueError(f"backoff rewards for types not in work: {undemanded}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StaticGame:
     players: list[StaticPlayer]
     capacity: float

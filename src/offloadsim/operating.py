@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
-from .auction import AuctionOutcome, Bid, clear_auction
+from .auction import AuctionOutcome, Bid
 from .engine import RngStream, SimTime, left_sum, require_count
 
 
@@ -281,16 +281,16 @@ class AdmissionController:
         rng: RngStream,
         demand_estimates: Mapping[str, float],
         now: SimTime,
-        outcome: Optional[AuctionOutcome] = None,
+        outcome: AuctionOutcome,
     ) -> list[AdmissionDecision]:
         """Admission plus assignment for one round.
 
-        The top n_k bids of each type win the clearing `outcome` (cleared here
-        from `slots` and `rng` when none is given); the rest are turned away
-        as NoSlot. Decisions come back in priority order (price descending,
-        submission order within equal prices), so constant-priority bidders
-        see first-in, first-out handling. Boundary ties for the last slot of a
-        type are resolved by the clearing's uniform random draw.
+        `outcome` is the caller's clearing of `ordered_bids`: its winners go on
+        to placement and the rest are turned away as NoSlot. `slots` and `rng`
+        are read by nothing; they stay because `perfbench/scenario.py` passes
+        them positionally. Decisions come back in priority order (price
+        descending, submission order within equal prices), so
+        constant-priority bidders see first-in, first-out handling.
 
         Winners are placed in that order on the cheapest believed-feasible
         site, the lowest site id on equal prices, each placement shrinking
@@ -306,8 +306,6 @@ class AdmissionController:
         every later estimate at least as large: those winners are Rejected
         without scanning the sites, with the same result as a scan.
         """
-        if outcome is None:
-            outcome = clear_auction(ordered_bids, slots, rng)
         winners = outcome.winners
         site_order = self.site_order
         free = [self.believed_free(sid) for sid in site_order]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -86,6 +87,17 @@ def test_bad_static_input_refused_at_construction(build, match):
     # these was accepted, or refused only later or by another error
     with pytest.raises(ValueError, match=match):
         build()
+
+
+def test_static_game_is_frozen():
+    # an assigned field would skip __post_init__'s checks; a replaced copy runs them again
+    game = static_game(slots={"T": 1})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        game.slots = {"T": -1}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        game.players[0].budget = -1.0
+    with pytest.raises(ValueError, match="slot count for T must be an integer >= 0, got -1"):
+        dataclasses.replace(game, slots={"T": -1})
 
 
 def two_type_game():
@@ -184,8 +196,7 @@ class TestPotential:
     def test_game_outside_the_uncontended_reduction_refused(self, slots, capacity, profile, new_action, match):
         # with slots a bid can lose, an (alpha, price) pair is no static
         # action, and above capacity beta clamps: the identity need not hold
-        game = two_player_game(capacity=capacity)
-        game.slots = slots
+        game = dataclasses.replace(two_player_game(capacity=capacity), slots=slots)
         with pytest.raises(ValueError, match=match):
             check_potential_identity(game, profile, 0, new_action)
 

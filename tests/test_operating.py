@@ -28,9 +28,9 @@ def report(site_id, measured, util, arrives=None):
 
 def place(aca, estimate, now=0):
     """One winning bid through `decide_round`; its decision."""
-    [decision] = aca.decide_round(
-        [Bid("m0", "F1", 5.0, estimate, 300)], {"F1": 1}, derive_stream(1, "auction"), {"F1": estimate}, now
-    )
+    bids, slots, rng = [Bid("m0", "F1", 5.0, estimate, 300)], {"F1": 1}, derive_stream(1, "auction")
+    outcome = clear_auction(bids, slots, rng)
+    [decision] = aca.decide_round(bids, slots, rng, {"F1": estimate}, now, outcome)
     return decision
 
 
@@ -381,11 +381,14 @@ class TestUnknownSite:
         assert self.belief(aca) == before
 
 
-def admit_on_roomy_site(ordered, slots, rng, outcome=None):
-    """`decide_round` on one idle site with room for every winner, so each
-    winner is Won on that site and only the clearing decides the rest."""
+def admit_on_roomy_site(ordered, slots):
+    """The round's clearing, then `decide_round` on one idle site with room
+    for every winner, so each winner is Won on that site and only the
+    clearing decides the rest; the clearing and the decisions."""
+    rng = derive_stream(1, "auction")
+    outcome = clear_auction(ordered, slots, rng)
     aca = AdmissionController([make_site("edge", 1000.0)])
-    return aca.decide_round(ordered, slots, rng, {}, now=0, outcome=outcome)
+    return outcome, aca.decide_round(ordered, slots, rng, {}, now=0, outcome=outcome)
 
 
 class TestAdmit:
@@ -393,21 +396,31 @@ class TestAdmit:
         return [Bid(f"m{i}", service_type, p, 3.0, 300) for i, p in enumerate(prices)]
 
     def test_top_slot_admitted(self):
-        rng = derive_stream(1, "auction")
-        decisions = admit_on_roomy_site(self.bids([5.0, 3.0, 2.0]), {"F1": 1}, rng)
+        _, decisions = admit_on_roomy_site(self.bids([5.0, 3.0, 2.0]), {"F1": 1})
         assert [d.reason for d in decisions] == ["Won", "NoSlot", "NoSlot"]
         assert [d.assigned_site for d in decisions] == ["edge", None, None]
 
     def test_constant_priority_is_fifo(self):
-        rng = derive_stream(1, "auction")
-        decisions = admit_on_roomy_site(self.bids([4.0, 4.0, 4.0]), {"F1": 3}, rng)
+        _, decisions = admit_on_roomy_site(self.bids([4.0, 4.0, 4.0]), {"F1": 3})
         assert [d.bid.bidder_id for d in decisions] == ["m0", "m1", "m2"]
         assert all(d.admitted and d.assigned_site == "edge" for d in decisions)
 
     def test_spare_slots(self):
-        rng = derive_stream(1, "auction")
-        decisions = admit_on_roomy_site(self.bids([5.0, 3.0]), {"F1": 5}, rng)
+        _, decisions = admit_on_roomy_site(self.bids([5.0, 3.0]), {"F1": 5})
         assert all(d.reason == "Won" for d in decisions)
+
+    def test_admission_reads_neither_slots_nor_rng(self):
+        # ties for F1's last slot, so a clearing would draw from its stream
+        bids = self.bids([5.0, 4.0, 4.0]) + [Bid("m3", "F2", 2.0, 3.0, 300), Bid("m4", "F2", 1.0, 3.0, 300)]
+        outcome = clear_auction(bids, {"F1": 2, "F2": 1}, derive_stream(1, "auction"))
+        runs = []
+        for slots, seed in (({"F1": 2, "F2": 1}, 2), ({"F1": 0, "F3": 9}, 3)):
+            rng = derive_stream(seed, "auction")
+            aca = AdmissionController([make_site("edge", 1000.0)])
+            runs.append(aca.decide_round(bids, slots, rng, {}, now=0, outcome=outcome))
+            assert rng.draw_counter == 0
+        assert runs[0] == runs[1]
+        assert [d.reason for d in runs[0]].count("Won") == 3
 
 
 # few distinct prices, so most bids tie; Bid accepts both zeros, which compare equal
@@ -421,12 +434,11 @@ TIED_PRICES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 5.0]), st.floats(0
 )
 def test_admit_orders_by_price_then_submission(bids, slots):
     ordered = [Bid(f"m{i}", t, price, 3.0, 300) for i, (t, price) in enumerate(bids)]
-    decisions = admit_on_roomy_site(ordered, slots, derive_stream(1, "auction"))
+    outcome, decisions = admit_on_roomy_site(ordered, slots)
     price = [b.price for b in ordered]
     want = sorted(range(len(ordered)), key=lambda i: (-price[i], i))
     assert [d.bid.bidder_id for d in decisions] == [f"m{i}" for i in want]
-    # every field of every decision, the bid itself included, against a clearing on a twin stream
-    outcome = clear_auction(ordered, slots, derive_stream(1, "auction"))
+    # every field of every decision, the bid itself included, against the clearing it was given
     for d, i in zip(decisions, want):
         won = ordered[i].bidder_id in outcome.winners.get(ordered[i].service_type, ())
         assert d.bid is ordered[i]
@@ -473,7 +485,8 @@ class TestAssignment:
         aca.rial_update_prices()
         rng = derive_stream(1, "auction")
         bids = [Bid("m0", "F1", 5.0, 3.0, 300), Bid("m1", "F1", 4.0, 3.0, 300), Bid("m2", "F1", 3.0, 3.0, 300)]
-        decisions = aca.decide_round(bids, {"F1": 3}, rng, {"F1": 3.0}, now=0)
+        outcome = clear_auction(bids, {"F1": 3}, rng)
+        decisions = aca.decide_round(bids, {"F1": 3}, rng, {"F1": 3.0}, now=0, outcome=outcome)
         assert [d.reason for d in decisions] == ["Won", "Won", "Rejected"]
         assert decisions[0].assigned_site == "edge"
         assert decisions[1].assigned_site == "remote"
@@ -481,17 +494,19 @@ class TestAssignment:
 
     def test_decide_round_rejects_non_positive_estimate(self):
         aca = self.controller_with_prices(0.0, 0.0)
-        bids = [Bid("m0", "F1", 5.0, 3.0, 300)]
+        bids, rng = [Bid("m0", "F1", 5.0, 3.0, 300)], derive_stream(1, "auction")
+        outcome = clear_auction(bids, {"F1": 1}, rng)
         with pytest.raises(ValueError):
-            aca.decide_round(bids, {"F1": 1}, derive_stream(1, "auction"), {"F1": 0.0}, now=0)
+            aca.decide_round(bids, {"F1": 1}, rng, {"F1": 0.0}, now=0, outcome=outcome)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_decide_round_rejects_non_finite_estimate(self, bad):
         # a NaN estimate used to mark the type's winners Rejected without an error
         aca = self.controller_with_prices(0.0, 0.0)
-        bids = [Bid("m0", "F1", 5.0, 3.0, 300)]
+        bids, rng = [Bid("m0", "F1", 5.0, 3.0, 300)], derive_stream(1, "auction")
+        outcome = clear_auction(bids, {"F1": 1}, rng)
         with pytest.raises(ValueError, match="estimate for F1 must be finite"):
-            aca.decide_round(bids, {"F1": 1}, derive_stream(1, "auction"), {"F1": bad}, now=0)
+            aca.decide_round(bids, {"F1": 1}, rng, {"F1": bad}, now=0, outcome=outcome)
 
 
 def fold_sum(values):

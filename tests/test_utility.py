@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -162,8 +164,7 @@ class TestOneHome:
         assert calls == submitter + [("total", None)] + deferrer + [("total", None)]
 
     def test_potential_identity(self, calls):
-        game = self.game()
-        game.slots = None  # the identity's uncontended reduction
+        game = dataclasses.replace(self.game(), slots=None)  # the identity's uncontended reduction
         gametheory.check_potential_identity(game, ((0.0,), (None,)), 0, (None,))
         # the deviated profile, where both defer, then the given one: per
         # player the won and the lost payoff of its one type, then its total
