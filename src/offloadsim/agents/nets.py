@@ -57,12 +57,13 @@ class NumericalInstabilityError(FloatingPointError):
 
 def _init_weights(streams: Sequence[RngStream], fan_in: int, fan_out: int, scale: float) -> np.ndarray:
     """(B, fan_in, fan_out) normal draws times scale / sqrt(fan_in), agent b's
-    from streams[b], each written straight into its slice so that set-up
-    holds every weight once."""
+    from streams[b], each drawn straight into its slice and scaled there, so
+    that set-up holds every weight once."""
     w = np.empty((len(streams), fan_in, fan_out))
     factor = scale / math.sqrt(fan_in)
     for rng, out in zip(streams, w):
-        np.multiply(rng.standard_normal((fan_in, fan_out)), factor, out=out)
+        rng.standard_normal(out=out)
+        out *= factor
     return w
 
 
@@ -242,23 +243,6 @@ class StackedMlp:
             else:  # tanh activations, dense
                 w[agents] += np.einsum("bi,bj->bij", sx, dz)
             self.params["b" + w_name[1:]][agents] += s * dz
-
-    # -- persistence / introspection ---------------------------------------------
-
-    def flat_view(self, agent: int) -> np.ndarray:
-        """Concatenated copy of one agent's parameters (fixed name order)."""
-        return np.concatenate([self.params[k][agent].ravel() for k in sorted(self.params)])
-
-    def load_flat(self, agent: int, flat: np.ndarray):
-        """Write a `flat_view` vector back; one of the wrong length changes nothing."""
-        blocks = [self.params[k][agent] for k in sorted(self.params)]
-        expected = sum(block.size for block in blocks)
-        if flat.size != expected:
-            raise ValueError(f"parameter vector has {flat.size} entries, expected {expected}")
-        offset = 0
-        for block in blocks:
-            block[...] = flat[offset : offset + block.size].reshape(block.shape)
-            offset += block.size
 
 
 def dense_gradients(factors: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:

@@ -26,6 +26,16 @@ Python code, and the handler lookup of every dispatched event paid for it.
 Enum members are singletons, so identity is equality for them, and member
 names hash differently from one process to the next anyway, so no replay
 can depend on either hash.
+
+Each `RngStream` is a PCG64 generator seeded by numpy's `SeedSequence` from
+one uint32 entropy array: the root seed taken mod 2**64, as its
+little-endian 32-bit words (one word below 2**32, two from there on), then
+the first 16 bytes of the SHA-256 of the UTF-8 label as four little-endian
+words. That is the pool numpy builds from the int list
+`[root_seed mod 2**64, *words]`, since it splits each int into the same
+words; the array form spares its per-int coercion. numpy promises no
+stream stability across releases (NEP 19), so `tests/test_engine.py`
+checks the state against that list form.
 """
 from __future__ import annotations
 
@@ -93,17 +103,29 @@ class RngStream:
     Streams with the same (root_seed, entity_label) reproduce the same draw
     sequence; distinct labels give statistically independent sequences.
     Adding an entity therefore never perturbs the draws of existing ones.
+
+    The entropy is the root seed mod 2**64 as one or two little-endian
+    uint32 words, then the first four little-endian words of
+    sha256(entity_label) (module docstring). The root must be an integer
+    (not a bool; a numpy integer is taken as its Python int) and the label
+    a non-empty str, or a ValueError names the argument.
     """
 
     __slots__ = ("draw_counter", "_gen")
 
     def __init__(self, root_seed: int, entity_label: str):
-        if not entity_label:
-            raise ValueError("entity_label must be non-empty")
+        if isinstance(root_seed, bool):
+            raise ValueError(f"root_seed must be an integer, got {root_seed!r}")
+        try:
+            root = operator.index(root_seed) & 0xFFFFFFFFFFFFFFFF
+        except TypeError:
+            raise ValueError(f"root_seed must be an integer, got {root_seed!r}") from None
+        if not isinstance(entity_label, str) or not entity_label:
+            raise ValueError(f"entity_label must be a non-empty str, got {entity_label!r}")
         self.draw_counter = 0
         digest = hashlib.sha256(entity_label.encode("utf-8")).digest()
-        words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([root_seed & 0xFFFFFFFFFFFFFFFF, *words])))
+        entropy = np.frombuffer(root.to_bytes(8 if root >> 32 else 4, "little") + digest[:16], dtype="<u4")
+        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
     # uniform and normal spell out the affine maps that Generator.uniform and
     # Generator.normal compute in C, so the draws are bit-identical to theirs
@@ -134,8 +156,8 @@ class RngStream:
     # the rest count a draw once numpy has taken its arguments, so a call it
     # refuses leaves the counter as it was
 
-    def standard_normal(self, size=None):
-        draws = self._gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        draws = self._gen.standard_normal(size, out=out)
         self.draw_counter += 1
         return draws
 

@@ -5,7 +5,10 @@ with the implementations they check.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
+
+import numpy as np
 
 
 def brute_force_clear(bids_by_type: dict[str, list[tuple[str, float]]], slots: dict[str, int]):
@@ -67,3 +70,13 @@ def enumerate_best_responses(payoffs):
         if stable:
             equilibria.append(profile)
     return equilibria
+
+
+def reference_generator(root_seed: int, label: str) -> np.random.Generator:
+    """The numpy Generator of the documented stream derivation: PCG64 seeded
+    by SeedSequence from the int list [root_seed mod 2**64, *words], the
+    words being the first 16 bytes of sha256(label) read as four
+    little-endian 32-bit ints."""
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([root_seed & (2**64 - 1), *words])))

@@ -9,6 +9,8 @@ import pytest
 from offloadsim.agents import BehaviorPool
 from offloadsim.engine import derive_stream
 
+from netparams import flat_view
+
 
 def drawn_pool(streams, **kw):
     """A pool whose nets are drawn from `streams`, one per agent."""
@@ -90,7 +92,7 @@ def sl_streams(n=3):
 
 def agent_state(pool, b):
     """Agent b's parameters, Adam moments and step count."""
-    net = pool.net.flat_view(b)
+    net = flat_view(pool.net, b)
     moments = [pool.opt.m[k][b].copy() for k in sorted(pool.opt.m)] + [pool.opt.v[k][b].copy() for k in sorted(pool.opt.v)]
     return net, moments, int(pool.opt.t[b])
 
@@ -158,7 +160,7 @@ class TestPerAgentMemory:
             alone.store(states[1:2], actions[1:2], [1])
         together.train_step(sl_streams())
         alone.train_step(sl_streams())
-        assert np.array_equal(together.net.flat_view(1), alone.net.flat_view(1))
+        assert np.array_equal(flat_view(together.net, 1), flat_view(alone.net, 1))
 
     def test_no_agent_ready_no_draw_no_parameter_change(self):
         pool = three_agent_pool(batch_size=2)

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from offloadsim import gametheory, operating, workload
+from offloadsim import engine, gametheory, operating, workload
 from offloadsim.agents import utility
 from offloadsim.engine import (
     EventKind,
     PastEventError,
+    RngStream,
     Simulator,
     TraceRecorder,
     derive_stream,
     left_sum,
 )
+
+from oracles import reference_generator
 
 
 def collect(sim):
@@ -297,6 +300,46 @@ def test_uniform_sample_mean():
 def test_empty_label_rejected():
     with pytest.raises(ValueError):
         derive_stream(42, "")
+
+
+@pytest.mark.parametrize("label", ["vehicle/0", "agent/m12/init", "véhicule/ü/€"])
+@pytest.mark.parametrize("root", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**64 + 5])
+def test_stream_state_is_the_documented_seed_sequence(root, label):
+    # numpy promises no stream stability across releases (NEP 19): a release
+    # that split the entropy ints differently would fail here
+    assert RngStream(root, label)._gen.bit_generator.state == reference_generator(root, label).bit_generator.state
+
+
+@pytest.mark.parametrize("root", [np.int64(5), np.uint64(2**64 - 1), np.int32(-1), np.uint32(2**32 - 1)])
+def test_numpy_integer_root_is_its_python_int(root):
+    want = reference_generator(int(root), "vehicle/0").bit_generator.state
+    assert RngStream(root, "vehicle/0")._gen.bit_generator.state == want
+
+
+@pytest.mark.parametrize(
+    "root, label, name",
+    [
+        (1.5, "x", "root_seed"),
+        (1.0, "x", "root_seed"),
+        (np.float64(2.0), "x", "root_seed"),
+        ("7", "x", "root_seed"),
+        (None, "x", "root_seed"),
+        (True, "x", "root_seed"),
+        (False, "x", "root_seed"),
+        (np.True_, "x", "root_seed"),
+        (1, "", "entity_label"),
+        (1, b"x", "entity_label"),
+        (1, None, "entity_label"),
+        (1, 3, "entity_label"),
+    ],
+)
+def test_bad_seed_or_label_refused_before_hashing(monkeypatch, root, label, name):
+    def no_hash(*args):
+        raise AssertionError("hashed before the checks")
+
+    monkeypatch.setattr(engine.hashlib, "sha256", no_hash)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        RngStream(root, label)
 
 
 def twin_generator(stream):

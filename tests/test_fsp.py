@@ -22,6 +22,8 @@ from offloadsim.agents.policy import CRITIC_RATE, GRAD_CLIP, softplus_inv
 from offloadsim.auction import FeedbackSignal
 from offloadsim.engine import derive_stream
 
+from netparams import flat_view
+
 
 def codec(window=4):
     return FeatureCodec(
@@ -219,7 +221,7 @@ class TestAgentConfig:
             feedback = FeedbackSignal(cfg.bidder_id, {"F1-300": won}, {"F1-300": 40.0}, 0.3)
             f.act([feedback], [{}], 1, 0.3, 0.0)
             seen += [directives, float(f.history[0, -1, -1])]
-        return f.pool.actor.flat_view(0).tobytes(), seen
+        return flat_view(f.pool.actor, 0).tobytes(), seen
 
     def test_census_names_every_field(self):
         assert [fld.name for fld in dataclasses.fields(AgentConfig)] == list(self.CHANGED)
@@ -310,14 +312,14 @@ class TestLearningFleet:
             f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
         (br,) = last_pass()
         behavioural = 1 - br
-        actor_before = [f.pool.actor.flat_view(b) for b in range(2)]
-        critic_before = [f.pool.critic.flat_view(b) for b in range(2)]
+        actor_before = [flat_view(f.pool.actor, b) for b in range(2)]
+        critic_before = [flat_view(f.pool.critic, b) for b in range(2)]
         f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
-        assert np.array_equal(f.pool.actor.flat_view(behavioural), actor_before[behavioural])
-        assert not np.array_equal(f.pool.actor.flat_view(br), actor_before[br])
+        assert np.array_equal(flat_view(f.pool.actor, behavioural), actor_before[behavioural])
+        assert not np.array_equal(flat_view(f.pool.actor, br), actor_before[br])
         assert f.pool.actor.last_grad_norms[behavioural] == 0.0 and f.pool.actor.last_grad_norms[br] > 0.0
         for b in range(2):
-            assert not np.array_equal(f.pool.critic.flat_view(b), critic_before[b])
+            assert not np.array_equal(flat_view(f.pool.critic, b), critic_before[b])
 
     @pytest.mark.parametrize("eta", [1.0, 0.5])
     def test_behavioural_model_is_asked_only_when_an_agent_needs_it(self, eta):
@@ -390,7 +392,7 @@ class TestLearningFleet:
             assert by_agent[0] == by_agent[1], r
             for p, a in enumerate(order):
                 for nets in (lambda f: f.pool.actor, lambda f: f.pool.critic, lambda f: f.behavior.net):
-                    assert np.array_equal(nets(fleets[0][0]).flat_view(a), nets(fleets[1][0]).flat_view(p)), r
+                    assert np.array_equal(flat_view(nets(fleets[0][0]), a), flat_view(nets(fleets[1][0]), p)), r
 
     def test_each_agent_draws_noise_then_coin_every_round(self):
         # every round, pending or not, learning or frozen, each act stream
@@ -503,10 +505,10 @@ class TestLearningFleet:
         for _ in range(3):
             f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
         f.freeze()
-        before = f.pool.actor.flat_view(0).copy()
+        before = flat_view(f.pool.actor, 0).copy()
         for _ in range(3):
             f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
-        assert np.array_equal(f.pool.actor.flat_view(0), before)
+        assert np.array_equal(flat_view(f.pool.actor, 0), before)
 
     def test_second_freeze_keeps_the_frozen_weight(self):
         # frozen at t = 1 with eta 1; a second freeze 50 rounds on must not
@@ -608,8 +610,8 @@ class TestDecidingAgentsOnly:
             for s in streams:
                 s.standard_normal(f.action_dim)
                 coins.append(s.uniform())
-            actor_before = [f.pool.actor.flat_view(b) for b in range(n)]
-            critic_before = [f.pool.critic.flat_view(b) for b in range(n)] if r > 0 else None  # drawn in round 0
+            actor_before = [flat_view(f.pool.actor, b) for b in range(n)]
+            critic_before = [flat_view(f.pool.critic, b) for b in range(n)] if r > 0 else None  # drawn in round 0
             rows_before = (f.behavior.states.copy(), f.behavior.actions.copy(), f.behavior.count.copy())
             actor_rows.clear()
             backward_calls.clear()
@@ -620,10 +622,10 @@ class TestDecidingAgentsOnly:
             assert [np.arange(n)[agents].tolist() for agents in actor_rows] == ([best] if best else []), r
             assert len(backward_calls) == bool(scored_last), r
             for b in range(n):
-                stepped = not np.array_equal(f.pool.actor.flat_view(b), actor_before[b])
+                stepped = not np.array_equal(flat_view(f.pool.actor, b), actor_before[b])
                 assert stepped == (b in scored_last), (r, b)
                 if r > 0:
-                    assert not np.array_equal(f.pool.critic.flat_view(b), critic_before[b]), (r, b)
+                    assert not np.array_equal(flat_view(f.pool.critic, b), critic_before[b]), (r, b)
                 stored = b in deciding
                 assert f.behavior.count[b] == rows_before[2][b] + stored, (r, b)
                 if not stored:

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 from offloadsim.agents import ActorCriticPool, NumericalInstabilityError, StackedMlp
 from offloadsim.engine import derive_stream
 
+from netparams import flat_view, load_flat
+from oracles import reference_generator
+
 INPUT_DIM = 6
 HIDDEN = (5, 4)
 HEADS = {"m": (3, 0.5, 0.1), "s": (2, 0.5, -0.2)}
@@ -225,12 +228,12 @@ class TestApplyGradients:
         _, _, critic_cache = pool.critic_eval(x, x)
         mu, L, actor_cache = pool.actor_forward(x)
         zeta = pool.sample_raw(mu, L, np.ones((3, 2)))
-        before = pool.critic.flat_view(1)
+        before = flat_view(pool.critic, 1)
         with np.errstate(invalid="ignore"), pytest.raises(
             NumericalInstabilityError, match=r"agents \[1\]: W0 of agents \[1\]"
         ):
             pool.update(np.full(3, 0.5), critic_cache, (zeta, actor_cache))
-        assert np.array_equal(pool.critic.flat_view(1), before)
+        assert np.array_equal(flat_view(pool.critic, 1), before)
 
 
 agent_rows = st.lists(
@@ -398,13 +401,15 @@ def test_non_contiguous_parameters_are_stepped_in_place():
 
 def test_weights_are_scaled_normal_draws_from_each_agents_stream():
     # agent b's weights are its own stream's draws, layer by layer and then
-    # head by head, each times scale / sqrt(fan_in); biases start at their init
+    # head by head, each times scale / sqrt(fan_in); biases start at their
+    # init. The reference draws from a Generator seeded the documented way,
+    # not through the RngStream call the init makes.
     net = make_net(3, seed=16)
     dims = (INPUT_DIM, *HIDDEN)
     layers = [(f"W{i}", dims[i], dims[i + 1], 1.0) for i in range(len(HIDDEN))]
     layers += [(f"W_{name}", HIDDEN[-1], out_dim, scale) for name, (out_dim, scale, _) in HEADS.items()]
     for b in range(3):
-        rng = derive_stream(16, f"agent/m{b}/init")
+        rng = reference_generator(16, f"agent/m{b}/init")
         for name, fan_in, fan_out, scale in layers:
             expected = rng.standard_normal((fan_in, fan_out)) * (scale / np.sqrt(fan_in))
             assert np.array_equal(net.params[name][b], expected), (b, name)
@@ -418,10 +423,10 @@ def test_weights_are_scaled_normal_draws_from_each_agents_stream():
 def test_wrong_length_vector_leaves_the_net_unchanged(extra):
     # the length used to be checked only after every block was written
     net = make_net(2, seed=21)
-    before = net.flat_view(1)
+    before = flat_view(net, 1)
     flat = derive_stream(22, "flat").standard_normal(before.size + extra)
     with pytest.raises(ValueError, match=f"has {before.size + extra} entries, expected {before.size}"):
-        net.load_flat(1, flat)
-    assert np.array_equal(net.flat_view(1), before)
-    net.load_flat(1, flat[: before.size] if extra > 0 else np.append(flat, 0.0))
-    assert not np.array_equal(net.flat_view(1), before)
+        load_flat(net, 1, flat)
+    assert np.array_equal(flat_view(net, 1), before)
+    load_flat(net, 1, flat[: before.size] if extra > 0 else np.append(flat, 0.0))
+    assert not np.array_equal(flat_view(net, 1), before)

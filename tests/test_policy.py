@@ -11,6 +11,8 @@ from offloadsim.agents.nets import dense_gradients
 from offloadsim.agents.policy import REWARD_SMOOTHING, softplus_inv
 from offloadsim.engine import derive_stream
 
+from netparams import flat_view, load_flat
+
 
 def drawn_pool(streams, input_dim=12, action_dim=4, hidden=(6, 5), init_std=0.5, **kw):
     """A pool whose actor and then critic are drawn from `streams`."""
@@ -81,15 +83,15 @@ class TestCritic:
         for trial in range(5):
             x = rng.standard_normal((1, 12))
             x_next = rng.standard_normal((1, 12))
-            flat0 = pool.critic.flat_view(0)
+            flat0 = flat_view(pool.critic, 0)
 
             def f(flat):
-                pool.critic.load_flat(0, flat)
+                load_flat(pool.critic, 0, flat)
                 v, _, _ = pool.critic_eval(x, x_next)
                 return float(v[0])
 
             fd = central_difference(f, flat0)
-            pool.critic.load_flat(0, flat0)
+            load_flat(pool.critic, 0, flat0)
             _, _, cache = pool.critic_eval(x, x_next)  # the cache of S, not of S'
             factors = pool.critic.backward(cache, {"v": np.ones((1, 1))})
             analytic = flat_grads(pool.critic, factors)
@@ -216,15 +218,15 @@ class TestScoreGradients:
             x = rng.standard_normal((1, 12))
             mu0, L0, _ = pool.actor_forward(x)
             zeta = pool.sample_raw(mu0, L0, rng.standard_normal((1, 4)))
-            flat0 = pool.actor.flat_view(0)
+            flat0 = flat_view(pool.actor, 0)
 
             def f(flat):
-                pool.actor.load_flat(0, flat)
+                load_flat(pool.actor, 0, flat)
                 mu, L, _ = pool.actor_forward(x)
                 return float(log_density(zeta, mu, L)[0])
 
             fd = central_difference(f, flat0)
-            pool.actor.load_flat(0, flat0)
+            load_flat(pool.actor, 0, flat0)
             mu, L, cache = pool.actor_forward(x)
             d_mu, d_l = pool._density_grads(zeta, cache)
             factors = pool.actor.backward(cache, {"mu": d_mu, "lraw": d_l})
@@ -239,11 +241,11 @@ class TestUpdates:
         _, _, critic_cache = pool.critic_eval(x, x)
         mu, L, actor_cache = pool.actor_forward(x)
         zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
-        before_actor = pool.actor.flat_view(0)
-        before_critic = pool.critic.flat_view(0)
+        before_actor = flat_view(pool.actor, 0)
+        before_critic = flat_view(pool.critic, 0)
         pool.update(np.zeros(1), critic_cache, (zeta, actor_cache))
-        assert np.array_equal(pool.actor.flat_view(0), before_actor)
-        assert np.array_equal(pool.critic.flat_view(0), before_critic)
+        assert np.array_equal(flat_view(pool.actor, 0), before_actor)
+        assert np.array_equal(flat_view(pool.critic, 0), before_critic)
 
     def test_actor_steps_only_for_sampled_agents(self):
         # agent 1 executed its sample and is the whole actor pass; agent 0
@@ -253,26 +255,26 @@ class TestUpdates:
         _, _, critic_cache = pool.critic_eval(x, x)
         mu, L, actor_cache = pool.actor_forward(x[[1]], [1])
         zeta = pool.sample_raw(mu, L, np.ones((1, 4)))
-        actor_before = [pool.actor.flat_view(b) for b in range(2)]
-        critic_before = [pool.critic.flat_view(b) for b in range(2)]
+        actor_before = [flat_view(pool.actor, b) for b in range(2)]
+        critic_before = [flat_view(pool.critic, b) for b in range(2)]
         pool.update(np.full(2, 0.5), critic_cache, (zeta, actor_cache))
-        assert np.array_equal(pool.actor.flat_view(0), actor_before[0])
-        assert not np.array_equal(pool.actor.flat_view(1), actor_before[1])
+        assert np.array_equal(flat_view(pool.actor, 0), actor_before[0])
+        assert not np.array_equal(flat_view(pool.actor, 1), actor_before[1])
         assert pool.actor.last_grad_norms[0] == 0.0 and pool.actor.last_grad_norms[1] > 0.0
         for b in range(2):
-            assert not np.array_equal(pool.critic.flat_view(b), critic_before[b])
+            assert not np.array_equal(flat_view(pool.critic, b), critic_before[b])
 
     def test_actor_is_scored_only_on_its_pass_rows(self):
         pool = drawn_pool([derive_stream(0, f"agent/m{b}/init") for b in range(3)])
         x = derive_stream(3, "x").standard_normal((3, 12))
-        actor_before = [pool.actor.flat_view(b) for b in range(3)]
-        critic_before = [pool.critic.flat_view(b) for b in range(3)]
+        actor_before = [flat_view(pool.actor, b) for b in range(3)]
+        critic_before = [flat_view(pool.critic, b) for b in range(3)]
         _, _, critic_cache = pool.critic_eval(x, x)
         pool.update(np.full(3, 0.5), critic_cache)  # no agent drew a sample
         assert pool.actor.last_grad_norms.tolist() == [0.0, 0.0, 0.0]
         for b in range(3):
-            assert np.array_equal(pool.actor.flat_view(b), actor_before[b])
-            assert not np.array_equal(pool.critic.flat_view(b), critic_before[b])
+            assert np.array_equal(flat_view(pool.actor, b), actor_before[b])
+            assert not np.array_equal(flat_view(pool.critic, b), critic_before[b])
         _, _, critic_cache = pool.critic_eval(x, x)
         mu, L, actor_cache = pool.actor_forward(x[[2, 0]], [2, 0])
         zeta = pool.sample_raw(mu, L, np.ones((2, 4)))
@@ -280,8 +282,8 @@ class TestUpdates:
         norms = pool.actor.last_grad_norms
         assert norms[1] == 0.0 and norms[0] > 0.0 and norms[2] > 0.0
         for b in (0, 2):  # every row of the pass steps
-            assert not np.array_equal(pool.actor.flat_view(b), actor_before[b])
-        assert np.array_equal(pool.actor.flat_view(1), actor_before[1])  # agent 1 drew no sample
+            assert not np.array_equal(flat_view(pool.actor, b), actor_before[b])
+        assert np.array_equal(flat_view(pool.actor, 1), actor_before[1])  # agent 1 drew no sample
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_samples_must_match_the_pass_rows(self, rows):
@@ -290,15 +292,15 @@ class TestUpdates:
         x = derive_stream(3, "x").standard_normal((3, 12))
         mu, L, actor_cache = pool.actor_forward(x[[2, 0]], [2, 0])
         zeta = pool.sample_raw(mu[:1], L[:1], np.ones((1, 4))).repeat(rows, axis=0)
-        before = [(pool.actor.flat_view(b), pool.critic.flat_view(b)) for b in range(3)]
+        before = [(flat_view(pool.actor, b), flat_view(pool.critic, b)) for b in range(3)]
         _, _, critic_cache = pool.critic_eval(x, x)
         with pytest.raises(ValueError, match=rf"zeta_raw has shape \({rows}, 4\) but its actor pass has \(2, 4\)"):
             pool.update(np.full(3, 0.5), critic_cache, (zeta, actor_cache))
         with pytest.raises(ValueError, match="zeta_raw"):
             pool.td_step(x, x, np.ones(3), (zeta, actor_cache))
         for b in range(3):
-            assert np.array_equal(pool.actor.flat_view(b), before[b][0])
-            assert np.array_equal(pool.critic.flat_view(b), before[b][1])
+            assert np.array_equal(flat_view(pool.actor, b), before[b][0])
+            assert np.array_equal(flat_view(pool.critic, b), before[b][1])
         assert pool.avg_reward.tolist() == [0.0, 0.0, 0.0]
 
     def test_nonfinite_delta_raises(self):
