@@ -99,7 +99,9 @@ SL_CAPACITY = 10_000  # behaviour-memory rows per agent
 SL_LR = 1e-3  # the behaviour model's Adam step size
 
 
-@dataclass
+# Frozen: the pools copy some settings at construction and the fleet reads
+# the others live, and an assigned field would skip __post_init__.
+@dataclass(frozen=True)
 class LearnerHyper:
     # Not a field: a fleet takes its window from its codec alone. This is
     # the length a caller may build that codec with.

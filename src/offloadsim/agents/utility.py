@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from ..engine import left_sum
 
 
-@dataclass
+# Frozen: a fleet copies the budget and the weight at construction but reads
+# the other fields live, and an assigned field would skip __post_init__.
+@dataclass(frozen=True)
 class AgentConfig:
     bidder_id: str
     budget: float

@@ -14,13 +14,18 @@ capacity at least the total work, so beta never clamps. The one-round
 dominant bid min(v + c, budget) (`utility_per_type`) is tested in
 `tests/test_gametheory.py::TestDominantBid`.
 
+A `StaticPlayer` is the `AgentConfig` a `LearningFleet` is built from, plus
+its work per demanded type: its value for a type is `valuation(work,
+config)`, and its c, q (`backoff_cost`, the deferral reward) and W are the
+config's, so `expected_round_utilities` pays it its learner's reward.
+
 A static action gives each of `StaticGame.type_ids`, in order, either None
 (defer) or the price the player bids (submit); an undemanded type is always
 None. A profile is one action per player. The potential, the payoffs and
 the equilibrium search all take this one form, each equilibrium is listed
 once, and a malformed action raises a ValueError naming the player, the
-type and the value. `StaticPlayer` and `StaticGame` refuse at construction
-what `AgentConfig`, `valuation`, `Bid` and `clear_auction` refuse.
+type and the value. `StaticGame` refuses at construction what `Bid` and
+`clear_auction` refuse.
 
 Everything here is deterministic: expected utilities integrate tie breaks
 by direct weighting, never by Monte Carlo, so oracle results are seed
@@ -36,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .agents.utility import utility_per_type, utility_total
-from .engine import left_sum
+from .agents.utility import AgentConfig, utility_per_type, utility_total, valuation
+from .engine import left_sum, require_count
 
 IDENTITY_TOL = 1e-9
 NE_TOL = 1e-12  # a deviation must gain more than this to break an equilibrium
@@ -57,50 +62,27 @@ class InfeasibleFairnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class StaticPlayer:
-    backoff_rewards: dict[str, float]  # per service type
+    """The bidder a `LearningFleet` is built from, and its work per demanded type."""
+
+    config: AgentConfig
     work: dict[str, float]
-    values: dict[str, float]
-    lost_bid_cost: float
-    budget: float
 
     def __post_init__(self):
-        # the rules of AgentConfig and valuation
-        if not 0.0 < self.budget < math.inf:
-            raise ValueError(f"budget must be finite and positive, got {self.budget}")
-        if not 0.0 <= self.lost_bid_cost < math.inf:
-            raise ValueError(f"lost_bid_cost must be finite and >= 0, got {self.lost_bid_cost}")
-        for t, q in self.backoff_rewards.items():
-            if not math.isfinite(q):
-                raise ValueError(f"backoff reward for {t} must be finite, got {q}")
         for t, w in self.work.items():
             if not 0.0 < w < math.inf:
                 raise ValueError(f"work for {t} must be finite and positive, got {w}")
-        for t, v in self.values.items():
-            if not 0.0 < v <= self.budget:
-                raise ValueError(f"value {v} for {t} is outside (0, budget {self.budget}]")
-        # the utilities read a value for every demanded type
-        unvalued = sorted(set(self.work) - set(self.values))
-        if unvalued:
-            raise ValueError(f"no values for types in work: {unvalued}")
-        # the utilities score demanded types only, while potential_value counts every reward
-        undemanded = sorted(set(self.backoff_rewards) - set(self.work))
-        if undemanded:
-            raise ValueError(f"backoff rewards for types not in work: {undemanded}")
 
 
 @dataclass(frozen=True)
 class StaticGame:
     players: list[StaticPlayer]
     capacity: float
-    utilization_weight: float
     price_levels: tuple[float, ...] = (0.0,)
     slots: Optional[dict[str, int]] = None  # None: every submitted bid is accepted
 
     def __post_init__(self):
         if not 0 < self.capacity < math.inf:
             raise ValueError(f"capacity must be finite and positive, got {self.capacity}")
-        if not 0.0 <= self.utilization_weight < math.inf:
-            raise ValueError(f"utilization_weight must be finite and >= 0, got {self.utilization_weight}")
         if not self.price_levels:
             raise ValueError("the price grid must be non-empty")
         # the rules of a Bid's price and of clear_auction's slot counts
@@ -108,8 +90,7 @@ class StaticGame:
             if isinstance(price, bool) or not 0.0 <= price < math.inf:
                 raise ValueError(f"price level {price!r} must be finite and >= 0")
         for t, n in (self.slots or {}).items():
-            if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
-                raise ValueError(f"slot count for {t} must be an integer >= 0, got {n!r}")
+            require_count(f"slot count for {t}", n, 0)
 
     @property
     def type_ids(self) -> tuple[str, ...]:
@@ -130,6 +111,7 @@ def _check_profile(game: StaticGame, profile) -> None:
     if len(profile) != len(game.players):
         raise ValueError(f"{len(profile)} actions for {len(game.players)} players")
     for i, (player, action) in enumerate(zip(game.players, profile)):
+        budget = player.config.budget
         if len(action) != len(types):
             raise ValueError(f"player {i}: {action!r} has {len(action)} entries for types {types}")
         for t, price in zip(types, action):
@@ -137,24 +119,29 @@ def _check_profile(game: StaticGame, profile) -> None:
                 continue
             if t not in player.work:
                 raise ValueError(f"player {i}, type {t}: {price!r} bid for a type the player does not demand")
-            if isinstance(price, bool) or not isinstance(price, numbers.Real) or not 0.0 <= price <= player.budget:
-                raise ValueError(f"player {i}, type {t}: {price!r} is neither None nor a price in [0, {player.budget}]")
+            if isinstance(price, bool) or not isinstance(price, numbers.Real) or not 0.0 <= price <= budget:
+                raise ValueError(f"player {i}, type {t}: {price!r} is neither None nor a price in [0, {budget}]")
 
 
 # -- potential function (uncontended case) -------------------------------------
 
 
 def potential_value(game: StaticGame, profile) -> float:
-    """phi = sum q - sum of q submitted + W * (1 - sum of omega submitted / C)."""
+    """phi = sum q - sum of q submitted + W * (1 - sum of omega submitted / C),
+    with a q per demanded type, and one W: players whose weights differ are refused."""
     _check_profile(game, profile)
+    weights = {p.config.utilization_weight for p in game.players}
+    if len(weights) != 1:
+        raise ValueError(f"the potential needs one utilization weight, got {sorted(weights)}")
+    (w,) = weights
     types = game.type_ids
     submitted = [
         (p, t) for p, action in zip(game.players, profile) for t, price in zip(types, action) if price is not None
     ]
-    total_q = left_sum(p.backoff_rewards.get(t, 0.0) for p in game.players for t in types)
-    chosen_q = left_sum(p.backoff_rewards.get(t, 0.0) for p, t in submitted)
+    total_q = left_sum(p.config.backoff_cost for p in game.players for _ in p.work)
+    chosen_q = left_sum(p.config.backoff_cost for p, _ in submitted)
     load = left_sum(p.work[t] for p, t in submitted)
-    return total_q - chosen_q + game.utilization_weight * (1.0 - load / game.capacity)
+    return total_q - chosen_q + w * (1.0 - load / game.capacity)
 
 
 def check_potential_identity(game: StaticGame, profile, player: int, new_action) -> bool:
@@ -187,7 +174,7 @@ def expected_round_utilities(game: StaticGame, actions) -> list[float]:
     Tie breaks at the slot boundary are integrated exactly (each tied bidder
     wins the leftover slots with equal probability). The per-type payoff is
     the learners' own, utility_per_type, taken in expectation over the win
-    probability.
+    probability, with the player's own c, q and W, as its learner reads them.
     """
     _check_profile(game, actions)
     types = game.type_ids
@@ -225,18 +212,19 @@ def expected_round_utilities(game: StaticGame, actions) -> list[float]:
 
     utilities = []
     for i, player in enumerate(game.players):
+        config = player.config
+        c, q = config.lost_bid_cost, config.backoff_cost
         terms = []
         for j, t in enumerate(types):
             if t not in player.work:
                 continue
-            v, p, c = player.values[t], float(payment[j]), player.lost_bid_cost
-            q = player.backoff_rewards.get(t, 0.0)
+            v, p = valuation(player.work[t], config), float(payment[j])
             submitted = actions[i][j] is not None
             pr_win = win_prob[i, j]  # 0 for a deferred bid, whose payoff is q either way
             won = utility_per_type(1, v, p, c, q, submitted)
             lost = utility_per_type(0, v, p, c, q, submitted)
             terms.append(pr_win * won + (1.0 - pr_win) * lost)
-        utilities.append(utility_total(terms, beta, game.utilization_weight))
+        utilities.append(utility_total(terms, beta, config.utilization_weight))
     return utilities
 
 
@@ -245,7 +233,7 @@ def player_action_space(game: StaticGame, player: int) -> list[tuple]:
     price within its budget, and None for every other type. A deferral
     carries no price, so each is listed once."""
     p = game.players[player]
-    prices = tuple(pr for pr in game.price_levels if pr <= p.budget)
+    prices = tuple(pr for pr in game.price_levels if pr <= p.config.budget)
     return list(itertools.product(*[(None, *prices) if t in p.work else (None,) for t in game.type_ids]))
 
 

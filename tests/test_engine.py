@@ -503,6 +503,11 @@ def test_replayed_totals_do_not_depend_on_builtin_sum(monkeypatch):
     assert [s.probability for s in workload.normalize_catalog(catalog)] == TINY
 
     # the static-game oracles too: every player defers, so phi is the sum of the rewards
-    players = [gametheory.StaticPlayer({"F": q}, {"F": 1.0}, {"F": 1.0}, 0.0, 1.0) for q in TINY]
-    game = gametheory.StaticGame(players, capacity=10.0, utilization_weight=0.0)
+    players = [
+        gametheory.StaticPlayer(
+            utility.AgentConfig(f"p{i}", 1.0, lost_bid_cost=0.0, backoff_cost=q, utilization_weight=0.0), {"F": 1.0}
+        )
+        for i, q in enumerate(TINY)
+    ]
+    game = gametheory.StaticGame(players, capacity=10.0)
     assert gametheory.potential_value(game, [(None,)] * 3) == left_sum(TINY)

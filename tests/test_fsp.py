@@ -234,6 +234,20 @@ class TestAgentConfig:
         assert self.observed(dataclasses.replace(base, **{name: self.CHANGED[name]})) != seen
 
 
+@pytest.mark.parametrize(
+    "base, name, bad",
+    [(AgentConfig(bidder_id="m0", budget=100.0), "budget", -1.0), (LearnerHyper(), "sl_batch_size", 0)],
+)
+def test_configs_are_frozen_and_replace_runs_the_checks(base, name, bad):
+    # a fleet reads some fields once at construction and the others live, so
+    # an assigned field would act only in part, past __post_init__'s checks
+    for fld in dataclasses.fields(base):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(base, fld.name, getattr(base, fld.name))
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(base, **{name: bad})
+
+
 # by test id, the (work, deadline) of a pending request the fleet refuses
 BAD_REQUESTS = {f"work-{work}": (work, 9.0) for work in (math.nan, math.inf, 0.0, -1.0)} | {
     f"deadline-{deadline}": (1.0, deadline) for deadline in (math.nan, math.inf, -1.0)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from offloadsim.agents import AgentConfig, PassiveFleet, utility_per_type
-from offloadsim.auction import Bid, clear_auction
+from offloadsim.agents import AgentConfig, FeatureCodec, LearningFleet, PassiveFleet, utility_per_type, utility_total
+from offloadsim.auction import Bid, clear_auction, feedback_for
 from offloadsim.engine import derive_stream, left_sum
 from offloadsim.gametheory import (
     FAIR_SLOPES_TOL,
@@ -27,12 +27,13 @@ from offloadsim.gametheory import (
 from oracles import brute_force_clear, enumerate_best_responses
 
 
-def two_player_game(q=1.0, w=1.0, capacity=10.0, omega=2.0):
-    players = [
-        StaticPlayer({"T": q}, {"T": omega}, {"T": 3.0}, lost_bid_cost=0.5, budget=10.0),
-        StaticPlayer({"T": q}, {"T": omega}, {"T": 3.0}, lost_bid_cost=0.5, budget=10.0),
-    ]
-    return StaticGame(players=players, capacity=capacity, utilization_weight=w)
+def bidder(i=0, budget=10.0, slope=1.5, c=0.5, q=1.0, w=1.0):
+    return AgentConfig(f"p{i}", budget, valuation_slope=slope, lost_bid_cost=c, backoff_cost=q, utilization_weight=w)
+
+
+def two_player_game(capacity=10.0):
+    # each values its work of 2.0 at 3.0
+    return StaticGame(players=[StaticPlayer(bidder(i), {"T": 2.0}) for i in range(2)], capacity=capacity)
 
 
 # the utility and potential terms divide load by the capacity
@@ -42,25 +43,12 @@ def test_bad_capacity_rejected(capacity):
         two_player_game(capacity=capacity)
 
 
-def test_backoff_reward_for_undemanded_type_rejected():
-    # potential_value would count it, the players' utilities would not
-    with pytest.raises(ValueError, match=r"not in work: \['U'\]"):
-        StaticPlayer({"T": 1.0, "U": 0.5}, {"T": 2.0}, {"T": 3.0}, 0.5, 10.0)
-
-
-def test_values_missing_a_demanded_type_rejected():
-    # the utilities read a value for every type in work; a missing one used to raise a bare KeyError there
-    with pytest.raises(ValueError, match=r"no values for types in work: \['U', 'V'\]"):
-        StaticPlayer({"T": 1.0}, {"T": 2.0, "U": 1.0, "V": 1.0}, {"T": 3.0}, 0.5, 10.0)
-
-
-def static_player(**fields):
-    defaults = dict(backoff_rewards={"T": 1.0}, work={"T": 2.0}, values={"T": 3.0}, lost_bid_cost=0.5, budget=10.0)
-    return StaticPlayer(**{**defaults, **fields})
+def static_player(work=None, **config):
+    return StaticPlayer(bidder(**config), {"T": 2.0} if work is None else work)
 
 
 def static_game(**fields):
-    return StaticGame(**{"players": [static_player()], "capacity": 10.0, "utilization_weight": 1.0, **fields})
+    return StaticGame(**{"players": [static_player()], "capacity": 10.0, **fields})
 
 
 BAD_STATIC = {
@@ -69,22 +57,22 @@ BAD_STATIC = {
     "bool-price": (lambda: static_game(price_levels=(True,)), "price level True must be"),
     "slots-minus-one": (lambda: static_game(slots={"T": -1}), "slot count for T must be an integer >= 0, got -1"),
     "slots-fraction": (lambda: static_game(slots={"T": 1.5}), "slot count for T must be an integer >= 0, got 1.5"),
+    # a player's budget, value slope, cost c, deferral reward q and weight W are its AgentConfig's
     "nan-budget": (lambda: static_player(budget=math.nan), "budget must be finite and positive, got nan"),
     "negative-budget": (lambda: static_player(budget=-1.0), "budget must be finite and positive, got -1.0"),
-    "zero-value": (lambda: static_player(values={"T": 0.0}), r"value 0.0 for T is outside \(0, budget 10.0\]"),
-    "value-above-budget": (lambda: static_player(values={"T": 11.0}), r"value 11.0 for T is outside \(0, budget 10.0\]"),
+    "zero-value": (lambda: static_player(slope=0.0), "valuation_slope must be finite and positive, got 0.0"),
     "zero-work": (lambda: static_player(work={"T": 0.0}), "work for T must be finite and positive, got 0.0"),
-    "negative-lost-bid-cost": (lambda: static_player(lost_bid_cost=-0.1), "lost_bid_cost must be finite and >= 0"),
-    "nan-backoff-reward": (lambda: static_player(backoff_rewards={"T": math.nan}), "backoff reward for T must be finite"),
-    "negative-weight": (lambda: static_game(utilization_weight=-1.0), "utilization_weight must be finite and >= 0"),
-    "nan-weight": (lambda: static_game(utilization_weight=math.nan), "utilization_weight must be finite and >= 0"),
+    "negative-lost-bid-cost": (lambda: static_player(c=-0.1), "lost_bid_cost must be >= 0"),
+    "nan-backoff-reward": (lambda: static_player(q=math.nan), "backoff_cost must be finite, got nan"),
+    "negative-weight": (lambda: static_player(w=-1.0), "utilization_weight must be >= 0"),
+    "nan-weight": (lambda: static_player(w=math.nan), "utilization_weight must be finite, got nan"),
 }
 
 
 @pytest.mark.parametrize("build, match", BAD_STATIC.values(), ids=BAD_STATIC.keys())
 def test_bad_static_input_refused_at_construction(build, match):
-    # the rules of AgentConfig, valuation, Bid and clear_auction; each of
-    # these was accepted, or refused only later or by another error
+    # the rules of AgentConfig, Bid and clear_auction; each of these was
+    # once accepted, or refused only later or by another error
     with pytest.raises(ValueError, match=match):
         build()
 
@@ -95,18 +83,17 @@ def test_static_game_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         game.slots = {"T": -1}
     with pytest.raises(dataclasses.FrozenInstanceError):
-        game.players[0].budget = -1.0
+        game.players[0].config = bidder(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        game.players[0].config.budget = -1.0
     with pytest.raises(ValueError, match="slot count for T must be an integer >= 0, got -1"):
         dataclasses.replace(game, slots={"T": -1})
 
 
 def two_type_game():
     # player 0 demands T and U, player 1 only T
-    players = [
-        StaticPlayer({"T": 1.0, "U": 1.0}, {"T": 2.0, "U": 2.0}, {"T": 3.0, "U": 3.0}, 0.5, 10.0),
-        StaticPlayer({"T": 1.0}, {"T": 2.0}, {"T": 3.0}, 0.5, 10.0),
-    ]
-    return StaticGame(players, capacity=10.0, utilization_weight=1.0, slots={"T": 1, "U": 1})
+    players = [StaticPlayer(bidder(0), {"T": 2.0, "U": 2.0}), StaticPlayer(bidder(1), {"T": 2.0})]
+    return StaticGame(players, capacity=10.0, slots={"T": 1, "U": 1})
 
 
 MALFORMED = {
@@ -136,26 +123,30 @@ def test_malformed_action_refused(profile, match):
 
 @st.composite
 def uncontended_games_with_any_reward(draw):
-    """A small everything-admitted game whose deferral rewards q lie in
-    (-2, 2). The capacity is at least the total work, so beta never clamps,
-    and no (player, type) pair is within 1e-6 of indifference, -q = W*omega/C."""
+    """A small everything-admitted game whose players' deferral rewards q
+    lie in (-2, 2), one per player, with one weight W for all. The capacity
+    is at least the total work, so beta never clamps, and no (player, type)
+    pair is within 1e-6 of indifference, -q = W*omega/C."""
     types = [f"T{j}" for j in range(draw(st.integers(1, 2)))]
+    w = draw(st.floats(0.0, 3.0))
     players = [
         StaticPlayer(
-            backoff_rewards={t: draw(st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)) for t in types},
+            bidder(
+                i,
+                slope=draw(st.floats(0.2, 10.0)),
+                c=draw(st.floats(0.0, 1.0)),
+                q=draw(st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)),
+                w=w,
+            ),
             work={t: draw(st.floats(0.5, 5.0)) for t in types},
-            values={t: draw(st.floats(1.0, 5.0)) for t in types},
-            lost_bid_cost=draw(st.floats(0.0, 1.0)),
-            budget=10.0,
         )
-        for _ in range(draw(st.integers(2, 3)))
+        for i in range(draw(st.integers(2, 3)))
     ]
     capacity = left_sum(p.work[t] for p in players for t in types) * draw(st.floats(1.0, 4.0))
-    w = draw(st.floats(0.0, 3.0))
     for p in players:
         for t in types:
-            assume(abs(-p.backoff_rewards[t] - w * p.work[t] / capacity) >= 1e-6)
-    return StaticGame(players, capacity=capacity, utilization_weight=w)
+            assume(abs(-p.config.backoff_cost - w * p.work[t] / capacity) >= 1e-6)
+    return StaticGame(players, capacity=capacity)
 
 
 class TestPotential:
@@ -210,7 +201,7 @@ class TestPotential:
         # submitting one (player, type) pair moves the potential by -q - W*omega/C
         gains = tuple(
             tuple(
-                0.0 if -p.backoff_rewards[t] > game.utilization_weight * p.work[t] / game.capacity else None
+                0.0 if -p.config.backoff_cost > p.config.utilization_weight * p.work[t] / game.capacity else None
                 for t in types
             )
             for p in game.players
@@ -229,8 +220,7 @@ class TestEquilibriumEnumeration:
         assert best in enumerate_pure_ne(game)
 
     def test_single_player_argmax(self):
-        player = StaticPlayer({"T": 0.3}, {"T": 2.0}, {"T": 3.0}, 0.5, 10.0)
-        game = StaticGame([player], capacity=10.0, utilization_weight=1.0)
+        game = StaticGame([StaticPlayer(bidder(q=0.3), {"T": 2.0})], capacity=10.0)
         ne = enumerate_pure_ne(game)
         space = [(None,), (0.0,)]
         utils = {action: expected_round_utilities(game, (action,))[0] for action in space}
@@ -246,22 +236,8 @@ class TestEquilibriumEnumeration:
             assert (profile[1], profile[0]) in ne_set
 
     def test_too_large_rejected(self):
-        players = [
-            StaticPlayer(
-                {f"T{j}": 0.1 for j in range(4)},
-                {f"T{j}": 1.0 for j in range(4)},
-                {f"T{j}": 1.0 for j in range(4)},
-                0.5,
-                10.0,
-            )
-            for _ in range(4)
-        ]
-        game = StaticGame(
-            players,
-            capacity=10.0,
-            utilization_weight=1.0,
-            price_levels=tuple(np.linspace(0, 10, 8)),
-        )
+        players = [StaticPlayer(bidder(i, slope=1.0, q=0.1), {f"T{j}": 1.0 for j in range(4)}) for i in range(4)]
+        game = StaticGame(players, capacity=10.0, price_levels=tuple(np.linspace(0, 10, 8)))
         with pytest.raises(TooLargeError):
             enumerate_pure_ne(game)
 
@@ -280,20 +256,18 @@ class TestEquilibriumEnumeration:
     def test_enumeration_matches_naive_oracle(self, contended):
         game = two_player_game()
         if contended:
-            players = [StaticPlayer({"T": 0.2}, {"T": 2.0}, {"T": v}, 0.5, 10.0) for v in (6.0, 5.0, 4.0)]
-            game = StaticGame(
-                players, capacity=10.0, utilization_weight=1.0, price_levels=(0.0, 2.0, 4.0, 6.0), slots={"T": 1}
-            )
+            # values 6, 5 and 4
+            players = [StaticPlayer(bidder(i, slope=s, q=0.2), {"T": 2.0}) for i, s in enumerate((3.0, 2.5, 2.0))]
+            game = StaticGame(players, capacity=10.0, price_levels=(0.0, 2.0, 4.0, 6.0), slots={"T": 1})
         self.assert_matches_naive_oracle(game)
 
     def test_two_type_enumeration_matches_naive_oracle(self):
+        # values (3, 4.5) and (4, 6), each player with its own q
         players = [
-            StaticPlayer({"A": -0.5, "B": -1.0}, {"A": 2.0, "B": 3.0}, {"A": va, "B": vb}, 0.5, 10.0)
-            for va, vb in ((3.0, 5.0), (4.0, 4.0))
+            StaticPlayer(bidder(i, slope=s, q=q), {"A": 2.0, "B": 3.0})
+            for i, (s, q) in enumerate(((1.5, -0.5), (2.0, -1.0)))
         ]
-        game = StaticGame(
-            players, capacity=10.0, utilization_weight=1.0, price_levels=(0.0, 3.0, 6.0), slots={"A": 1, "B": 1}
-        )
+        game = StaticGame(players, capacity=10.0, price_levels=(0.0, 3.0, 6.0), slots={"A": 1, "B": 1})
         # defer or one of 3 prices for each of 2 types: 16 actions a player, 256 profiles
         assert [len(player_action_space(game, i)) for i in range(2)] == [16, 16]
         self.assert_matches_naive_oracle(game)
@@ -311,11 +285,10 @@ class TestEquilibriumEnumeration:
     def test_sign_of_q_decides_who_submits(self, q, w, slots, count, submitters):
         # ROADMAP direction 2's game: v = 40, work 40, c = 1, budget 100,
         # capacity 100, prices 0-50 in steps of 10
-        players = [StaticPlayer({"T": q}, {"T": 40.0}, {"T": 40.0}, 1.0, 100.0) for _ in range(2)]
+        players = [StaticPlayer(bidder(i, budget=100.0, slope=1.0, c=1.0, q=q, w=w), {"T": 40.0}) for i in range(2)]
         game = StaticGame(
             players,
             capacity=100.0,
-            utilization_weight=w,
             price_levels=tuple(float(p) for p in range(0, 51, 10)),
             slots=None if slots is None else {"T": slots},
         )
@@ -325,12 +298,9 @@ class TestEquilibriumEnumeration:
 
     def test_contended_static_clear_matches_auction_module(self):
         # tie-free: the expected-utility clearing must agree with a real clear
-        players = [
-            StaticPlayer({"T": 0.1}, {"T": 2.0}, {"T": 5.0}, 0.5, 10.0),
-            StaticPlayer({"T": 0.1}, {"T": 2.0}, {"T": 4.0}, 0.5, 10.0),
-            StaticPlayer({"T": 0.1}, {"T": 2.0}, {"T": 3.0}, 0.5, 10.0),
-        ]
-        game = StaticGame(players, capacity=100.0, utilization_weight=0.0, slots={"T": 1})
+        # values 5, 4 and 3
+        players = [StaticPlayer(bidder(i, slope=s, q=0.1, w=0.0), {"T": 2.0}) for i, s in enumerate((2.5, 2.0, 1.5))]
+        game = StaticGame(players, capacity=100.0, slots={"T": 1})
         actions = ((5.0,), (4.0,), (3.0,))
         utils = expected_round_utilities(game, actions)
         rng = derive_stream(0, "auction")
@@ -342,6 +312,48 @@ class TestEquilibriumEnumeration:
         assert utils[0] == pytest.approx(5.0 - 4.0)  # winner pays second price
         assert utils[1] == pytest.approx(-0.5)
         assert utils[2] == pytest.approx(-0.5)
+
+
+class TestOneBidder:
+    """A static player is the AgentConfig a LearningFleet is built from, so
+    the static payoff is the reward its learner reads."""
+
+    def test_round_utilities_are_the_fleets_rewards(self):
+        # values 6 and 5, one slot, and a tie-free profile: player 0 wins at price 4
+        players = [StaticPlayer(bidder(i, slope=s, q=0.2), {"T": 2.0}) for i, s in enumerate((3.0, 2.5))]
+        game = StaticGame(players, capacity=10.0, slots={"T": 1})
+        profile = ((6.0,), (4.0,))
+        utils = expected_round_utilities(game, profile)
+
+        configs = [p.config for p in game.players]
+        # a power-of-two price_max, so the step row's reward scales back exactly
+        codec = FeatureCodec(type_ids=["T"], work_max=4.0, deadline_max=100.0, price_max=64.0, fleet_size=2, window=2)
+        fleet = LearningFleet(configs, codec, root_seed=1)
+        fleet.frozen_eta = 0.0  # the behavioural branch, whose fractions are set here
+        fleet.behavior.predict = lambda states, agents: np.full((len(agents), 2), 0.9)  # submit
+        directives = fleet.act([None] * 2, [{"T": (p.work["T"], 100.0)} for p in players], 2, 0.0, 0.0)
+        assert [d["T"][0] for d in directives] == ["submit"] * 2
+        bids = [Bid(c.bidder_id, "T", price, p.work["T"], 100) for c, p, (price,) in zip(configs, players, profile)]
+        outcome = clear_auction(bids, game.slots, derive_stream(0, "auction"))
+        assert outcome.winners["T"] == {"p0"}
+        beta = players[0].work["T"] / game.capacity  # the game's: the won load over capacity
+        fleet.act([feedback_for(outcome, c.bidder_id, beta) for c in configs], [{}] * 2, 2, beta, 0.0)
+        assert list(fleet.history[:, -1, -1] * codec.price_max) == utils
+
+    def test_each_player_is_scored_with_its_own_weight(self):
+        # player 0's free win loads the capacity by 2 / 10; player 1 defers
+        players = [StaticPlayer(bidder(i, q=0.2, w=w), {"T": 2.0}) for i, w in enumerate((1.0, 3.0))]
+        game = StaticGame(players, capacity=10.0)
+        profile = ((0.0,), (None,))
+        assert expected_round_utilities(game, profile) == [
+            utility_total([0.0], 0.2, 1.0),
+            utility_total([0.2], 0.2, 3.0),
+        ]
+        # the potential needs one W
+        with pytest.raises(ValueError, match=r"the potential needs one utilization weight, got \[1.0, 3.0\]"):
+            potential_value(game, profile)
+        with pytest.raises(ValueError, match="one utilization weight"):
+            check_potential_identity(game, profile, 1, (0.0,))
 
 
 BID_STEP = 0.5  # rivals bid on this grid, so ties at the slot boundary are common
@@ -411,10 +423,11 @@ class TestDominantBid:
     def test_shifted_bid_is_not_dominant_in_the_static_game(self):
         # The round total also counts the idle capacity. A win adds the own
         # work 10 but displaces the rival's 20, so the bid shifted by the own
-        # won load, v + c - W*omega/C = 18, loses to a bid that wins.
-        me = StaticPlayer({"T": 0.0}, {"T": 10.0}, {"T": 20.0}, lost_bid_cost=0.0, budget=100.0)
-        rival = StaticPlayer({"T": 0.0}, {"T": 20.0}, {"T": 20.0}, lost_bid_cost=0.0, budget=100.0)
-        game = StaticGame([me, rival], capacity=100.0, utilization_weight=20.0, slots={"T": 1})
+        # won load, v + c - W*omega/C = 18, loses to a bid that wins. Both
+        # value their request at 20.
+        me = StaticPlayer(bidder(0, budget=100.0, slope=2.0, c=0.0, q=0.0, w=20.0), {"T": 10.0})
+        rival = StaticPlayer(bidder(1, budget=100.0, slope=1.0, c=0.0, q=0.0, w=20.0), {"T": 20.0})
+        game = StaticGame([me, rival], capacity=100.0, slots={"T": 1})
         shifted = 20.0 + 0.0 - 20.0 * 10.0 / 100.0
         scores = {
             bid: expected_round_utilities(game, ((bid,), (20.0,)))[0] for bid in (shifted, 20.5)

@@ -26,13 +26,20 @@ def test_oracles_import_nothing_from_the_package():
     assert not {module for module, _ in found if module.split(".")[0] == "offloadsim"}
 
 
-def test_gametheory_takes_only_the_payoff_rule_and_the_left_sum():
+def test_gametheory_takes_the_bidder_and_payoff_not_clearing_or_learner():
     found = imported_names(ROOT / "src" / "offloadsim" / "gametheory.py", "offloadsim")
     ours = {(module, name) for module, name in found if module.split(".")[0] == "offloadsim"}
     assert ours <= {
+        ("offloadsim.agents.utility", "AgentConfig"),
+        ("offloadsim.agents.utility", "valuation"),
         ("offloadsim.agents.utility", "utility_per_type"),
         ("offloadsim.agents.utility", "utility_total"),
         ("offloadsim.engine", "left_sum"),
+        ("offloadsim.engine", "require_count"),
     }
+    # the clearing and the learner are what the oracles check
+    checked = {"offloadsim.auction"} | {f"offloadsim.agents.{m}" for m in ("bidder", "policy", "nets", "behavior")}
+    imported = {module for module, _ in found} | {f"{module}.{name}" for module, name in found if name}
+    assert not imported & checked
     others = {module.split(".")[0] for module, _ in found} - {"offloadsim"}
     assert others <= set(sys.stdlib_module_names) | {"numpy"}

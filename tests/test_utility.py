@@ -154,8 +154,15 @@ class TestOneHome:
 
     @staticmethod
     def game():
-        players = [gametheory.StaticPlayer({"T": 0.2}, {"T": 2.0}, {"T": v}, 0.5, 10.0) for v in (6.0, 5.0)]
-        return gametheory.StaticGame(players, capacity=10.0, utilization_weight=1.0, slots={"T": 1})
+        # values 6 and 5
+        players = [
+            gametheory.StaticPlayer(
+                config(bidder_id=f"m{i}", budget=10.0, valuation_slope=s, lost_bid_cost=0.5, backoff_cost=0.2),
+                {"T": 2.0},
+            )
+            for i, s in enumerate((3.0, 2.5))
+        ]
+        return gametheory.StaticGame(players, capacity=10.0, slots={"T": 1})
 
     def test_expected_round_utilities(self, calls):
         gametheory.expected_round_utilities(self.game(), ((4.0,), (None,)))
