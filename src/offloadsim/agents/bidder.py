@@ -31,11 +31,12 @@ stages:
    each deadline finite and >= 0. The pass notes each such agent's
    request and last prices. Idle agents' rewards are written in bulk
    (`utility_total` over the fleet's weights), the same arithmetic per
-   element. Only then does each agent draw, in a pass of its own and one
-   `RngStream.normals_then_uniform` call per agent: the noise vector
-   straight into its row of the round's noise array, then the eta coin.
-   One `FeatureCodec.encode` call writes every agent's new step into a
-   fresh array, which is copied into the window.
+   element. Only then does each deciding agent draw, in a pass of its own
+   and one `RngStream.normals_then_uniform` call per agent on its own act
+   stream: the noise vector straight into its row of the round's noise
+   array, row r for the r-th deciding agent, then the eta coin. One
+   `FeatureCodec.encode` call writes every agent's new step into a fresh
+   array, which is copied into the window.
 2. The batched learner step. While learning, `ActorCriticPool.td_step`
    first steps every agent's critic on last round's transition, and the
    actor of each agent that executed its own sample last round. Then each
@@ -55,12 +56,16 @@ stages:
 3. One pass out over the deciding agents: the directives for their pending
    types. Every other agent gets none and nothing to score next round.
 
-Each agent draws its noise, then its eta coin, once per round, pending or
-not, learning or frozen, so stage 2 runs for a subset of agents without
-moving any act stream. A round refused for its input leaves everything as
+An agent draws its noise, then its eta coin, only in a round it decides,
+learning or frozen, as fictitious self-play samples an agent's policy mix
+and action only when the agent acts: each executed action still reads a
+fresh noise vector and an independent coin from its own stream. An agent
+that does not decide draws nothing, so its act stream moves only with its
+own decisions, whichever agents decide beside it; its critic still steps
+every learning round. A round refused for its input leaves everything as
 it was: every stream, `t` and the window. An error raised later in stage 1
-leaves the window and `t` as they were, and the streams of the agents
-that drew advanced.
+leaves the window and `t` as they were, and the streams of the deciding
+agents that drew advanced.
 
 The window's length is the codec's, its only settable home. The window
 holds each step twice, at slots j and j + window of a (B, 2 * window,
@@ -268,7 +273,7 @@ class LearningFleet:
     ) -> list[dict[str, tuple]]:
         """Advance one decision round; returns per-agent directives
         {type: ("submit", price) | ("backoff", duration_ms)} for pending types."""
-        # 1. check the input, score the agents that are not idle, draw for all, then encode
+        # 1. check the input, score the agents that are not idle, draw for the deciding ones, then encode
         _require_one_per_agent(self.B, feedbacks, pending)
         if not 0 <= n_present < math.inf:
             raise ValueError(f"n_present must be finite and >= 0, got {n_present}")
@@ -305,9 +310,9 @@ class LearningFleet:
                 ]
                 utilities[b] = utility_total(terms, beta, config.utilization_weight)
                 active.append((b, requests, prices))
-        noise = np.empty((self.B, self.action_dim))
-        coins = [stream.normals_then_uniform(row) for stream, row in zip(self.act_streams, noise)]
-        use_rl = np.array(coins) < eta
+        noise = np.empty((len(deciding), self.action_dim))  # row r from agent deciding[r]'s act stream
+        coins = [self.act_streams[b].normals_then_uniform(row) for b, row in zip(deciding, noise)]
+        picked = np.array(coins) < eta  # row r: agent deciding[r] executes the actor's sample
         steps = np.empty((self.B, self.codec.step_dim))
         self.codec.encode(steps, (float(n_present), beta, phase), utilities, active)
         window = self.codec.window
@@ -327,15 +332,14 @@ class LearningFleet:
         scored = None
         executed = np.empty((len(deciding), self.action_dim))  # row r from agent deciding[r]'s branch
         if deciding:
-            picked = use_rl[deciding]
-            best = [b for b in deciding if use_rl[b]]  # the agents that execute the actor's sample
-            behavioural = [b for b in deciding if not use_rl[b]]  # the others, the behavioural model's action
+            best = [b for b, rl in zip(deciding, picked) if rl]  # the agents that execute the actor's sample
+            behavioural = [b for b, rl in zip(deciding, picked) if not rl]  # the others, the behavioural model's action
             if learning or behavioural:  # a behavioural prediction or a store reads them
                 sl_states = np.take(steps[deciding], self.codec.sl_columns, axis=1)
             if best:
                 x = history.reshape(self.B, -1)[best]
                 mu, L, actor_cache = self.pool.actor_forward(x, best)
-                zeta_raw = self.pool.sample_raw(mu, L, noise[best])
+                zeta_raw = self.pool.sample_raw(mu, L, noise[picked])
                 executed[picked] = self._fractions(zeta_raw, self.budgets[best])
                 if learning:
                     scored = (zeta_raw, actor_cache)

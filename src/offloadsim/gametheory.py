@@ -37,7 +37,8 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -60,14 +61,17 @@ class InfeasibleFairnessError(RuntimeError):
     pass
 
 
+# Frozen, and each mapping held as a read-only copy: an assigned field or
+# item would skip __post_init__'s checks.
 @dataclass(frozen=True)
 class StaticPlayer:
     """The bidder a `LearningFleet` is built from, and its work per demanded type."""
 
     config: AgentConfig
-    work: dict[str, float]
+    work: Mapping[str, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "work", MappingProxyType(dict(self.work)))
         for t, w in self.work.items():
             if not 0.0 < w < math.inf:
                 raise ValueError(f"work for {t} must be finite and positive, got {w}")
@@ -78,9 +82,11 @@ class StaticGame:
     players: list[StaticPlayer]
     capacity: float
     price_levels: tuple[float, ...] = (0.0,)
-    slots: Optional[dict[str, int]] = None  # None: every submitted bid is accepted
+    slots: Optional[Mapping[str, int]] = None  # None: every submitted bid is accepted
 
     def __post_init__(self):
+        if self.slots is not None:
+            object.__setattr__(self, "slots", MappingProxyType(dict(self.slots)))
         if not 0 < self.capacity < math.inf:
             raise ValueError(f"capacity must be finite and positive, got {self.capacity}")
         if not self.price_levels:
@@ -154,7 +160,7 @@ def check_potential_identity(game: StaticGame, profile, player: int, new_action)
     capacity (where beta clamps) is refused.
     """
     if game.slots is not None:
-        raise ValueError(f"slots {game.slots} set: the identity holds only with every bid accepted")
+        raise ValueError(f"slots {dict(game.slots)} set: the identity holds only with every bid accepted")
     total_work = left_sum(p.work.get(t, 0.0) for p in game.players for t in game.type_ids)
     if total_work > game.capacity:
         raise ValueError(f"total work {total_work} is above capacity {game.capacity}, where beta clamps")

@@ -48,6 +48,13 @@ def pending_one(n=2):
     return [{"F1-300": (3.0, 200.0)} for _ in range(n)]
 
 
+def draw_decision(stream, action_dim):
+    """Advance a replica of an agent's act stream by one decision, as the
+    fleet draws it: the noise vector, then the eta coin. Returns both."""
+    noise = stream.standard_normal(action_dim)
+    return noise, stream.uniform()
+
+
 def two_branch_eta(floor, t):
     """The mixing weight of the former two-branch schedule at its default
     switch: 1/t through round 100, then never below the floor."""
@@ -303,12 +310,29 @@ class TestLearningFleet:
                         assert value <= 10.0
 
     def test_agent_streams_are_isolated(self):
-        # adding a third agent must not change the first agent's trajectory
-        small = fleet(seed=9, n=2)
-        big = LearningFleet(configs(3), codec(), root_seed=9)
-        d2 = small.act([None, None], pending_one(2), 2, 0.0, 0.0)
-        d3 = big.act([None, None, None], pending_one(3), 2, 0.0, 0.0)  # same observation as the small fleet
-        assert d2[0] == d3[0]
+        # a third agent that decides on its own pattern must not change
+        # agent 0's or 1's directives, or their actor, critic and behaviour
+        # weights, through mixed pending sets, actor steps and behavioural
+        # training: each agent draws only from its own streams
+        cfgs = configs(2)
+        third = AgentConfig(bidder_id="x", budget=100.0)
+        hyper = LearnerHyper(sl_batch_size=4, sl_train_interval=3, eta_floor=0.5)  # both branches, every round
+        small = LearningFleet(cfgs, codec(), root_seed=9, hyper=hyper)
+        big = LearningFleet([third, *cfgs], codec(), root_seed=9, hyper=hyper)  # agents 0 and 1 at positions 1 and 2
+        rng, third_rng = derive_stream(10, "pending"), derive_stream(11, "third")
+        feedback_small, feedback_big = [None] * 2, [None] * 3
+        for r in range(80):
+            pending = mixed_pending(rng, r, 2)
+            third_pending = {"F1-50": (2.0, 200.0)} if third_rng.uniform() < 0.5 else {}
+            small_directives = small.act(feedback_small, pending, 2, 0.3, (r % 10) / 10)
+            # the same observation as the small fleet
+            big_directives = big.act(feedback_big, [third_pending, *pending], 2, 0.3, (r % 10) / 10)
+            assert big_directives[1:] == small_directives, r
+            for nets in (lambda f: f.pool.actor, lambda f: f.pool.critic, lambda f: f.behavior.net):
+                for a in range(2):
+                    assert np.array_equal(flat_view(nets(small), a), flat_view(nets(big), a + 1)), (r, a)
+            feedback_small = feedback_for(cfgs, small_directives)
+            feedback_big = feedback_for([third, *cfgs], big_directives)
 
     def test_actor_learns_only_from_its_own_samples(self):
         # each round's update scores the previous round's action: an agent that
@@ -349,15 +373,12 @@ class TestLearningFleet:
             return predict(states, agents)
 
         f.behavior.predict = counted
-        # replicas of the act streams give each round's eta coins: noise, then coin
+        # replicas of the act streams give each round's eta coins; both agents decide every round
         streams = [derive_stream(4, f"agent/m{b}/act") for b in range(2)]
         needed = []
         for _ in range(8):
             t = f.t
-            coins = []
-            for s in streams:
-                s.standard_normal(4)  # the noise vector
-                coins.append(s.uniform())
+            coins = [draw_decision(s, f.action_dim)[1] for s in streams]
             f.act(self.feedback(), pending_one(), 2, 0.3, 0.0)
             if not all(coin < eta for coin in coins):
                 needed.append(t)
@@ -408,13 +429,15 @@ class TestLearningFleet:
                 for nets in (lambda f: f.pool.actor, lambda f: f.pool.critic, lambda f: f.behavior.net):
                     assert np.array_equal(flat_view(nets(fleets[0][0]), a), flat_view(nets(fleets[1][0]), p)), r
 
-    def test_each_agent_draws_noise_then_coin_every_round(self):
-        # every round, pending or not, learning or frozen, each act stream
-        # gives one noise vector and one eta coin; each sl stream gives one
-        # minibatch draw per behavioural training of that agent, which needs
-        # a minibatch of the agent's own rows; a training call with no agent
-        # ready draws nothing
+    def test_only_deciding_agents_draw_noise_then_coin(self):
+        # in each round, learning or frozen, a deciding agent's act stream
+        # gives one noise vector and one eta coin, to the state of a replica
+        # that draws them, and an idle agent's act stream does not move; each
+        # sl stream gives one minibatch draw per behavioural training of that
+        # agent, which needs a minibatch of the agent's own rows; a training
+        # call with no agent ready draws nothing
         f = fleet(seed=6, hyper=LearnerHyper(sl_batch_size=4, sl_train_interval=3))
+        replicas = [derive_stream(6, f"agent/m{b}/act") for b in range(2)]
         train_step = f.behavior.train_step
         trainings = []  # (t, the agents holding a minibatch) of each training
 
@@ -428,12 +451,19 @@ class TestLearningFleet:
         for r in range(24):
             if r == 12:
                 f.freeze()
-            act_before = [s.draw_counter for s in f.act_streams]
+            pending = pendings[r % 3]
+            act_before = [(s._gen.bit_generator.state, s.draw_counter) for s in f.act_streams]
             sl_before = [s.draw_counter for s in f.sl_streams]
             trained = len(trainings)
-            f.act(feedback, pendings[r % 3], 2, 0.3, 0.0)
+            f.act(feedback, pending, 2, 0.3, 0.0)
             feedback = self.feedback()
-            assert [s.draw_counter for s in f.act_streams] == [n + 2 for n in act_before], r
+            for b, (s, replica) in enumerate(zip(f.act_streams, replicas)):
+                if pending[b]:
+                    draw_decision(replica, f.action_dim)
+                    assert s._gen.bit_generator.state == replica._gen.bit_generator.state, (r, b)
+                    assert s.draw_counter == act_before[b][1] + 2, (r, b)
+                else:
+                    assert (s._gen.bit_generator.state, s.draw_counter) == act_before[b], (r, b)
             ready = trainings[-1][1] if len(trainings) > trained else [False, False]
             assert [s.draw_counter for s in f.sl_streams] == [n + int(b) for n, b in zip(sl_before, ready)], r
         # the call at t = 3 finds no agent ready; m1 decides two rounds in
@@ -593,7 +623,7 @@ class TestDecidingAgentsOnly:
         # eta 1 in round 1, then 0.5: both branches, every round
         hyper = LearnerHyper(sl_batch_size=4, sl_train_interval=3, eta_floor=0.5)
         f = LearningFleet(cfgs, codec(), root_seed=seed, hyper=hyper)
-        streams = [derive_stream(seed, f"agent/{c.bidder_id}/act") for c in cfgs]  # replicas: noise, then coin
+        streams = [derive_stream(seed, f"agent/{c.bidder_id}/act") for c in cfgs]  # replicas, drawn as agents decide
         rng = derive_stream(22, "pending")
         mixed_rounds = 0  # rounds whose TD step scored some of last round's deciding agents, not all
         actor_rows = []
@@ -620,10 +650,7 @@ class TestDecidingAgentsOnly:
             pending = mixed_pending(rng, r, n)
             deciding = [b for b in range(n) if pending[b]]
             eta = f.hyper.eta(f.t)
-            coins = []
-            for s in streams:
-                s.standard_normal(f.action_dim)
-                coins.append(s.uniform())
+            coins = {b: draw_decision(streams[b], f.action_dim)[1] for b in deciding}  # an idle agent draws nothing
             actor_before = [flat_view(f.pool.actor, b) for b in range(n)]
             critic_before = [flat_view(f.pool.critic, b) for b in range(n)] if r > 0 else None  # drawn in round 0
             rows_before = (f.behavior.states.copy(), f.behavior.actions.copy(), f.behavior.count.copy())
@@ -661,7 +688,7 @@ class TestDecidingAgentsOnly:
         cfgs = configs(n)
         hyper = LearnerHyper(sl_batch_size=4, sl_train_interval=3)
         f = LearningFleet(cfgs, codec(), root_seed=seed, hyper=hyper)
-        streams = [derive_stream(seed, f"agent/{c.bidder_id}/act") for c in cfgs]  # replicas: noise, then coin
+        streams = [derive_stream(seed, f"agent/{c.bidder_id}/act") for c in cfgs]  # replicas, drawn as agents decide
         rng = derive_stream(13, "pending")
         actor_rows = []  # the agents of each actor pass in a round
         actor_forward = f.pool.actor_forward
@@ -678,17 +705,17 @@ class TestDecidingAgentsOnly:
                 f.freeze()
                 f.frozen_eta = eta
             pending = mixed_pending(rng, r, n)
-            noise = np.empty((n, f.action_dim))
-            coins = np.empty(n)
-            for b, s in enumerate(streams):
-                noise[b] = s.standard_normal(f.action_dim)
-                coins[b] = s.uniform()
+            deciding = [b for b in range(n) if pending[b]]
+            # an idle agent draws nothing; its reference row reaches no directive
+            noise = np.zeros((n, f.action_dim))
+            coins = np.ones(n)
+            for b in deciding:
+                noise[b], coins[b] = draw_decision(streams[b], f.action_dim)
             actor_rows.clear()
             directives = f.act(feedback, pending, n, 0.3, (r % 10) / 10)
             if r < 8:
                 feedback = feedback_for(cfgs, directives)
                 continue
-            deciding = [b for b in range(n) if pending[b]]
             seen.add(len(deciding))
             best = [b for b in deciding if coins[b] < eta]
             passes = [np.arange(n)[agents].tolist() for agents in actor_rows]

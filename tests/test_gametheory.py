@@ -96,6 +96,29 @@ def two_type_game():
     return StaticGame(players, capacity=10.0, slots={"T": 1, "U": 1})
 
 
+def test_static_mappings_are_read_only_copies():
+    # an item assignment would skip __post_init__'s checks: a slot count of -1
+    # failed later with a bare IndexError, a work of -2 inside `valuation`
+    work, slots = {"T": 2.0, "U": 2.0}, {"T": 1, "U": 1}
+    game = StaticGame([StaticPlayer(bidder(0), work), StaticPlayer(bidder(1), {"T": 2.0})], 10.0, (0.0, 2.0), slots)
+    with pytest.raises(TypeError):
+        game.slots["T"] = -1
+    with pytest.raises(TypeError):
+        game.players[0].work["T"] = -2.0
+    work["T"], slots["T"] = -2.0, -1  # the game holds copies, so the caller's dicts are theirs
+    # a twin holding plain dicts, as a game did before, plays the same
+    twin = StaticGame(
+        [StaticPlayer(bidder(0), {"T": 2.0, "U": 2.0}), StaticPlayer(bidder(1), {"T": 2.0})], 10.0, (0.0, 2.0)
+    )
+    object.__setattr__(twin, "slots", {"T": 1, "U": 1})
+    for player in twin.players:
+        object.__setattr__(player, "work", dict(player.work))
+    profiles = list(itertools.product(player_action_space(game, 0), player_action_space(game, 1)))
+    assert len(profiles) == 27
+    assert [expected_round_utilities(game, p) for p in profiles] == [expected_round_utilities(twin, p) for p in profiles]
+    assert enumerate_pure_ne(game) == enumerate_pure_ne(twin)
+
+
 MALFORMED = {
     "three-entries": (((0.0, None, 0.0), (None, None)), r"player 0: \(0.0, None, 0.0\) has 3 entries"),
     "missing-player": (((0.0, None),), "1 actions for 2 players"),
