@@ -36,6 +36,25 @@ words. That is the pool numpy builds from the int list
 words; the array form spares its per-int coercion. numpy promises no
 stream stability across releases (NEP 19), so `tests/test_engine.py`
 checks the state against that list form.
+
+A stream's draws fall in two groups. The scalar `uniform` and `exponential`
+draws each take one word, a uniform in [0, 1), from a block of WORD_BLOCK
+words that one `Generator.random(WORD_BLOCK)` call refills when it is
+empty, so they do not pay numpy's per-call price one draw at a time. An
+exponential is the word's inversion, `scale * -log1p(-u)` (Devroye,
+"Non-Uniform Random Variate Generation", 1986, II.2), bit for bit numpy's
+`standard_exponential(method="inv")` times scale: numpy's default ziggurat
+takes a varying number of words per draw, so it cannot be served from a
+block. On a stream that draws only these, draw k is computed from word k,
+in call order. Every other draw (`normal`, `standard_normal`,
+`normals_then_uniform`, `integer_array`, `permutation`) reads the generator
+directly, after the words the block holds. No stream of the program mixes
+the groups: the type, arrival and set-up streams draw only from the block,
+the site, act, sl, init and auction streams only directly. A stream that
+mixed them would keep every draw's law, but its interleaving would depend
+on WORD_BLOCK. The generator is never rewound past unused words with
+`PCG64.advance`: numpy's bounded-integer draws keep half a word buffered,
+which `advance` drops, so a rewind is not exact for every mix of draws.
 """
 from __future__ import annotations
 
@@ -53,6 +72,7 @@ from typing import Callable, Optional
 import numpy as np
 
 SimTime = int  # non-negative milliseconds
+WORD_BLOCK = 16  # uniforms an RngStream draws at once for its scalar draws
 
 
 def require_count(name: str, value, least: int):
@@ -109,9 +129,16 @@ class RngStream:
     sha256(entity_label) (module docstring). The root must be an integer
     (not a bool; a numpy integer is taken as its Python int) and the label
     a non-empty str, or a ValueError names the argument.
+
+    `uniform` and `exponential` each take the next word of the stream's
+    block of WORD_BLOCK uniforms; every other draw reads the generator
+    directly, after the words the block holds (module docstring). Each
+    stream of the program draws from one group only, since a stream that
+    mixed them would interleave its draws by WORD_BLOCK. `draw_counter`
+    counts one per served draw either way.
     """
 
-    __slots__ = ("draw_counter", "_gen")
+    __slots__ = ("draw_counter", "_gen", "_words")
 
     def __init__(self, root_seed: int, entity_label: str):
         if isinstance(root_seed, bool):
@@ -126,30 +153,48 @@ class RngStream:
         digest = hashlib.sha256(entity_label.encode("utf-8")).digest()
         entropy = np.frombuffer(root.to_bytes(8 if root >> 32 else 4, "little") + digest[:16], dtype="<u4")
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        self._words: list[float] = []  # the block's unused words, the next one last
+
+    def _refill(self) -> float:
+        """Draw a new block of WORD_BLOCK uniforms and take its first word."""
+        self._words = self._gen.random(WORD_BLOCK)[::-1].tolist()
+        return self._words.pop()
 
     # uniform and normal spell out the affine maps that Generator.uniform and
     # Generator.normal compute in C, so the draws are bit-identical to theirs
-    # without numpy's per-call argument broadcasting; they keep its argument
-    # checks, raised as ValueError.
+    # on the same words without numpy's per-call argument broadcasting; each
+    # refuses a bad argument with a ValueError before it draws. A scalar draw
+    # takes the block's next word, the last item of _words, or refills it.
 
     def uniform(self, low=0.0, high=1.0):
         if low == 0.0 and high == 1.0:  # the map is the identity on [0, 1)
             self.draw_counter += 1
-            return self._gen.random()
+            try:
+                return self._words.pop()
+            except IndexError:
+                return self._refill()
         if not 0.0 <= high - low < math.inf:
             raise ValueError(f"uniform needs finite high >= low, got [{low}, {high})")
         self.draw_counter += 1
-        return low + (high - low) * self._gen.random()
+        try:
+            u = self._words.pop()
+        except IndexError:
+            u = self._refill()
+        return low + (high - low) * u
 
     def exponential(self, scale):
-        if not scale >= 0.0:  # numpy's own check lets NaN through
-            raise ValueError(f"exponential needs scale >= 0, got {scale}")
+        if not 0.0 <= scale < math.inf:
+            raise ValueError(f"exponential needs finite scale >= 0, got {scale}")
         self.draw_counter += 1
-        return float(self._gen.exponential(scale))
+        try:
+            u = self._words.pop()
+        except IndexError:
+            u = self._refill()
+        return scale * -math.log1p(-u)
 
     def normal(self, loc=0.0, scale=1.0):
-        if not scale >= 0.0:
-            raise ValueError(f"normal needs scale >= 0, got {scale}")
+        if not 0.0 <= scale < math.inf:
+            raise ValueError(f"normal needs finite scale >= 0, got {scale}")
         self.draw_counter += 1
         return loc + scale * self._gen.standard_normal()
 
@@ -163,9 +208,9 @@ class RngStream:
 
     def normals_then_uniform(self, out: np.ndarray) -> float:
         """Standard normals written into the float64 array `out`, then one
-        uniform in [0, 1): the two draws of `standard_normal(out.shape)` and
-        `uniform()`, in that order, in one call. `Generator.random()` is
-        `uniform()`'s draw, since its affine map is the identity on [0, 1)."""
+        uniform in [0, 1), both read from the generator directly: the draws
+        of `Generator.standard_normal(out=out)` and `Generator.random()`, in
+        that order, in one call. It counts as two draws."""
         self._gen.standard_normal(out=out)
         self.draw_counter += 2
         return self._gen.random()

@@ -8,6 +8,13 @@ returns: with no epoch crossed, offset + gap - 0 * MMPP_EPOCH_MS is that
 end, bit for bit, so the fast path is the general one's result. It relies
 on the range: an offset below 0 would have to be moved forward a whole
 epoch, and `MmppState` refuses one outside it.
+
+An interarrival gap is drawn by inversion, `-log1p(-u) / rate` from one
+uniform word u of the vehicle's arrival stream (`RngStream.exponential`),
+not by numpy's ziggurat: the same Exp(rate) law, from exactly one word per
+gap. Since u is a multiple of 2**-53 below 1, a gap is at most
+-log(2**-53), about 36.7 mean gaps, so the draw truncates a tail of
+probability 2**-53, about 1.1e-16.
 """
 from __future__ import annotations
 

@@ -1,3 +1,4 @@
+import platform
 import sys
 from pathlib import Path
 
@@ -20,9 +21,11 @@ THP_MODE = Path("/sys/kernel/mm/transparent_hugepage/enabled")
 
 def pytest_report_header(config):
     thp = THP_MODE.read_text().strip() if THP_MODE.exists() else "not reported by this kernel"
+    libc = " ".join(platform.libc_ver()).strip() or "not reported by this platform"
     return [
         f"python {sys.version.split()[0]}, numpy {np.__version__}",
         f"replay pins in tests/test_replay_pin.py were recorded with numpy {PINNED_NUMPY}, the release CI pins, "
         f"and run with OPENBLAS_CORETYPE={PINNED_BLAS_CORETYPE}",
+        f"C library: {libc} (every pin's arrival gaps go through its log1p)",
         f"transparent huge pages: {thp}",
     ]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from offloadsim import engine, gametheory, operating, workload
 from offloadsim.agents import utility
 from offloadsim.engine import (
+    WORD_BLOCK,
     EventKind,
     PastEventError,
     RngStream,
@@ -394,31 +395,104 @@ def test_normal_is_generator_normal_bit_for_bit(loc, scale):
 
 def test_normals_then_uniform_is_standard_normal_then_uniform_bit_for_bit():
     # drawn into rows of one array, as the learning fleet draws each agent's
-    # noise and then its eta coin; the twin draws the same two per row
+    # noise and then its eta coin; the twin generator draws the same two per row
     s = derive_stream(5, "draws")
-    twin = derive_stream(5, "draws")
+    ref = twin_generator(s)
     got = np.empty((1000, 4))
     coins = [s.normals_then_uniform(row) for row in got]
     want = np.empty_like(got)
     want_coins = []
     for row in want:
-        row[:] = twin.standard_normal(4)
-        want_coins.append(twin.uniform())
+        row[:] = ref.standard_normal(4)
+        want_coins.append(ref.random())
     assert got.tobytes() == want.tobytes()
     assert np.array(coins).tobytes() == np.array(want_coins).tobytes()
     assert all(type(coin) is float for coin in coins)
-    assert s.draw_counter == twin.draw_counter == 2000
-    assert s.standard_normal(4).tobytes() == twin.standard_normal(4).tobytes()
+    assert s.draw_counter == 2000
+    assert s.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
+
+
+def test_direct_draws_are_the_generators_own():
+    # the auction's tie order, the behaviour model's minibatch indices and
+    # the weight initialisation read the generator itself
+    s = derive_stream(5, "draws")
+    ref = twin_generator(s)
+    for n in (1, 2, 7, 400):
+        assert s.permutation(n).tobytes() == ref.permutation(n).tobytes()
+        assert s.integer_array(0, n, 32).tobytes() == ref.integers(0, n, size=32).tobytes()
+        out = np.empty((n, 3))
+        s.standard_normal(out=out)
+        assert out.tobytes() == ref.standard_normal((n, 3)).tobytes()
+    assert s.draw_counter == 12
 
 
 @pytest.mark.parametrize("scale", [1.0, 33.3, 0.004, 1e-9, 0.0])
 def test_exponential_is_generator_exponential_bit_for_bit(scale):
+    # by inversion: numpy's standard_exponential(method="inv"), one word per draw
     s = derive_stream(5, "draws")
     ref = twin_generator(s)
     got = [s.exponential(scale) for _ in range(10_000)]
-    want = [ref.exponential(scale) for _ in range(10_000)]
+    want = [scale * ref.standard_exponential(method="inv") for _ in range(10_000)]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert s.draw_counter == 10_000
+
+
+# calls each stream refuses before it draws
+REFUSED = [
+    ("uniform", (1.0, 0.0)),
+    ("uniform", (0.0, math.inf)),
+    ("uniform", (math.nan, 1.0)),
+    ("exponential", (-1.0,)),
+    ("exponential", (math.inf,)),
+    ("exponential", (math.nan,)),
+    ("normal", (0.0, math.inf)),
+    ("normal", (0.0, -1.0)),
+]
+
+SCALAR_CALLS = st.one_of(
+    st.just(("uniform", ())),
+    st.tuples(
+        st.just("uniform"), st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2).map(sorted).map(tuple)
+    ),
+    st.tuples(st.just("exponential"), st.tuples(st.floats(0.0, 1e6))),
+    st.tuples(st.just("refused"), st.sampled_from(REFUSED)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(root=st.integers(0, 2**64 - 1), calls=st.lists(SCALAR_CALLS, max_size=3 * WORD_BLOCK + 5))
+@example(root=0, calls=[("uniform", ())] * WORD_BLOCK)
+def test_scalar_draws_are_the_blocks_words_in_call_order(root, calls):
+    # any interleaving of uniform(), uniform(lo, hi) and exponential(scale)
+    # computes draw k from the generator's word k; a refused call takes no word
+    s = derive_stream(root, "draws")
+    ref = twin_generator(s)
+    got, want = [], []
+    served = 0
+    for name, args in calls:
+        if name == "refused":
+            name, args = args
+            with pytest.raises(ValueError):
+                getattr(s, name)(*args)
+            assert s.draw_counter == served
+            continue
+        got.append(getattr(s, name)(*args))
+        if name == "exponential":
+            want.append(args[0] * ref.standard_exponential(method="inv"))
+        elif args:
+            want.append(args[0] + (args[1] - args[0]) * ref.random())
+        else:
+            want.append(ref.random())
+        served += 1
+        assert s.draw_counter == served
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert all(type(draw) is float for draw in got)
+    # a direct draw reads the generator after the words the block holds,
+    # and the scalar draws then go on with those words
+    held = ref.random(-served % WORD_BLOCK).tolist()
+    assert s.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+    assert [s.uniform() for _ in held] == held
+    assert s.uniform() == ref.random()
 
 
 def test_draw_arguments_checked_before_drawing():
@@ -426,10 +500,10 @@ def test_draw_arguments_checked_before_drawing():
     for bad in [(1.0, 0.0), (0.0, float("inf")), (0.0, float("nan"))]:
         with pytest.raises(ValueError):
             s.uniform(*bad)
-    for bad in [-1.0, float("nan")]:
-        with pytest.raises(ValueError):
+    for bad in [-1.0, float("nan"), float("inf")]:
+        with pytest.raises(ValueError, match="normal needs finite scale"):
             s.normal(0.0, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exponential needs finite scale"):
             s.exponential(bad)
     # numpy's own refusals
     with pytest.raises(ValueError):
@@ -445,7 +519,9 @@ def test_draw_arguments_checked_before_drawing():
     with pytest.raises(ValueError):
         s.integer_array(3, 1, 4)
     assert s.draw_counter == 0
-    assert s.uniform() == twin_generator(derive_stream(5, "draws")).uniform()
+    ref = twin_generator(derive_stream(5, "draws"))
+    assert s.normal() == ref.standard_normal()
+    assert s.uniform() == ref.random()
 
 
 def compensated_sum(values, start=0):

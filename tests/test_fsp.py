@@ -49,10 +49,10 @@ def pending_one(n=2):
 
 
 def draw_decision(stream, action_dim):
-    """Advance a replica of an agent's act stream by one decision, as the
-    fleet draws it: the noise vector, then the eta coin. Returns both."""
-    noise = stream.standard_normal(action_dim)
-    return noise, stream.uniform()
+    """Advance a replica of an agent's act stream by one decision, with the
+    fleet's own call: the noise vector, then the eta coin. Returns both."""
+    noise = np.empty(action_dim)
+    return noise, stream.normals_then_uniform(noise)
 
 
 def two_branch_eta(floor, t):

@@ -23,6 +23,12 @@ the kernels round differently. So every run here forces one kernel,
 calling shell sets. crowd runs no BLAS product, so its digests hold under any
 kernel.
 
+Every pin, crowd's included, also encodes the arrival-gap sampler. A gap is
+drawn by inversion, -log1p(-u) / rate from one uniform word, so a change of
+sampler moves every digest even where each gap's law is unchanged, and the
+digests hold per C library too: the gaps go through its `log1p`, which the
+pytest report header names.
+
 The short pins stop at round 60 or earlier. A second fsp-train pin plays
 rounds 0..153, past round 100, where the learners' eta sits at its floor
 and most deciding agents execute the behavioural action, so the actor
@@ -64,12 +70,12 @@ def pinned_blas_coretype() -> str:
 
 SHORT = 0.1  # seconds of the short pins
 PINNED_DIGESTS = {
-    ("crowd", SHORT): "949487df88d0ebb2",
-    ("fsp-train", SHORT): "039ba79e4013998a",
-    ("fsp-eval", SHORT): "0d59630f2caf42d8",
-    ("fsp-train", 6): "861d1b8f4a2e5955",
-    ("crowd", 3): "0ffb60b4471045a0",
-    ("fsp-eval", 3): "b9e20b05ce23eb16",
+    ("crowd", SHORT): "a679a25bb6c43050",
+    ("fsp-train", SHORT): "b3956e5b6ac6d561",
+    ("fsp-eval", SHORT): "09d6aed15e1ffd52",
+    ("fsp-train", 6): "1939274de617acfa",
+    ("crowd", 3): "5b2b52c08ca6854f",
+    ("fsp-eval", 3): "4010b5fdb2466f64",
 }
 
 

@@ -58,6 +58,15 @@ class TestMmpp:
         gap, _ = mmpp_next_arrival(state, rng)
         assert gap == ARRIVAL_HORIZON_MS
 
+    def test_a_draw_past_the_horizon_is_capped(self):
+        # the property's capped example below: seed 3's first gap at a Low
+        # rate just above the cap's inverse lies past the cap
+        low = 1e-3 * 1.2e-6
+        assert derive_stream(3, "mmpp").exponential(1.0 / low) > ARRIVAL_HORIZON_MS
+        state = MmppState("Low", lambda_high=1e-3, lambda_low=low, p_high=0.0, p_low=0.5, ms_into_epoch=640.5)
+        gap, _ = mmpp_next_arrival(state, derive_stream(3, "mmpp"))
+        assert gap == ARRIVAL_HORIZON_MS
+
     def test_fixed_regime_gaps_are_exponential(self):
         rng = derive_stream(19, "mmpp")
         state = high_regime_state(p_high=0.0, p_low=0.0)
@@ -148,8 +157,8 @@ def general_next_arrival(state, rng):
 )
 # a vanishing Low rate: the capped gap without a draw, then a million epoch draws
 @example(lambda_high=1e-3, low_share=0.0, p_high=0.0, p_low=0.0, regime="Low", offset=0.0, seed=3, arrivals=1)
-# a Low rate just above the cap's inverse: seed 0's first exponential draw exceeds the cap, so min caps it
-@example(lambda_high=1e-3, low_share=1.2e-6, p_high=0.0, p_low=0.5, regime="Low", offset=640.5, seed=0, arrivals=1)
+# a Low rate just above the cap's inverse: seed 3's first exponential draw exceeds the cap, so min caps it
+@example(lambda_high=1e-3, low_share=1.2e-6, p_high=0.0, p_low=0.5, regime="Low", offset=640.5, seed=3, arrivals=1)
 def test_next_arrival_matches_the_general_step(
     lambda_high, low_share, p_high, p_low, regime, offset, seed, arrivals
 ):
